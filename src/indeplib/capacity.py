@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_ALPHA_LIMIT
 from .cotree import LEAF, UNION, Cotree, realize
-from .errors import LimitExceeded
+from .errors import LimitExceeded, VerificationError
 from .flow import min_ratio_subset
 from .graph import Graph, connected_components, neighborhood
 from .intersection import IntervalModel, PermutationModel, realize_interval, realize_permutation
@@ -113,11 +113,14 @@ def profile_exhaustive(g: Graph, limit=20) -> NeighborhoodProfile:
 
 def _finish(g: Graph, a, witness, engine) -> CapacityResult:
     witness = frozenset(witness)
-    assert witness and g.is_independent(witness)
-    assert Fraction(len(witness), len(witness) + len(neighborhood(g, witness))) == a
+    if not witness or not g.is_independent(witness):
+        raise VerificationError(f"{engine.value} witness is empty or not independent")
+    if Fraction(len(witness), len(witness) + len(neighborhood(g, witness))) != a:
+        raise VerificationError(f"{engine.value} witness does not attain a = {a}")
     astar = a_star(a)
     fpm = has_fractional_perfect_matching(g)
-    assert (astar == 1) == (not fpm), "a* = 1 must match the absence of a fractional perfect matching"
+    if (astar == 1) == fpm:
+        raise VerificationError("a* = 1 must match the absence of a fractional perfect matching")
     return CapacityResult(a, astar, witness, engine, fpm)
 
 
@@ -187,8 +190,7 @@ def a_split(g: Graph, part: SplitPartition) -> CapacityResult:
     c_side = sorted(part.clique)
     best = None
     if s_side:
-        nbr = {v: set(g.neighbors(v)) for v in s_side}
-        subset, nu = min_ratio_subset(s_side, nbr)
+        subset, nu = min_ratio_subset(s_side, g.adj)
         a0 = Fraction(1, 1) / (1 + nu)
         best = (a0, frozenset(subset))
     if c_side:
@@ -357,7 +359,11 @@ def a_treewidth(g: Graph, d: NiceTreeDecomposition) -> CapacityResult:
 
 def a_general_exact(g: Graph, limit=None) -> CapacityResult:
     """Scan maximal independent sets; per set I, minimize |N(S)|/|S| over
-    nonempty S inside I, which gives max_S |S|/(|S|+|N(S)|) = 1/(1+nu)."""
+    nonempty S inside I, which gives max_S |S|/(|S|+|N(S)|) = 1/(1+nu).
+
+    Each minimization is priced at the best nu so far, so a set that can
+    only do worse costs one cut; ties are still solved, which keeps the
+    witness the lexicographically smallest among the best sets."""
     if limit is None:
         limit = DEFAULT_ALPHA_LIMIT
     if g.n == 0:
@@ -367,14 +373,17 @@ def a_general_exact(g: Graph, limit=None) -> CapacityResult:
             f"a_general_exact limited to {limit} vertices, got {g.n}", required=g.n
         )
     best = None
+    price = None  # nu = 1/a - 1 of the best set so far
     for iset in enumerate_maximal_independent_sets(g):
-        members = sorted(iset)
-        nbr = {v: set(g.neighbors(v)) for v in members}
-        subset, nu = min_ratio_subset(members, nbr)
+        found = min_ratio_subset(iset, g.adj, price)
+        if found is None:
+            continue
+        subset, nu = found
         a = Fraction(1, 1) / (1 + nu)
         wit = frozenset(subset)
         if best is None or a > best[0] or (a == best[0] and sorted(wit) < sorted(best[1])):
             best = (a, wit)
+            price = nu
     return _finish(g, best[0], best[1], Engine.GENERAL)
 
 

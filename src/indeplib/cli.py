@@ -27,6 +27,7 @@ from .errors import (
     NotACograph,
     NotASplitgraph,
     ParseError,
+    VerificationError,
 )
 from .graph import Graph, categorical_product, graph_power, neighborhood
 from .oracles import a_bruteforce, alpha_exact
@@ -317,6 +318,9 @@ def main(argv=None) -> int:
     except (ParseError, InvalidModel, InvalidDecomposition, NotACograph, NotASplitgraph) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except VerificationError as exc:
+        print(f"error: verification failed: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except (IndeplibError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

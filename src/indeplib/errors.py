@@ -13,6 +13,13 @@ class LimitExceeded(IndeplibError):
         self.required = required
 
 
+class VerificationError(IndeplibError):
+    """A computed result failed its own correctness check.
+
+    Raised instead of ``assert`` so that the check also runs under
+    ``python -O``."""
+
+
 class ParseError(IndeplibError):
     """A file could not be parsed."""
 

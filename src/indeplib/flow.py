@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .graph import Graph
+from .errors import VerificationError
+from .graph import Graph, set_to_mask
 
 INF = "inf"
 
@@ -224,13 +225,166 @@ def _ratio_network(svars, ground, nbr, p, q):
     return net, sidx, cidx
 
 
-def min_ratio_subset(svars, nbr):
-    """min over nonempty S' of |N(S')| / |S'| with N(S') = union of nbr.
+def _ratio_cut(svars, nbr, ground, p, q):
+    """Maximal minimum cut of s -> v (capacity p) for v in S, v -> c
+    (unbounded) for c in nbr[v], c -> t (capacity q) for c in the mask
+    ground.  Returns the S-vertices on the source side, as a list.
+
+    Ground vertices are kept as one-bit masks.  The flow is held as the
+    residual s -> v per S-vertex (rs), the residual c -> t per ground
+    vertex (rt), the positive flow per arc, and two masks: fwd[v], the
+    ground vertices v sends flow to, and back[c], the S-vertices sending
+    flow to c (the residual back arcs c -> v).  Raises VerificationError
+    unless the cut is certified minimum: its capacity equals the flow
+    value and no unbounded arc crosses it.
+    """
+    rs = {}
+    rt = {}
+    m = ground
+    while m:
+        low = m & -m
+        rt[low] = q
+        m ^= low
+    back = dict.fromkeys(rt, 0)
+    fwd = {}
+    flow = {}
+    open_t = ground  # ground vertices with residual capacity to t
+    open_s = 0  # S-vertices with residual capacity from s
+
+    # greedy start along the direct paths s -> v -> c -> t
+    for v in svars:
+        r = p
+        sent = 0
+        m = nbr[v] & open_t
+        while r and m:
+            low = m & -m
+            m ^= low
+            amt = rt[low]
+            if amt > r:
+                amt = r
+            flow[v, low] = amt
+            sent |= low
+            back[low] |= 1 << v
+            rt[low] -= amt
+            if not rt[low]:
+                open_t ^= low
+            r -= amt
+        rs[v] = r
+        fwd[v] = sent
+        if r:
+            open_s |= 1 << v
+
+    # shortest augmenting paths s -> v0 -> c0 -> v1 -> ... -> ck -> t, each
+    # c(i-1) -> vi a back arc; the search runs layer by layer on masks and
+    # the path is picked out of the layers afterwards
+    while open_s and open_t:
+        layers = []
+        seen_s = front = open_s
+        seen_c = hit = 0
+        while front:
+            reached = 0
+            m = front
+            while m:
+                low = m & -m
+                m ^= low
+                reached |= nbr[low.bit_length() - 1]
+            reached &= ~seen_c
+            if not reached:
+                break
+            seen_c |= reached
+            layers.append((front, reached))
+            hit = reached & open_t
+            if hit:
+                break
+            front = 0
+            m = reached
+            while m:
+                low = m & -m
+                m ^= low
+                front |= back[low]
+            front &= ~seen_s
+            seen_s |= front
+        if not hit:
+            break
+        end = c = hit & -hit
+        amt = rt[c]
+        path = []
+        for i in range(len(layers) - 1, -1, -1):
+            m = layers[i][0]
+            while True:
+                low = m & -m
+                v = low.bit_length() - 1
+                if nbr[v] & c:
+                    break
+                m ^= low
+            path.append((v, c))
+            if not i:
+                if rs[v] < amt:
+                    amt = rs[v]
+                break
+            m = layers[i - 1][1]
+            while not back[m & -m] & low:
+                m &= m - 1
+            c = m & -m
+            if flow[v, c] < amt:
+                amt = flow[v, c]
+            path.append((v, c))
+        rt[end] -= amt
+        if not rt[end]:
+            open_t ^= end
+        rs[v] -= amt
+        if not rs[v]:
+            open_s ^= 1 << v
+        for j, (v, c) in enumerate(path):
+            if j % 2:  # back arc c -> v: cancel flow on v -> c
+                flow[v, c] -= amt
+                if not flow[v, c]:
+                    del flow[v, c]
+                    fwd[v] ^= c
+                    back[c] ^= 1 << v
+            else:
+                flow[v, c] = flow.get((v, c), 0) + amt
+                fwd[v] |= c
+                back[c] |= 1 << v
+
+    # the nodes that reach t in the residual graph: c with residual to t,
+    # v with an arc into such a c, and c with a back arc to such a v
+    reach_c = open_t
+    rest = svars
+    while True:
+        kept = []
+        grown = reach_c
+        for v in rest:
+            if nbr[v] & reach_c:
+                grown |= fwd[v]
+            else:
+                kept.append(v)
+        if len(kept) == len(rest):
+            break
+        rest = kept
+        reach_c = grown
+
+    value = sum(p - r for r in rs.values())
+    capacity = p * (len(svars) - len(rest)) + q * (ground & ~reach_c).bit_count()
+    if capacity != value:
+        raise VerificationError(f"ratio cut capacity {capacity} != flow value {value}")
+    if any(nbr[v] & reach_c for v in rest):
+        raise VerificationError("an unbounded arc crosses the ratio cut")
+    return rest
+
+
+def min_ratio_subset(svars, nbr, price=None):
+    """min over nonempty S' of |N(S')| / |S'| with N(S') the union of the
+    neighbour masks nbr[v] (nbr may be g.adj).
 
     Returns (maximal minimizer S*, exact ratio).  Dinkelbach iteration: a
     candidate ratio p/q prices the network s->v at p and c->t at q; a min
     cut below p*|S| certifies a strictly better subset, and at the fixpoint
     the maximal min-cut source side is the maximal minimizer.
+
+    With a price, the first cut runs at min(price, ratio of S) and None is
+    returned when every subset's ratio is above the price.  A minimum at
+    exactly the price is still returned with its maximal minimizer.
     """
     svars = sorted(set(svars))
     if not svars:
@@ -238,31 +392,27 @@ def min_ratio_subset(svars, nbr):
     zero = {v for v in svars if not nbr[v]}
     if zero:
         return zero, Fraction(0)
-    ground = sorted(set().union(*(nbr[v] for v in svars)))
-    if set(ground) & set(svars):
+    ground = 0
+    for v in svars:
+        ground |= nbr[v]
+    if ground & set_to_mask(svars):
         raise ValueError("neighborhood ground set must be disjoint from S")
 
-    def nset(sub):
-        return set().union(*(nbr[v] for v in sub)) if sub else set()
-
-    best_set = set(svars)
-    best = Fraction(len(nset(best_set)), len(best_set))
+    best = Fraction(ground.bit_count(), len(svars))
+    if price is not None and price < best:
+        best = price
     while True:
-        p, q = best.numerator, best.denominator
-        net, sidx, cidx = _ratio_network(svars, ground, nbr, p, q)
-        _, cut = max_flow(net)
-        chosen = {v for v in svars if sidx[v] in cut.source_side}
+        chosen = _ratio_cut(svars, nbr, ground, best.numerator, best.denominator)
         if not chosen:
-            break
-        ratio = Fraction(len(nset(chosen)), len(chosen))
-        if ratio < best:
-            best = ratio
-            best_set = chosen
-        else:
-            if ratio == best:
-                best_set = chosen  # maximal minimizer from the maximal cut
-            break
-    return best_set, best
+            return None  # only at a price below every subset's ratio
+        nbrs = 0
+        for v in chosen:
+            nbrs |= nbr[v]
+        ratio = Fraction(nbrs.bit_count(), len(chosen))
+        if ratio == best:
+            # fixpoint: the maximal cut gives the maximal minimizer
+            return set(chosen), best
+        best = ratio
 
 
 def min_ratio_subset_exhaustive(svars, nbr):

@@ -196,14 +196,6 @@ def neighborhood(g: Graph, vertices) -> set:
     return mask_to_set(mask)
 
 
-def neighborhood_mask(g: Graph, mask) -> int:
-    out = 0
-    while mask:
-        out |= g.adj[(mask & -mask).bit_length() - 1]
-        mask &= mask - 1
-    return out
-
-
 def connected_components(g: Graph):
     """Per-vertex component ids, numbered by least contained vertex order."""
     comp = [-1] * g.n

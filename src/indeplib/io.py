@@ -102,10 +102,6 @@ def parse_permutation_model(text: str) -> PermutationModel:
     return PermutationModel(tuple(v - 1 for v in values))
 
 
-def format_permutation_model(model: PermutationModel) -> str:
-    return f"{model.n}\n" + " ".join(str(v + 1) for v in model.perm) + "\n"
-
-
 def parse_tree_decomposition(text: str):
     """Returns (bags, tree_edges, n) with 0-based bag indices."""
     lines = _content_lines(text)

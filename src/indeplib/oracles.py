@@ -48,20 +48,11 @@ def alpha_exact(g: Graph, limit=None):
     return total, witness
 
 
-def alpha_mask(adj, initial_best=0):
-    """Kernel passthrough for callers that already hold adjacency masks."""
-    return kernels.max_independent_set(adj, initial_best)
-
-
 def enumerate_maximal_independent_sets(g: Graph):
     """Every maximal independent set exactly once, as frozensets, in a
     deterministic order.  The count is at most 3^(n/3) (Moon-Moser)."""
     for mask in kernels.maximal_independent_sets(list(g.adj)):
         yield frozenset(mask_to_set(mask))
-
-
-def maximal_independent_set_masks(g: Graph):
-    return kernels.maximal_independent_sets(list(g.adj))
 
 
 def a_bruteforce(g: Graph, limit=DEFAULT_BRUTEFORCE_LIMIT):

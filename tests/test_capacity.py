@@ -1,11 +1,16 @@
 """Capacity engines: a(G), a*(G), Theta^T, fractional perfect matchings,
 and the dispatch layer."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import indeplib
 from _helpers import random_cotree, random_graph, treewidth_decomposition
 from indeplib.capacity import (
     CapacityResult,
@@ -26,12 +31,14 @@ from indeplib.capacity import (
 )
 from indeplib.cotree import cograph_recognize, is_cograph, parse_cotree, realize
 from indeplib.errors import LimitExceeded
+from indeplib.flow import min_ratio_subset_exhaustive
 from indeplib.graph import (
     Graph,
     categorical_product,
     complete_bipartite,
     complete_graph,
     complete_multipartite,
+    connected_components,
     cycle_graph,
     disjoint_union,
     graph_power,
@@ -39,7 +46,7 @@ from indeplib.graph import (
     star_graph,
 )
 from indeplib.intersection import IntervalModel, PermutationModel
-from indeplib.oracles import a_bruteforce, alpha_exact
+from indeplib.oracles import a_bruteforce, alpha_exact, enumerate_maximal_independent_sets
 from indeplib.splitgraph import is_splitgraph, split_partition
 from indeplib.treedecomp import trivial_decomposition, validate_and_nicify
 
@@ -290,6 +297,73 @@ def test_tensor_capacity_dispatch():
     g = star_graph(3)
     assert tensor_capacity(g, split=split_partition(g)).engine is Engine.SPLIT
     assert tensor_capacity(g, decomposition=_nice(g)).engine is Engine.TREEWIDTH
+
+
+def _general_reference(g):
+    """(a, witness) of the general engine by definition: every maximal
+    independent set, its exhaustive maximal ratio minimizer, then the
+    largest a and the lexicographically smallest sorted witness."""
+    best = None
+    for iset in enumerate_maximal_independent_sets(g):
+        subset, nu = min_ratio_subset_exhaustive(iset, {v: g.neighbors(v) for v in iset})
+        a = 1 / (1 + nu)
+        wit = frozenset(subset)
+        if best is None or a > best[0] or (a == best[0] and sorted(wit) < sorted(best[1])):
+            best = (a, wit)
+    return best
+
+
+def test_general_witness_matches_exhaustive_reference():
+    rng = random.Random(53)
+    for _ in range(120):
+        if rng.random() < 0.5:
+            g = random_graph(rng.randint(1, 14), rng.uniform(0.15, 0.6), rng)
+        else:
+            g = disjoint_union(
+                random_graph(rng.randint(1, 7), rng.uniform(0.2, 0.7), rng),
+                random_graph(rng.randint(1, 7), rng.uniform(0.2, 0.7), rng),
+            )
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        # disconnected inputs are solved per component, the first best
+        # component winning ties, as tensor_capacity does
+        comp = connected_components(g)
+        want = None
+        for c in range(max(comp) + 1):
+            verts = [v for v in range(g.n) if comp[v] == c]
+            a, wit = _general_reference(g.subgraph(verts))
+            if want is None or a > want[0]:
+                want = (a, frozenset(verts[v] for v in wit))
+        res = tensor_capacity(g)
+        assert (res.a, res.witness) == want, (g.adj, res, want)
+
+
+def test_verification_survives_optimize():
+    # a corrupted neighbourhood must still fail _finish under python -O
+    code = textwrap.dedent(
+        """
+        import sys
+        from indeplib import capacity
+        from indeplib.errors import VerificationError
+        from indeplib.graph import cycle_graph
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        capacity.neighborhood = lambda g, vs: set(range(g.n))
+        try:
+            capacity.tensor_capacity(cycle_graph(5))
+        except VerificationError:
+            sys.exit(0)
+        sys.exit("no VerificationError raised")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(indeplib.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_tensor_capacity_disjoint_union_max():

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from indeplib.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, main
+from indeplib import capacity
+from indeplib.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, EXIT_VIOLATION, main
 from indeplib.graph import cycle_graph, path_graph, star_graph
 from indeplib.io import format_graph, parse_graph
 
@@ -154,6 +155,14 @@ def test_capacity_oracle_limit_env(capsys, files, monkeypatch):
     monkeypatch.setenv("IL_ORACLE_LIMIT", "3")
     code, _, err = run(capsys, "capacity", files["c5"])
     assert code == EXIT_LIMIT and "error" in err
+
+
+def test_capacity_verification_failure_exits_1(capsys, files, monkeypatch):
+    # a wrong neighbourhood makes the witness miss its ratio in _finish
+    monkeypatch.setattr(capacity, "neighborhood", lambda g, vs: set(range(g.n)))
+    code, out, err = run(capsys, "capacity", files["c5"])
+    assert code == EXIT_VIOLATION
+    assert out == "" and "verification failed" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

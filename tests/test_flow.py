@@ -15,7 +15,7 @@ from indeplib.flow import (
     min_ratio_subset_by_difference,
     min_ratio_subset_exhaustive,
 )
-from indeplib.graph import complete_bipartite, cycle_graph, is_bipartite, path_graph
+from indeplib.graph import complete_bipartite, cycle_graph, is_bipartite, path_graph, set_to_mask
 from indeplib.oracles import alpha_exact
 
 
@@ -99,17 +99,21 @@ def test_bipartite_mis_random_vs_alpha():
         done += 1
 
 
+def _masks(nbr):
+    return {v: set_to_mask(cs) for v, cs in nbr.items()}
+
+
 def test_min_ratio_examples():
-    # one side of K_{3,3}: every vertex sees the full other side
-    nbr = {v: {"a", "b", "c"} for v in range(3)}
+    # one side of K_{3,3}: every vertex sees the full other side {3, 4, 5}
+    nbr = {v: 0b111000 for v in range(3)}
     subset, nu = min_ratio_subset(range(3), nbr)
     assert nu == 1 and subset == {0, 1, 2}
     # vertex with empty neighborhood gives ratio zero
-    nbr = {0: {"a"}, 1: set(), 2: {"b"}}
+    nbr = {0: 1 << 3, 1: 0, 2: 1 << 4}
     subset, nu = min_ratio_subset(range(3), nbr)
     assert nu == 0 and subset == {1}
     # pendant structure: nu = 1/3 from the three leaves of a star
-    nbr = {v: {"c"} for v in range(3)}
+    nbr = {v: 1 << 3 for v in range(3)}
     subset, nu = min_ratio_subset(range(3), nbr)
     assert nu == Fraction(1, 3) and subset == {0, 1, 2}
 
@@ -118,21 +122,26 @@ def test_min_ratio_input_validation():
     with pytest.raises(ValueError):
         min_ratio_subset([], {})
     with pytest.raises(ValueError):
-        min_ratio_subset([0, 1], {0: {1}, 1: {0}})  # ground set overlaps S
+        min_ratio_subset([0, 1], {0: 1 << 1, 1: 1 << 0})  # ground set overlaps S
+
+
+def _random_ratio_case(rng):
+    ns = rng.randint(1, 7)
+    nc = rng.randint(1, 6)
+    svars = list(range(ns))
+    ground = [ns + j for j in range(nc)]
+    nbr = {
+        v: {c for c in ground if rng.random() < rng.choice([0.2, 0.5, 0.8])}
+        for v in svars
+    }
+    return svars, nbr
 
 
 def test_min_ratio_vs_exhaustive_randomized():
     rng = random.Random(13)
     for _ in range(300):
-        ns = rng.randint(1, 7)
-        nc = rng.randint(1, 6)
-        svars = list(range(ns))
-        ground = [f"c{j}" for j in range(nc)]
-        nbr = {
-            v: {c for c in ground if rng.random() < rng.choice([0.2, 0.5, 0.8])}
-            for v in svars
-        }
-        got = min_ratio_subset(svars, nbr)
+        svars, nbr = _random_ratio_case(rng)
+        got = min_ratio_subset(svars, _masks(nbr))
         want = min_ratio_subset_exhaustive(svars, nbr)
         assert got == want, (nbr, got, want)
         # the difference recursion only upper-bounds the true minimum; it
@@ -145,8 +154,30 @@ def test_min_ratio_vs_exhaustive_randomized():
             assert r >= want[1], (nbr, diff, want)
 
 
+def test_min_ratio_priced_vs_exhaustive():
+    # a price below the minimum gives None; at or above it, the maximal
+    # minimizer as without a price
+    rng = random.Random(17)
+    for _ in range(300):
+        svars, nbr = _random_ratio_case(rng)
+        masks = _masks(nbr)
+        want = min_ratio_subset_exhaustive(svars, nbr)
+        prices = {want[1], want[1] + Fraction(1, 3), Fraction(rng.randint(0, 8), rng.randint(1, 4))}
+        if want[1] > 0:
+            prices.add(want[1] - Fraction(1, 13))
+        for price in prices:
+            got = min_ratio_subset(svars, masks, price)
+            if want[1] > price:
+                assert got is None, (nbr, price, got, want)
+            else:
+                assert got == want, (nbr, price, got, want)
+
+
 def test_min_ratio_returns_maximal_minimizer():
     # both {0} and {1} minimize at ratio 1; the maximal minimizer is {0,1}
-    nbr = {0: {"a"}, 1: {"b"}}
+    nbr = {0: 1 << 2, 1: 1 << 3}
     subset, nu = min_ratio_subset([0, 1], nbr)
+    assert nu == 1 and subset == {0, 1}
+    # priced at exactly that minimum, the maximal minimizer is still found
+    subset, nu = min_ratio_subset([0, 1], nbr, Fraction(1))
     assert nu == 1 and subset == {0, 1}
