@@ -13,14 +13,14 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import kernels
 from .config import DEFAULT_ALPHA_LIMIT
 from .cotree import LEAF, UNION, Cotree, realize
-from .errors import LimitExceeded, VerificationError
+from .errors import InvalidDecomposition, LimitExceeded, VerificationError
 from .flow import min_ratio_subset
 from .graph import Graph, connected_components, neighborhood
 from .intersection import IntervalModel, PermutationModel, realize_interval, realize_permutation
 from .kernels import bipartite_matching
-from .oracles import enumerate_maximal_independent_sets
 from .splitgraph import SplitPartition
 from .treedecomp import FORGET, INTRODUCE, JOIN, START, NiceTreeDecomposition
 
@@ -62,10 +62,11 @@ class NeighborhoodProfile:
     def __init__(self, table, witnesses):
         self.table = dict(table)
         self.witnesses = {k: frozenset(w) for k, w in witnesses.items()}
-        assert self.table.get(0) == 0
-        assert set(self.table) == set(self.witnesses)
+        if self.table.get(0) != 0 or set(self.table) != set(self.witnesses):
+            raise VerificationError("profile needs ell(0) = 0 and one witness per size")
         for k, w in self.witnesses.items():
-            assert len(w) == k
+            if len(w) != k:
+                raise VerificationError(f"profile witness for k={k} has {len(w)} vertices")
 
     @property
     def alpha(self):
@@ -89,8 +90,12 @@ class NeighborhoodProfile:
 
     def verify(self, g: Graph):
         for k, w in self.witnesses.items():
-            assert g.is_independent(w)
-            assert len(neighborhood(g, w)) == self.table[k], (k, w)
+            if not g.is_independent(w):
+                raise VerificationError(f"profile witness for k={k} is not independent")
+            if len(neighborhood(g, w)) != self.table[k]:
+                raise VerificationError(
+                    f"profile witness for k={k} does not attain ell(k) = {self.table[k]}"
+                )
 
 
 def profile_exhaustive(g: Graph, limit=20) -> NeighborhoodProfile:
@@ -281,7 +286,8 @@ def treewidth_profile(g: Graph, d: NiceTreeDecomposition) -> NeighborhoodProfile
     for node in d.nodes:
         bag = node.bag
         if node.kind == START:
-            assert not bag, "nice form uses empty start bags"
+            if bag:
+                raise InvalidDecomposition("nice-form", "start bags must be empty")
             tab = {(frozenset(), frozenset(), 0): (0, frozenset())}
         elif node.kind == INTRODUCE:
             x = node.vertex
@@ -314,8 +320,7 @@ def treewidth_profile(g: Graph, d: NiceTreeDecomposition) -> NeighborhoodProfile
                 key = (inb - {x}, nbrb - {x}, k)
                 if key not in tab or m < tab[key][0]:
                     tab[key] = (m, wit)
-        else:
-            assert node.kind == JOIN
+        elif node.kind == JOIN:
             left = tables[node.children[0]]
             right = tables[node.children[1]]
             by_in = {}
@@ -331,13 +336,16 @@ def treewidth_profile(g: Graph, d: NiceTreeDecomposition) -> NeighborhoodProfile
                     key = (inb, nbr1 | nbr2, k)
                     if key not in tab or m < tab[key][0]:
                         tab[key] = (m, w1 | w2)
+        else:
+            raise InvalidDecomposition("nice-form", f"unknown node kind {node.kind!r}")
         tables.append(tab)
 
     root = tables[d.root]
     table = {}
     wits = {}
     for (inb, nbrb, k), (m, wit) in root.items():
-        assert not inb and not nbrb
+        if inb or nbrb:
+            raise InvalidDecomposition("nice-form", "the root bag must be empty")
         if k not in table or m < table[k]:
             table[k] = m
             wits[k] = wit
@@ -374,7 +382,12 @@ def a_general_exact(g: Graph, limit=None) -> CapacityResult:
         )
     best = None
     price = None  # nu = 1/a - 1 of the best set so far
-    for iset in enumerate_maximal_independent_sets(g):
+    for mask in kernels.maximal_independent_sets(list(g.adj)):
+        iset = []
+        while mask:
+            low = mask & -mask
+            iset.append(low.bit_length() - 1)
+            mask ^= low
         found = min_ratio_subset(iset, g.adj, price)
         if found is None:
             continue

@@ -260,13 +260,6 @@ def build_parser():
         description="Independent sets of tensor products and the tensor capacity.",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable JSON-lines output")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads for parallel engines (accepted for compatibility; "
-        "all current engines are single-threaded and deterministic)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("product", help="write the categorical product (or power) as an edge list")

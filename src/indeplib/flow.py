@@ -1,5 +1,4 @@
-"""Max-flow / min-cut, bipartite maximum independent sets, and the
-parametric neighborhood-ratio minimizer.
+"""Max-flow / min-cut and the parametric neighborhood-ratio minimizer.
 
 All capacities are integers and every cut decision is exact; the ratio
 minimizer compares candidate ratios by cross-multiplication via Fraction.
@@ -10,9 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import kernels
 from .errors import VerificationError
-from .graph import Graph, set_to_mask
+from .graph import set_to_mask
 
 INF = "inf"
 
@@ -139,71 +137,17 @@ def max_flow(net: FlowNetwork):
                 reach_t.add(u)
                 stack.append(u)
     source_side = frozenset(v for v in range(n) if v not in reach_t)
-    assert s in source_side and t not in source_side
+    if s not in source_side or t in source_side:
+        raise VerificationError("the residual cut does not separate source and sink")
 
     # cut value check: sum of original capacities crossing the cut
     crossing = 0
     for u, v, c in net.arcs:
         if u in source_side and v not in source_side:
             crossing += big if c is INF else c
-    assert crossing == flow, (crossing, flow)
+    if crossing != flow:
+        raise VerificationError(f"cut capacity {crossing} != flow value {flow}")
     return flow, CutResult(flow, source_side)
-
-
-# ---------------------------------------------------------------------------
-# bipartite maximum independent set (Koenig)
-
-
-def bipartite_mis(g: Graph, coloring):
-    """Maximum independent set of a bipartite graph: (size, witness).
-
-    alpha = n - max matching (Koenig); the witness is the complement of the
-    alternating-reachability vertex cover and is verified independent.
-    """
-    if len(coloring) != g.n or any(c not in (0, 1) for c in coloring):
-        raise ValueError("coloring must assign 0/1 to every vertex")
-    for u, v in g.edges():
-        if coloring[u] == coloring[v]:
-            raise ValueError(f"improper coloring: edge ({u},{v}) is monochromatic")
-    left = [v for v in range(g.n) if coloring[v] == 0]
-    right = [v for v in range(g.n) if coloring[v] == 1]
-    rpos = {v: j for j, v in enumerate(right)}
-    adj = []
-    for u in left:
-        mask = 0
-        w = g.adj[u]
-        while w:
-            x = (w & -w).bit_length() - 1
-            w &= w - 1
-            mask |= 1 << rpos[x]
-        adj.append(mask)
-    msize, match_right = kernels.bipartite_matching(len(left), len(right), adj)
-    match_left = [-1] * len(left)
-    for j, i in enumerate(match_right):
-        if i >= 0:
-            match_left[i] = j
-    # alternating reachability from unmatched left vertices
-    zl = 0
-    zr = 0
-    stack = [i for i in range(len(left)) if match_left[i] < 0]
-    for i in stack:
-        zl |= 1 << i
-    while stack:
-        i = stack.pop()
-        w = adj[i] & ~zr
-        zr |= w
-        while w:
-            j = (w & -w).bit_length() - 1
-            w &= w - 1
-            i2 = match_right[j]
-            if i2 >= 0 and not (zl >> i2) & 1:
-                zl |= 1 << i2
-                stack.append(i2)
-    witness = {left[i] for i in range(len(left)) if (zl >> i) & 1}
-    witness |= {right[j] for j in range(len(right)) if not (zr >> j) & 1}
-    assert len(witness) == g.n - msize
-    assert g.is_independent(witness)
-    return len(witness), witness
 
 
 # ---------------------------------------------------------------------------

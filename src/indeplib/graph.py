@@ -155,7 +155,6 @@ def categorical_product(g: Graph, h: Graph) -> Graph:
     hadj = h.adj
     for a in range(g.n):
         ga = g.adj[a]
-        rows = []
         abase = a * hn
         for b in range(hn):
             row = 0
@@ -298,22 +297,6 @@ def complete_multipartite(sizes) -> Graph:
                 for v in range(bounds[j], bounds[j + 1]):
                     edges.append((u, v))
     return Graph(bounds[-1], edges)
-
-
-def complement_rook(m, n) -> Graph:
-    """Complement of the rook's graph R(m,n): grid vertices (i,j), id i*n+j,
-    adjacent iff in a different row and a different column."""
-    if m < 1 or n < 1:
-        raise ValueError("grid dimensions must be positive")
-    edges = []
-    for i in range(m):
-        for j in range(n):
-            for i2 in range(i + 1, m):
-                for j2 in range(n):
-                    if j2 != j:
-                        edges.append((i * n + j, i2 * n + j2))
-    labels = [f"({i},{j})" for i in range(m) for j in range(n)]
-    return Graph(m * n, edges, labels)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

@@ -7,7 +7,8 @@ rebuilds an independent set of the first factor from one of G x K4.
 from __future__ import annotations
 
 from .cotree import LEAF, UNION, Cotree
-from .graph import Graph, categorical_product, complete_graph
+from .errors import VerificationError
+from .graph import Graph, categorical_product, complete_graph, mask_to_set, set_to_mask
 from .kernels import bipartite_matching
 from .splitgraph import SplitPartition
 
@@ -71,12 +72,6 @@ def alpha_product_cographs(tg: Cotree, th: Cotree):
     return value, witness
 
 
-def verify_product_witness(g: Graph, h: Graph, witness, size):
-    product = categorical_product(g, h)
-    assert len(witness) == size
-    assert product.is_independent(witness)
-
-
 def alpha_product_multipartite(sizes_g, sizes_h):
     """alpha(G x H) for complete multipartite factors: every maximal
     independent set is a generalized row or column, so the answer is
@@ -109,152 +104,126 @@ def multipartite_product_witness(sizes_g, sizes_h):
 # splitgraph products
 
 
-class _SplitProductMIS:
-    """Bipartite machinery shared by the three cases of the splitgraph
-    product theorem.
+def _is_independent(adj, mask):
+    while mask:
+        low = mask & -mask
+        if adj[low.bit_length() - 1] & mask:
+            return False
+        mask ^= low
+    return True
 
-    Side A = (C1 x S2) u (S1 x S2); side B = (S1 x C2) u (C1 x C2).  Every
-    case restricts both sides with masks, which keeps the per-case work to
-    one matching run instead of one graph build.  Restricted this way each
-    case graph is bipartite; this is asserted on construction.
+
+def bipartite_mis(adj, left, right):
+    """Maximum independent set of the bipartite graph that adj induces on
+    the vertex masks left and right: (size, witness mask).
+
+    Koenig: alpha = |left| + |right| - max matching, and the witness is the
+    left part of the set Z reached by alternating paths from unmatched left
+    vertices plus the right vertices outside Z.  Z, hence the witness, is
+    the same for every maximum matching.  Raises VerificationError when the
+    sides overlap or are not independent, or when the witness is short: an
+    unmatched vertex in Z, i.e. a matching that is not maximum.
     """
+    if left & right:
+        raise VerificationError("bipartite sides overlap")
+    if not (_is_independent(adj, left) and _is_independent(adj, right)):
+        raise VerificationError("bipartite side is not independent")
+    n = len(adj)
+    msize, match_right = bipartite_matching(n, n, adj, left, right)
+    zl = front = left & ~set_to_mask(i for i in match_right if i >= 0)
+    zr = 0
+    while front:
+        reached = 0
+        while front:
+            low = front & -front
+            reached |= adj[low.bit_length() - 1]
+            front ^= low
+        reached &= right & ~zr
+        zr |= reached
+        while reached:
+            low = reached & -reached
+            i = match_right[low.bit_length() - 1]
+            if i >= 0:
+                front |= 1 << i
+            reached ^= low
+        front &= ~zl
+        zl |= front
+    witness = zl | (right & ~zr)
+    size = left.bit_count() + right.bit_count() - msize
+    if witness.bit_count() != size:
+        raise VerificationError(f"Koenig witness has {witness.bit_count()} vertices, not {size}")
+    return size, witness
+
+
+class _SplitProductMIS:
+    """The cases of the splitgraph product theorem as vertex masks of the
+    explicit product (ids a*|V(H)| + b)."""
 
     def __init__(self, g: Graph, p1: SplitPartition, h: Graph, p2: SplitPartition):
-        self.g, self.h = g, h
+        self.adj = categorical_product(g, h).adj
         self.hn = h.n
-        c1 = sorted(p1.clique)
-        s1 = sorted(p1.independent)
-        c2 = sorted(p2.clique)
-        s2 = sorted(p2.independent)
-        self.c1, self.s1, self.c2, self.s2 = c1, s1, c2, s2
-        self.a_side = [(u, v) for u in c1 for v in s2] + [(u, v) for u in s1 for v in s2]
-        self.b_side = [(u, v) for u in s1 for v in c2] + [(u, v) for u in c1 for v in c2]
-        self.a_pos = {p: i for i, p in enumerate(self.a_side)}
-        self.b_pos = {p: i for i, p in enumerate(self.b_side)}
-        # adjacency masks from A to B in the categorical product
-        self.adj = []
-        for (ua, va) in self.a_side:
-            mask = 0
-            for j, (ub, vb) in enumerate(self.b_side):
-                if g.has_edge(ua, ub) and h.has_edge(va, vb):
-                    mask |= 1 << j
-            self.adj.append(mask)
-        # bipartiteness of the case graphs = no edges inside either side
-        for p in self.a_side:
-            for q in self.a_side:
-                if p < q:
-                    assert not (
-                        g.has_edge(p[0], q[0]) and h.has_edge(p[1], q[1])
-                    ), "side A is not independent"
-        self.case0_b = 0
-        for u in s1:
-            for v in c2:
-                self.case0_b |= 1 << self.b_pos[(u, v)]
+        self.gadj, self.hadj = g.adj, h.adj
+        self.c1, self.c2 = sorted(p1.clique), sorted(p2.clique)
+        self.s1, self.s2 = set_to_mask(p1.independent), set_to_mask(p2.independent)
+        self.c1_mask, self.c2_mask = set_to_mask(self.c1), set_to_mask(self.c2)
+        self.left = self._block((1 << g.n) - 1, self.s2)  # V(G) x S2
+        self.right = self._block(self.s1, self.c2_mask)  # S1 x C2
+        self.s1_rows = self._block(self.s1, (1 << h.n) - 1)  # S1 x V(H)
 
-    def _mis(self, a_mask, b_mask):
-        """Koenig on the restricted bipartite graph: (size, vertex pairs)."""
-        na, nb = len(self.a_side), len(self.b_side)
-        for j in range(nb):
-            if (b_mask >> j) & 1:
-                q = self.b_side[j]
-                for j2 in range(j + 1, nb):
-                    if (b_mask >> j2) & 1:
-                        q2 = self.b_side[j2]
-                        assert not (
-                            self.g.has_edge(q[0], q2[0]) and self.h.has_edge(q[1], q2[1])
-                        ), "side B restriction is not independent"
-        msize, match_right = bipartite_matching(na, nb, self.adj, a_mask, b_mask)
-        match_left = [-1] * na
-        for j, i in enumerate(match_right):
-            if i >= 0:
-                match_left[i] = j
-        zl = 0
-        zr = 0
-        stack = []
-        for i in range(na):
-            if (a_mask >> i) & 1 and match_left[i] < 0:
-                zl |= 1 << i
-                stack.append(i)
-        while stack:
-            i = stack.pop()
-            w = self.adj[i] & b_mask & ~zr
-            zr |= w
-            while w:
-                j = (w & -w).bit_length() - 1
-                w &= w - 1
-                i2 = match_right[j]
-                if i2 >= 0 and not (zl >> i2) & 1:
-                    zl |= 1 << i2
-                    stack.append(i2)
-        pairs = [self.a_side[i] for i in range(na) if (a_mask >> i) & 1 and (zl >> i) & 1]
-        pairs += [self.b_side[j] for j in range(nb) if (b_mask >> j) & 1 and not (zr >> j) & 1]
-        total = (a_mask.bit_count() + b_mask.bit_count()) - msize
-        assert len(pairs) == total
-        return total, pairs
+    def _block(self, xs, ys):
+        """Mask of X x Y for a vertex mask xs of G and ys of H."""
+        out = 0
+        while xs:
+            low = xs & -xs
+            out |= ys << ((low.bit_length() - 1) * self.hn)
+            xs ^= low
+        return out
 
-    def case0(self):
-        full_a = (1 << len(self.a_side)) - 1
-        return self._mis(full_a, self.case0_b)
+    def cases(self):
+        """(left, right, rook) per case, where rook is the mask of the rook
+        vertex that joins the Koenig set (or 0):
 
-    def case1(self, cv1, cv2):
-        """Exactly one rook vertex (cv1, cv2): delete its neighbors from the
-        case-0 graph and add the vertex itself."""
-        a_mask = 0
-        for i, (u, v) in enumerate(self.a_side):
-            if not (self.g.has_edge(cv1, u) and self.h.has_edge(cv2, v)):
-                a_mask |= 1 << i
-        b_mask = 0
-        for u in self.s1:
-            for v in self.c2:
-                if not (self.g.has_edge(cv1, u) and self.h.has_edge(cv2, v)):
-                    b_mask |= 1 << self.b_pos[(u, v)]
-        size, pairs = self._mis(a_mask, b_mask)
-        return size + 1, pairs + [(cv1, cv2)]
+        - no rook vertex: V(G) x S2 against S1 x C2;
+        - one rook vertex r: the same sides minus N(r);
+        - row cv1: V(G) x S2 against ((S1 minus N(cv1)) + cv1) x C2;
+        - column cv2: S1 x V(H) against C1 x ((S2 minus N(cv2)) + cv2).
+        """
+        yield self.left, self.right, 0
+        for cv1 in self.c1:
+            for cv2 in self.c2:
+                r = cv1 * self.hn + cv2
+                keep = ~self.adj[r]
+                yield self.left & keep, self.right & keep, 1 << r
+        for cv1 in self.c1:
+            xs = (self.s1 & ~self.gadj[cv1]) | (1 << cv1)
+            yield self.left, self._block(xs, self.c2_mask), 0
+        for cv2 in self.c2:
+            ys = (self.s2 & ~self.hadj[cv2]) | (1 << cv2)
+            yield self.s1_rows, self._block(self.c1_mask, ys), 0
 
-    def case2_row(self, cv1):
-        """Rook vertices confined to row cv1: side B becomes W u ({cv1} x C2)
-        with W = {(s1, c2) : s1 not adjacent to cv1}."""
-        full_a = (1 << len(self.a_side)) - 1
-        b_mask = 0
-        for u in self.s1:
-            if not self.g.has_edge(cv1, u):
-                for v in self.c2:
-                    b_mask |= 1 << self.b_pos[(u, v)]
-        for v in self.c2:
-            b_mask |= 1 << self.b_pos[(cv1, v)]
-        return self._mis(full_a, b_mask)
 
 def alpha_product_split(g: Graph, p1: SplitPartition, h: Graph, p2: SplitPartition):
     """alpha(G x H) for splitgraphs: (value, witness).
 
     Maximum over independent sets with zero, one, or >= 2 vertices in the
     rook block C1 x C2.  Two or more rook vertices must pairwise share a
-    coordinate, hence all lie in one row or one column; the column case is
-    the row case of the factor-swapped product, so it runs on a second
-    solver built for (H, G) and the pairs are flipped back.
+    coordinate, hence all lie in one row or one column.  Each case is one
+    Koenig run on masks of the explicit product, skipped when its vertex
+    count cannot beat the best so far; the first best case wins.
     """
     p1.validate(g)
     p2.validate(h)
     solver = _SplitProductMIS(g, p1, h, p2)
-    best, pairs = solver.case0()
-    for cv1 in solver.c1:
-        for cv2 in solver.c2:
-            size, cand = solver.case1(cv1, cv2)
-            if size > best:
-                best, pairs = size, cand
-    for cv1 in solver.c1:
-        size, cand = solver.case2_row(cv1)
-        if size > best:
-            best, pairs = size, cand
-    swapped = _SplitProductMIS(h, p2, g, p1)
-    for cv2 in swapped.c1:
-        size, cand = swapped.case2_row(cv2)
-        if size > best:
-            best, pairs = size, [(u, v) for v, u in cand]
-    witness = {_product_id(h.n, u, v) for u, v in pairs}
-    product = categorical_product(g, h)
-    assert product.is_independent(witness) and len(witness) == best
-    return best, witness
+    best, witness = -1, 0
+    for left, right, rook in solver.cases():
+        if left.bit_count() + right.bit_count() + rook.bit_count() <= best:
+            continue
+        size, cand = bipartite_mis(solver.adj, left, right)
+        if size + rook.bit_count() > best:
+            best, witness = size + rook.bit_count(), cand | rook
+    if witness.bit_count() != best or not _is_independent(solver.adj, witness):
+        raise VerificationError(f"split witness is not an independent set of size {best}")
+    return best, mask_to_set(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -294,23 +263,26 @@ def extract_is_from_k4_product(g: Graph, s_prime):
             break
         s = conflict
         ts = {t for gv, t in pairs if gv == s}
-        assert len(ts) == 1, "conflicted vertex occurs with several K4 coordinates"
+        if len(ts) != 1:
+            raise VerificationError("conflicted vertex occurs with several K4 coordinates")
         t0 = next(iter(ts))
         nbrs_in_proj = sorted(u for u in g.neighbors(s) if u in proj)
         removed = []
         for u in nbrs_in_proj:
             for t in range(k4):
                 if (u, t) in pairs:
-                    assert t == t0, "neighbor occurs with a different coordinate"
+                    if t != t0:
+                        raise VerificationError("neighbor occurs with a different coordinate")
                     pairs.discard((u, t))
                     removed.append(u)
         free_ts = sorted(set(range(k4)) - {t0})
         for t in free_ts[: len(removed)]:
             pairs.add((s, t))
-        assert len(removed) <= 3
 
-    assert len(pairs) == original_size
+    # more than three removed neighbours would show up here as a lost pair
+    if len(pairs) != original_size:
+        raise VerificationError(f"extraction kept {len(pairs)} of {original_size} pairs")
     result = projection()
-    assert g.is_independent(result)
-    assert 4 * len(result) >= original_size
+    if not g.is_independent(result) or 4 * len(result) < original_size:
+        raise VerificationError("extracted set is not independent or below |S'|/4")
     return result

@@ -34,9 +34,6 @@ class NiceTreeDecomposition:
     def root(self):
         return len(self.nodes) - 1
 
-    def postorder(self):
-        return range(len(self.nodes))
-
 
 def validate_decomposition(g: Graph, bags, tree_edges):
     """Checks the three tree-decomposition axioms; raises with a witness."""
@@ -144,9 +141,7 @@ def validate_and_nicify(g: Graph, bags, tree_edges) -> NiceTreeDecomposition:
 
     root_bag = 0
     top = build(root_bag, None)
-    top = transform(top, bags[root_bag], frozenset())
-    if nodes[top].bag:
-        top = emit(FORGET, frozenset(), None, (top,))  # unreachable, kept for safety
+    transform(top, bags[root_bag], frozenset())
     nice = NiceTreeDecomposition(nodes, width)
     _recheck(g, nice, width)
     return nice
@@ -165,8 +160,3 @@ def _recheck(g: Graph, nice: NiceTreeDecomposition, width):
     validate_decomposition(g, nice_bags, edges)
     if max(len(b) for b in nice_bags) - 1 > width:
         raise InvalidDecomposition("nice-form", "width increased during nicification")
-
-
-def trivial_decomposition(g: Graph):
-    """Single bag holding all of V; width n-1."""
-    return [set(range(g.n))], []

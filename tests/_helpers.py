@@ -15,7 +15,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from indeplib.cotree import join, leaf, union
-from indeplib.graph import Graph
+from indeplib.errors import VerificationError
+from indeplib.graph import Graph, categorical_product
 
 GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -370,6 +371,40 @@ def treewidth_decomposition(g: Graph):
             edges.append((i, i + 1))
     assert max(len(b) for b in bags) - 1 == width
     return width, bags, edges
+
+
+def trivial_decomposition(g: Graph):
+    """Single bag holding all of V; width n-1."""
+    return [set(range(g.n))], []
+
+
+# ---------------------------------------------------------------------------
+# small constructions and checks
+
+
+def complement_rook(m, n) -> Graph:
+    """Complement of the rook's graph R(m,n): grid vertices (i,j), id i*n+j,
+    adjacent iff in a different row and a different column."""
+    if m < 1 or n < 1:
+        raise ValueError("grid dimensions must be positive")
+    edges = []
+    for i in range(m):
+        for j in range(n):
+            for i2 in range(i + 1, m):
+                for j2 in range(n):
+                    if j2 != j:
+                        edges.append((i * n + j, i2 * n + j2))
+    labels = [f"({i},{j})" for i in range(m) for j in range(n)]
+    return Graph(m * n, edges, labels)
+
+
+def verify_product_witness(g: Graph, h: Graph, witness, size):
+    """Checks on the explicit product that witness is an independent set of
+    G x H with size vertices."""
+    if len(witness) != size:
+        raise VerificationError(f"product witness has {len(witness)} vertices, not {size}")
+    if not categorical_product(g, h).is_independent(witness):
+        raise VerificationError("product witness is not independent in G x H")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from _helpers import (
     random_graph,
     random_max_degree,
     treewidth_decomposition,
+    verify_product_witness,
 )
 from indeplib.capacity import (
     a_cograph,
@@ -59,7 +60,6 @@ from indeplib.product_alpha import (
     alpha_product_split,
     extract_is_from_k4_product,
     multipartite_product_witness,
-    verify_product_witness,
 )
 from indeplib.splitgraph import is_splitgraph, split_partition
 from indeplib.treedecomp import validate_and_nicify

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import indeplib
-from _helpers import random_cotree, random_graph, treewidth_decomposition
+from _helpers import random_cotree, random_graph, treewidth_decomposition, trivial_decomposition
 from indeplib.capacity import (
     CapacityResult,
     Engine,
@@ -30,7 +30,7 @@ from indeplib.capacity import (
     treewidth_profile,
 )
 from indeplib.cotree import cograph_recognize, is_cograph, parse_cotree, realize
-from indeplib.errors import LimitExceeded
+from indeplib.errors import InvalidDecomposition, LimitExceeded
 from indeplib.flow import min_ratio_subset_exhaustive
 from indeplib.graph import (
     Graph,
@@ -48,7 +48,13 @@ from indeplib.graph import (
 from indeplib.intersection import IntervalModel, PermutationModel
 from indeplib.oracles import a_bruteforce, alpha_exact, enumerate_maximal_independent_sets
 from indeplib.splitgraph import is_splitgraph, split_partition
-from indeplib.treedecomp import trivial_decomposition, validate_and_nicify
+from indeplib.treedecomp import (
+    INTRODUCE,
+    START,
+    NiceNode,
+    NiceTreeDecomposition,
+    validate_and_nicify,
+)
 
 PAW = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 
@@ -181,6 +187,19 @@ def test_treewidth_profile_matches_exhaustive():
         q = profile_exhaustive(g)
         assert p.table == q.table
         p.verify(g)
+
+
+def test_treewidth_profile_rejects_malformed_nice_form():
+    # hand-built nodes that validate_and_nicify never emits
+    g = path_graph(1)
+    bad = [
+        [NiceNode(START, frozenset({0}), None, ())],
+        [NiceNode("leaf", frozenset(), None, ())],
+        [NiceNode(START, frozenset(), None, ()), NiceNode(INTRODUCE, frozenset({0}), 0, (0,))],
+    ]
+    for nodes in bad:
+        with pytest.raises(InvalidDecomposition, match="nice-form"):
+            treewidth_profile(g, NiceTreeDecomposition(nodes, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from _helpers import graph_catalog_upto, random_graph
+from _helpers import graph_catalog_upto, random_graph, trivial_decomposition
 from indeplib.cotree import (
     cograph_recognize,
     find_p4,
@@ -44,11 +44,7 @@ from indeplib.io import (
     parse_tree_decomposition,
 )
 from indeplib.splitgraph import is_splitgraph, split_partition
-from indeplib.treedecomp import (
-    trivial_decomposition,
-    validate_and_nicify,
-    validate_decomposition,
-)
+from indeplib.treedecomp import validate_and_nicify, validate_decomposition
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,14 @@ def test_capacity_verification_failure_exits_1(capsys, files, monkeypatch):
     assert out == "" and "verification failed" in err and "Traceback" not in err
 
 
+def test_capacity_profile_verification_failure_exits_1(capsys, files, monkeypatch):
+    # a wrong neighbourhood makes the cograph profile fail its own check
+    monkeypatch.setattr(capacity, "neighborhood", lambda g, vs: set(range(g.n)))
+    code, out, err = run(capsys, "capacity", "--cotree", files["cotree"])
+    assert code == EXIT_VIOLATION and out == "" and "Traceback" not in err
+    assert err.startswith("error: verification failed: profile witness")
+
+
 # ---------------------------------------------------------------------------
 # domination
 
@@ -208,8 +216,3 @@ def test_check_all_ok(capsys, files):
     lines = out.strip().splitlines()
     assert all(": ok" in line for line in lines)
     assert any(line.startswith("engines agree") for line in lines)
-
-
-def test_threads_flag_accepted(capsys, files):
-    code, out, _ = run(capsys, "--threads", "4", "capacity", files["c5"])
-    assert code == EXIT_OK and "a=2/5" in out

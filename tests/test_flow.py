@@ -1,22 +1,19 @@
-"""Max-flow, bipartite MIS, and the neighborhood-ratio minimizer."""
+"""Max-flow and the neighborhood-ratio minimizer."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from _helpers import random_graph
 from indeplib.flow import (
     INF,
     FlowNetwork,
-    bipartite_mis,
     max_flow,
     min_ratio_subset,
     min_ratio_subset_by_difference,
     min_ratio_subset_exhaustive,
 )
-from indeplib.graph import complete_bipartite, cycle_graph, is_bipartite, path_graph, set_to_mask
-from indeplib.oracles import alpha_exact
+from indeplib.graph import set_to_mask
 
 
 def test_max_flow_simple():
@@ -65,38 +62,6 @@ def test_max_flow_returns_maximal_cut_side():
     value, cut = max_flow(net)
     assert value == 1
     assert cut.source_side == {0, 1, 2}
-
-
-def test_bipartite_mis_even_cycle_and_star():
-    g = cycle_graph(6)
-    coloring = is_bipartite(g)
-    size, witness = bipartite_mis(g, coloring)
-    assert size == 3 and g.is_independent(witness)
-    g = complete_bipartite(2, 5)
-    size, witness = bipartite_mis(g, is_bipartite(g))
-    assert size == 5 and witness == {2, 3, 4, 5, 6}
-
-
-def test_bipartite_mis_rejects_bad_coloring():
-    g = path_graph(3)
-    with pytest.raises(ValueError):
-        bipartite_mis(g, [0, 0, 1])
-    with pytest.raises(ValueError):
-        bipartite_mis(g, [0, 2, 0])
-
-
-def test_bipartite_mis_random_vs_alpha():
-    rng = random.Random(9)
-    done = 0
-    while done < 60:
-        g = random_graph(rng.randint(1, 12), rng.random() * 0.5, rng)
-        coloring = is_bipartite(g)
-        if coloring is None:
-            continue
-        size, witness = bipartite_mis(g, coloring)
-        assert size == alpha_exact(g)[0]
-        assert g.is_independent(witness) and len(witness) == size
-        done += 1
 
 
 def _masks(nbr):

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
+from _helpers import complement_rook
 from indeplib.errors import LimitExceeded, ParseError
 from indeplib.graph import (
     Graph,
     categorical_product,
-    complement_rook,
     complete_bipartite,
     complete_graph,
     complete_multipartite,

@@ -1,18 +1,30 @@
 """Product independence numbers for structured factors, validated against
 the brute-force oracle on explicit products."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from _helpers import random_cotree, random_max_degree
+import indeplib
+from _helpers import random_cotree, random_graph, random_max_degree, verify_product_witness
+from indeplib import product_alpha
 from indeplib.cotree import cograph_recognize, leaf, parse_cotree, realize
+from indeplib.errors import VerificationError
 from indeplib.graph import (
     Graph,
     categorical_product,
+    complete_bipartite,
     complete_graph,
     complete_multipartite,
+    cycle_graph,
+    is_bipartite,
+    mask_to_set,
     path_graph,
+    set_to_mask,
     star_graph,
 )
 from indeplib.oracles import alpha_exact
@@ -20,9 +32,9 @@ from indeplib.product_alpha import (
     alpha_product_cographs,
     alpha_product_multipartite,
     alpha_product_split,
+    bipartite_mis,
     extract_is_from_k4_product,
     multipartite_product_witness,
-    verify_product_witness,
 )
 from indeplib.splitgraph import split_partition
 
@@ -111,6 +123,61 @@ def test_multipartite_witness_prefers_rows():
 
 
 # ---------------------------------------------------------------------------
+# bipartite maximum independent sets (Koenig)
+
+
+def _sides(g):
+    coloring = is_bipartite(g)
+    left = set_to_mask(v for v in range(g.n) if coloring[v] == 0)
+    return left, ((1 << g.n) - 1) & ~left
+
+
+def test_bipartite_mis_even_cycle_and_star():
+    g = cycle_graph(6)
+    size, witness = bipartite_mis(g.adj, *_sides(g))
+    assert size == 3 and g.is_independent(mask_to_set(witness))
+    g = complete_bipartite(2, 5)
+    size, witness = bipartite_mis(g.adj, *_sides(g))
+    assert size == 5 and witness == set_to_mask({2, 3, 4, 5, 6})
+
+
+def test_bipartite_mis_random_vs_alpha():
+    # whole sides, then random restrictions of them against the induced subgraph
+    rng = random.Random(9)
+    done = 0
+    while done < 60:
+        g = random_graph(rng.randint(1, 12), rng.random() * 0.5, rng)
+        if is_bipartite(g) is None:
+            continue
+        left, right = _sides(g)
+        for keep in ((1 << g.n) - 1, rng.getrandbits(g.n)):
+            size, witness = bipartite_mis(g.adj, left & keep, right & keep)
+            verts = mask_to_set(keep)
+            assert size == (alpha_exact(g.subgraph(verts))[0] if verts else 0)
+            wset = mask_to_set(witness)
+            assert wset <= verts and g.is_independent(wset) and len(wset) == size
+        done += 1
+
+
+def test_bipartite_mis_rejects_bad_sides():
+    adj = path_graph(3).adj  # 0 - 1 - 2
+    with pytest.raises(VerificationError, match="not independent"):
+        bipartite_mis(adj, 0b011, 0b100)
+    with pytest.raises(VerificationError, match="not independent"):
+        bipartite_mis(adj, 0b001, 0b110)
+    with pytest.raises(VerificationError, match="overlap"):
+        bipartite_mis(adj, 0b101, 0b011)
+
+
+def test_bipartite_mis_rejects_non_maximum_matching(monkeypatch):
+    monkeypatch.setattr(
+        product_alpha, "bipartite_matching", lambda nl, nr, adj, lm, rm: (0, [-1] * nr)
+    )
+    with pytest.raises(VerificationError, match="Koenig witness has 2 vertices, not 3"):
+        bipartite_mis(path_graph(3).adj, 0b101, 0b010)
+
+
+# ---------------------------------------------------------------------------
 # splitgraph products
 
 
@@ -147,6 +214,37 @@ def test_split_product_random_vs_oracle():
         assert value == alpha_exact(categorical_product(g, h))[0]
         verify_product_witness(g, h, witness, value)
         done += 1
+
+
+def test_split_verification_survives_optimize():
+    # a Koenig routine that returns both whole sides must still fail the
+    # split engine's witness check under python -O
+    code = textwrap.dedent(
+        """
+        import sys
+        from indeplib import product_alpha
+        from indeplib.errors import VerificationError
+        from indeplib.graph import path_graph
+        from indeplib.splitgraph import split_partition
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        product_alpha.bipartite_mis = lambda adj, l, r: ((l | r).bit_count(), l | r)
+        g = path_graph(4)
+        p = split_partition(g)
+        try:
+            product_alpha.alpha_product_split(g, p, g, p)
+        except VerificationError:
+            sys.exit(0)
+        sys.exit("no VerificationError raised")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(indeplib.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
