@@ -32,7 +32,6 @@ class Engine(enum.Enum):
     PERMUTATION = "permutation"
     TREEWIDTH = "treewidth"
     GENERAL = "general"
-    BRUTE = "brute"
 
 
 def a_star(a: Fraction) -> Fraction:
@@ -98,24 +97,6 @@ class NeighborhoodProfile:
                 )
 
 
-def profile_exhaustive(g: Graph, limit=20) -> NeighborhoodProfile:
-    """Oracle profile by scanning every independent set (small graphs)."""
-    if g.n > limit:
-        raise LimitExceeded(f"profile scan limited to {limit} vertices", required=g.n)
-    table = {0: 0}
-    wits = {0: frozenset()}
-    for mask in range(1, 1 << g.n):
-        vs = [v for v in range(g.n) if (mask >> v) & 1]
-        if not g.is_independent(vs):
-            continue
-        nb = len(neighborhood(g, vs))
-        k = len(vs)
-        if k not in table or nb < table[k]:
-            table[k] = nb
-            wits[k] = frozenset(vs)
-    return NeighborhoodProfile(table, wits)
-
-
 def _finish(g: Graph, a, witness, engine) -> CapacityResult:
     witness = frozenset(witness)
     if not witness or not g.is_independent(witness):
@@ -135,16 +116,23 @@ def _finish(g: Graph, a, witness, engine) -> CapacityResult:
 
 def cograph_profile(t: Cotree) -> NeighborhoodProfile:
     """Bottom-up profile: unions convolve (min-plus), joins take the best
-    child and pay for every vertex of the other children."""
-
-    def solve(node):
+    child and pay for every vertex of the other children.  Nodes are solved
+    in reverse preorder, so children come first and deep cotrees do not
+    recurse."""
+    stack, order = [t], []
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    solved = {}  # id(node) -> profile, until the parent takes it
+    for node in reversed(order):
         if node.kind == LEAF:
-            return NeighborhoodProfile({0: 0, 1: 0}, {0: set(), 1: {node.vertex}})
-        if node.kind == UNION:
+            profile = NeighborhoodProfile({0: 0, 1: 0}, {0: set(), 1: {node.vertex}})
+        elif node.kind == UNION:
             table = {0: 0}
             wits = {0: frozenset()}
             for child in node.children:
-                cp = solve(child)
+                cp = solved.pop(id(child))
                 nt, nw = {}, {}
                 for k1, e1 in table.items():
                     for k2, e2 in cp.table.items():
@@ -153,23 +141,24 @@ def cograph_profile(t: Cotree) -> NeighborhoodProfile:
                             nt[k] = e1 + e2
                             nw[k] = wits[k1] | cp.witnesses[k2]
                 table, wits = nt, nw
-            return NeighborhoodProfile(table, wits)
-        # join: a nonempty independent set sits inside one child and sees
-        # every vertex of the other children
-        table = {0: 0}
-        wits = {0: frozenset()}
-        for child in node.children:
-            other = node.size - child.size
-            cp = solve(child)
-            for k, e in cp.table.items():
-                if k == 0:
-                    continue
-                if k not in table or e + other < table[k]:
-                    table[k] = e + other
-                    wits[k] = cp.witnesses[k]
-        return NeighborhoodProfile(table, wits)
-
-    return solve(t)
+            profile = NeighborhoodProfile(table, wits)
+        else:
+            # join: a nonempty independent set sits inside one child and
+            # sees every vertex of the other children
+            table = {0: 0}
+            wits = {0: frozenset()}
+            for child in node.children:
+                other = node.size - child.size
+                cp = solved.pop(id(child))
+                for k, e in cp.table.items():
+                    if k == 0:
+                        continue
+                    if k not in table or e + other < table[k]:
+                        table[k] = e + other
+                        wits[k] = cp.witnesses[k]
+            profile = NeighborhoodProfile(table, wits)
+        solved[id(node)] = profile
+    return solved[id(t)]
 
 
 def a_cograph(t: Cotree) -> CapacityResult:
@@ -417,11 +406,9 @@ def has_fractional_perfect_matching(g: Graph) -> bool:
 # dispatch
 
 
-def a_brute(g: Graph, limit=20) -> CapacityResult:
-    from .oracles import a_bruteforce
-
-    a, witness = a_bruteforce(g, limit=limit)
-    return _finish(g, a, witness, Engine.BRUTE)
+def _require_same_graph(g: Graph, certified: Graph):
+    if g.adj != certified.adj:
+        raise ValueError("certificate does not match the supplied graph")
 
 
 def tensor_capacity(
@@ -443,41 +430,41 @@ def tensor_capacity(
     """
     if cotree is not None:
         result = a_cograph(cotree)
-        target = realize(cotree)
-    elif split is not None:
+        if g is not None:
+            _require_same_graph(g, realize(cotree))
+        return result
+    if split is not None:
         if g is None:
             raise ValueError("a split certificate needs the graph")
-        result = a_split(g, split)
-        target = g
-    elif interval is not None:
+        return a_split(g, split)
+    if interval is not None:
         result = a_interval(interval)
-        target = realize_interval(interval)
-    elif permutation is not None:
+        if g is not None:
+            _require_same_graph(g, realize_interval(interval))
+        return result
+    if permutation is not None:
         result = a_permutation(permutation)
-        target = realize_permutation(permutation)
-    elif decomposition is not None:
+        if g is not None:
+            _require_same_graph(g, realize_permutation(permutation))
+        return result
+    if decomposition is not None:
         if g is None:
             raise ValueError("a tree decomposition needs the graph")
-        result = a_treewidth(g, decomposition)
-        target = g
-    else:
-        if g is None:
-            raise ValueError("tensor_capacity needs a graph or a certificate")
-        if g.n == 0:
-            raise ValueError("capacity of the empty graph is undefined")
-        comp = connected_components(g)
-        ncomp = max(comp) + 1
-        if ncomp == 1:
-            return a_general_exact(g, limit=limit)
-        best = None
-        for c in range(ncomp):
-            verts = [v for v in range(g.n) if comp[v] == c]
-            sub = g.subgraph(verts)
-            res = a_general_exact(sub, limit=limit)
-            wit = frozenset(verts[v] for v in res.witness)
-            if best is None or res.a > best[0]:
-                best = (res.a, wit)
-        return _finish(g, best[0], best[1], Engine.GENERAL)
-    if g is not None and (g.n != target.n or any(g.adj[v] != target.adj[v] for v in range(g.n))):
-        raise ValueError("certificate does not match the supplied graph")
-    return result
+        return a_treewidth(g, decomposition)
+    if g is None:
+        raise ValueError("tensor_capacity needs a graph or a certificate")
+    if g.n == 0:
+        raise ValueError("capacity of the empty graph is undefined")
+    comp = connected_components(g)
+    ncomp = max(comp) + 1
+    if ncomp == 1:
+        return a_general_exact(g, limit=limit)
+    best = None
+    for c in range(ncomp):
+        verts = [v for v in range(g.n) if comp[v] == c]
+        sub = g.subgraph(verts)
+        res = a_general_exact(sub, limit=limit)
+        wit = frozenset(verts[v] for v in res.witness)
+        if best is None or res.a > best[0]:
+            best = (res.a, wit)
+    return _finish(g, best[0], best[1], Engine.GENERAL)

@@ -101,19 +101,15 @@ def realize(t: Cotree) -> Graph:
     if t.leaves != tuple(range(n)):
         raise InvalidModel(f"cotree leaves {t.leaves} are not dense 0..{n - 1}")
     edges = []
-
-    def walk(node):
-        if node.kind == LEAF:
-            return
-        for c in node.children:
-            walk(c)
+    stack = [t]
+    while stack:
+        node = stack.pop()
         if node.kind == JOIN:
             for a, b in combinations(node.children, 2):
                 for u in a.leaves:
                     for v in b.leaves:
                         edges.append((u, v))
-
-    walk(t)
+        stack.extend(node.children)
     return Graph(n, edges)
 
 
@@ -201,36 +197,38 @@ def format_cotree(t: Cotree) -> str:
 
 
 def parse_cotree(text: str) -> Cotree:
+    """Parse an s-expression; nesting is tracked on an explicit stack, so
+    depth is limited by memory only."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    open_nodes = []  # (kind, children so far) of every unclosed '('
     pos = 0
-
-    def parse():
-        nonlocal pos
+    while True:
         if pos >= len(tokens):
+            if open_nodes:
+                raise InvalidModel("missing ')' in cotree expression")
             raise InvalidModel("unexpected end of cotree expression")
         tok = tokens[pos]
         pos += 1
         if tok == "(":
             if pos >= len(tokens) or tokens[pos] not in (UNION, JOIN):
                 raise InvalidModel("expected + or * after '('")
-            kind = tokens[pos]
+            open_nodes.append((tokens[pos], []))
             pos += 1
-            children = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                children.append(parse())
-            if pos >= len(tokens):
-                raise InvalidModel("missing ')' in cotree expression")
-            pos += 1
-            return _merge(kind, children)
+            continue
         if tok == ")":
-            raise InvalidModel("unexpected ')'")
-        try:
-            v = int(tok)
-        except ValueError:
-            raise InvalidModel(f"bad cotree token {tok!r}") from None
-        return leaf(v)
-
-    out = parse()
+            if not open_nodes:
+                raise InvalidModel("unexpected ')'")
+            kind, children = open_nodes.pop()
+            node = _merge(kind, children)
+        else:
+            try:
+                v = int(tok)
+            except ValueError:
+                raise InvalidModel(f"bad cotree token {tok!r}") from None
+            node = leaf(v)
+        if not open_nodes:
+            break
+        open_nodes[-1][1].append(node)
     if pos != len(tokens):
         raise InvalidModel("trailing tokens in cotree expression")
-    return out
+    return node

@@ -1,8 +1,8 @@
 """Undirected simple graphs on dense integer vertex ids.
 
 Adjacency is stored as one bitmask per vertex (Python ints, so any size
-works; the compiled kernels kick in below 128 vertices).  Graphs are
-immutable after construction and safe to share between threads.
+works).  Graphs are immutable after construction and safe to share between
+threads.
 """
 
 from __future__ import annotations

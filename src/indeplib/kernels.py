@@ -1,11 +1,14 @@
-"""Pure-Python bitset kernels.
+"""Bitset kernels: branch-and-bound maximum independent set, maximal
+independent set enumeration and bipartite matching.
 
-Adjacency is a list of int masks (bit v of adj[u] set iff u~v).  These are
-the hot inner loops of the library; the Cython twin in _ckernels.pyx has
-identical semantics for n <= 127 and the dispatcher in __init__ picks
-whichever is available.  Everything here is deterministic: given the same
-adjacency, the same sets come out in the same order.
+Adjacency is a list of int masks (bit v of adj[u] set iff u~v), so any
+graph size works.  These are the hot inner loops of the library.
+Everything here is deterministic: given the same adjacency, the same sets
+come out in the same order.
 """
+
+# Read by the benchmark to label its records; these kernels are the only ones.
+HAVE_COMPILED = False
 
 
 def _lowest(mask):
@@ -133,13 +136,6 @@ def maximal_independent_sets(adj):
         frame[2] = x | bit
         frame[3] = cand & ~bit
         stack.append([r | bit, p & comp[v], x & comp[v], None])
-
-
-def count_maximal_independent_sets(adj):
-    count = 0
-    for _ in maximal_independent_sets(adj):
-        count += 1
-    return count
 
 
 def bipartite_matching(nleft, nright, adj, left_mask=-1, right_mask=-1):

@@ -1,5 +1,5 @@
-"""Exponential oracles: exact alpha, maximal-independent-set enumeration,
-brute-force a(G), and the independent domination number.
+"""Exponential oracles: exact alpha, brute-force a(G), and the independent
+domination number.
 
 Every polynomial engine in the library is validated against these.
 """
@@ -46,13 +46,6 @@ def alpha_exact(g: Graph, limit=None):
         total += size
         witness.update(vertices[i] for i in mask_to_set(mask))
     return total, witness
-
-
-def enumerate_maximal_independent_sets(g: Graph):
-    """Every maximal independent set exactly once, as frozensets, in a
-    deterministic order.  The count is at most 3^(n/3) (Moon-Moser)."""
-    for mask in kernels.maximal_independent_sets(list(g.adj)):
-        yield frozenset(mask_to_set(mask))
 
 
 def a_bruteforce(g: Graph, limit=DEFAULT_BRUTEFORCE_LIMIT):

@@ -1,5 +1,6 @@
 """Shared test plumbing: isomorphism-reduced graph catalogs, cotree
-enumeration, random model generators, and an exact treewidth finder.
+enumeration, random model generators, an exact treewidth finder, and the
+exhaustive references only tests use.
 
 Catalogs are generated by vertex augmentation with isomorphism rejection
 via canonical codes (color refinement plus a pruned search for the
@@ -14,9 +15,11 @@ import os
 from functools import lru_cache
 from itertools import combinations
 
+from indeplib import kernels
+from indeplib.capacity import NeighborhoodProfile
 from indeplib.cotree import join, leaf, union
-from indeplib.errors import VerificationError
-from indeplib.graph import Graph, categorical_product
+from indeplib.errors import LimitExceeded, VerificationError
+from indeplib.graph import Graph, categorical_product, mask_to_set, neighborhood
 
 GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -405,6 +408,40 @@ def verify_product_witness(g: Graph, h: Graph, witness, size):
         raise VerificationError(f"product witness has {len(witness)} vertices, not {size}")
     if not categorical_product(g, h).is_independent(witness):
         raise VerificationError("product witness is not independent in G x H")
+
+
+# ---------------------------------------------------------------------------
+# exhaustive references
+
+
+def enumerate_maximal_independent_sets(g: Graph):
+    """Every maximal independent set exactly once, as frozensets, in the
+    kernel's deterministic order.  The count is at most 3^(n/3)
+    (Moon-Moser)."""
+    for mask in kernels.maximal_independent_sets(list(g.adj)):
+        yield frozenset(mask_to_set(mask))
+
+
+def count_maximal_independent_sets(adj):
+    return sum(1 for _ in kernels.maximal_independent_sets(adj))
+
+
+def profile_exhaustive(g: Graph, limit=20) -> NeighborhoodProfile:
+    """Profile ell(k) by scanning every independent set (small graphs)."""
+    if g.n > limit:
+        raise LimitExceeded(f"profile scan limited to {limit} vertices", required=g.n)
+    table = {0: 0}
+    wits = {0: frozenset()}
+    for mask in range(1, 1 << g.n):
+        vs = [v for v in range(g.n) if (mask >> v) & 1]
+        if not g.is_independent(vs):
+            continue
+        nb = len(neighborhood(g, vs))
+        k = len(vs)
+        if k not in table or nb < table[k]:
+            table[k] = nb
+            wits[k] = frozenset(vs)
+    return NeighborhoodProfile(table, wits)
 
 
 # ---------------------------------------------------------------------------

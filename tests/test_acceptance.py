@@ -12,6 +12,7 @@ from math import ceil
 
 from _helpers import (
     cotree_catalog,
+    enumerate_maximal_independent_sets,
     graph_catalog_upto,
     random_cotree,
     random_graph,
@@ -44,11 +45,7 @@ from indeplib.intersection import (
     realize_interval,
     realize_permutation,
 )
-from indeplib.oracles import (
-    a_bruteforce,
-    alpha_exact,
-    enumerate_maximal_independent_sets,
-)
+from indeplib.oracles import a_bruteforce, alpha_exact
 from indeplib.domination import (
     ri_complete_bipartite_power,
     ri_power_exact,

@@ -11,11 +11,17 @@ from fractions import Fraction
 import pytest
 
 import indeplib
-from _helpers import random_cotree, random_graph, treewidth_decomposition, trivial_decomposition
+from _helpers import (
+    enumerate_maximal_independent_sets,
+    profile_exhaustive,
+    random_cotree,
+    random_graph,
+    treewidth_decomposition,
+    trivial_decomposition,
+)
 from indeplib.capacity import (
     CapacityResult,
     Engine,
-    a_brute,
     a_cograph,
     a_general_exact,
     a_interval,
@@ -25,7 +31,6 @@ from indeplib.capacity import (
     a_treewidth,
     cograph_profile,
     has_fractional_perfect_matching,
-    profile_exhaustive,
     tensor_capacity,
     treewidth_profile,
 )
@@ -46,7 +51,7 @@ from indeplib.graph import (
     star_graph,
 )
 from indeplib.intersection import IntervalModel, PermutationModel
-from indeplib.oracles import a_bruteforce, alpha_exact, enumerate_maximal_independent_sets
+from indeplib.oracles import a_bruteforce, alpha_exact
 from indeplib.splitgraph import is_splitgraph, split_partition
 from indeplib.treedecomp import (
     INTRODUCE,
@@ -229,8 +234,8 @@ def test_eq7_both_directions_random():
     rng = random.Random(19)
     for _ in range(120):
         g = random_graph(rng.randint(1, 10), rng.random(), rng)
-        r = a_brute(g) if g.n <= 9 else a_general_exact(g)
-        assert (r.a_star == 1) == (not has_fractional_perfect_matching(g))
+        astar = a_star(a_bruteforce(g)[0]) if g.n <= 9 else a_general_exact(g).a_star
+        assert (astar == 1) == (not has_fractional_perfect_matching(g))
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +291,12 @@ def test_engine_agreement_multi_certified():
             a_cograph(cograph_recognize(g)),
             a_treewidth(g, _nice(g)),
             a_general_exact(g),
-            a_brute(g),
         ]
         if is_splitgraph(g):
             results.append(a_split(g, split_partition(g)))
         vals = {(r.a, r.a_star, r.has_fpm) for r in results}
-        assert len(vals) == 1, (sizes, vals)
+        brute = a_bruteforce(g)[0]
+        assert vals == {(brute, a_star(brute), has_fractional_perfect_matching(g))}, (sizes, vals)
     for _ in range(30):
         g = random_graph(rng.randint(1, 7), rng.random(), rng)
         want = a_bruteforce(g)[0]

@@ -5,9 +5,13 @@ import json
 import pytest
 
 from indeplib import capacity
+from indeplib.capacity import a_split
 from indeplib.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, EXIT_VIOLATION, main
+from indeplib.cotree import parse_cotree, realize
 from indeplib.graph import cycle_graph, path_graph, star_graph
 from indeplib.io import format_graph, parse_graph
+from indeplib.ratio import ratio_str
+from indeplib.splitgraph import SplitPartition
 
 
 @pytest.fixture
@@ -171,6 +175,25 @@ def test_capacity_profile_verification_failure_exits_1(capsys, files, monkeypatc
     code, out, err = run(capsys, "capacity", "--cotree", files["cotree"])
     assert code == EXIT_VIOLATION and out == "" and "Traceback" not in err
     assert err.startswith("error: verification failed: profile witness")
+
+
+def test_capacity_deep_threshold_cotree(capsys, tmp_path):
+    # (* (+ (* ... 0 1) 2) 3) ...: 1200 leaves nested 1199 deep
+    n = 1200
+    text = "0"
+    for v in range(1, n):
+        text = f"({'*' if v % 2 else '+'} {text} {v})"
+    path = tmp_path / "threshold.ct"
+    path.write_text(text + "\n")
+    code, out, err = run(capsys, "--json", "capacity", "--cotree", str(path))
+    assert code == EXIT_OK, err
+    # a threshold graph is split: each odd vertex is joined to everything
+    # before it (a clique), each even one is added isolated (independent)
+    g = realize(parse_cotree(text))
+    part = SplitPartition(frozenset(range(1, n, 2)), frozenset(range(0, n, 2)))
+    rec = json.loads(out)
+    assert rec["engine"] == "cograph"
+    assert rec["a"] == ratio_str(a_split(g, part).a)
 
 
 # ---------------------------------------------------------------------------

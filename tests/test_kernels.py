@@ -1,25 +1,57 @@
-"""Compiled and pure kernels must agree bit for bit."""
+"""Bitset kernels against subset-scan references."""
 
 import random
 
-import pytest
-
-from _helpers import random_graph
+from _helpers import count_maximal_independent_sets, random_graph
 from indeplib.kernels import (
-    HAVE_COMPILED,
-    _pykernels,
     bipartite_matching,
     clique_cover_bound,
-    count_maximal_independent_sets,
     max_independent_set,
     maximal_independent_sets,
 )
 
-needs_compiled = pytest.mark.skipif(not HAVE_COMPILED, reason="extension not built")
-
 
 def _random_adj(n, p, rng):
     return list(random_graph(n, p, rng).adj)
+
+
+def _subset_scan(adj):
+    """(alpha, set of maximal independent masks) from every vertex subset."""
+    n = len(adj)
+    full = (1 << n) - 1
+    independent = bytearray(1 << n)
+    independent[0] = 1
+    closed = [0] * (1 << n)  # mask | N(mask)
+    alpha = 0
+    maximal = set()
+    for mask in range(1, 1 << n):
+        low = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        closed[mask] = closed[rest] | adj[low] | (1 << low)
+        if independent[rest] and not adj[low] & rest:
+            independent[mask] = 1
+            alpha = max(alpha, mask.bit_count())
+            if closed[mask] == full:
+                maximal.add(mask)
+    return alpha, maximal
+
+
+def _max_matching_by_search(adj, left_mask, right_mask):
+    """Maximum matching size from the right-side sets of every matching."""
+    covered = {0}
+    u = 0
+    while left_mask >> u:
+        if (left_mask >> u) & 1:
+            grown = set(covered)
+            for used in covered:
+                free = adj[u] & right_mask & ~used
+                while free:
+                    bit = free & -free
+                    free ^= bit
+                    grown.add(used | bit)
+            covered = grown
+        u += 1
+    return max(used.bit_count() for used in covered)
 
 
 def test_max_independent_set_small():
@@ -48,55 +80,34 @@ def test_bipartite_matching_masks():
     assert size == 1
 
 
-@needs_compiled
-def test_compiled_matches_pure():
-    from indeplib.kernels import _ckernels
-
+def test_kernels_match_subset_scan():
     rng = random.Random(21)
     for _ in range(200):
         n = rng.randint(1, 16)
         adj = _random_adj(n, rng.random(), rng)
-        assert _ckernels.max_independent_set(adj) == _pykernels.max_independent_set(adj)
-        assert sorted(_ckernels.maximal_independent_sets(adj)) == sorted(
-            _pykernels.maximal_independent_sets(adj)
-        )
+        alpha, maximal = _subset_scan(adj)
+        size, mask = max_independent_set(adj)
+        assert size == alpha == mask.bit_count()
+        assert all(not adj[v] & mask for v in range(n) if (mask >> v) & 1)
+        found = list(maximal_independent_sets(adj))
+        assert len(found) == len(set(found))
+        assert set(found) == maximal
         nl = rng.randint(1, 8)
         nr = rng.randint(1, 8)
         badj = [rng.getrandbits(nr) for _ in range(nl)]
         lm = rng.getrandbits(nl)
         rm = rng.getrandbits(nr)
-        got = _ckernels.bipartite_matching(nl, nr, badj, lm, rm)
-        want = _pykernels.bipartite_matching(nl, nr, badj, lm, rm)
-        assert got[0] == want[0]
+        size, match_right = bipartite_matching(nl, nr, badj, lm, rm)
+        assert size == _max_matching_by_search(badj, lm, rm)
+        pairs = [(u, j) for j, u in enumerate(match_right) if u >= 0]
+        assert len(pairs) == len({u for u, _ in pairs}) == size
+        for u, j in pairs:
+            assert (lm >> u) & 1 and (rm >> j) & 1 and (badj[u] >> j) & 1
 
 
-@needs_compiled
-def test_compiled_rejects_large_graphs():
-    from indeplib.kernels import _ckernels
-
-    with pytest.raises(ValueError):
-        _ckernels.max_independent_set([0] * 200)
-
-
-def test_dispatcher_handles_large_graphs():
-    # above the 127-vertex compiled limit the pure kernels take over
+def test_max_independent_set_200_vertices():
     size, mask = max_independent_set([0] * 200)
-    assert size == 200
-
-
-def test_force_pure_env(monkeypatch):
-    import importlib
-
-    import indeplib.kernels as k
-
-    monkeypatch.setenv("INDEPLIB_FORCE_PURE", "1")
-    mod = importlib.reload(k)
-    try:
-        assert not mod.HAVE_COMPILED
-        assert mod.max_independent_set([0b10, 0b01]) == (1, 0b01)
-    finally:
-        monkeypatch.delenv("INDEPLIB_FORCE_PURE")
-        importlib.reload(k)
+    assert size == 200 and mask == (1 << 200) - 1
 
 
 def test_clique_cover_bound():
