@@ -18,7 +18,7 @@ from .config import DEFAULT_ALPHA_LIMIT
 from .cotree import LEAF, UNION, Cotree, realize
 from .errors import InvalidDecomposition, LimitExceeded, VerificationError
 from .flow import min_ratio_subset
-from .graph import Graph, connected_components, neighborhood
+from .graph import Graph, connected_components, mask_to_set, neighborhood, set_to_mask
 from .intersection import IntervalModel, PermutationModel, realize_interval, realize_permutation
 from .kernels import bipartite_matching
 from .splitgraph import SplitPartition
@@ -201,37 +201,38 @@ def a_split(g: Graph, part: SplitPartition) -> CapacityResult:
 
 
 def _chain_dp(g: Graph, order, chain_ok):
-    """Shared O(n^3) DP.
+    """Shared O(n^2 * alpha) DP on the graph's masks.
 
     order lists the vertices in processing order; chain_ok(y, x) says that y
     may precede x in an independent chain (strictly left, no intersection).
     Requires the class property that a common neighbor of two chain members
     is also a neighbor of everything between them, which makes
-    |N(x) \\ N(y)| the exact increment.  Table: best[(x, k)] = (cost, set).
+    |N(x) \\ N(y)| the exact increment.  Row of x: {k: (cost, witness mask)}
+    for the best chain of k vertices ending in x; on equal cost the first
+    predecessor in order wins.
     """
-    nbr = {v: set(g.neighbors(v)) for v in range(g.n)}
-    best = {}
+    adj = g.adj
+    rows = {}
     for x in order:
-        best[(x, 1)] = (len(nbr[x]), frozenset({x}))
-        for k in range(2, g.n + 1):
-            cand = None
-            for y in order:
-                if y == x or not chain_ok(y, x):
-                    continue
-                prev = best.get((y, k - 1))
-                if prev is None:
-                    continue
-                cost = prev[0] + len(nbr[x] - nbr[y])
-                if cand is None or cost < cand[0]:
-                    cand = (cost, prev[1] | {x})
-            if cand is not None:
-                best[(x, k)] = cand
+        ax, bit = adj[x], 1 << x
+        row = {1: (ax.bit_count(), bit)}
+        for y, prev in rows.items():
+            if not chain_ok(y, x):
+                continue
+            inc = (ax & ~adj[y]).bit_count()
+            for k, (cost, wit) in prev.items():
+                cost += inc
+                old = row.get(k + 1)
+                if old is None or cost < old[0]:
+                    row[k + 1] = (cost, wit | bit)
+        rows[x] = row
     result = None
-    for (x, k), (cost, wit) in best.items():
-        ratio = Fraction(k, k + cost)
-        if result is None or ratio > result[0]:
-            result = (ratio, wit)
-    return result
+    for row in rows.values():  # x in order, then k ascending (rows fill up in k)
+        for k, (cost, wit) in row.items():
+            ratio = Fraction(k, k + cost)
+            if result is None or ratio > result[0]:
+                result = (ratio, wit)
+    return result[0], frozenset(mask_to_set(result[1]))
 
 
 def a_interval(model: IntervalModel) -> CapacityResult:
@@ -264,10 +265,10 @@ def a_permutation(model: PermutationModel) -> CapacityResult:
 def treewidth_profile(g: Graph, d: NiceTreeDecomposition) -> NeighborhoodProfile:
     """Profile via the nice-decomposition DP.
 
-    Entry key: (frozenset of bag vertices in I, frozenset of bag vertices
-    with a processed neighbor in I, k = |I| over processed vertices).  Value:
-    (m, witness) with m the number of processed vertices known to lie in
-    N(I) and witness one I achieving it.  A vertex's neighbor count is
+    Entry key: (mask of bag vertices in I, mask of bag vertices with a
+    processed neighbor in I, k = |I| over processed vertices).  Value:
+    (m, witness mask) with m the number of processed vertices known to lie
+    in N(I) and witness one I achieving it.  A vertex's neighbor count is
     final when it is forgotten, because all its neighbors live in bags of
     the current subtree.
     """
@@ -277,9 +278,9 @@ def treewidth_profile(g: Graph, d: NiceTreeDecomposition) -> NeighborhoodProfile
         if node.kind == START:
             if bag:
                 raise InvalidDecomposition("nice-form", "start bags must be empty")
-            tab = {(frozenset(), frozenset(), 0): (0, frozenset())}
+            tab = {(0, 0, 0): (0, 0)}
         elif node.kind == INTRODUCE:
-            x = node.vertex
+            bit = 1 << node.vertex
             child = tables[node.children[0]]
             tab = {}
 
@@ -287,26 +288,21 @@ def treewidth_profile(g: Graph, d: NiceTreeDecomposition) -> NeighborhoodProfile
                 if key not in tab or m < tab[key][0]:
                     tab[key] = (m, wit)
 
-            xnbrs = set(g.neighbors(x)) & (bag - {x})
+            xnbrs = g.adj[node.vertex] & set_to_mask(bag)
             for (inb, nbrb, k), (m, wit) in child.items():
-                hit = bool(xnbrs & inb)
-                if not hit:
+                if not xnbrs & inb:
                     # x joins I: free bag neighbors of x become NBR
-                    promoted = xnbrs - nbrb
-                    put(
-                        (inb | {x}, nbrb | promoted, k + 1),
-                        m + len(promoted),
-                        wit | {x},
-                    )
+                    promoted = xnbrs & ~nbrb
+                    put((inb | bit, nbrb | promoted, k + 1), m + promoted.bit_count(), wit | bit)
                     put((inb, nbrb, k), m, wit)  # x stays free
                 else:
-                    put((inb, nbrb | {x}, k), m + 1, wit)
+                    put((inb, nbrb | bit, k), m + 1, wit)
         elif node.kind == FORGET:
-            x = node.vertex
+            keep = ~(1 << node.vertex)
             child = tables[node.children[0]]
             tab = {}
             for (inb, nbrb, k), (m, wit) in child.items():
-                key = (inb - {x}, nbrb - {x}, k)
+                key = (inb & keep, nbrb & keep, k)
                 if key not in tab or m < tab[key][0]:
                     tab[key] = (m, wit)
         elif node.kind == JOIN:
@@ -320,8 +316,8 @@ def treewidth_profile(g: Graph, d: NiceTreeDecomposition) -> NeighborhoodProfile
                 for key2 in by_in.get(inb, ()):
                     _, nbr2, k2 = key2
                     m2, w2 = right[key2]
-                    k = k1 + k2 - len(inb)
-                    m = m1 + m2 - len(nbr1 & nbr2)
+                    k = k1 + k2 - inb.bit_count()
+                    m = m1 + m2 - (nbr1 & nbr2).bit_count()
                     key = (inb, nbr1 | nbr2, k)
                     if key not in tab or m < tab[key][0]:
                         tab[key] = (m, w1 | w2)
@@ -338,7 +334,7 @@ def treewidth_profile(g: Graph, d: NiceTreeDecomposition) -> NeighborhoodProfile
         if k not in table or m < table[k]:
             table[k] = m
             wits[k] = wit
-    return NeighborhoodProfile(table, wits)
+    return NeighborhoodProfile(table, {k: mask_to_set(w) for k, w in wits.items()})
 
 
 def a_treewidth(g: Graph, d: NiceTreeDecomposition) -> CapacityResult:

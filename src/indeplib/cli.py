@@ -85,29 +85,23 @@ def cmd_alpha(args):
     h = _load_graph(args.files[1])
     inputs = f"{args.files[0]} x {args.files[1]}"
     engine = None
-    if not args.oracle:
-        if args.split:
-            p1, p2 = split_partition(g), split_partition(h)
-            value, witness = alpha_product_split(g, p1, h, p2)
+    if not args.oracle and not args.split:
+        try:
+            tg, th = cograph_recognize(g), cograph_recognize(h)
+            value, witness = alpha_product_cographs(tg, th)
+            engine = "cograph"
+        except NotACograph:
+            if args.cotree:
+                raise
+    if engine is None and not args.oracle:
+        try:
+            value, witness = alpha_product_split(g, split_partition(g), h, split_partition(h))
             engine = "split"
-        else:
-            try:
-                tg, th = cograph_recognize(g), cograph_recognize(h)
-                value, witness = alpha_product_cographs(tg, th)
-                engine = "cograph"
-            except NotACograph:
-                if args.cotree:
-                    raise
-                try:
-                    p1, p2 = split_partition(g), split_partition(h)
-                    value, witness = alpha_product_split(g, p1, h, p2)
-                    engine = "split"
-                except NotASplitgraph:
-                    engine = None
+        except NotASplitgraph:
+            if args.split:
+                raise
     if engine is None:
-        product = categorical_product(g, h)
-        value, mask_or_set = alpha_exact(product, limit=oracle_limit())
-        witness = mask_or_set
+        value, witness = alpha_exact(categorical_product(g, h), limit=oracle_limit())
         engine = "oracle"
     human = f"alpha={value} engine={engine}"
     witness = sorted(witness)

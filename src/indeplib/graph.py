@@ -14,9 +14,9 @@ from .errors import LimitExceeded
 class Graph:
     """Simple undirected graph: no loops, symmetric adjacency, ids 0..n-1."""
 
-    __slots__ = ("n", "adj", "labels")
+    __slots__ = ("n", "adj")
 
-    def __init__(self, n, edges=(), labels=None):
+    def __init__(self, n, edges=()):
         if n < 0:
             raise ValueError("negative vertex count")
         adj = [0] * n
@@ -29,18 +29,12 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self.adj = tuple(adj)
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("label count does not match vertex count")
-        self.labels = labels
 
     @classmethod
-    def from_adj(cls, adj, labels=None):
+    def from_adj(cls, adj):
         g = cls.__new__(cls)
         g.n = len(adj)
         g.adj = tuple(adj)
-        g.labels = tuple(labels) if labels is not None else None
         full = (1 << g.n) - 1
         for v, mask in enumerate(g.adj):
             if mask & (1 << v):
@@ -95,22 +89,14 @@ class Graph:
 
     def complement(self):
         full = (1 << self.n) - 1
-        return Graph.from_adj(
-            [full & ~m & ~(1 << v) for v, m in enumerate(self.adj)], self.labels
-        )
+        return Graph.from_adj([full & ~m & ~(1 << v) for v, m in enumerate(self.adj)])
 
     def subgraph(self, vertices):
         """Induced subgraph; vertex order = sorted(vertices)."""
         order = sorted(vertices)
         pos = {v: i for i, v in enumerate(order)}
         edges = [(pos[u], pos[v]) for u in order for v in order if u < v and self.has_edge(u, v)]
-        labels = None
-        if self.labels is not None:
-            labels = [self.labels[v] for v in order]
-        return Graph(len(order), edges, labels)
-
-    def label(self, v):
-        return self.labels[v] if self.labels is not None else str(v)
+        return Graph(len(order), edges)
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -144,8 +130,8 @@ def set_to_mask(vertices):
 def categorical_product(g: Graph, h: Graph) -> Graph:
     """Categorical (tensor/direct/Kronecker) product.
 
-    Vertex (a,b) gets id a*h.n + b (row-major, g-coordinate major) and label
-    "(ga,hb)".  (g1,h1) ~ (g2,h2) iff g1~g2 in g and h1~h2 in h.
+    Vertex (a,b) gets id a*h.n + b (row-major, g-coordinate major).
+    (g1,h1) ~ (g2,h2) iff g1~g2 in g and h1~h2 in h.
     """
     if g.n == 0 or h.n == 0:
         raise ValueError("empty graph")
@@ -164,8 +150,7 @@ def categorical_product(g: Graph, h: Graph) -> Graph:
                 row |= hadj[b] << (a2 * hn)
                 w &= w - 1
             adj[abase + b] = row
-    labels = [f"({g.label(a)},{h.label(b)})" for a in range(g.n) for b in range(hn)]
-    return Graph.from_adj(adj, labels)
+    return Graph.from_adj(adj)
 
 
 def graph_power(g: Graph, k: int, limit=DEFAULT_POWER_LIMIT) -> Graph:
@@ -178,7 +163,7 @@ def graph_power(g: Graph, k: int, limit=DEFAULT_POWER_LIMIT) -> Graph:
             f"graph power needs {size} vertices, limit is {limit}", required=size
         )
     if k == 1:
-        return Graph.from_adj(g.adj, g.labels)
+        return Graph.from_adj(g.adj)
     out = g
     for _ in range(k - 1):
         out = categorical_product(out, g)
@@ -300,11 +285,7 @@ def complete_multipartite(sizes) -> Graph:
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    adj = list(g.adj) + [m << g.n for m in h.adj]
-    labels = None
-    if g.labels is not None or h.labels is not None:
-        labels = [g.label(v) for v in range(g.n)] + [h.label(v) for v in range(h.n)]
-    return Graph.from_adj(adj, labels)
+    return Graph.from_adj(list(g.adj) + [m << g.n for m in h.adj])
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -316,4 +297,4 @@ def join(g: Graph, h: Graph) -> Graph:
         adj[v] |= hmask
     for v in range(g.n, g.n + h.n):
         adj[v] |= gmask
-    return Graph.from_adj(adj, u.labels)
+    return Graph.from_adj(adj)

@@ -33,7 +33,7 @@ def clique_cover_bound(adj, mask):
     return count
 
 
-def max_independent_set(adj, initial_best=0):
+def max_independent_set(adj):
     """Exact maximum independent set: (size, vertex mask).
 
     Branch and bound: vertices of degree <= 1 in the candidate set are
@@ -42,7 +42,7 @@ def max_independent_set(adj, initial_best=0):
     the first optimum found under this fixed order, so it is reproducible.
     """
     n = len(adj)
-    best_size = initial_best
+    best_size = 0
     best_mask = 0
 
     def expand(p, cur_mask, cur_size):

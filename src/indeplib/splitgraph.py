@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import NotASplitgraph
-from .graph import Graph
+from .graph import Graph, mask_to_set, set_to_mask
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,10 @@ def split_partition(g: Graph) -> SplitPartition:
     """A split partition, or NotASplitgraph with a 2K2/C4/C5 witness.
 
     Determinism: among all valid partitions the clique side is maximized,
-    ties broken by lexicographically smallest C.  Any valid clique side
-    differs from the degree-sequence partition by at most one vertex in and
-    one out (C' meets the base S in <= 1 vertex and misses <= 1 of the base
-    C), so scanning those single moves is exhaustive.
+    ties broken by lexicographically smallest C.  Once the degree test
+    passes, the base C is a maximum clique (Hammer & Simeone 1981), so the
+    only other clique sides of its size are swaps (C - u) + v where u is
+    v's only non-neighbor in C and u has no neighbor in S - v.
     """
     n = g.n
     if n == 0:
@@ -60,30 +60,26 @@ def split_partition(g: Graph) -> SplitPartition:
     m = max((i + 1 for i in range(n) if degs[i] >= i), default=0)
     top = sum(degs[:m])
     rest = sum(degs[m:])
-    base_c = set(order[:m])
-    base_s = set(order[m:])
+    base_c = order[:m]
+    base_s = order[m:]
     if top != m * (m - 1) + rest or not g.is_clique(base_c) or not g.is_independent(base_s):
         found = _find_obstruction(g)
         if found is None:
             raise RuntimeError("degree test rejected a graph with no 2K2/C4/C5")
         raise NotASplitgraph(*found)
-
-    def valid(c_set):
-        s_set = set(range(n)) - c_set
-        return g.is_clique(c_set) and g.is_independent(s_set)
-
-    candidates = [base_c]
+    c_mask = set_to_mask(base_c)
+    s_mask = set_to_mask(base_s)
+    best = c_mask
     for v in base_s:
-        candidates.append(base_c | {v})
-    for u in base_c:
-        candidates.append(base_c - {u})
-        for v in base_s:
-            candidates.append((base_c - {u}) | {v})
-    best = max(
-        (c for c in candidates if valid(c)),
-        key=lambda c: (len(c), [-x for x in sorted(c)]),
-    )
-    return SplitPartition(frozenset(best), frozenset(range(n)) - frozenset(best))
+        missed = c_mask & ~g.adj[v]
+        if missed.bit_count() != 1 or g.adj[missed.bit_length() - 1] & s_mask & ~(1 << v):
+            continue
+        swap = c_mask ^ missed ^ (1 << v)
+        diff = swap ^ best
+        if swap & diff & -diff:  # the least differing vertex is in swap
+            best = swap
+    clique = frozenset(mask_to_set(best))
+    return SplitPartition(clique, frozenset(range(n)) - clique)
 
 
 def is_splitgraph(g: Graph) -> bool:

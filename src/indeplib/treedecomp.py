@@ -126,22 +126,23 @@ def validate_and_nicify(g: Graph, bags, tree_edges) -> NiceTreeDecomposition:
             idx = emit(INTRODUCE, set(bag), v, (idx,))
         return idx
 
-    def build(b, parent):
-        children = [c for c in adj[b] if c != parent]
-        tops = []
-        for c in children:
-            sub = build(c, b)
-            tops.append(transform(sub, bags[c], bags[b]))
-        if not tops:
-            return chain_from_empty(bags[b])
-        idx = tops[0]
+    # Depth-first from bag 0 on an explicit stack of (bag, parent, unvisited
+    # neighbors, tops): a child's subtree and its transform chain are emitted
+    # before the next child, and a bag's JOINs after all of its children.
+    frames = [(0, None, iter(adj[0]), [])]
+    while frames:
+        b, parent, rest, tops = frames[-1]
+        c = next((c for c in rest if c != parent), None)
+        if c is not None:
+            frames.append((c, b, iter(adj[c]), []))
+            continue
+        frames.pop()
+        idx = tops[0] if tops else chain_from_empty(bags[b])
         for other in tops[1:]:
             idx = emit(JOIN, bags[b], None, (idx, other))
-        return idx
-
-    root_bag = 0
-    top = build(root_bag, None)
-    transform(top, bags[root_bag], frozenset())
+        if frames:
+            frames[-1][3].append(transform(idx, bags[b], bags[frames[-1][0]]))
+    transform(idx, bags[0], frozenset())
     nice = NiceTreeDecomposition(nodes, width)
     _recheck(g, nice, width)
     return nice

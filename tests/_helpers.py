@@ -12,6 +12,7 @@ catalog is read from a committed cache written by tools/gen_graphs8.py.
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -397,8 +398,16 @@ def complement_rook(m, n) -> Graph:
                 for j2 in range(n):
                     if j2 != j:
                         edges.append((i * n + j, i2 * n + j2))
-    labels = [f"({i},{j})" for i in range(m) for j in range(n)]
-    return Graph(m * n, edges, labels)
+    return Graph(m * n, edges)
+
+
+def threshold_cotree_text(n):
+    """(* (+ (* ... 0 1) 2) 3) ...: odd vertices are joined to everything
+    before them, even ones arrive isolated; nested n - 1 deep."""
+    text = "0"
+    for v in range(1, n):
+        text = f"({'*' if v % 2 else '+'} {text} {v})"
+    return text
 
 
 def verify_product_witness(g: Graph, h: Graph, witness, size):
@@ -424,6 +433,63 @@ def enumerate_maximal_independent_sets(g: Graph):
 
 def count_maximal_independent_sets(adj):
     return sum(1 for _ in kernels.maximal_independent_sets(adj))
+
+
+def split_partition_scan(g: Graph):
+    """Reference split partition: every clique side within one vertex in and
+    one out of the degree-sequence partition, the largest and then the
+    lexicographically least valid one.  Assumes g passed the degree test."""
+    n = g.n
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    degs = [g.degree(v) for v in order]
+    m = max((i + 1 for i in range(n) if degs[i] >= i), default=0)
+    base_c = set(order[:m])
+    base_s = set(order[m:])
+
+    def valid(c_set):
+        return g.is_clique(c_set) and g.is_independent(set(range(n)) - c_set)
+
+    candidates = [base_c]
+    for v in base_s:
+        candidates.append(base_c | {v})
+    for u in base_c:
+        candidates.append(base_c - {u})
+        for v in base_s:
+            candidates.append((base_c - {u}) | {v})
+    best = max(
+        (c for c in candidates if valid(c)),
+        key=lambda c: (len(c), [-x for x in sorted(c)]),
+    )
+    return frozenset(best), frozenset(range(n)) - frozenset(best)
+
+
+def chain_dp_reference(g: Graph, order, chain_ok):
+    """The O(n^3) chain DP on vertex sets, one scan of every predecessor per
+    chain length: best[(x, k)] = (cost, set), first predecessor in order
+    wins on equal cost, final scan x-major then k ascending."""
+    nbr = {v: set(g.neighbors(v)) for v in range(g.n)}
+    best = {}
+    for x in order:
+        best[(x, 1)] = (len(nbr[x]), frozenset({x}))
+        for k in range(2, g.n + 1):
+            cand = None
+            for y in order:
+                if y == x or not chain_ok(y, x):
+                    continue
+                prev = best.get((y, k - 1))
+                if prev is None:
+                    continue
+                cost = prev[0] + len(nbr[x] - nbr[y])
+                if cand is None or cost < cand[0]:
+                    cand = (cost, prev[1] | {x})
+            if cand is not None:
+                best[(x, k)] = cand
+    result = None
+    for (x, k), (cost, wit) in best.items():
+        ratio = Fraction(k, k + cost)
+        if result is None or ratio > result[0]:
+            result = (ratio, wit)
+    return result
 
 
 def profile_exhaustive(g: Graph, limit=20) -> NeighborhoodProfile:

@@ -12,6 +12,7 @@ import pytest
 
 import indeplib
 from _helpers import (
+    chain_dp_reference,
     enumerate_maximal_independent_sets,
     profile_exhaustive,
     random_cotree,
@@ -19,6 +20,7 @@ from _helpers import (
     treewidth_decomposition,
     trivial_decomposition,
 )
+from indeplib import capacity
 from indeplib.capacity import (
     CapacityResult,
     Engine,
@@ -166,6 +168,34 @@ def test_chain_engines_random_vs_brute():
         from indeplib.intersection import realize_permutation
 
         assert a_permutation(pm).a == a_bruteforce(realize_permutation(pm))[0]
+
+
+def test_chain_dp_matches_reference():
+    # identical (a, witness), including which of several optimal chains is
+    # kept; short intervals on few endpoints make equal costs common
+    from indeplib.intersection import realize_interval, realize_permutation
+
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        span = rng.choice([1, 3, n])
+        ivs = []
+        for _ in range(n):
+            left = rng.randrange(2 * n)
+            ivs.append((left, left + rng.randint(0, span)))
+        g = realize_interval(IntervalModel(tuple(ivs)))
+        order = sorted(range(n), key=lambda v: (ivs[v][1], ivs[v][0], v))
+
+        def chain_ok(y, x):
+            return ivs[y][1] < ivs[x][0]
+
+        assert capacity._chain_dp(g, order, chain_ok) == chain_dp_reference(g, order, chain_ok)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        pm = PermutationModel(tuple(perm))
+        g = realize_permutation(pm)
+        order = list(range(n))
+        assert capacity._chain_dp(g, order, pm.left_of) == chain_dp_reference(g, order, pm.left_of)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from _helpers import graph_catalog_upto, random_graph, trivial_decomposition
+from _helpers import (
+    graph_catalog_upto,
+    random_graph,
+    split_partition_scan,
+    threshold_cotree_text,
+    trivial_decomposition,
+)
 from indeplib.cotree import (
     cograph_recognize,
     find_p4,
@@ -154,6 +160,33 @@ def test_split_recognition_matches_obstruction_freedom():
             split_partition(g).validate(g)
 
 
+def test_split_partition_matches_scan_on_labelled_graphs():
+    # every labelled graph on up to 6 vertices, so ties between clique
+    # sides of equal size are met in every vertex order
+    from itertools import combinations
+
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        for code in range(1 << len(pairs)):
+            g = Graph(n, [e for i, e in enumerate(pairs) if code >> i & 1])
+            try:
+                part = split_partition(g)
+            except NotASplitgraph:
+                continue
+            assert (part.clique, part.independent) == split_partition_scan(g), pairs
+            part.validate(g)
+
+
+def test_split_partition_large_threshold_graph():
+    # {0} plus the odd vertices is the least maximum clique side
+    n = 1200
+    g = realize(parse_cotree(threshold_cotree_text(n)))
+    part = split_partition(g)
+    part.validate(g)
+    assert len(part.clique) == 601
+    assert part.clique == {0, *range(1, n, 2)}
+
+
 # ---------------------------------------------------------------------------
 # interval and permutation models
 
@@ -224,6 +257,18 @@ def test_nicify_preserves_width_and_validates():
     g = path_graph(5)
     nice = validate_and_nicify(g, [{0, 1}, {1, 2}, {2, 3}, {3, 4}], [(0, 1), (1, 2), (2, 3)])
     assert nice.width == 1
+
+
+def test_nicify_node_order_with_join():
+    # children are expanded depth first in adjacency order, each followed by
+    # its transform chain, and the bag's JOIN comes after all of them
+    g = Graph(5, [(0, 1), (0, 2), (0, 3), (2, 4)])
+    nice = validate_and_nicify(g, [{0, 1}, {0, 2}, {0, 3}, {2, 4}], [(0, 1), (0, 2), (1, 3)])
+    kinds = [n.kind[0].upper() + ("" if n.vertex is None else str(n.vertex)) for n in nice.nodes]
+    assert kinds == [
+        "S", "I2", "I4", "F4", "I0", "F2", "I1", "S", "I0", "I3", "F3", "I1", "J", "F0", "F1"
+    ]
+    assert nice.nodes[12].children == (6, 11) and nice.nodes[12].bag == {0, 1}
 
 
 def test_parse_tree_decomposition():

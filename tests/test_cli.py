@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from _helpers import threshold_cotree_text
 from indeplib import capacity
 from indeplib.capacity import a_split
 from indeplib.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, EXIT_VIOLATION, main
@@ -178,11 +179,9 @@ def test_capacity_profile_verification_failure_exits_1(capsys, files, monkeypatc
 
 
 def test_capacity_deep_threshold_cotree(capsys, tmp_path):
-    # (* (+ (* ... 0 1) 2) 3) ...: 1200 leaves nested 1199 deep
+    # 1200 leaves nested 1199 deep
     n = 1200
-    text = "0"
-    for v in range(1, n):
-        text = f"({'*' if v % 2 else '+'} {text} {v})"
+    text = threshold_cotree_text(n)
     path = tmp_path / "threshold.ct"
     path.write_text(text + "\n")
     code, out, err = run(capsys, "--json", "capacity", "--cotree", str(path))
@@ -194,6 +193,19 @@ def test_capacity_deep_threshold_cotree(capsys, tmp_path):
     rec = json.loads(out)
     assert rec["engine"] == "cograph"
     assert rec["a"] == ratio_str(a_split(g, part).a)
+
+
+def test_capacity_td_long_path(capsys, tmp_path):
+    # a 1199-bag path decomposition of P1200 is nicified without recursion
+    n = 1200
+    td = [f"s td {n - 1} 2 {n}"]
+    td += [f"b {i + 1} {i} {i + 1}" for i in range(n - 1)]
+    td += [f"{i + 1} {i + 2}" for i in range(n - 2)]
+    (tmp_path / "p.td").write_text("\n".join(td) + "\n")
+    (tmp_path / "p.g").write_text(format_graph(path_graph(n)))
+    code, out, err = run(capsys, "capacity", "--td", str(tmp_path / "p.td"), str(tmp_path / "p.g"))
+    assert code == EXIT_OK, err
+    assert out.startswith("a=1/2 ") and "engine=treewidth" in out
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,6 @@ def test_categorical_product_k2_k2():
     p = categorical_product(complete_graph(2), complete_graph(2))
     assert p.n == 4
     assert sorted(p.edges()) == [(0, 3), (1, 2)]
-    assert p.label(1) == "(0,1)"
 
 
 def test_categorical_product_vs_definition():
