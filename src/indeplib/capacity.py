@@ -393,9 +393,9 @@ def has_fractional_perfect_matching(g: Graph) -> bool:
     perfect matching therefore exists iff that matching saturates both
     sides, i.e. has size |V(G)|.
     """
-    adj = [g.adj[v] for v in range(g.n)]
-    size, _ = bipartite_matching(g.n, g.n, adj)
-    return size == g.n
+    full = (1 << g.n) - 1
+    _, mate_r, _, _ = bipartite_matching(g.adj, full, full)
+    return len(mate_r) == g.n
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Bitset kernels: branch-and-bound maximum independent set, maximal
-independent set enumeration and bipartite matching.
+independent set enumeration and Hopcroft-Karp bipartite matching.
 
 Adjacency is a list of int masks (bit v of adj[u] set iff u~v), so any
 graph size works.  These are the hot inner loops of the library.
@@ -138,36 +138,121 @@ def maximal_independent_sets(adj):
         stack.append([r | bit, p & comp[v], x & comp[v], None])
 
 
-def bipartite_matching(nleft, nright, adj, left_mask=-1, right_mask=-1):
-    """Maximum matching via augmenting paths (Kuhn).
+def bipartite_matching(adj, left, right, warm=None):
+    """Maximum matching of the bipartite graph between the vertex masks
+    left and right (Hopcroft-Karp, iterative, on masks).
 
-    adj[u] is a mask over right ids for left vertex u.  left_mask and
-    right_mask restrict the graph to a sub-instance without rebuilding it.
-    Returns (size, match_right) where match_right[j] is the left partner of
-    right vertex j or -1.
+    adj[u] is a mask over right ids for left vertex u; left and right
+    restrict the graph to a sub-instance without rebuilding it.  Returns
+    the state (mate_left, mate_right, matched_left, matched_right): dicts
+    left -> right and right -> left of the pairs, and the masks of the
+    matched vertices on each side; the size is len(mate_right).
+
+    warm is the state of an earlier call on the same adj.  Its pairs with a
+    vertex outside the new masks are dropped and the rest are kept, so
+    every free-vertex test is a mask operation and no pass runs over all
+    vertex ids.  A greedy pass then matches free left vertices to free
+    right neighbours, and each phase augments along a maximal set of
+    vertex-disjoint shortest augmenting paths, found by one layered
+    breadth-first search and one depth-first walk per free left vertex on
+    an explicit stack; the phases stop when no augmenting path is left.
     """
-    if left_mask == -1:
-        left_mask = (1 << nleft) - 1
-    if right_mask == -1:
-        right_mask = (1 << nright) - 1
-    match_right = [-1] * nright
+    if warm is None:
+        mate_l, mate_r, ml, mr = {}, {}, 0, 0
+    else:
+        mate_l, mate_r, ml, mr = warm
+        mate_l, mate_r = dict(mate_l), dict(mate_r)
+        gone = ml & ~left
+        while gone:
+            low = gone & -gone
+            gone ^= low
+            j = mate_l.pop(low.bit_length() - 1)
+            del mate_r[j]
+            mr ^= 1 << j
+        ml &= left
+        gone = mr & ~right
+        while gone:
+            low = gone & -gone
+            gone ^= low
+            u = mate_r.pop(low.bit_length() - 1)
+            del mate_l[u]
+            ml ^= 1 << u
+        mr &= right
 
-    def augment(u, visited):
-        w = adj[u] & right_mask & ~visited[0]
-        visited[0] |= w
-        while w:
-            j = _lowest(w)
-            w &= w - 1
-            if match_right[j] < 0 or augment(match_right[j], visited):
-                match_right[j] = u
-                return True
-        return False
+    # greedy start: each free left vertex takes its lowest free neighbour
+    open_r = right & ~mr
+    free = left & ~ml
+    while free and open_r:
+        low = free & -free
+        free ^= low
+        u = low.bit_length() - 1
+        cand = adj[u] & open_r
+        if cand:
+            bit = cand & -cand
+            j = bit.bit_length() - 1
+            mate_l[u] = j
+            mate_r[j] = u
+            ml |= low
+            mr |= bit
+            open_r ^= bit
 
-    size = 0
-    w = left_mask
-    while w:
-        u = _lowest(w)
-        w &= w - 1
-        if adj[u] & right_mask and augment(u, [0]):
-            size += 1
-    return size, match_right
+    while True:
+        free = left & ~ml
+        open_r = right & ~mr
+        if not (free and open_r):
+            break
+        # layered search from the free left vertices; layers[k] holds the
+        # right vertices at distance 2k+1, the last layer only free ones
+        layers = []
+        seen = 0
+        front = free
+        while front:
+            reach = 0
+            while front:
+                low = front & -front
+                front ^= low
+                reach |= adj[low.bit_length() - 1]
+            reach &= right & ~seen
+            if not reach:
+                break
+            if reach & open_r:
+                layers.append(reach & open_r)
+                break
+            layers.append(reach)
+            seen |= reach
+            while reach:
+                low = reach & -reach
+                reach ^= low
+                front |= 1 << mate_r[low.bit_length() - 1]
+        if not layers or not layers[-1] & open_r:
+            break
+        last = len(layers) - 1
+        avail = seen | layers[-1]
+        # vertex-disjoint shortest augmenting paths: a right vertex is
+        # tried at most once per phase, whether its path succeeds or not
+        while free:
+            low = free & -free
+            free ^= low
+            path_l = [low.bit_length() - 1]
+            path_r = []
+            while path_l:
+                k = len(path_r)
+                cand = adj[path_l[-1]] & layers[k] & avail
+                if not cand:
+                    path_l.pop()
+                    if path_r:
+                        path_r.pop()
+                    continue
+                bit = cand & -cand
+                avail ^= bit
+                j = bit.bit_length() - 1
+                path_r.append(j)
+                if k == last:
+                    for u, j in zip(path_l, path_r):
+                        mate_l[u] = j
+                        mate_r[j] = u
+                    ml |= low
+                    mr |= bit
+                    break
+                path_l.append(mate_r[j])
+    return mate_l, mate_r, ml, mr

@@ -113,24 +113,61 @@ def _is_independent(adj, mask):
     return True
 
 
-def bipartite_mis(adj, left, right):
+def _check_matching(adj, left, right, matching):
+    """Raises VerificationError unless every pair of the matching state is
+    an edge between the two sides, each vertex is used at most once and the
+    matched-vertex masks agree with the pairs."""
+    mate_l, mate_r, ml, mr = matching
+    if len(mate_l) != len(mate_r):
+        raise VerificationError("matching pairs disagree")
+    seen_l = seen_r = 0
+    for u, j in mate_l.items():
+        if mate_r.get(j) != u or not (left >> u) & 1 or not (right >> j) & 1:
+            raise VerificationError(f"matching pair ({u},{j}) is not between the sides")
+        if not (adj[u] >> j) & 1:
+            raise VerificationError(f"matching pair ({u},{j}) is not an edge")
+        seen_l |= 1 << u
+        seen_r |= 1 << j
+    if seen_l != ml or seen_r != mr:
+        raise VerificationError("matched-vertex masks disagree with the pairs")
+
+
+def bipartite_mis(adj, left, right, base=None):
     """Maximum independent set of the bipartite graph that adj induces on
-    the vertex masks left and right: (size, witness mask).
+    the vertex masks left and right: (size, witness mask, state).
 
     Koenig: alpha = |left| + |right| - max matching, and the witness is the
     left part of the set Z reached by alternating paths from unmatched left
     vertices plus the right vertices outside Z.  Z, hence the witness, is
-    the same for every maximum matching.  Raises VerificationError when the
-    sides overlap or are not independent, or when the witness is short: an
-    unmatched vertex in Z, i.e. a matching that is not maximum.
+    the same for every maximum matching, so a warm-started matching gives
+    the same witness as a cold one.
+
+    base is the state returned by an earlier call on the same adj, whose
+    sides are known to be independent and whose matching is known to be
+    valid.  A side inside base's side of the same name skips the
+    independence scan (a subset of an independent set is independent);
+    any other side is scanned in full.  The matching starts from base's
+    pairs that lie inside the new sides.  Without base, the sides are
+    scanned and the matching found is checked pair by pair, so a base only
+    ever carries checked pairs.
+
+    Raises VerificationError when the sides overlap or are not independent,
+    when a cold matching is not a matching between the sides, or when the
+    witness is short: an unmatched vertex in Z, i.e. a matching that is not
+    maximum.
     """
     if left & right:
         raise VerificationError("bipartite sides overlap")
-    if not (_is_independent(adj, left) and _is_independent(adj, right)):
+    checked_l, checked_r, warm = base if base is not None else (0, 0, None)
+    if (left & ~checked_l and not _is_independent(adj, left)) or (
+        right & ~checked_r and not _is_independent(adj, right)
+    ):
         raise VerificationError("bipartite side is not independent")
-    n = len(adj)
-    msize, match_right = bipartite_matching(n, n, adj, left, right)
-    zl = front = left & ~set_to_mask(i for i in match_right if i >= 0)
+    matching = bipartite_matching(adj, left, right, warm)
+    if base is None:
+        _check_matching(adj, left, right, matching)
+    _, mate_r, ml, mr = matching
+    zl = front = left & ~ml
     zr = 0
     while front:
         reached = 0
@@ -140,19 +177,18 @@ def bipartite_mis(adj, left, right):
             front ^= low
         reached &= right & ~zr
         zr |= reached
+        reached &= mr
         while reached:
             low = reached & -reached
-            i = match_right[low.bit_length() - 1]
-            if i >= 0:
-                front |= 1 << i
+            front |= 1 << mate_r[low.bit_length() - 1]
             reached ^= low
         front &= ~zl
         zl |= front
     witness = zl | (right & ~zr)
-    size = left.bit_count() + right.bit_count() - msize
+    size = left.bit_count() + right.bit_count() - len(mate_r)
     if witness.bit_count() != size:
         raise VerificationError(f"Koenig witness has {witness.bit_count()} vertices, not {size}")
-    return size, witness
+    return size, witness, (left, right, matching)
 
 
 class _SplitProductMIS:
@@ -180,26 +216,29 @@ class _SplitProductMIS:
         return out
 
     def cases(self):
-        """(left, right, rook) per case, where rook is the mask of the rook
-        vertex that joins the Koenig set (or 0):
+        """(column, left, right, rook) per case, where rook is the mask of
+        the rook vertex that joins the Koenig set (or 0) and column marks
+        the column cases.  A rook or row case keeps case 0's left side or
+        part of it; a column case puts S1 x V(H) on the left, so none of
+        case 0's matching pairs lies inside its sides.
 
         - no rook vertex: V(G) x S2 against S1 x C2;
         - one rook vertex r: the same sides minus N(r);
         - row cv1: V(G) x S2 against ((S1 minus N(cv1)) + cv1) x C2;
         - column cv2: S1 x V(H) against C1 x ((S2 minus N(cv2)) + cv2).
         """
-        yield self.left, self.right, 0
+        yield False, self.left, self.right, 0
         for cv1 in self.c1:
             for cv2 in self.c2:
                 r = cv1 * self.hn + cv2
                 keep = ~self.adj[r]
-                yield self.left & keep, self.right & keep, 1 << r
+                yield False, self.left & keep, self.right & keep, 1 << r
         for cv1 in self.c1:
             xs = (self.s1 & ~self.gadj[cv1]) | (1 << cv1)
-            yield self.left, self._block(xs, self.c2_mask), 0
+            yield False, self.left, self._block(xs, self.c2_mask), 0
         for cv2 in self.c2:
             ys = (self.s2 & ~self.hadj[cv2]) | (1 << cv2)
-            yield self.s1_rows, self._block(self.c1_mask, ys), 0
+            yield True, self.s1_rows, self._block(self.c1_mask, ys), 0
 
 
 def alpha_product_split(g: Graph, p1: SplitPartition, h: Graph, p2: SplitPartition):
@@ -209,16 +248,22 @@ def alpha_product_split(g: Graph, p1: SplitPartition, h: Graph, p2: SplitPartiti
     rook block C1 x C2.  Two or more rook vertices must pairwise share a
     coordinate, hence all lie in one row or one column.  Each case is one
     Koenig run on masks of the explicit product, skipped when its vertex
-    count cannot beat the best so far; the first best case wins.
+    count cannot beat the best so far; the first best case wins.  Case 0
+    runs cold; the rook and row cases start from case 0's matching and
+    sides, the column cases from those of the first column case run.  The
+    Koenig witness does not depend on which maximum matching was found, so
+    warm starts change neither the value nor the witness.
     """
     p1.validate(g)
     p2.validate(h)
     solver = _SplitProductMIS(g, p1, h, p2)
     best, witness = -1, 0
-    for left, right, rook in solver.cases():
+    bases = {}
+    for column, left, right, rook in solver.cases():
         if left.bit_count() + right.bit_count() + rook.bit_count() <= best:
             continue
-        size, cand = bipartite_mis(solver.adj, left, right)
+        size, cand, state = bipartite_mis(solver.adj, left, right, bases.get(column))
+        bases.setdefault(column, state)
         if size + rook.bit_count() > best:
             best, witness = size + rook.bit_count(), cand | rook
     if witness.bit_count() != best or not _is_independent(solver.adj, witness):

@@ -60,30 +60,29 @@ def validate_decomposition(g: Graph, bags, tree_edges):
     if len(seen) != nb:
         raise InvalidDecomposition("tree", "bag tree is disconnected")
 
-    covered = set().union(*bags)
+    # vertex -> mask of the bags holding it, built once
+    where = {}
+    for i, b in enumerate(bags):
+        for v in b:
+            where[v] = where.get(v, 0) | (1 << i)
     for v in range(g.n):
-        if v not in covered:
+        if v not in where:
             raise InvalidDecomposition(
                 "vertex-coverage", f"vertex {v} appears in no bag", witness=v
             )
     for u, v in g.edges():
-        if not any(u in b and v in b for b in bags):
+        if not where[u] & where[v]:
             raise InvalidDecomposition(
                 "edge-coverage", f"edge ({u},{v}) is in no bag", witness=(u, v)
             )
+    # the bags holding v induce a subforest of the tree, which is connected
+    # exactly when it has one edge fewer than it has bags
+    shared = {}
+    for a, b in tree_edges:
+        for v in bags[a] & bags[b]:
+            shared[v] = shared.get(v, 0) + 1
     for v in range(g.n):
-        holding = [i for i in range(nb) if v in bags[i]]
-        # the bags holding v must induce a connected subtree
-        hold = set(holding)
-        comp = {holding[0]}
-        stack = [holding[0]]
-        while stack:
-            a = stack.pop()
-            for b in adj[a]:
-                if b in hold and b not in comp:
-                    comp.add(b)
-                    stack.append(b)
-        if comp != hold:
+        if shared.get(v, 0) != where[v].bit_count() - 1:
             raise InvalidDecomposition(
                 "subtree-connectivity",
                 f"bags containing vertex {v} are disconnected",

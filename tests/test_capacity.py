@@ -260,6 +260,13 @@ def test_fractional_perfect_matching_examples():
     assert has_fractional_perfect_matching(cycle_graph(5))
 
 
+def test_fractional_perfect_matching_long_path_and_cycle():
+    # the matching must not recurse once per step of an augmenting path
+    assert has_fractional_perfect_matching(path_graph(3000))
+    assert has_fractional_perfect_matching(cycle_graph(3001))
+    assert not has_fractional_perfect_matching(path_graph(3001))
+
+
 def test_eq7_both_directions_random():
     rng = random.Random(19)
     for _ in range(120):

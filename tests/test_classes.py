@@ -246,6 +246,58 @@ def test_validate_decomposition_axioms():
         validate_decomposition(g, [{0, 1}, {1, 2}], [])
 
 
+# Each of the next four tests breaks a later axiom too, and pins which
+# failure is reported first, with its message and witness.
+
+
+def _first_failure(g, bags, tree_edges):
+    with pytest.raises(InvalidDecomposition) as info:
+        validate_decomposition(g, bags, tree_edges)
+    return info.value.axiom, str(info.value), info.value.witness
+
+
+def test_decomposition_tree_failures_come_first():
+    g = path_graph(4)  # also uncovered: vertex 3, edges, connectivity
+    assert _first_failure(g, [], []) == ("tree", "tree: decomposition has no bags", None)
+    assert _first_failure(g, [{0}, {1}], [(0, 2), (0, 1), (1, 0)])[1] == (
+        "tree: tree edge (0,2) out of range"
+    )
+    assert _first_failure(g, [{0}, {1}], [(0, 1), (1, 0)])[1] == (
+        "tree: 2 edges for 2 bags: not a tree"
+    )
+    assert _first_failure(g, [{0}, {1}, {0}], [(0, 2), (2, 0)])[1] == (
+        "tree: bag tree is disconnected"
+    )
+
+
+def test_decomposition_vertex_coverage_before_edges():
+    g = path_graph(5)  # vertices 2 and 4 in no bag, no edge covered
+    assert _first_failure(g, [{0}, {1}, {3}, {0}], [(0, 1), (1, 2), (2, 3)]) == (
+        "vertex-coverage",
+        "vertex-coverage: vertex 2 appears in no bag",
+        2,
+    )
+
+
+def test_decomposition_edge_coverage_before_connectivity():
+    g = path_graph(4)  # edges (1,2) and (2,3) uncovered, vertex 1 disconnected
+    assert _first_failure(g, [{0, 1}, {2}, {1}, {3}], [(0, 1), (1, 2), (1, 3)]) == (
+        "edge-coverage",
+        "edge-coverage: edge (1,2) is in no bag",
+        (1, 2),
+    )
+
+
+def test_decomposition_connectivity_lowest_vertex_first():
+    g = path_graph(3)  # vertices 0 and 2 both disconnected
+    bags = [{0, 2}, {0, 1}, {1, 2}, {0, 2}]
+    assert _first_failure(g, bags, [(0, 1), (1, 2), (2, 3)]) == (
+        "subtree-connectivity",
+        "subtree-connectivity: bags containing vertex 0 are disconnected",
+        0,
+    )
+
+
 def test_nicify_preserves_width_and_validates():
     rng = random.Random(4)
     for _ in range(30):

@@ -3,6 +3,7 @@
 import random
 
 from _helpers import count_maximal_independent_sets, random_graph
+from indeplib.graph import set_to_mask
 from indeplib.kernels import (
     bipartite_matching,
     clique_cover_bound,
@@ -74,10 +75,20 @@ def test_maximal_sets_triangle():
 def test_bipartite_matching_masks():
     # K_{2,2} with right vertex 0 disabled
     adj = [0b11, 0b11]
-    size, match = bipartite_matching(2, 2, adj)
-    assert size == 2
-    size, match = bipartite_matching(2, 2, adj, right_mask=0b10)
-    assert size == 1
+    assert len(bipartite_matching(adj, 0b11, 0b11)[1]) == 2
+    assert len(bipartite_matching(adj, 0b11, 0b10)[1]) == 1
+
+
+def _check_matching(adj, left_mask, right_mask, state):
+    """Size of a matching state after checking that its pairs form a
+    matching between the masks and that its masks are those of the pairs."""
+    mate_l, mate_r, ml, mr = state
+    assert mate_r == {j: u for u, j in mate_l.items()}
+    assert len(mate_r) == len(mate_l)
+    for u, j in mate_l.items():
+        assert (left_mask >> u) & 1 and (right_mask >> j) & 1 and (adj[u] >> j) & 1
+    assert ml == set_to_mask(mate_l) and mr == set_to_mask(mate_r)
+    return len(mate_r)
 
 
 def test_kernels_match_subset_scan():
@@ -97,12 +108,12 @@ def test_kernels_match_subset_scan():
         badj = [rng.getrandbits(nr) for _ in range(nl)]
         lm = rng.getrandbits(nl)
         rm = rng.getrandbits(nr)
-        size, match_right = bipartite_matching(nl, nr, badj, lm, rm)
-        assert size == _max_matching_by_search(badj, lm, rm)
-        pairs = [(u, j) for j, u in enumerate(match_right) if u >= 0]
-        assert len(pairs) == len({u for u, _ in pairs}) == size
-        for u, j in pairs:
-            assert (lm >> u) & 1 and (rm >> j) & 1 and (badj[u] >> j) & 1
+        state = bipartite_matching(badj, lm, rm)
+        assert _check_matching(badj, lm, rm, state) == _max_matching_by_search(badj, lm, rm)
+        # warm start from a matching on the full instance, then restrict
+        full = bipartite_matching(badj, (1 << nl) - 1, (1 << nr) - 1)
+        state = bipartite_matching(badj, lm, rm, full)
+        assert _check_matching(badj, lm, rm, state) == _max_matching_by_search(badj, lm, rm)
 
 
 def test_max_independent_set_200_vertices():

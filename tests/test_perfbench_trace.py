@@ -1,0 +1,40 @@
+"""The benchmark's trace wrappers bind library names; a rename in ``src/``
+that breaks ``perfbench/run.py --trace 1`` fails here."""
+
+import os
+import sys
+
+from indeplib.graph import Graph
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def _indeplib_modules():
+    return {k: v for k, v in sys.modules.items() if k == "indeplib" or k.startswith("indeplib.")}
+
+
+def test_trace_wrappers_install_and_count():
+    saved = _indeplib_modules()
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import spans
+        import workloads
+
+        lib = workloads.load_lib(workloads.SRC)
+        tracer = spans.Tracer()
+        spans.install(tracer, lib)
+        paw = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        part = lib.splitgraph.split_partition(paw)
+        item = tracer.begin_item(0)
+        lib.product_alpha.alpha_product_split(paw, part, paw, part)
+        lib.capacity.tensor_capacity(paw, split=part)
+        tracer.finish(item)
+        calls = {name: c for name, (c, _, _) in tracer.aggregate().items()}
+        assert calls["product_alpha.alpha_product_split"] == 1
+        assert calls["capacity.has_fractional_perfect_matching"] == 1
+        assert calls["kernels.bipartite_matching"] >= 2
+    finally:
+        sys.path.remove(PERFBENCH)
+        for name in _indeplib_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)

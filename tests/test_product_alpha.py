@@ -134,10 +134,10 @@ def _sides(g):
 
 def test_bipartite_mis_even_cycle_and_star():
     g = cycle_graph(6)
-    size, witness = bipartite_mis(g.adj, *_sides(g))
+    size, witness, _ = bipartite_mis(g.adj, *_sides(g))
     assert size == 3 and g.is_independent(mask_to_set(witness))
     g = complete_bipartite(2, 5)
-    size, witness = bipartite_mis(g.adj, *_sides(g))
+    size, witness, _ = bipartite_mis(g.adj, *_sides(g))
     assert size == 5 and witness == set_to_mask({2, 3, 4, 5, 6})
 
 
@@ -151,7 +151,7 @@ def test_bipartite_mis_random_vs_alpha():
             continue
         left, right = _sides(g)
         for keep in ((1 << g.n) - 1, rng.getrandbits(g.n)):
-            size, witness = bipartite_mis(g.adj, left & keep, right & keep)
+            size, witness, _ = bipartite_mis(g.adj, left & keep, right & keep)
             verts = mask_to_set(keep)
             assert size == (alpha_exact(g.subgraph(verts))[0] if verts else 0)
             wset = mask_to_set(witness)
@@ -167,18 +167,67 @@ def test_bipartite_mis_rejects_bad_sides():
         bipartite_mis(adj, 0b001, 0b110)
     with pytest.raises(VerificationError, match="overlap"):
         bipartite_mis(adj, 0b101, 0b011)
+    # a side outside the base's checked side is scanned again
+    adj = path_graph(4).adj  # 0 - 1 - 2 - 3
+    base = bipartite_mis(adj, 0b0001, 0b0010)[2]
+    with pytest.raises(VerificationError, match="not independent"):
+        bipartite_mis(adj, 0b0001, 0b0110, base)
+    with pytest.raises(VerificationError, match="not independent"):
+        bipartite_mis(adj, 0b1100, 0b0010, base)
 
 
 def test_bipartite_mis_rejects_non_maximum_matching(monkeypatch):
+    # the empty matching is a valid matching, but not a maximum one
     monkeypatch.setattr(
-        product_alpha, "bipartite_matching", lambda nl, nr, adj, lm, rm: (0, [-1] * nr)
+        product_alpha, "bipartite_matching", lambda adj, lm, rm, warm=None: ({}, {}, 0, 0)
     )
     with pytest.raises(VerificationError, match="Koenig witness has 2 vertices, not 3"):
         bipartite_mis(path_graph(3).adj, 0b101, 0b010)
 
 
+def test_bipartite_mis_rejects_invalid_cold_matching(monkeypatch):
+    adj = path_graph(3).adj  # 0 - 1 - 2
+    bad = [
+        (0b001, 0b100, ({0: 2}, {2: 0}, 0b001, 0b100), "not an edge"),
+        (0b001, 0b010, ({2: 1}, {1: 2}, 0b100, 0b010), "not between the sides"),
+        (0b101, 0b010, ({0: 1, 2: 1}, {1: 2}, 0b101, 0b010), "pairs disagree"),
+        (0b101, 0b010, ({0: 1}, {1: 0}, 0b101, 0b010), "masks disagree"),
+    ]
+    for left, right, matching, message in bad:
+        monkeypatch.setattr(
+            product_alpha, "bipartite_matching", lambda adj, lm, rm, warm=None: matching
+        )
+        with pytest.raises(VerificationError, match=message):
+            bipartite_mis(adj, left, right)
+
+
+def test_bipartite_mis_warm_equals_cold_on_split_cases():
+    # every case of random split products, warm-started from its base case
+    # as the split engine does and cold, gives the same size and witness
+    rng = random.Random(23)
+    for _ in range(40):
+        g = _random_split(rng.randint(1, 30), rng)
+        h = _random_split(rng.randint(1, 30), rng)
+        solver = product_alpha._SplitProductMIS(g, split_partition(g), h, split_partition(h))
+        bases = {}
+        for column, left, right, _ in solver.cases():
+            size, witness, state = bipartite_mis(solver.adj, left, right, bases.get(column))
+            bases.setdefault(column, state)
+            assert bipartite_mis(solver.adj, left, right)[:2] == (size, witness)
+
+
 # ---------------------------------------------------------------------------
 # splitgraph products
+
+
+def _random_split(n, rng):
+    """A clique on a random prefix of the vertices, the rest independent,
+    random edges between the two."""
+    c = rng.randint(0, n)
+    p = rng.random()
+    edges = [(u, v) for u in range(c) for v in range(u + 1, c)]
+    edges += [(u, v) for u in range(c) for v in range(c, n) if rng.random() < p]
+    return Graph(n, edges)
 
 
 def _split_alpha(g, h):
@@ -229,7 +278,9 @@ def test_split_verification_survives_optimize():
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
-        product_alpha.bipartite_mis = lambda adj, l, r: ((l | r).bit_count(), l | r)
+        product_alpha.bipartite_mis = lambda adj, l, r, base=None: (
+            (l | r).bit_count(), l | r, (l, r, ({}, {}, 0, 0))
+        )
         g = path_graph(4)
         p = split_partition(g)
         try:
