@@ -17,10 +17,12 @@ class Cotree:
 
     Internal nodes carry >= 2 children and never share their label with the
     parent; children are ordered by least leaf id, which makes equal graphs
-    produce equal trees and keeps memoization keys stable.
+    produce equal trees and keeps memoization keys stable.  The leaves and
+    the hash are computed once from the children's, and equality walks
+    both trees on an explicit stack, so deep trees need no recursion.
     """
 
-    __slots__ = ("kind", "vertex", "children", "_leaves")
+    __slots__ = ("kind", "vertex", "children", "_leaves", "_hash")
 
     def __init__(self, kind, vertex=None, children=()):
         self.kind = kind
@@ -44,6 +46,7 @@ class Cotree:
             if len(set(leaves)) != len(leaves):
                 raise InvalidModel("duplicate leaf ids in cotree")
             self._leaves = tuple(sorted(leaves))
+        self._hash = hash((kind, vertex, tuple(c._hash for c in self.children)))
 
     @property
     def leaves(self):
@@ -56,14 +59,23 @@ class Cotree:
     def __eq__(self, other):
         if not isinstance(other, Cotree):
             return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.vertex == other.vertex
-            and self.children == other.children
-        )
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (
+                a._hash != b._hash
+                or a.kind != b.kind
+                or a.vertex != b.vertex
+                or len(a.children) != len(b.children)
+            ):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
 
     def __hash__(self):
-        return hash((self.kind, self.vertex, self.children))
+        return self._hash
 
     def __repr__(self):
         return f"Cotree({format_cotree(self)})"
@@ -190,10 +202,23 @@ def is_cograph(g: Graph) -> bool:
 
 
 def format_cotree(t: Cotree) -> str:
-    if t.kind == LEAF:
-        return str(t.vertex)
-    inner = " ".join(format_cotree(c) for c in t.children)
-    return f"({t.kind} {inner})"
+    """The s-expression of t, written from an explicit stack of nodes and
+    pending text, so depth is limited by memory only."""
+    out = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif node.kind == LEAF:
+            out.append(str(node.vertex))
+        else:
+            out.append(f"({node.kind}")
+            stack.append(")")
+            for c in reversed(node.children):
+                stack.append(c)
+                stack.append(" ")
+    return "".join(out)
 
 
 def parse_cotree(text: str) -> Cotree:

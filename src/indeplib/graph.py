@@ -205,37 +205,6 @@ def connected_components(g: Graph):
     return comp
 
 
-def component_count(g: Graph) -> int:
-    comp = connected_components(g)
-    return max(comp) + 1 if comp else 0
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or component_count(g) == 1
-
-
-def is_bipartite(g: Graph):
-    """Returns a proper 2-coloring (list of 0/1) or None."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            w = g.adj[u]
-            while w:
-                v = (w & -w).bit_length() - 1
-                w &= w - 1
-                if color[v] < 0:
-                    color[v] = 1 - color[u]
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    return None
-    return color
-
-
 # ---------------------------------------------------------------------------
 # generators
 

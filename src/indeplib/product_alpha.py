@@ -25,51 +25,79 @@ def alpha_product_cographs(tg: Cotree, th: Cotree):
     one of the four one-sided blocks, so the four sub-alphas are combined
     by MAX (each is the alpha of an induced subgraph, hence a lower bound,
     and the join adjacency gives the upper bound).  A single-vertex factor
-    makes the product edgeless.  Memoized on cotree node pairs; the witness
-    is a set of (g,h) leaf pairs converted to row-major product ids.
+    makes the product edgeless, so a block with a leaf factor has the other
+    factor's size as its value.  When both nodes are unions, G's splits.
+
+    The value pass fills a table over pairs of internal nodes, each tree's
+    internal nodes taken children first, so every block is filled before
+    the pair that needs it; no recursion, so depth is limited by memory
+    only.  For two joins it also keeps the position of the first block of
+    largest value.  The witness is then built in one walk from the root
+    pair on an explicit stack: a leaf factor contributes every leaf pair
+    of its block, a union factor each of its blocks, two joins the chosen
+    block.  Union blocks are disjoint, so every pair is emitted once;
+    pairs become row-major product ids.
     """
-    memo = {}
+    nodes_g, nodes_h = _internal_nodes(tg), _internal_nodes(th)
+    row_g = {id(a): i for i, a in enumerate(nodes_g)}
+    col_h = {id(b): j for j, b in enumerate(nodes_h)}
+    cols = len(nodes_h)
+    # children as table offsets: a row start in G, a column in H; -1 for a leaf
+    kids_h = [[col_h[id(c)] if c.kind != LEAF else -1 for c in b.children] for b in nodes_h]
+    values = []  # value of (nodes_g[i], nodes_h[j]) at i * cols + j
+    choice = {}  # i * cols + j -> position of the chosen block, for two joins
+    for i, a in enumerate(nodes_g):
+        kids_g = [row_g[id(c)] * cols if c.kind != LEAF else -1 for c in a.children]
+        row = []
+        for j, b in enumerate(nodes_h):
+            if a.kind == UNION:
+                value = sum(values[k + j] if k >= 0 else b.size for k in kids_g)
+            elif b.kind == UNION:
+                value = sum(row[k] if k >= 0 else a.size for k in kids_h[j])
+            else:
+                value = -1
+                for pos, k in enumerate(kids_g):
+                    v = values[k + j] if k >= 0 else b.size
+                    if v > value:
+                        value, best = v, pos
+                for pos, k in enumerate(kids_h[j], len(kids_g)):
+                    v = row[k] if k >= 0 else a.size
+                    if v > value:
+                        value, best = v, pos
+                choice[i * cols + j] = best
+            row.append(value)
+        values.extend(row)
 
-    def solve(a: Cotree, b: Cotree):
-        key = (id(a), id(b))
-        if key in memo:
-            return memo[key]
-        if a.kind == LEAF or b.kind == LEAF:
-            value = a.size * b.size
-            witness = {(g, h) for g in a.leaves for h in b.leaves}
-        elif a.kind == UNION:
-            value = 0
-            witness = set()
-            for child in a.children:
-                v, w = solve(child, b)
-                value += v
-                witness |= w
-        elif b.kind == UNION:
-            value = 0
-            witness = set()
-            for child in b.children:
-                v, w = solve(a, child)
-                value += v
-                witness |= w
-        else:
-            # both joins: best one-sided block
-            best = None
-            for child in a.children:
-                cand = solve(child, b)
-                if best is None or cand[0] > best[0]:
-                    best = cand
-            for child in b.children:
-                cand = solve(a, child)
-                if cand[0] > best[0]:
-                    best = cand
-            value, witness = best
-        memo[key] = (value, witness)
-        return memo[key]
-
-    value, pairs = solve(tg, th)
     hn = th.size
-    witness = {_product_id(hn, g, h) for g, h in pairs}
-    return value, witness
+    witness = set()
+    stack = [(tg, th)]
+    while stack:
+        a, b = stack.pop()
+        if a.kind == LEAF or b.kind == LEAF:
+            witness.update(_product_id(hn, g, h) for g in a.leaves for h in b.leaves)
+        elif a.kind == UNION:
+            stack.extend((c, b) for c in a.children)
+        elif b.kind == UNION:
+            stack.extend((a, c) for c in b.children)
+        else:
+            pos = choice[row_g[id(a)] * cols + col_h[id(b)]]
+            if pos < len(a.children):
+                stack.append((a.children[pos], b))
+            else:
+                stack.append((a, b.children[pos - len(a.children)]))
+    return (values[-1] if values else tg.size * th.size), witness
+
+
+def _internal_nodes(t: Cotree):
+    """The internal nodes of t, every child before its parent."""
+    order, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        if node.kind != LEAF:
+            order.append(node)
+            stack.extend(node.children)
+    order.reverse()
+    return order
 
 
 def alpha_product_multipartite(sizes_g, sizes_h):
@@ -241,18 +269,42 @@ class _SplitProductMIS:
             yield True, self.s1_rows, self._block(self.c1_mask, ys), 0
 
 
+def _kept_pairs(state, left, right):
+    """Number of pairs of the matching in a bipartite_mis state with both
+    ends inside the vertex masks left and right: the pairs whose left end
+    stays, less those among them whose right end goes."""
+    mate_r, ml, mr = state[2][1:]
+    kept = (ml & left).bit_count()
+    gone = mr & ~right
+    while gone:
+        low = gone & -gone
+        gone ^= low
+        if (left >> mate_r[low.bit_length() - 1]) & 1:
+            kept -= 1
+    return kept
+
+
 def alpha_product_split(g: Graph, p1: SplitPartition, h: Graph, p2: SplitPartition):
     """alpha(G x H) for splitgraphs: (value, witness).
 
     Maximum over independent sets with zero, one, or >= 2 vertices in the
     rook block C1 x C2.  Two or more rook vertices must pairwise share a
     coordinate, hence all lie in one row or one column.  Each case is one
-    Koenig run on masks of the explicit product, skipped when its vertex
-    count cannot beat the best so far; the first best case wins.  Case 0
-    runs cold; the rook and row cases start from case 0's matching and
-    sides, the column cases from those of the first column case run.  The
-    Koenig witness does not depend on which maximum matching was found, so
-    warm starts change neither the value nor the witness.
+    Koenig run on masks of the explicit product; the first best case wins.
+    Case 0 runs cold; the rook and row cases start from case 0's matching
+    and sides, the column cases from those of the first column case run.
+    The Koenig witness does not depend on which maximum matching was
+    found, so warm starts change neither the value nor the witness.
+
+    A case is skipped when an upper bound on its value cannot beat the best
+    so far.  The bound is its vertex count |L| + |R| + |rook|, less, for a
+    warm-started case, the number kept of its base matching's pairs with
+    both ends inside L and R.  Those pairs are checked edges between the
+    sides, so they are a matching of the case's bipartite graph: its
+    maximum matching has at least kept pairs, and by Koenig its alpha is at
+    most |L| + |R| - kept.  A skipped case cannot strictly beat the best,
+    so the first best case, hence the value and the witness, are the same
+    as with every case run.
     """
     p1.validate(g)
     p2.validate(h)
@@ -260,9 +312,13 @@ def alpha_product_split(g: Graph, p1: SplitPartition, h: Graph, p2: SplitPartiti
     best, witness = -1, 0
     bases = {}
     for column, left, right, rook in solver.cases():
-        if left.bit_count() + right.bit_count() + rook.bit_count() <= best:
+        bound = left.bit_count() + right.bit_count() + rook.bit_count()
+        base = bases.get(column)
+        if base is not None and bound > best:
+            bound -= _kept_pairs(base, left, right)
+        if bound <= best:
             continue
-        size, cand, state = bipartite_mis(solver.adj, left, right, bases.get(column))
+        size, cand, state = bipartite_mis(solver.adj, left, right, base)
         bases.setdefault(column, state)
         if size + rook.bit_count() > best:
             best, witness = size + rook.bit_count(), cand | rook

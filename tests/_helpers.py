@@ -18,9 +18,16 @@ from itertools import combinations
 
 from indeplib import kernels
 from indeplib.capacity import NeighborhoodProfile
-from indeplib.cotree import join, leaf, union
+from indeplib.cotree import LEAF, UNION, join, leaf, union
 from indeplib.errors import LimitExceeded, VerificationError
-from indeplib.graph import Graph, categorical_product, mask_to_set, neighborhood
+from indeplib.graph import (
+    Graph,
+    categorical_product,
+    connected_components,
+    mask_to_set,
+    neighborhood,
+)
+from indeplib.product_alpha import _SplitProductMIS, bipartite_mis
 
 GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -420,7 +427,103 @@ def verify_product_witness(g: Graph, h: Graph, witness, size):
 
 
 # ---------------------------------------------------------------------------
+# graph properties only tests ask for
+
+
+def component_count(g: Graph) -> int:
+    comp = connected_components(g)
+    return max(comp) + 1 if comp else 0
+
+
+def is_connected(g: Graph) -> bool:
+    return g.n <= 1 or component_count(g) == 1
+
+
+def is_bipartite(g: Graph):
+    """Returns a proper 2-coloring (list of 0/1) or None."""
+    color = [-1] * g.n
+    for start in range(g.n):
+        if color[start] >= 0:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            w = g.adj[u]
+            while w:
+                v = (w & -w).bit_length() - 1
+                w &= w - 1
+                if color[v] < 0:
+                    color[v] = 1 - color[u]
+                    stack.append(v)
+                elif color[v] == color[u]:
+                    return None
+    return color
+
+
+# ---------------------------------------------------------------------------
 # exhaustive references
+
+
+def cograph_product_reference(tg, th):
+    """alpha(G x H) for cotrees by the same recursion as
+    alpha_product_cographs, memoizing a set of leaf pairs with every value:
+    (value, witness of row-major product ids).  Recursive, so for shallow
+    trees only."""
+    memo = {}
+
+    def solve(a, b):
+        key = (id(a), id(b))
+        if key in memo:
+            return memo[key]
+        if a.kind == LEAF or b.kind == LEAF:
+            value = a.size * b.size
+            witness = {(g, h) for g in a.leaves for h in b.leaves}
+        elif a.kind == UNION:
+            value = 0
+            witness = set()
+            for child in a.children:
+                v, w = solve(child, b)
+                value += v
+                witness |= w
+        elif b.kind == UNION:
+            value = 0
+            witness = set()
+            for child in b.children:
+                v, w = solve(a, child)
+                value += v
+                witness |= w
+        else:
+            # both joins: best one-sided block
+            best = None
+            for child in a.children:
+                cand = solve(child, b)
+                if best is None or cand[0] > best[0]:
+                    best = cand
+            for child in b.children:
+                cand = solve(a, child)
+                if cand[0] > best[0]:
+                    best = cand
+            value, witness = best
+        memo[key] = (value, witness)
+        return memo[key]
+
+    value, pairs = solve(tg, th)
+    return value, {g * th.size + h for g, h in pairs}
+
+
+def split_product_reference(g: Graph, p1, h: Graph, p2):
+    """alpha(G x H) for split graphs over every case of the product theorem,
+    each Koenig run cold and none skipped: (value, witness, index of the
+    first best case in _SplitProductMIS.cases order)."""
+    solver = _SplitProductMIS(g, p1, h, p2)
+    best = None
+    for index, (_, left, right, rook) in enumerate(solver.cases()):
+        size, witness, _ = bipartite_mis(solver.adj, left, right)
+        size += rook.bit_count()
+        if best is None or size > best[0]:
+            best = (size, witness | rook, index)
+    return best[0], mask_to_set(best[1]), best[2]
 
 
 def enumerate_maximal_independent_sets(g: Graph):

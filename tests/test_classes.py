@@ -69,6 +69,17 @@ def test_cotree_parse_format_round_trip():
         assert parse_cotree(format_cotree(t)) == t
 
 
+def test_cotree_helpers_on_deep_tree():
+    # 1200 leaves nested 1199 deep: formatting, equality and hashing need
+    # no recursion
+    text = threshold_cotree_text(1200)
+    t, u = parse_cotree(text), parse_cotree(text)
+    assert t is not u
+    assert format_cotree(t) == text
+    assert t == u and hash(t) == hash(u)
+    assert t != parse_cotree(text.replace("(* 0 1)", "(+ 0 1)"))
+
+
 def test_cotree_canonical_flattening():
     # nested same-label nodes flatten, children sort by least leaf
     t = union(leaf(2), union(leaf(0), leaf(1)))

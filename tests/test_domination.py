@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from _helpers import is_bipartite
 from indeplib.domination import (
     ri_complete_bipartite_power,
     ri_power_exact,
@@ -20,7 +21,6 @@ from indeplib.graph import (
     complete_graph,
     connected_components,
     graph_power,
-    is_bipartite,
 )
 from indeplib.oracles import independent_domination_exact
 

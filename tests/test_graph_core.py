@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from _helpers import complement_rook
+from _helpers import complement_rook, component_count, is_bipartite, is_connected
 from indeplib.errors import LimitExceeded, ParseError
 from indeplib.graph import (
     Graph,
@@ -12,14 +12,11 @@ from indeplib.graph import (
     complete_bipartite,
     complete_graph,
     complete_multipartite,
-    component_count,
     connected_components,
     cycle_graph,
     disjoint_union,
     empty_graph,
     graph_power,
-    is_bipartite,
-    is_connected,
     join,
     mask_to_set,
     neighborhood,

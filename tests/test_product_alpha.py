@@ -10,9 +10,18 @@ import textwrap
 import pytest
 
 import indeplib
-from _helpers import random_cotree, random_graph, random_max_degree, verify_product_witness
+from _helpers import (
+    cograph_product_reference,
+    is_bipartite,
+    random_cotree,
+    random_graph,
+    random_max_degree,
+    split_product_reference,
+    threshold_cotree_text,
+    verify_product_witness,
+)
 from indeplib import product_alpha
-from indeplib.cotree import cograph_recognize, leaf, parse_cotree, realize
+from indeplib.cotree import cograph_recognize, join, leaf, parse_cotree, realize
 from indeplib.errors import VerificationError
 from indeplib.graph import (
     Graph,
@@ -21,7 +30,6 @@ from indeplib.graph import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
-    is_bipartite,
     mask_to_set,
     path_graph,
     set_to_mask,
@@ -80,6 +88,29 @@ def test_cograph_product_random_vs_oracle():
         verify_product_witness(g, h, witness, value)
         # one-sided lower bound for any product
         assert value >= max(alpha_exact(g)[0] * h.n, alpha_exact(h)[0] * g.n)
+
+
+def test_cograph_product_matches_set_memo_reference():
+    # values first and one witness walk give the same value and witness as
+    # memoizing a set of leaf pairs with every value; every tenth pair
+    # multiplies a tree by itself
+    rng = random.Random(41)
+    for i in range(300):
+        tg = random_cotree(rng.randint(1, 40), rng)
+        th = tg if i % 10 == 0 else random_cotree(rng.randint(1, 40), rng)
+        assert alpha_product_cographs(tg, th) == cograph_product_reference(tg, th)
+
+
+def test_cograph_product_deep_cotree():
+    # 1200 leaves nested 1199 deep against K2: no recursion in either pass,
+    # and G x K2 is bipartite, so Koenig gives the exact value
+    tg = parse_cotree(threshold_cotree_text(1200))
+    th = join(leaf(0), leaf(1))
+    value, witness = alpha_product_cographs(tg, th)
+    g, h = realize(tg), realize(th)
+    verify_product_witness(g, h, witness, value)
+    evens = set_to_mask(range(0, 2 * g.n, 2))
+    assert value == bipartite_mis(categorical_product(g, h).adj, evens, evens << 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +294,47 @@ def test_split_product_random_vs_oracle():
         assert value == alpha_exact(categorical_product(g, h))[0]
         verify_product_witness(g, h, witness, value)
         done += 1
+
+
+def _split_case_kind(p1, p2, index):
+    """Kind of the case at index in _SplitProductMIS.cases order."""
+    rooks = len(p1.clique) * len(p2.clique)
+    if index == 0:
+        return "none"
+    if index <= rooks:
+        return "rook"
+    if index <= rooks + len(p1.clique):
+        return "row"
+    return "column"
+
+
+def test_split_product_matches_cold_reference():
+    # the warm-started case loop with its matching bound gives the same
+    # value and witness as running every case cold with none skipped
+    rng = random.Random(31)
+    for _ in range(200):
+        g = _random_split(rng.randint(1, 24), rng)
+        h = _random_split(rng.randint(1, 24), rng)
+        p1, p2 = split_partition(g), split_partition(h)
+        assert alpha_product_split(g, p1, h, p2) == split_product_reference(g, p1, h, p2)[:2]
+
+
+def test_split_bound_keeps_winning_cases():
+    # a rook, a row and a later column case win here, each warm-started; the
+    # rook and row bounds equal the winning value, so a bound one short or a
+    # skip on equality would drop them
+    p3 = star_graph(2)
+    pins = [
+        ("rook", Graph(5, [(0, 1), (0, 2), (0, 3), (1, 4)]), p3, 10),
+        ("row", p3, p3, 6),
+        ("column", PAW, Graph(5, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4)]), 12),
+    ]
+    for kind, g, h, want in pins:
+        p1, p2 = split_partition(g), split_partition(h)
+        value, witness, index = split_product_reference(g, p1, h, p2)
+        assert _split_case_kind(p1, p2, index) == kind and value == want
+        assert alpha_product_split(g, p1, h, p2) == (value, witness)
+        assert value == alpha_exact(categorical_product(g, h))[0]
 
 
 def test_split_verification_survives_optimize():
