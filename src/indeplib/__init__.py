@@ -61,7 +61,7 @@ from .product_alpha import (
     alpha_product_split,
     extract_is_from_k4_product,
 )
-from .ratio import Ratio, parse_ratio, ratio, ratio_str
+from .ratio import ratio_str
 from .splitgraph import SplitPartition, is_splitgraph, split_partition
 from .treedecomp import NiceTreeDecomposition, validate_and_nicify
 
@@ -83,7 +83,6 @@ __all__ = [
     "NotASplitgraph",
     "ParseError",
     "PermutationModel",
-    "Ratio",
     "SplitPartition",
     "a_bruteforce",
     "a_cograph",
@@ -111,9 +110,7 @@ __all__ = [
     "is_cograph",
     "is_splitgraph",
     "parse_cotree",
-    "parse_ratio",
     "path_graph",
-    "ratio",
     "ratio_str",
     "realize",
     "realize_interval",

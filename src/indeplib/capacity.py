@@ -18,7 +18,7 @@ from .config import DEFAULT_ALPHA_LIMIT
 from .cotree import LEAF, UNION, Cotree, realize
 from .errors import InvalidDecomposition, LimitExceeded, VerificationError
 from .flow import min_ratio_subset
-from .graph import Graph, connected_components, mask_to_set, neighborhood, set_to_mask
+from .graph import Graph, components, mask_to_set, neighborhood, set_to_mask
 from .intersection import IntervalModel, PermutationModel, realize_interval, realize_permutation
 from .kernels import bipartite_matching
 from .splitgraph import SplitPartition
@@ -451,13 +451,12 @@ def tensor_capacity(
         raise ValueError("tensor_capacity needs a graph or a certificate")
     if g.n == 0:
         raise ValueError("capacity of the empty graph is undefined")
-    comp = connected_components(g)
-    ncomp = max(comp) + 1
-    if ncomp == 1:
+    parts = components(g.adj, (1 << g.n) - 1)
+    if len(parts) == 1:
         return a_general_exact(g, limit=limit)
     best = None
-    for c in range(ncomp):
-        verts = [v for v in range(g.n) if comp[v] == c]
+    for part in parts:
+        verts = sorted(mask_to_set(part))
         sub = g.subgraph(verts)
         res = a_general_exact(sub, limit=limit)
         wit = frozenset(verts[v] for v in res.witness)

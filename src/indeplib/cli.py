@@ -101,7 +101,10 @@ def cmd_alpha(args):
             if args.split:
                 raise
     if engine is None:
-        value, witness = alpha_exact(categorical_product(g, h), limit=oracle_limit())
+        limit, size = oracle_limit(), g.n * h.n
+        if size > limit:
+            raise LimitExceeded(f"alpha_exact limited to {limit} vertices, got {size}", required=size)
+        value, witness = alpha_exact(categorical_product(g, h), limit=limit)
         engine = "oracle"
     human = f"alpha={value} engine={engine}"
     witness = sorted(witness)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InvalidModel, NotACograph
-from .graph import Graph, connected_components
+from .graph import Graph, components, mask_to_set, set_to_mask
 
 LEAF = "leaf"
 UNION = "+"
@@ -126,67 +126,59 @@ def realize(t: Cotree) -> Graph:
 
 
 def find_p4(g: Graph, vertices=None):
-    """An induced P4 (a,b,c,d) with edges ab, bc, cd, or None."""
+    """The first induced P4 among the 4-subsets of vertices in lexicographic
+    order, as (a,b,c,d) with edges ab, bc, cd walked from its lower end, or
+    None.  A 4-set induces a P4 exactly when its in-set degrees are 1,1,2,2."""
     if vertices is None:
         vertices = range(g.n)
+    adj = g.adj
     for quad in combinations(sorted(vertices), 4):
-        sub = [(u, v) for u, v in combinations(quad, 2) if g.has_edge(u, v)]
-        if len(sub) != 3:
+        sub = set_to_mask(quad)
+        degs = [(adj[v] & sub).bit_count() for v in quad]
+        if sorted(degs) != [1, 1, 2, 2]:
             continue
-        deg = {v: 0 for v in quad}
-        for u, v in sub:
-            deg[u] += 1
-            deg[v] += 1
-        ends = sorted(v for v in quad if deg[v] == 1)
-        if len(ends) != 2:
-            continue
-        # walk from the lower endpoint
-        edge_set = {frozenset(e) for e in sub}
-        path = [ends[0]]
-        used = {ends[0]}
-        while len(path) < 4:
-            nxt = next(
-                v for v in quad if v not in used and frozenset((path[-1], v)) in edge_set
-            )
-            path.append(nxt)
-            used.add(nxt)
-        return tuple(path)
+        a = quad[degs.index(1)]
+        b = (adj[a] & sub).bit_length() - 1
+        c = (adj[b] & sub & ~(1 << a)).bit_length() - 1
+        d = (adj[c] & sub & ~(1 << b)).bit_length() - 1
+        return (a, b, c, d)
     return None
 
 
 def cograph_recognize(g: Graph) -> Cotree:
     """Canonical cotree for g, or NotACograph with an induced-P4 witness.
 
-    Recursive complement-components method, O(n^2) per level; good enough
-    since linear time is not a goal here.
+    A vertex set of a cograph with >= 2 vertices is disconnected in g (a
+    union node) or in its complement (a join node).  Sets are split on an
+    explicit stack, parts ordered by least vertex and expanded depth first;
+    nodes are built children first.  The witness is find_p4 on the first
+    set, in that order, that splits in neither graph.
     """
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         raise InvalidModel("empty graph has no cotree")
-
-    def build(vertices):
-        if len(vertices) == 1:
-            return leaf(vertices[0])
-        sub = g.subgraph(vertices)
-        back = sorted(vertices)
-        comp = connected_components(sub)
-        ncomp = max(comp) + 1
-        if ncomp > 1:
-            parts = [
-                build([back[i] for i in range(len(back)) if comp[i] == c])
-                for c in range(ncomp)
-            ]
-            return union(*parts)
-        cc = connected_components(sub.complement())
-        nco = max(cc) + 1
-        if nco > 1:
-            parts = [
-                build([back[i] for i in range(len(back)) if cc[i] == c])
-                for c in range(nco)
-            ]
-            return join(*parts)
-        raise NotACograph(find_p4(g, vertices))
-
-    return build(list(range(g.n)))
+    full = (1 << n) - 1
+    co = [full & ~m & ~(1 << v) for v, m in enumerate(g.adj)]
+    built = []
+    stack = [full]  # vertex masks to split, and (kind, arity) nodes to build
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            kind, arity = item
+            node = _merge(kind, built[-arity:])
+            del built[-arity:]
+            built.append(node)
+        elif item & (item - 1) == 0:
+            built.append(leaf(item.bit_length() - 1))
+        else:
+            kind, parts = UNION, components(g.adj, item)
+            if len(parts) == 1:
+                kind, parts = JOIN, components(co, item)
+                if len(parts) == 1:
+                    raise NotACograph(find_p4(g, mask_to_set(item)))
+            stack.append((kind, len(parts)))
+            stack.extend(reversed(parts))
+    return built[0]
 
 
 def is_cograph(g: Graph) -> bool:

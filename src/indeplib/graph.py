@@ -87,10 +87,6 @@ class Graph:
                 return False
         return True
 
-    def complement(self):
-        full = (1 << self.n) - 1
-        return Graph.from_adj([full & ~m & ~(1 << v) for v, m in enumerate(self.adj)])
-
     def subgraph(self, vertices):
         """Induced subgraph; vertex order = sorted(vertices)."""
         order = sorted(vertices)
@@ -180,29 +176,23 @@ def neighborhood(g: Graph, vertices) -> set:
     return mask_to_set(mask)
 
 
-def connected_components(g: Graph):
-    """Per-vertex component ids, numbered by least contained vertex order."""
-    comp = [-1] * g.n
-    next_id = 0
-    for start in range(g.n):
-        if comp[start] >= 0:
-            continue
-        comp[start] = next_id
-        frontier = 1 << start
-        seen = frontier
+def components(adj, mask):
+    """Connected components of the subgraph induced on the vertex mask, as
+    vertex masks ordered by least vertex; adj holds one neighbour mask per
+    vertex (a graph's ``adj``, or the masks of its complement)."""
+    parts = []
+    while mask:
+        comp = frontier = mask & -mask
         while frontier:
             reach = 0
             while frontier:
-                reach |= g.adj[(frontier & -frontier).bit_length() - 1]
+                reach |= adj[(frontier & -frontier).bit_length() - 1]
                 frontier &= frontier - 1
-            frontier = reach & ~seen
-            seen |= reach
-            w = frontier
-            while w:
-                comp[(w & -w).bit_length() - 1] = next_id
-                w &= w - 1
-        next_id = next_id + 1
-    return comp
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        parts.append(comp)
+        mask &= ~comp
+    return parts
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from fractions import Fraction
 from . import kernels
 from .config import DEFAULT_ALPHA_LIMIT, DEFAULT_BRUTEFORCE_LIMIT
 from .errors import LimitExceeded
-from .graph import Graph, connected_components, mask_to_set
+from .graph import Graph, components, mask_to_set
 
 
 def alpha_exact(g: Graph, limit=None):
@@ -22,12 +22,10 @@ def alpha_exact(g: Graph, limit=None):
         limit = DEFAULT_ALPHA_LIMIT
     if g.n > limit:
         raise LimitExceeded(f"alpha_exact limited to {limit} vertices, got {g.n}", required=g.n)
-    comp = connected_components(g)
-    ncomp = max(comp) + 1 if comp else 0
     total = 0
     witness = set()
-    for c in range(ncomp):
-        vertices = [v for v in range(g.n) if comp[v] == c]
+    for part in components(g.adj, (1 << g.n) - 1):
+        vertices = sorted(mask_to_set(part))
         if len(vertices) == 1:
             total += 1
             witness.add(vertices[0])
@@ -50,7 +48,7 @@ def alpha_exact(g: Graph, limit=None):
 
 def a_bruteforce(g: Graph, limit=DEFAULT_BRUTEFORCE_LIMIT):
     """Exact a(G) = max |I|/(|I|+|N(I)|) over nonempty independent sets,
-    by enumerating all subsets.  Returns (Ratio, witness set)."""
+    by enumerating all subsets.  Returns (Fraction, witness set)."""
     if g.n == 0:
         raise ValueError("a(G) is undefined for the empty graph")
     if g.n > limit:

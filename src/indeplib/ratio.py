@@ -5,29 +5,10 @@ compared by cross-multiplication, never floating point.  This module only
 adds the serialization helpers used at the CLI/JSON boundary.
 """
 
-from fractions import Fraction
-
-Ratio = Fraction
-
-
-def ratio(numerator, denominator=1):
-    """Exact non-negative rational in lowest terms."""
-    r = Fraction(numerator, denominator)
-    if r < 0:
-        raise ValueError(f"negative ratio {r}")
-    return r
-
 
 def ratio_str(r):
     """Serialize as 'p/q' (always with the slash, even for integers)."""
     return f"{r.numerator}/{r.denominator}"
-
-
-def parse_ratio(text):
-    num, sep, den = text.partition("/")
-    if sep:
-        return ratio(int(num), int(den))
-    return ratio(int(num))
 
 
 def ratio_decimal(r, places=6):

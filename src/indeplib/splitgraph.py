@@ -25,21 +25,22 @@ class SplitPartition:
 
 
 def _find_obstruction(g: Graph):
-    """First induced 2K2, C4 or C5 in lexicographic subset order."""
+    """First induced 2K2, C4 or C5 in lexicographic subset order, every
+    4-subset before any 5-subset.  A 4-set induces a 2K2 when each of its
+    vertices has one neighbour inside it and a C4 when each has two; a
+    5-set induces a C5 when each has two."""
+    adj = g.adj
     for quad in combinations(range(g.n), 4):
-        edges = [frozenset(e) for e in combinations(quad, 2) if g.has_edge(*e)]
-        if len(edges) == 2 and not (edges[0] & edges[1]):
+        sub = set_to_mask(quad)
+        degs = {(adj[v] & sub).bit_count() for v in quad}
+        if degs == {1}:
             return "2K2", quad
-        if len(edges) == 4:
-            deg = {v: sum(v in e for e in edges) for v in quad}
-            if all(d == 2 for d in deg.values()):
-                return "C4", quad
+        if degs == {2}:
+            return "C4", quad
     for five in combinations(range(g.n), 5):
-        edges = [e for e in combinations(five, 2) if g.has_edge(*e)]
-        if len(edges) == 5:
-            deg = {v: sum(v in e for e in edges) for v in five}
-            if all(d == 2 for d in deg.values()):
-                return "C5", five
+        sub = set_to_mask(five)
+        if all((adj[v] & sub).bit_count() == 2 for v in five):
+            return "C5", five
     return None
 
 

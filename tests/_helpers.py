@@ -19,11 +19,10 @@ from itertools import combinations
 from indeplib import kernels
 from indeplib.capacity import NeighborhoodProfile
 from indeplib.cotree import LEAF, UNION, join, leaf, union
-from indeplib.errors import LimitExceeded, VerificationError
+from indeplib.errors import InvalidModel, LimitExceeded, NotACograph, VerificationError
 from indeplib.graph import (
     Graph,
     categorical_product,
-    connected_components,
     mask_to_set,
     neighborhood,
 )
@@ -430,6 +429,36 @@ def verify_product_witness(g: Graph, h: Graph, witness, size):
 # graph properties only tests ask for
 
 
+def connected_components(g: Graph):
+    """Per-vertex component ids, numbered by least contained vertex order."""
+    comp = [-1] * g.n
+    next_id = 0
+    for start in range(g.n):
+        if comp[start] >= 0:
+            continue
+        comp[start] = next_id
+        frontier = 1 << start
+        seen = frontier
+        while frontier:
+            reach = 0
+            while frontier:
+                reach |= g.adj[(frontier & -frontier).bit_length() - 1]
+                frontier &= frontier - 1
+            frontier = reach & ~seen
+            seen |= reach
+            w = frontier
+            while w:
+                comp[(w & -w).bit_length() - 1] = next_id
+                w &= w - 1
+        next_id = next_id + 1
+    return comp
+
+
+def complement(g: Graph) -> Graph:
+    full = (1 << g.n) - 1
+    return Graph.from_adj([full & ~m & ~(1 << v) for v, m in enumerate(g.adj)])
+
+
 def component_count(g: Graph) -> int:
     comp = connected_components(g)
     return max(comp) + 1 if comp else 0
@@ -463,6 +492,88 @@ def is_bipartite(g: Graph):
 
 # ---------------------------------------------------------------------------
 # exhaustive references
+
+
+def find_p4_reference(g: Graph, vertices=None):
+    """An induced P4 (a,b,c,d) with edges ab, bc, cd, or None, from edge
+    lists of every 4-subset in lexicographic order."""
+    if vertices is None:
+        vertices = range(g.n)
+    for quad in combinations(sorted(vertices), 4):
+        sub = [(u, v) for u, v in combinations(quad, 2) if g.has_edge(u, v)]
+        if len(sub) != 3:
+            continue
+        deg = {v: 0 for v in quad}
+        for u, v in sub:
+            deg[u] += 1
+            deg[v] += 1
+        ends = sorted(v for v in quad if deg[v] == 1)
+        if len(ends) != 2:
+            continue
+        # walk from the lower endpoint
+        edge_set = {frozenset(e) for e in sub}
+        path = [ends[0]]
+        used = {ends[0]}
+        while len(path) < 4:
+            nxt = next(
+                v for v in quad if v not in used and frozenset((path[-1], v)) in edge_set
+            )
+            path.append(nxt)
+            used.add(nxt)
+        return tuple(path)
+    return None
+
+
+def cograph_recognize_reference(g: Graph):
+    """Canonical cotree for g, or NotACograph with an induced-P4 witness, by
+    recursion over induced subgraphs and their complements."""
+    if g.n == 0:
+        raise InvalidModel("empty graph has no cotree")
+
+    def build(vertices):
+        if len(vertices) == 1:
+            return leaf(vertices[0])
+        sub = g.subgraph(vertices)
+        back = sorted(vertices)
+        comp = connected_components(sub)
+        ncomp = max(comp) + 1
+        if ncomp > 1:
+            parts = [
+                build([back[i] for i in range(len(back)) if comp[i] == c])
+                for c in range(ncomp)
+            ]
+            return union(*parts)
+        cc = connected_components(complement(sub))
+        nco = max(cc) + 1
+        if nco > 1:
+            parts = [
+                build([back[i] for i in range(len(back)) if cc[i] == c])
+                for c in range(nco)
+            ]
+            return join(*parts)
+        raise NotACograph(find_p4_reference(g, vertices))
+
+    return build(list(range(g.n)))
+
+
+def find_obstruction_reference(g: Graph):
+    """First induced 2K2, C4 or C5 in lexicographic subset order, from edge
+    lists of every subset."""
+    for quad in combinations(range(g.n), 4):
+        edges = [frozenset(e) for e in combinations(quad, 2) if g.has_edge(*e)]
+        if len(edges) == 2 and not (edges[0] & edges[1]):
+            return "2K2", quad
+        if len(edges) == 4:
+            deg = {v: sum(v in e for e in edges) for v in quad}
+            if all(d == 2 for d in deg.values()):
+                return "C4", quad
+    for five in combinations(range(g.n), 5):
+        edges = [e for e in combinations(five, 2) if g.has_edge(*e)]
+        if len(edges) == 5:
+            deg = {v: sum(v in e for e in edges) for v in five}
+            if all(d == 2 for d in deg.values()):
+                return "C5", five
+    return None
 
 
 def cograph_product_reference(tg, th):

@@ -13,6 +13,7 @@ import pytest
 import indeplib
 from _helpers import (
     chain_dp_reference,
+    connected_components,
     enumerate_maximal_independent_sets,
     profile_exhaustive,
     random_cotree,
@@ -45,7 +46,6 @@ from indeplib.graph import (
     complete_bipartite,
     complete_graph,
     complete_multipartite,
-    connected_components,
     cycle_graph,
     disjoint_union,
     graph_power,

@@ -6,7 +6,10 @@ import random
 import pytest
 
 from _helpers import (
+    cograph_recognize_reference,
+    find_obstruction_reference,
     graph_catalog_upto,
+    random_cotree,
     random_graph,
     split_partition_scan,
     threshold_cotree_text,
@@ -49,7 +52,7 @@ from indeplib.io import (
     parse_permutation_model,
     parse_tree_decomposition,
 )
-from indeplib.splitgraph import is_splitgraph, split_partition
+from indeplib.splitgraph import _find_obstruction, is_splitgraph, split_partition
 from indeplib.treedecomp import validate_and_nicify, validate_decomposition
 
 
@@ -109,6 +112,87 @@ def test_cograph_recognition_round_trip():
 def test_find_p4():
     assert find_p4(path_graph(4)) == (0, 1, 2, 3)
     assert find_p4(complete_graph(4)) is None
+
+
+def _cotree_or_p4(recognize, g):
+    try:
+        return format_cotree(recognize(g))
+    except NotACograph as err:
+        return err.witness
+
+
+def _obstruction(g):
+    try:
+        split_partition(g)
+    except NotASplitgraph as err:
+        return err.kind, err.witness
+    return None
+
+
+def test_recognition_matches_references_on_catalog():
+    for g in graph_catalog_upto(7):
+        edges = list(g.edges())
+        assert _cotree_or_p4(cograph_recognize, g) == _cotree_or_p4(
+            cograph_recognize_reference, g
+        ), edges
+        want = find_obstruction_reference(g)
+        assert _find_obstruction(g) == want and _obstruction(g) == want, edges
+
+
+def test_recognition_matches_references_on_relabelled_cographs():
+    # random cographs under a random vertex order, every second one with one
+    # vertex pair toggled, so most of those fail with a P4 deep in the tree
+    rng = random.Random(5)
+    for i in range(300):
+        n = rng.randint(2, 40)
+        t = random_cotree(n, rng)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        adj = [0] * n
+        for u, v in realize(t).edges():
+            adj[perm[u]] |= 1 << perm[v]
+            adj[perm[v]] |= 1 << perm[u]
+        if i % 2:
+            u, v = rng.sample(range(n), 2)
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+        g = Graph.from_adj(adj)
+        edges = list(g.edges())
+        assert _cotree_or_p4(cograph_recognize, g) == _cotree_or_p4(
+            cograph_recognize_reference, g
+        ), edges
+        found = _obstruction(g)
+        if found is not None:
+            assert found == find_obstruction_reference(g), edges
+
+
+def test_find_obstruction_matches_reference_on_random_graphs():
+    # random graphs, and random split graphs with every second one given
+    # one toggled vertex pair, so obstructions also sit late in the order
+    rng = random.Random(6)
+    for i in range(600):
+        n = rng.randint(4, 10)
+        if i % 3 == 0:
+            g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
+        else:
+            clique = rng.sample(range(n), rng.randint(1, n - 1))
+            edges = {(u, v) for u in clique for v in clique if u < v}
+            edges |= {
+                (min(u, v), max(u, v))
+                for u in clique
+                for v in range(n)
+                if v not in clique and rng.random() < 0.5
+            }
+            if i % 2:
+                edges ^= {tuple(sorted(rng.sample(range(n), 2)))}
+            g = Graph(n, edges)
+        assert _find_obstruction(g) == find_obstruction_reference(g), list(g.edges())
+
+
+def test_cograph_recognize_deep_threshold_graph():
+    # 1200 vertices, each set splits off one vertex: the cotree is 1199 deep
+    t = parse_cotree(threshold_cotree_text(1200))
+    assert cograph_recognize(realize(t)) == t
 
 
 # ---------------------------------------------------------------------------

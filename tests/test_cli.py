@@ -1,15 +1,16 @@
 """CLI behavior: output formats, JSON lines, exit codes."""
 
 import json
+import random
 
 import pytest
 
-from _helpers import threshold_cotree_text
-from indeplib import capacity
+from _helpers import random_graph, threshold_cotree_text
+from indeplib import capacity, cli
 from indeplib.capacity import a_split
 from indeplib.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, EXIT_VIOLATION, main
 from indeplib.cotree import parse_cotree, realize
-from indeplib.graph import cycle_graph, path_graph, star_graph
+from indeplib.graph import complete_graph, cycle_graph, path_graph, star_graph
 from indeplib.io import format_graph, parse_graph
 from indeplib.ratio import ratio_str
 from indeplib.splitgraph import SplitPartition
@@ -95,6 +96,30 @@ def test_alpha_split_fallback(capsys, files):
 def test_alpha_forced_cotree_rejects_p4(capsys, files):
     code, _, err = run(capsys, "alpha", "--cotree", files["p4"], files["p4"])
     assert code == EXIT_INPUT and "error" in err
+
+
+def test_alpha_deep_threshold_cograph(capsys, tmp_path):
+    # a 1200-vertex threshold graph is recognized as a cograph 1199 deep
+    (tmp_path / "t.g").write_text(format_graph(realize(parse_cotree(threshold_cotree_text(1200)))))
+    (tmp_path / "k2.g").write_text(format_graph(complete_graph(2)))
+    code, out, err = run(capsys, "alpha", str(tmp_path / "t.g"), str(tmp_path / "k2.g"))
+    assert code == EXIT_OK, err
+    assert out.startswith("alpha=1200 ") and "engine=cograph" in out
+
+
+def test_alpha_oracle_limit_checked_before_product(capsys, tmp_path, monkeypatch):
+    # neither factor is a cograph or split; the 10,000-vertex product is
+    # refused before it is built
+    def refuse(g, h):
+        raise AssertionError("product built past the oracle limit")
+
+    monkeypatch.setattr(cli, "categorical_product", refuse)
+    rng = random.Random(2)
+    for name in ("a.g", "b.g"):
+        (tmp_path / name).write_text(format_graph(random_graph(100, 0.5, rng)))
+    code, out, err = run(capsys, "alpha", str(tmp_path / "a.g"), str(tmp_path / "b.g"))
+    assert code == EXIT_LIMIT and out == ""
+    assert err == "error: alpha_exact limited to 40 vertices, got 10000\n"
 
 
 def test_alpha_json(capsys, files):

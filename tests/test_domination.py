@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from _helpers import is_bipartite
+from _helpers import connected_components, is_bipartite
 from indeplib.domination import (
     ri_complete_bipartite_power,
     ri_power_exact,
@@ -19,7 +19,6 @@ from indeplib.graph import (
     categorical_product,
     complete_bipartite,
     complete_graph,
-    connected_components,
     graph_power,
 )
 from indeplib.oracles import independent_domination_exact

@@ -1,10 +1,18 @@
 """Graph construction, products, powers, helpers, file formats, ratios."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from _helpers import complement_rook, component_count, is_bipartite, is_connected
+from _helpers import (
+    complement,
+    complement_rook,
+    component_count,
+    connected_components,
+    is_bipartite,
+    is_connected,
+)
 from indeplib.errors import LimitExceeded, ParseError
 from indeplib.graph import (
     Graph,
@@ -12,7 +20,7 @@ from indeplib.graph import (
     complete_bipartite,
     complete_graph,
     complete_multipartite,
-    connected_components,
+    components,
     cycle_graph,
     disjoint_union,
     empty_graph,
@@ -25,7 +33,7 @@ from indeplib.graph import (
     star_graph,
 )
 from indeplib.io import format_graph, parse_graph
-from indeplib.ratio import parse_ratio, ratio, ratio_decimal, ratio_str
+from indeplib.ratio import ratio_decimal, ratio_str
 
 
 def test_graph_basics():
@@ -54,7 +62,7 @@ def test_graph_rejects_bad_edges():
 
 def test_complement_and_subgraph():
     g = path_graph(4)
-    c = g.complement()
+    c = complement(g)
     assert sorted(c.edges()) == [(0, 2), (0, 3), (1, 3)]
     sub = g.subgraph([1, 2, 3])
     assert sub.n == 3 and sorted(sub.edges()) == [(0, 1), (1, 2)]
@@ -119,6 +127,10 @@ def test_components_and_bipartite():
     g = disjoint_union(path_graph(3), complete_graph(3))
     assert component_count(g) == 2
     assert connected_components(g) == [0, 0, 0, 1, 1, 1]
+    assert components(g.adj, 0b111111) == [0b000111, 0b111000]
+    assert components(g.adj, 0b101101) == [0b000001, 0b000100, 0b101000]
+    assert components(complement(g).adj, 0b111111) == [0b111111]
+    assert components(g.adj, 0) == []
     assert not is_connected(g)
     assert is_bipartite(path_graph(4)) is not None
     assert is_bipartite(cycle_graph(5)) is None
@@ -162,12 +174,7 @@ def test_edge_list_comments_and_errors():
 
 
 def test_ratio_helpers():
-    assert ratio(2, 4) == ratio(1, 2)
-    assert ratio_str(ratio(3, 6)) == "1/2"
-    assert ratio_str(ratio(1)) == "1/1"
-    assert parse_ratio("7/27") == ratio(7, 27)
-    assert parse_ratio("3") == 3
-    assert ratio_decimal(ratio(2, 3)) == "0.666667"
-    assert ratio_decimal(ratio(1, 2), places=2) == "0.50"
-    with pytest.raises(ValueError):
-        ratio(-1, 2)
+    assert ratio_str(Fraction(3, 6)) == "1/2"
+    assert ratio_str(Fraction(1)) == "1/1"
+    assert ratio_decimal(Fraction(2, 3)) == "0.666667"
+    assert ratio_decimal(Fraction(1, 2), places=2) == "0.50"

@@ -4,7 +4,9 @@ that breaks ``perfbench/run.py --trace 1`` fails here."""
 import os
 import sys
 
-from indeplib.graph import Graph
+import pytest
+
+from indeplib.graph import Graph, cycle_graph, path_graph
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -28,11 +30,18 @@ def test_trace_wrappers_install_and_count():
         item = tracer.begin_item(0)
         lib.product_alpha.alpha_product_split(paw, part, paw, part)
         lib.capacity.tensor_capacity(paw, split=part)
+        # failed recognitions reach their witness finders as module globals
+        with pytest.raises(lib.errors.NotACograph):
+            lib.cotree.cograph_recognize(path_graph(4))
+        with pytest.raises(lib.errors.NotASplitgraph):
+            lib.splitgraph.split_partition(cycle_graph(4))
         tracer.finish(item)
         calls = {name: c for name, (c, _, _) in tracer.aggregate().items()}
         assert calls["product_alpha.alpha_product_split"] == 1
         assert calls["capacity.has_fractional_perfect_matching"] == 1
         assert calls["kernels.bipartite_matching"] >= 2
+        assert calls["cotree.find_p4"] == 1
+        assert calls["splitgraph._find_obstruction"] == 1
     finally:
         sys.path.remove(PERFBENCH)
         for name in _indeplib_modules():
