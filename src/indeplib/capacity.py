@@ -1,10 +1,12 @@
 """Tensor capacity: a(G), a*(G) and Theta^T(G) = a*(G).
 
 a(G) maximizes |I| / (|I| + |N(I)|) over nonempty independent sets I; a*
-rounds values above 1/2 up to 1.  Per-class engines (cograph, splitgraph,
-interval, permutation, bounded treewidth) run polynomial dynamic programs;
-the general engine scans maximal independent sets and solves a ratio
-minimization per set.  All values are exact Fractions.
+rounds values above 1/2 up to 1.  Per-class engines run polynomial
+algorithms: a profile DP on the cotree, a ratio minimization for split
+graphs, and a Dinkelbach loop over chain or tree-decomposition DPs for
+interval, permutation and bounded-treewidth graphs.  The general engine
+scans maximal independent sets and solves a ratio minimization per set.
+All values are exact Fractions.
 """
 
 from __future__ import annotations
@@ -118,47 +120,44 @@ def cograph_profile(t: Cotree) -> NeighborhoodProfile:
     """Bottom-up profile: unions convolve (min-plus), joins take the best
     child and pay for every vertex of the other children.  Nodes are solved
     in reverse preorder, so children come first and deep cotrees do not
-    recurse."""
+    recurse.  Witnesses are vertex masks until the root's profile."""
     stack, order = [t], []
     while stack:
         node = stack.pop()
         order.append(node)
         stack.extend(node.children)
-    solved = {}  # id(node) -> profile, until the parent takes it
+    solved = {}  # id(node) -> (table, witness masks), until the parent takes it
     for node in reversed(order):
         if node.kind == LEAF:
-            profile = NeighborhoodProfile({0: 0, 1: 0}, {0: set(), 1: {node.vertex}})
+            table, wits = {0: 0, 1: 0}, {0: 0, 1: 1 << node.vertex}
         elif node.kind == UNION:
-            table = {0: 0}
-            wits = {0: frozenset()}
+            table, wits = {0: 0}, {0: 0}
             for child in node.children:
-                cp = solved.pop(id(child))
+                ct, cw = solved.pop(id(child))
                 nt, nw = {}, {}
                 for k1, e1 in table.items():
-                    for k2, e2 in cp.table.items():
+                    for k2, e2 in ct.items():
                         k = k1 + k2
                         if k not in nt or e1 + e2 < nt[k]:
                             nt[k] = e1 + e2
-                            nw[k] = wits[k1] | cp.witnesses[k2]
+                            nw[k] = wits[k1] | cw[k2]
                 table, wits = nt, nw
-            profile = NeighborhoodProfile(table, wits)
         else:
             # join: a nonempty independent set sits inside one child and
             # sees every vertex of the other children
-            table = {0: 0}
-            wits = {0: frozenset()}
+            table, wits = {0: 0}, {0: 0}
             for child in node.children:
                 other = node.size - child.size
-                cp = solved.pop(id(child))
-                for k, e in cp.table.items():
+                ct, cw = solved.pop(id(child))
+                for k, e in ct.items():
                     if k == 0:
                         continue
                     if k not in table or e + other < table[k]:
                         table[k] = e + other
-                        wits[k] = cp.witnesses[k]
-            profile = NeighborhoodProfile(table, wits)
-        solved[id(node)] = profile
-    return solved[id(t)]
+                        wits[k] = cw[k]
+        solved[id(node)] = table, wits
+    table, wits = solved[id(t)]
+    return NeighborhoodProfile(table, {k: mask_to_set(w) for k, w in wits.items()})
 
 
 def a_cograph(t: Cotree) -> CapacityResult:
@@ -197,42 +196,63 @@ def a_split(g: Graph, part: SplitPartition) -> CapacityResult:
 
 
 # ---------------------------------------------------------------------------
-# interval and permutation graphs (chain dynamic programs)
+# interval, permutation and bounded-treewidth graphs (Dinkelbach steps)
 
 
-def _chain_dp(g: Graph, order, chain_ok):
-    """Shared O(n^2 * alpha) DP on the graph's masks.
+def _dinkelbach(g: Graph, step):
+    """(a, witness) by Dinkelbach's iteration (1967) on integers.
 
-    order lists the vertices in processing order; chain_ok(y, x) says that y
-    may precede x in an independent chain (strictly left, no intersection).
-    Requires the class property that a common neighbor of two chain members
-    is also a neighbor of everything between them, which makes
-    |N(x) \\ N(y)| the exact increment.  Row of x: {k: (cost, witness mask)}
-    for the best chain of k vertices ending in x; on equal cost the first
-    predecessor in order wins.
+    From a set of ratio a = p/q, step(gain=q - p, pen=p) returns the maximum
+    of gain*|I| - pen*|N(I)| over independent sets I with a witness mask;
+    the maximum is positive exactly when some I has a ratio above p/q.
+    While it is, the loop moves to the witness's ratio; it stops at 0, which
+    the current set attains.  The start is the least vertex of minimum
+    degree, and the witness is the set found by the last improving step.
     """
     adj = g.adj
-    rows = {}
+    v = min(range(g.n), key=lambda u: adj[u].bit_count())
+    witness, p, q = 1 << v, 1, 1 + adj[v].bit_count()
+    while True:
+        value, mask = step(gain=q - p, pen=p)
+        if value <= 0:
+            return Fraction(p, q), frozenset(mask_to_set(witness))
+        witness, p, nbrs = mask, mask.bit_count(), 0
+        for u in mask_to_set(mask):
+            nbrs |= adj[u]
+        q = p + nbrs.bit_count()
+
+
+def _chain_dp(g: Graph, order, chain_ok, gain, pen):
+    """One Dinkelbach step on an interval or permutation graph, O(n^2).
+
+    Returns (max of gain*|C| - pen*|N(C)| over independent chains C, a
+    witness mask); the empty chain gives (0, 0).  order lists the vertices
+    in processing order; chain_ok(y, x) says that y may precede x in an
+    independent chain (strictly left, no intersection).  Requires the class
+    property that a common neighbor of two chain members is also a neighbor
+    of everything between them, which makes |N(x) \\ N(y)| the exact
+    increment.  Each vertex keeps one (value, witness mask) for the best
+    chain ending in it; a row and the result keep their first strict
+    maximizer in processing order.  The engines call this through the
+    module global, so a wrapper installed on the name (the benchmark's
+    tracer) sees every step.
+    """
+    adj = g.adj
+    rows = []  # (y, value, witness mask) of the best chain ending in y
+    best = (0, 0)
     for x in order:
-        ax, bit = adj[x], 1 << x
-        row = {1: (ax.bit_count(), bit)}
-        for y, prev in rows.items():
-            if not chain_ok(y, x):
-                continue
-            inc = (ax & ~adj[y]).bit_count()
-            for k, (cost, wit) in prev.items():
-                cost += inc
-                old = row.get(k + 1)
-                if old is None or cost < old[0]:
-                    row[k + 1] = (cost, wit | bit)
-        rows[x] = row
-    result = None
-    for row in rows.values():  # x in order, then k ascending (rows fill up in k)
-        for k, (cost, wit) in row.items():
-            ratio = Fraction(k, k + cost)
-            if result is None or ratio > result[0]:
-                result = (ratio, wit)
-    return result[0], frozenset(mask_to_set(result[1]))
+        ax = adj[x]
+        value, wit = -pen * ax.bit_count(), 0
+        for y, vy, wy in rows:
+            if chain_ok(y, x):
+                v = vy - pen * (ax & ~adj[y]).bit_count()
+                if v > value:
+                    value, wit = v, wy
+        row = (x, value + gain, wit | 1 << x)
+        rows.append(row)
+        if row[1] > best[0]:
+            best = row[1:]
+    return best
 
 
 def a_interval(model: IntervalModel) -> CapacityResult:
@@ -245,7 +265,7 @@ def a_interval(model: IntervalModel) -> CapacityResult:
     def chain_ok(y, x):
         return ivs[y][1] < ivs[x][0]
 
-    a, witness = _chain_dp(g, order, chain_ok)
+    a, witness = _dinkelbach(g, lambda gain, pen: _chain_dp(g, order, chain_ok, gain, pen))
     return _finish(g, a, witness, Engine.INTERVAL)
 
 
@@ -254,23 +274,22 @@ def a_permutation(model: PermutationModel) -> CapacityResult:
         raise ValueError("capacity of the empty graph is undefined")
     g = realize_permutation(model)
     order = list(range(model.n))
-    a, witness = _chain_dp(g, order, model.left_of)
+    a, witness = _dinkelbach(g, lambda gain, pen: _chain_dp(g, order, model.left_of, gain, pen))
     return _finish(g, a, witness, Engine.PERMUTATION)
 
 
-# ---------------------------------------------------------------------------
-# bounded treewidth
+def treewidth_profile(g: Graph, d: NiceTreeDecomposition, gain, pen):
+    """One Dinkelbach step on the nice-decomposition DP.
 
-
-def treewidth_profile(g: Graph, d: NiceTreeDecomposition) -> NeighborhoodProfile:
-    """Profile via the nice-decomposition DP.
-
-    Entry key: (mask of bag vertices in I, mask of bag vertices with a
-    processed neighbor in I, k = |I| over processed vertices).  Value:
-    (m, witness mask) with m the number of processed vertices known to lie
-    in N(I) and witness one I achieving it.  A vertex's neighbor count is
-    final when it is forgotten, because all its neighbors live in bags of
-    the current subtree.
+    Returns (max of gain*|I| - pen*|N(I)| over independent sets I, a
+    witness mask).  Entry key: (mask of bag vertices in I, mask of bag
+    vertices with a processed neighbor in I).  Value: (gain * |I| - pen * m,
+    witness mask), I over processed vertices and m the number of processed
+    vertices known to lie in N(I).  A vertex's neighbor count is final when
+    it is forgotten, because all its neighbors live in bags of the current
+    subtree.  Each key keeps its first strict maximizer.  The engine calls
+    this through the module global, under the name the benchmark's tracer
+    wraps.
     """
     tables = []
     for node in d.nodes:
@@ -278,71 +297,62 @@ def treewidth_profile(g: Graph, d: NiceTreeDecomposition) -> NeighborhoodProfile
         if node.kind == START:
             if bag:
                 raise InvalidDecomposition("nice-form", "start bags must be empty")
-            tab = {(0, 0, 0): (0, 0)}
+            tab = {(0, 0): (0, 0)}
         elif node.kind == INTRODUCE:
             bit = 1 << node.vertex
             child = tables[node.children[0]]
             tab = {}
 
-            def put(key, m, wit):
-                if key not in tab or m < tab[key][0]:
-                    tab[key] = (m, wit)
+            def put(key, value, wit):
+                if key not in tab or value > tab[key][0]:
+                    tab[key] = (value, wit)
 
             xnbrs = g.adj[node.vertex] & set_to_mask(bag)
-            for (inb, nbrb, k), (m, wit) in child.items():
+            for (inb, nbrb), (value, wit) in child.items():
                 if not xnbrs & inb:
                     # x joins I: free bag neighbors of x become NBR
                     promoted = xnbrs & ~nbrb
-                    put((inb | bit, nbrb | promoted, k + 1), m + promoted.bit_count(), wit | bit)
-                    put((inb, nbrb, k), m, wit)  # x stays free
+                    joined = value + gain - pen * promoted.bit_count()
+                    put((inb | bit, nbrb | promoted), joined, wit | bit)
+                    put((inb, nbrb), value, wit)  # x stays free
                 else:
-                    put((inb, nbrb | bit, k), m + 1, wit)
+                    put((inb, nbrb | bit), value - pen, wit)
         elif node.kind == FORGET:
             keep = ~(1 << node.vertex)
             child = tables[node.children[0]]
             tab = {}
-            for (inb, nbrb, k), (m, wit) in child.items():
-                key = (inb & keep, nbrb & keep, k)
-                if key not in tab or m < tab[key][0]:
-                    tab[key] = (m, wit)
+            for (inb, nbrb), (value, wit) in child.items():
+                key = (inb & keep, nbrb & keep)
+                if key not in tab or value > tab[key][0]:
+                    tab[key] = (value, wit)
         elif node.kind == JOIN:
             left = tables[node.children[0]]
             right = tables[node.children[1]]
             by_in = {}
-            for key in right:
-                by_in.setdefault(key[0], []).append(key)
+            for (inb, nbr2), entry in right.items():
+                by_in.setdefault(inb, []).append((nbr2, entry))
             tab = {}
-            for (inb, nbr1, k1), (m1, w1) in left.items():
-                for key2 in by_in.get(inb, ()):
-                    _, nbr2, k2 = key2
-                    m2, w2 = right[key2]
-                    k = k1 + k2 - inb.bit_count()
-                    m = m1 + m2 - (nbr1 & nbr2).bit_count()
-                    key = (inb, nbr1 | nbr2, k)
-                    if key not in tab or m < tab[key][0]:
-                        tab[key] = (m, w1 | w2)
+            for (inb, nbr1), (v1, w1) in left.items():
+                shared = gain * inb.bit_count()
+                for nbr2, (v2, w2) in by_in.get(inb, ()):
+                    value = v1 + v2 - shared + pen * (nbr1 & nbr2).bit_count()
+                    key = (inb, nbr1 | nbr2)
+                    if key not in tab or value > tab[key][0]:
+                        tab[key] = (value, w1 | w2)
         else:
             raise InvalidDecomposition("nice-form", f"unknown node kind {node.kind!r}")
         tables.append(tab)
 
     root = tables[d.root]
-    table = {}
-    wits = {}
-    for (inb, nbrb, k), (m, wit) in root.items():
-        if inb or nbrb:
-            raise InvalidDecomposition("nice-form", "the root bag must be empty")
-        if k not in table or m < table[k]:
-            table[k] = m
-            wits[k] = wit
-    return NeighborhoodProfile(table, {k: mask_to_set(w) for k, w in wits.items()})
+    if set(root) != {(0, 0)}:
+        raise InvalidDecomposition("nice-form", "the root bag must be empty")
+    return root[(0, 0)]
 
 
 def a_treewidth(g: Graph, d: NiceTreeDecomposition) -> CapacityResult:
     if g.n == 0:
         raise ValueError("capacity of the empty graph is undefined")
-    profile = treewidth_profile(g, d)
-    profile.verify(g)
-    a, _, witness = profile.best()
+    a, witness = _dinkelbach(g, lambda gain, pen: treewidth_profile(g, d, gain, pen))
     return _finish(g, a, witness, Engine.TREEWIDTH)
 
 

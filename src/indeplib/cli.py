@@ -94,8 +94,11 @@ def cmd_alpha(args):
             if args.cotree:
                 raise
     if engine is None and not args.oracle:
+        # only --split reports the obstruction, so only then is it searched for
         try:
-            value, witness = alpha_product_split(g, split_partition(g), h, split_partition(h))
+            pg = split_partition(g, obstruction=args.split)
+            ph = split_partition(h, obstruction=args.split)
+            value, witness = alpha_product_split(g, pg, h, ph)
             engine = "split"
         except NotASplitgraph:
             if args.split:

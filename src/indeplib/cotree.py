@@ -17,12 +17,14 @@ class Cotree:
 
     Internal nodes carry >= 2 children and never share their label with the
     parent; children are ordered by least leaf id, which makes equal graphs
-    produce equal trees and keeps memoization keys stable.  The leaves and
-    the hash are computed once from the children's, and equality walks
-    both trees on an explicit stack, so deep trees need no recursion.
+    produce equal trees and keeps memoization keys stable.  Each node keeps
+    the mask of its leaves, its size and its hash, computed once from the
+    children's; a leaf repeated across children shows as overlapping masks.
+    Equality walks both trees on an explicit stack, so deep trees need no
+    recursion.
     """
 
-    __slots__ = ("kind", "vertex", "children", "_leaves", "_hash")
+    __slots__ = ("kind", "vertex", "children", "mask", "size", "_hash")
 
     def __init__(self, kind, vertex=None, children=()):
         self.kind = kind
@@ -31,7 +33,7 @@ class Cotree:
         if kind == LEAF:
             if vertex is None or vertex < 0:
                 raise InvalidModel("leaf needs a non-negative vertex id")
-            self._leaves = (vertex,)
+            self.mask, self.size = 1 << vertex, 1
         else:
             if kind not in (UNION, JOIN):
                 raise InvalidModel(f"unknown cotree label {kind!r}")
@@ -40,21 +42,19 @@ class Cotree:
             for c in self.children:
                 if c.kind == kind:
                     raise InvalidModel("cotree child repeats its parent's label")
-            leaves = []
+            mask = size = 0
             for c in self.children:
-                leaves.extend(c._leaves)
-            if len(set(leaves)) != len(leaves):
-                raise InvalidModel("duplicate leaf ids in cotree")
-            self._leaves = tuple(sorted(leaves))
+                if mask & c.mask:
+                    raise InvalidModel("duplicate leaf ids in cotree")
+                mask |= c.mask
+                size += c.size
+            self.mask, self.size = mask, size
         self._hash = hash((kind, vertex, tuple(c._hash for c in self.children)))
 
     @property
     def leaves(self):
-        return self._leaves
-
-    @property
-    def size(self):
-        return len(self._leaves)
+        """The leaf ids in increasing order."""
+        return tuple(sorted(mask_to_set(self.mask)))
 
     def __eq__(self, other):
         if not isinstance(other, Cotree):
@@ -95,7 +95,7 @@ def _merge(kind, parts):
             flat.append(p)
     if len(flat) == 1:
         return flat[0]
-    flat.sort(key=lambda c: c.leaves[0])
+    flat.sort(key=lambda c: c.mask & -c.mask)
     return Cotree(kind, children=flat)
 
 
@@ -108,21 +108,25 @@ def join(*parts):
 
 
 def realize(t: Cotree) -> Graph:
-    """The labeled graph of a cotree whose leaves are exactly 0..n-1."""
+    """The labeled graph of a cotree whose leaves are exactly 0..n-1.
+
+    Top-down on an explicit stack: each node passes its children the
+    vertices that joins above it connect to all of its leaves, and a join
+    adds its other children's leaves, so each leaf's mask is set once."""
     n = t.size
-    if t.leaves != tuple(range(n)):
+    if t.mask != (1 << n) - 1:
         raise InvalidModel(f"cotree leaves {t.leaves} are not dense 0..{n - 1}")
-    edges = []
-    stack = [t]
+    adj = [0] * n
+    stack = [(t, 0)]  # node, and the vertices a join above joins to all its leaves
     while stack:
-        node = stack.pop()
-        if node.kind == JOIN:
-            for a, b in combinations(node.children, 2):
-                for u in a.leaves:
-                    for v in b.leaves:
-                        edges.append((u, v))
-        stack.extend(node.children)
-    return Graph(n, edges)
+        node, joined = stack.pop()
+        if node.kind == LEAF:
+            adj[node.vertex] = joined
+        elif node.kind == JOIN:
+            stack.extend((c, joined | node.mask & ~c.mask) for c in node.children)
+        else:
+            stack.extend((c, joined) for c in node.children)
+    return Graph._from_symmetric(adj)  # every join pair is set from both ends
 
 
 def find_p4(g: Graph, vertices=None):
@@ -215,8 +219,11 @@ def format_cotree(t: Cotree) -> str:
 
 def parse_cotree(text: str) -> Cotree:
     """Parse an s-expression; nesting is tracked on an explicit stack, so
-    depth is limited by memory only."""
+    depth is limited by memory only.  Leaf ids must lie below the number
+    of leaves, as in every cotree that can be realized; a larger id is
+    refused before it becomes a leaf mask of that many bits."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    leaf_count = sum(tok not in ("(", ")", UNION, JOIN) for tok in tokens)
     open_nodes = []  # (kind, children so far) of every unclosed '('
     pos = 0
     while True:
@@ -242,6 +249,8 @@ def parse_cotree(text: str) -> Cotree:
                 v = int(tok)
             except ValueError:
                 raise InvalidModel(f"bad cotree token {tok!r}") from None
+            if v >= leaf_count:
+                raise InvalidModel(f"cotree leaf id {v} is out of range for {leaf_count} leaves")
             node = leaf(v)
         if not open_nodes:
             break

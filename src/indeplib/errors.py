@@ -41,11 +41,17 @@ class NotACograph(IndeplibError):
 class NotASplitgraph(IndeplibError):
     """Raised by split-partition search; carries an obstruction witness.
 
-    kind is one of '2K2', 'C4', 'C5'.
+    kind is one of '2K2', 'C4', 'C5', or None when the search was asked
+    for no witness.
     """
 
     def __init__(self, kind, witness):
-        super().__init__(f"graph is not a splitgraph: induced {kind} on vertices {sorted(witness)}")
+        if kind is None:
+            super().__init__("graph is not a splitgraph")
+        else:
+            super().__init__(
+                f"graph is not a splitgraph: induced {kind} on vertices {sorted(witness)}"
+            )
         self.kind = kind
         self.witness = tuple(witness)
 

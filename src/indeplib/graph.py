@@ -32,9 +32,7 @@ class Graph:
 
     @classmethod
     def from_adj(cls, adj):
-        g = cls.__new__(cls)
-        g.n = len(adj)
-        g.adj = tuple(adj)
+        g = cls._from_symmetric(adj)
         full = (1 << g.n) - 1
         for v, mask in enumerate(g.adj):
             if mask & (1 << v):
@@ -48,6 +46,15 @@ class Graph:
                 if not g.adj[u] & (1 << v):
                     raise ValueError(f"adjacency not symmetric at ({v},{u})")
                 w &= w - 1
+        return g
+
+    @classmethod
+    def _from_symmetric(cls, adj):
+        """A graph on adjacency masks that are loop-free and symmetric by
+        construction; unlike from_adj, nothing is checked again."""
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g.adj = tuple(adj)
         return g
 
     def has_edge(self, u, v):

@@ -44,14 +44,17 @@ def _find_obstruction(g: Graph):
     return None
 
 
-def split_partition(g: Graph) -> SplitPartition:
+def split_partition(g: Graph, obstruction=True) -> SplitPartition:
     """A split partition, or NotASplitgraph with a 2K2/C4/C5 witness.
 
     Determinism: among all valid partitions the clique side is maximized,
     ties broken by lexicographically smallest C.  Once the degree test
     passes, the base C is a maximum clique (Hammer & Simeone 1981), so the
     only other clique sides of its size are swaps (C - u) + v where u is
-    v's only non-neighbor in C and u has no neighbor in S - v.
+    v's only non-neighbor in C and u has no neighbor in S - v.  With
+    obstruction=False a graph that fails the degree test raises
+    NotASplitgraph with no witness (kind None), skipping the scan of every
+    4- and 5-subset; callers that drop the witness pass it.
     """
     n = g.n
     if n == 0:
@@ -64,6 +67,8 @@ def split_partition(g: Graph) -> SplitPartition:
     base_c = order[:m]
     base_s = order[m:]
     if top != m * (m - 1) + rest or not g.is_clique(base_c) or not g.is_independent(base_s):
+        if not obstruction:
+            raise NotASplitgraph(None, ())
         found = _find_obstruction(g)
         if found is None:
             raise RuntimeError("degree test rejected a graph with no 2K2/C4/C5")

@@ -19,14 +19,22 @@ from itertools import combinations
 from indeplib import kernels
 from indeplib.capacity import NeighborhoodProfile
 from indeplib.cotree import LEAF, UNION, join, leaf, union
-from indeplib.errors import InvalidModel, LimitExceeded, NotACograph, VerificationError
+from indeplib.errors import (
+    InvalidDecomposition,
+    InvalidModel,
+    LimitExceeded,
+    NotACograph,
+    VerificationError,
+)
 from indeplib.graph import (
     Graph,
     categorical_product,
     mask_to_set,
     neighborhood,
+    set_to_mask,
 )
 from indeplib.product_alpha import _SplitProductMIS, bipartite_mis
+from indeplib.treedecomp import FORGET, INTRODUCE, JOIN, START, NiceTreeDecomposition
 
 GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -704,6 +712,82 @@ def chain_dp_reference(g: Graph, order, chain_ok):
         if result is None or ratio > result[0]:
             result = (ratio, wit)
     return result
+
+
+def treewidth_profile_reference(g: Graph, d: NiceTreeDecomposition) -> NeighborhoodProfile:
+    """The size-indexed profile DP on a nice decomposition, which the
+    treewidth engine ran before its Dinkelbach steps: ell(k) for every k.
+
+    Entry key: (mask of bag vertices in I, mask of bag vertices with a
+    processed neighbor in I, k = |I| over processed vertices).  Value:
+    (m, witness mask) with m the number of processed vertices known to lie
+    in N(I) and witness one I achieving it.  A vertex's neighbor count is
+    final when it is forgotten, because all its neighbors live in bags of
+    the current subtree.
+    """
+    tables = []
+    for node in d.nodes:
+        bag = node.bag
+        if node.kind == START:
+            if bag:
+                raise InvalidDecomposition("nice-form", "start bags must be empty")
+            tab = {(0, 0, 0): (0, 0)}
+        elif node.kind == INTRODUCE:
+            bit = 1 << node.vertex
+            child = tables[node.children[0]]
+            tab = {}
+
+            def put(key, m, wit):
+                if key not in tab or m < tab[key][0]:
+                    tab[key] = (m, wit)
+
+            xnbrs = g.adj[node.vertex] & set_to_mask(bag)
+            for (inb, nbrb, k), (m, wit) in child.items():
+                if not xnbrs & inb:
+                    # x joins I: free bag neighbors of x become NBR
+                    promoted = xnbrs & ~nbrb
+                    put((inb | bit, nbrb | promoted, k + 1), m + promoted.bit_count(), wit | bit)
+                    put((inb, nbrb, k), m, wit)  # x stays free
+                else:
+                    put((inb, nbrb | bit, k), m + 1, wit)
+        elif node.kind == FORGET:
+            keep = ~(1 << node.vertex)
+            child = tables[node.children[0]]
+            tab = {}
+            for (inb, nbrb, k), (m, wit) in child.items():
+                key = (inb & keep, nbrb & keep, k)
+                if key not in tab or m < tab[key][0]:
+                    tab[key] = (m, wit)
+        elif node.kind == JOIN:
+            left = tables[node.children[0]]
+            right = tables[node.children[1]]
+            by_in = {}
+            for key in right:
+                by_in.setdefault(key[0], []).append(key)
+            tab = {}
+            for (inb, nbr1, k1), (m1, w1) in left.items():
+                for key2 in by_in.get(inb, ()):
+                    _, nbr2, k2 = key2
+                    m2, w2 = right[key2]
+                    k = k1 + k2 - inb.bit_count()
+                    m = m1 + m2 - (nbr1 & nbr2).bit_count()
+                    key = (inb, nbr1 | nbr2, k)
+                    if key not in tab or m < tab[key][0]:
+                        tab[key] = (m, w1 | w2)
+        else:
+            raise InvalidDecomposition("nice-form", f"unknown node kind {node.kind!r}")
+        tables.append(tab)
+
+    root = tables[d.root]
+    table = {}
+    wits = {}
+    for (inb, nbrb, k), (m, wit) in root.items():
+        if inb or nbrb:
+            raise InvalidDecomposition("nice-form", "the root bag must be empty")
+        if k not in table or m < table[k]:
+            table[k] = m
+            wits[k] = wit
+    return NeighborhoodProfile(table, {k: mask_to_set(w) for k, w in wits.items()})
 
 
 def profile_exhaustive(g: Graph, limit=20) -> NeighborhoodProfile:

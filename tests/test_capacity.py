@@ -19,6 +19,7 @@ from _helpers import (
     random_cotree,
     random_graph,
     treewidth_decomposition,
+    treewidth_profile_reference,
     trivial_decomposition,
 )
 from indeplib import capacity
@@ -49,6 +50,8 @@ from indeplib.graph import (
     cycle_graph,
     disjoint_union,
     graph_power,
+    mask_to_set,
+    neighborhood,
     path_graph,
     star_graph,
 )
@@ -171,8 +174,8 @@ def test_chain_engines_random_vs_brute():
 
 
 def test_chain_dp_matches_reference():
-    # identical (a, witness), including which of several optimal chains is
-    # kept; short intervals on few endpoints make equal costs common
+    # a equals the size-indexed reference's a on the same models; short
+    # intervals on few endpoints make several optimal chains common
     from indeplib.intersection import realize_interval, realize_permutation
 
     rng = random.Random(11)
@@ -183,19 +186,83 @@ def test_chain_dp_matches_reference():
         for _ in range(n):
             left = rng.randrange(2 * n)
             ivs.append((left, left + rng.randint(0, span)))
+        m = IntervalModel(tuple(ivs))
+        order = sorted(range(n), key=lambda v: (ivs[v][1], ivs[v][0], v))
+
+        def chain_ok(y, x):
+            return ivs[y][1] < ivs[x][0]
+
+        assert a_interval(m).a == chain_dp_reference(realize_interval(m), order, chain_ok)[0]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        pm = PermutationModel(tuple(perm))
+        g = realize_permutation(pm)
+        assert a_permutation(pm).a == chain_dp_reference(g, list(range(n)), pm.left_of)[0]
+
+
+def test_chain_witness_rule_on_several_optimal_chains():
+    # 2K2 plus an isolated vertex: {4} (ratio 1) beats every chain through
+    # the edges, and the start vertex of minimum degree is the least one
+    r = a_interval(IntervalModel(((0, 1), (1, 2), (3, 4), (4, 5), (7, 7))))
+    assert r.a == 1 and r.witness == {4}
+    # P4: the start {0} (least vertex of degree 1) has ratio 1/2 = a, so no
+    # step improves and it stays the witness, though {0,2}, {0,3} and {1,3}
+    # attain 1/2 too
+    r = a_interval(IntervalModel(((0, 1), (1, 2), (2, 3), (3, 4))))
+    assert r.a == Fraction(1, 2) and r.witness == {0}
+    # 3K2 as a permutation: the step from {0} (gain 1, pen 1) has maximum 0
+    r = a_permutation(PermutationModel((1, 0, 3, 2, 5, 4)))
+    assert r.a == Fraction(1, 2) and r.witness == {0}
+    # P5: the step from {0} scores {0,2,4} at 3 - 2 = 1, the next one has
+    # maximum 0, so the last improving step's set is the witness
+    r = a_interval(IntervalModel(((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))))
+    assert r.a == Fraction(3, 5) and r.witness == {0, 2, 4}
+    # P6 with gain 2, pen 1: {0,2,4}, {0,2,5}, {0,3,5} and {1,3,5} all score
+    # 6 - 3; the first strict maximizer in processing order is kept, so the
+    # chain ending in 4 wins.  A maximum of 0 is the empty chain's.
+    g = path_graph(6)
+    order = list(range(6))
+
+    def chain_ok(y, x):
+        return y + 1 < x
+
+    assert capacity._chain_dp(g, order, chain_ok, 2, 1) == (3, 0b10101)
+    assert capacity._chain_dp(g, order, chain_ok, 1, 1) == (0, 0)
+
+
+def _step_ok(g, value, mask, gain, pen):
+    """value is max_k gain*k - pen*ell(k), and mask an independent set
+    attaining it."""
+    profile = profile_exhaustive(g)
+    assert value == max(gain * k - pen * e for k, e in profile.table.items())
+    vs = mask_to_set(mask)
+    assert g.is_independent(vs)
+    assert gain * len(vs) - pen * len(neighborhood(g, vs)) == value
+
+
+def test_chain_step_matches_exhaustive():
+    from indeplib.intersection import realize_interval, realize_permutation
+
+    rng = random.Random(17)
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        gain, pen = rng.randint(0, 12), rng.randint(1, 12)
+        ivs = []
+        for _ in range(n):
+            left = rng.randrange(2 * n)
+            ivs.append((left, left + rng.randint(0, rng.choice([1, 3, n]))))
         g = realize_interval(IntervalModel(tuple(ivs)))
         order = sorted(range(n), key=lambda v: (ivs[v][1], ivs[v][0], v))
 
         def chain_ok(y, x):
             return ivs[y][1] < ivs[x][0]
 
-        assert capacity._chain_dp(g, order, chain_ok) == chain_dp_reference(g, order, chain_ok)
+        _step_ok(g, *capacity._chain_dp(g, order, chain_ok, gain, pen), gain, pen)
         perm = list(range(n))
         rng.shuffle(perm)
         pm = PermutationModel(tuple(perm))
         g = realize_permutation(pm)
-        order = list(range(n))
-        assert capacity._chain_dp(g, order, pm.left_of) == chain_dp_reference(g, order, pm.left_of)
+        _step_ok(g, *capacity._chain_dp(g, list(range(n)), pm.left_of, gain, pen), gain, pen)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +281,21 @@ def test_a_treewidth_examples():
 
 
 def test_treewidth_profile_matches_exhaustive():
+    # the step against the exhaustive profile, on random (gain, pen)
+    rng = random.Random(5)
+    for _ in range(120):
+        g = random_graph(rng.randint(1, 10), rng.random(), rng)
+        d = _nice_tw(g) if rng.random() < 0.5 else _nice(g)
+        gain, pen = rng.randint(0, 12), rng.randint(1, 12)
+        _step_ok(g, *treewidth_profile(g, d, gain, pen), gain, pen)
+
+
+def test_treewidth_profile_reference_matches_exhaustive():
     rng = random.Random(5)
     for _ in range(40):
         g = random_graph(rng.randint(1, 8), rng.random(), rng)
         d = _nice_tw(g)
-        p = treewidth_profile(g, d)
+        p = treewidth_profile_reference(g, d)
         q = profile_exhaustive(g)
         assert p.table == q.table
         p.verify(g)
@@ -234,7 +311,9 @@ def test_treewidth_profile_rejects_malformed_nice_form():
     ]
     for nodes in bad:
         with pytest.raises(InvalidDecomposition, match="nice-form"):
-            treewidth_profile(g, NiceTreeDecomposition(nodes, 0))
+            treewidth_profile(g, NiceTreeDecomposition(nodes, 0), 1, 1)
+        with pytest.raises(InvalidDecomposition, match="nice-form"):
+            a_treewidth(g, NiceTreeDecomposition(nodes, 0))
 
 
 # ---------------------------------------------------------------------------

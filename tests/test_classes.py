@@ -96,6 +96,17 @@ def test_cotree_parse_errors():
             parse_cotree(bad)
 
 
+def test_cotree_leaf_masks():
+    t = parse_cotree("(* (+ 3 0) (+ 1 2))")
+    assert t.mask == 0b1111 and t.size == 4 and t.leaves == (0, 1, 2, 3)
+    assert [c.leaves for c in t.children] == [(0, 3), (1, 2)]
+    with pytest.raises(InvalidModel, match="duplicate leaf ids"):
+        parse_cotree("(* (+ 0 1) (+ 1 2))")
+    # refused before a leaf mask of 10^11 bits is built
+    with pytest.raises(InvalidModel, match="out of range for 2 leaves"):
+        parse_cotree("(+ 0 100000000000)")
+
+
 def test_cograph_recognition_round_trip():
     for g in graph_catalog_upto(6):
         if is_cograph(g):
@@ -229,6 +240,10 @@ def test_split_obstructions():
             split_partition(g)
         assert err.value.kind == kind
         assert len(set(err.value.witness)) == (5 if kind == "C5" else 4)
+        with pytest.raises(NotASplitgraph) as err:
+            split_partition(g, obstruction=False)
+        assert err.value.kind is None and err.value.witness == ()
+        assert str(err.value) == "graph is not a splitgraph"
 
 
 def test_split_recognition_matches_obstruction_freedom():

@@ -6,11 +6,11 @@ import random
 import pytest
 
 from _helpers import random_graph, threshold_cotree_text
-from indeplib import capacity, cli
+from indeplib import capacity, cli, splitgraph
 from indeplib.capacity import a_split
 from indeplib.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, EXIT_VIOLATION, main
 from indeplib.cotree import parse_cotree, realize
-from indeplib.graph import complete_graph, cycle_graph, path_graph, star_graph
+from indeplib.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from indeplib.io import format_graph, parse_graph
 from indeplib.ratio import ratio_str
 from indeplib.splitgraph import SplitPartition
@@ -120,6 +120,26 @@ def test_alpha_oracle_limit_checked_before_product(capsys, tmp_path, monkeypatch
     code, out, err = run(capsys, "alpha", str(tmp_path / "a.g"), str(tmp_path / "b.g"))
     assert code == EXIT_LIMIT and out == ""
     assert err == "error: alpha_exact limited to 40 vertices, got 10000\n"
+
+
+def test_alpha_forced_split_reports_obstruction(capsys, files):
+    code, out, err = run(capsys, "alpha", "--split", files["c5"], files["p3"])
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: graph is not a splitgraph: induced C5 on vertices [0, 1, 2, 3, 4]\n"
+
+
+def test_alpha_skips_split_obstruction_without_split_flag(capsys, tmp_path, monkeypatch):
+    # a C5 on vertices 35-39 of 40 fails the split degree test; without
+    # --split its 2K2/C4/C5 witness is never reported, so it is not searched
+    def refuse(g):
+        raise AssertionError("obstruction searched without --split")
+
+    monkeypatch.setattr(splitgraph, "_find_obstruction", refuse)
+    path = tmp_path / "a.g"
+    path.write_text(format_graph(Graph(40, [(35 + i, 35 + (i + 1) % 5) for i in range(5)])))
+    code, out, err = run(capsys, "alpha", str(path), str(path))
+    assert code == EXIT_LIMIT and out == ""
+    assert err == "error: alpha_exact limited to 40 vertices, got 1600\n"
 
 
 def test_alpha_json(capsys, files):

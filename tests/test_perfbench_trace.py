@@ -42,6 +42,19 @@ def test_trace_wrappers_install_and_count():
         assert calls["kernels.bipartite_matching"] >= 2
         assert calls["cotree.find_p4"] == 1
         assert calls["splitgraph._find_obstruction"] == 1
+        # the chain and treewidth engines reach their steps as module globals
+        item = tracer.begin_item(1)
+        lib.capacity.a_interval(lib.intersection.IntervalModel(((0, 1), (1, 2), (2, 3))))
+        lib.capacity.a_permutation(lib.intersection.PermutationModel((1, 0, 2)))
+        p5 = path_graph(5)
+        nice = lib.treedecomp.validate_and_nicify(
+            p5, [{i, i + 1} for i in range(4)], [(i, i + 1) for i in range(3)]
+        )
+        lib.capacity.a_treewidth(p5, nice)
+        tracer.finish(item)
+        calls = {name: c for name, (c, _, _) in tracer.aggregate().items()}
+        assert calls["capacity._chain_dp"] >= 2
+        assert calls["capacity.treewidth_profile"] == 2  # P5: one improving step, one final
     finally:
         sys.path.remove(PERFBENCH)
         for name in _indeplib_modules():
