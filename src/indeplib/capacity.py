@@ -208,18 +208,33 @@ def _dinkelbach(g: Graph, step):
     While it is, the loop moves to the witness's ratio; it stops at 0, which
     the current set attains.  The start is the least vertex of minimum
     degree, and the witness is the set found by the last improving step.
+
+    Each improving witness is checked against g: it must be an independent
+    set of g whose gain*|I| - pen*|N(I)| is the reported value.  A step fed
+    a malformed certificate then raises VerificationError instead of
+    looping, and the checked ratio strictly increases, so the loop ends.
     """
     adj = g.adj
     v = min(range(g.n), key=lambda u: adj[u].bit_count())
     witness, p, q = 1 << v, 1, 1 + adj[v].bit_count()
     while True:
-        value, mask = step(gain=q - p, pen=p)
+        gain, pen = q - p, p
+        value, mask = step(gain=gain, pen=pen)
         if value <= 0:
             return Fraction(p, q), frozenset(mask_to_set(witness))
-        witness, p, nbrs = mask, mask.bit_count(), 0
+        if mask >> g.n:
+            raise VerificationError("Dinkelbach step witness has vertices outside the graph")
+        size, nbrs = mask.bit_count(), 0
         for u in mask_to_set(mask):
             nbrs |= adj[u]
-        q = p + nbrs.bit_count()
+        if nbrs & mask:
+            raise VerificationError("Dinkelbach step witness is not independent")
+        if gain * size - pen * nbrs.bit_count() != value:
+            raise VerificationError(
+                f"Dinkelbach step reported {value}, its witness attains "
+                f"{gain * size - pen * nbrs.bit_count()}"
+            )
+        witness, p, q = mask, size, size + nbrs.bit_count()
 
 
 def _chain_dp(g: Graph, order, chain_ok, gain, pen):
@@ -299,6 +314,10 @@ def treewidth_profile(g: Graph, d: NiceTreeDecomposition, gain, pen):
                 raise InvalidDecomposition("nice-form", "start bags must be empty")
             tab = {(0, 0): (0, 0)}
         elif node.kind == INTRODUCE:
+            if not 0 <= node.vertex < g.n:
+                raise InvalidDecomposition(
+                    "nice-form", f"introduced vertex {node.vertex} is not a vertex of the graph"
+                )
             bit = 1 << node.vertex
             child = tables[node.children[0]]
             tab = {}

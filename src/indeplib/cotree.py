@@ -20,6 +20,10 @@ class Cotree:
     produce equal trees and keeps memoization keys stable.  Each node keeps
     the mask of its leaves, its size and its hash, computed once from the
     children's; a leaf repeated across children shows as overlapping masks.
+    Leaf ids are the vertex ids of the realized graph, dense 0..n-1 (realize
+    refuses any other set), so a leaf's mask takes vertex + 1 bits; callers
+    building cotrees from outside input bound the ids first, as
+    parse_cotree does.
     Equality walks both trees on an explicit stack, so deep trees need no
     recursion.
     """

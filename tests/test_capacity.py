@@ -39,7 +39,7 @@ from indeplib.capacity import (
     treewidth_profile,
 )
 from indeplib.cotree import cograph_recognize, is_cograph, parse_cotree, realize
-from indeplib.errors import InvalidDecomposition, LimitExceeded
+from indeplib.errors import InvalidDecomposition, LimitExceeded, VerificationError
 from indeplib.flow import min_ratio_subset_exhaustive
 from indeplib.graph import (
     Graph,
@@ -59,6 +59,7 @@ from indeplib.intersection import IntervalModel, PermutationModel
 from indeplib.oracles import a_bruteforce, alpha_exact
 from indeplib.splitgraph import is_splitgraph, split_partition
 from indeplib.treedecomp import (
+    FORGET,
     INTRODUCE,
     START,
     NiceNode,
@@ -314,6 +315,32 @@ def test_treewidth_profile_rejects_malformed_nice_form():
             treewidth_profile(g, NiceTreeDecomposition(nodes, 0), 1, 1)
         with pytest.raises(InvalidDecomposition, match="nice-form"):
             a_treewidth(g, NiceTreeDecomposition(nodes, 0))
+    outside = [NiceNode(START, frozenset(), None, ()), NiceNode(INTRODUCE, frozenset({1}), 1, (0,))]
+    with pytest.raises(InvalidDecomposition, match="not a vertex of the graph"):
+        a_treewidth(g, NiceTreeDecomposition(outside, 0))
+
+
+def test_treewidth_rejects_a_nice_form_that_misses_an_edge():
+    # P2 with each vertex in its own bag: the step scores {0, 1} as
+    # independent; the loop must refuse that witness rather than repeat it
+    g = path_graph(2)
+    nodes = [
+        NiceNode(START, frozenset(), None, ()),
+        NiceNode(INTRODUCE, frozenset({0}), 0, (0,)),
+        NiceNode(FORGET, frozenset(), 0, (1,)),
+        NiceNode(INTRODUCE, frozenset({1}), 1, (2,)),
+        NiceNode(FORGET, frozenset(), 1, (3,)),
+    ]
+    with pytest.raises(VerificationError, match="not independent"):
+        a_treewidth(g, NiceTreeDecomposition(nodes, 0))
+
+
+def test_dinkelbach_checks_each_improving_witness():
+    g = path_graph(3)
+    with pytest.raises(VerificationError, match="outside the graph"):
+        capacity._dinkelbach(g, lambda gain, pen: (1, 1 << 3))
+    with pytest.raises(VerificationError, match="reported 5"):
+        capacity._dinkelbach(g, lambda gain, pen: (5, 0b101))
 
 
 # ---------------------------------------------------------------------------
