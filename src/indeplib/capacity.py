@@ -2,11 +2,13 @@
 
 a(G) maximizes |I| / (|I| + |N(I)|) over nonempty independent sets I; a*
 rounds values above 1/2 up to 1.  Per-class engines run polynomial
-algorithms: a profile DP on the cotree, a ratio minimization for split
-graphs, and a Dinkelbach loop over chain or tree-decomposition DPs for
-interval, permutation and bounded-treewidth graphs.  The general engine
-scans maximal independent sets and solves a ratio minimization per set.
-All values are exact Fractions.
+algorithms: a ratio minimization for split graphs, and one Dinkelbach loop
+for cographs, interval, permutation and bounded-treewidth graphs, whose
+step is a pass over the cotree, a chain DP or a tree-decomposition DP.
+The general engine scans maximal independent sets and solves a ratio
+minimization per set.  Every engine hands its witness to _finish as a
+vertex mask, checked by the same routine as each Dinkelbach step's.  All
+values are exact Fractions.
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ class CapacityResult:
 class NeighborhoodProfile:
     """Table ell(k) = minimum |N(I)| over independent sets of size k.
 
+    No engine builds one: a Dinkelbach step finds a without the size
+    dimension.  The table stays as a public type for callers that want the
+    whole trade-off between |I| and |N(I)|, and as the shape of the
+    size-indexed reference DPs the tests check the engines against.
+
     Defined for k = 0..alpha only; larger k are absent rather than carrying
     an infinity sentinel, so min-plus convolutions cannot silently corrupt.
     Each defined k keeps one witness set achieving the minimum.
@@ -99,108 +106,39 @@ class NeighborhoodProfile:
                 )
 
 
+def _witness_counts(g: Graph, mask, what):
+    """(|I|, |N(I)|) of the vertex mask I, from g's adjacency masks.
+
+    Raises VerificationError if I has a vertex outside g or is not
+    independent in g; every witness an engine reports passes here."""
+    if mask >> g.n:
+        raise VerificationError(f"{what} witness has vertices outside the graph")
+    adj, nbrs, m = g.adj, 0, mask
+    while m:
+        low = m & -m
+        nbrs |= adj[low.bit_length() - 1]
+        m ^= low
+    if nbrs & mask:
+        raise VerificationError(f"{what} witness is not independent")
+    return mask.bit_count(), nbrs.bit_count()
+
+
 def _finish(g: Graph, a, witness, engine) -> CapacityResult:
-    witness = frozenset(witness)
-    if not witness or not g.is_independent(witness):
-        raise VerificationError(f"{engine.value} witness is empty or not independent")
-    if Fraction(len(witness), len(witness) + len(neighborhood(g, witness))) != a:
+    """Check the witness mask against g and a, then add a* and the fpm test."""
+    size, nbrs = _witness_counts(g, witness, engine.value)
+    if not size:
+        raise VerificationError(f"{engine.value} witness is empty")
+    if Fraction(size, size + nbrs) != a:
         raise VerificationError(f"{engine.value} witness does not attain a = {a}")
     astar = a_star(a)
     fpm = has_fractional_perfect_matching(g)
     if (astar == 1) == fpm:
         raise VerificationError("a* = 1 must match the absence of a fractional perfect matching")
-    return CapacityResult(a, astar, witness, engine, fpm)
-
-
-# ---------------------------------------------------------------------------
-# cographs
-
-
-def cograph_profile(t: Cotree) -> NeighborhoodProfile:
-    """Bottom-up profile: unions convolve (min-plus), joins take the best
-    child and pay for every vertex of the other children.  Nodes are solved
-    in reverse preorder, so children come first and deep cotrees do not
-    recurse.  Witnesses are vertex masks until the root's profile."""
-    stack, order = [t], []
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
-    solved = {}  # id(node) -> (table, witness masks), until the parent takes it
-    for node in reversed(order):
-        if node.kind == LEAF:
-            table, wits = {0: 0, 1: 0}, {0: 0, 1: 1 << node.vertex}
-        elif node.kind == UNION:
-            table, wits = {0: 0}, {0: 0}
-            for child in node.children:
-                ct, cw = solved.pop(id(child))
-                nt, nw = {}, {}
-                for k1, e1 in table.items():
-                    for k2, e2 in ct.items():
-                        k = k1 + k2
-                        if k not in nt or e1 + e2 < nt[k]:
-                            nt[k] = e1 + e2
-                            nw[k] = wits[k1] | cw[k2]
-                table, wits = nt, nw
-        else:
-            # join: a nonempty independent set sits inside one child and
-            # sees every vertex of the other children
-            table, wits = {0: 0}, {0: 0}
-            for child in node.children:
-                other = node.size - child.size
-                ct, cw = solved.pop(id(child))
-                for k, e in ct.items():
-                    if k == 0:
-                        continue
-                    if k not in table or e + other < table[k]:
-                        table[k] = e + other
-                        wits[k] = cw[k]
-        solved[id(node)] = table, wits
-    table, wits = solved[id(t)]
-    return NeighborhoodProfile(table, {k: mask_to_set(w) for k, w in wits.items()})
-
-
-def a_cograph(t: Cotree) -> CapacityResult:
-    g = realize(t)
-    profile = cograph_profile(t)
-    profile.verify(g)
-    a, _, witness = profile.best()
-    return _finish(g, a, witness, Engine.COGRAPH)
-
-
-# ---------------------------------------------------------------------------
-# splitgraphs
-
-
-def a_split(g: Graph, part: SplitPartition) -> CapacityResult:
-    """max of the independent-side value a0 = 1/(1+nu) (nu from the ratio
-    minimizer over S) and the clique value a1 = (n-d)/n, d the minimum
-    degree over C."""
-    part.validate(g)
-    if g.n == 0:
-        raise ValueError("capacity of the empty graph is undefined")
-    s_side = sorted(part.independent)
-    c_side = sorted(part.clique)
-    best = None
-    if s_side:
-        subset, nu = min_ratio_subset(s_side, g.adj)
-        a0 = Fraction(1, 1) / (1 + nu)
-        best = (a0, frozenset(subset))
-    if c_side:
-        d, c = min((g.degree(v), v) for v in c_side)
-        witness = frozenset(set(range(g.n)) - set(g.neighbors(c)))
-        a1 = Fraction(g.n - d, g.n)
-        if best is None or a1 > best[0]:
-            best = (a1, witness)
-    return _finish(g, best[0], best[1], Engine.SPLIT)
-
-
-# ---------------------------------------------------------------------------
-# interval, permutation and bounded-treewidth graphs (Dinkelbach steps)
+    return CapacityResult(a, astar, frozenset(mask_to_set(witness)), engine, fpm)
 
 
 def _dinkelbach(g: Graph, step):
-    """(a, witness) by Dinkelbach's iteration (1967) on integers.
+    """(a, witness mask) by Dinkelbach's iteration (1967) on integers.
 
     From a set of ratio a = p/q, step(gain=q - p, pen=p) returns the maximum
     of gain*|I| - pen*|N(I)| over independent sets I with a witness mask;
@@ -221,20 +159,103 @@ def _dinkelbach(g: Graph, step):
         gain, pen = q - p, p
         value, mask = step(gain=gain, pen=pen)
         if value <= 0:
-            return Fraction(p, q), frozenset(mask_to_set(witness))
-        if mask >> g.n:
-            raise VerificationError("Dinkelbach step witness has vertices outside the graph")
-        size, nbrs = mask.bit_count(), 0
-        for u in mask_to_set(mask):
-            nbrs |= adj[u]
-        if nbrs & mask:
-            raise VerificationError("Dinkelbach step witness is not independent")
-        if gain * size - pen * nbrs.bit_count() != value:
+            return Fraction(p, q), witness
+        size, nbrs = _witness_counts(g, mask, "Dinkelbach step")
+        if gain * size - pen * nbrs != value:
             raise VerificationError(
-                f"Dinkelbach step reported {value}, its witness attains "
-                f"{gain * size - pen * nbrs.bit_count()}"
+                f"Dinkelbach step reported {value}, its witness attains {gain * size - pen * nbrs}"
             )
-        witness, p, q = mask, size, size + nbrs.bit_count()
+        witness, p, q = mask, size, size + nbrs
+
+
+# ---------------------------------------------------------------------------
+# cographs
+
+
+def cograph_profile(t: Cotree, gain, pen):
+    """One Dinkelbach step on the cotree, O(n).
+
+    Returns (max of gain*|I| - pen*|N(I)| over independent sets I, a
+    witness mask); a maximum of 0 is the empty set's, (0, 0).  Nodes are
+    solved in reverse preorder, so children come first and deep cotrees do
+    not recurse.  A leaf is worth gain; a union adds the values of its
+    children that are positive; a nonempty independent set under a join
+    lies in one child and sees every vertex of the others, so a join keeps
+    its first child of strictly largest value less pen times the other
+    children's vertex count.  A node's value is exact, with its witness,
+    whenever it is positive, which is all the step's maximum needs.  The
+    engine calls this through the module global, under the name the
+    benchmark's tracer wraps.
+    """
+    stack, order = [t], []
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    # in reverse preorder each child's subtree is solved just before its
+    # parent and leaves one (value, witness mask) pair, so a node's children
+    # are the last entries of solved, in order
+    solved = []
+    for node in reversed(order):
+        if node.kind == LEAF:
+            solved.append((gain, 1 << node.vertex))
+            continue
+        k = len(node.children)
+        kids = solved[-k:]
+        del solved[-k:]
+        if node.kind == UNION:
+            value = mask = 0
+            for cv, cm in kids:
+                if cv > 0:
+                    value += cv
+                    mask |= cm
+            best = (value, mask)
+        else:
+            best = None
+            for child, (cv, cm) in zip(node.children, kids):
+                cv -= pen * (node.size - child.size)
+                if best is None or cv > best[0]:
+                    best = (cv, cm)
+        solved.append(best)
+    best = solved[0]
+    return best if best[0] > 0 else (0, 0)
+
+
+def a_cograph(t: Cotree) -> CapacityResult:
+    g = realize(t)
+    a, witness = _dinkelbach(g, lambda gain, pen: cograph_profile(t, gain, pen))
+    return _finish(g, a, witness, Engine.COGRAPH)
+
+
+# ---------------------------------------------------------------------------
+# splitgraphs
+
+
+def a_split(g: Graph, part: SplitPartition) -> CapacityResult:
+    """max of the independent-side value a0 = 1/(1+nu) (nu from the ratio
+    minimizer over S) and the clique value a1 = (n-d)/n, d the minimum
+    degree over C."""
+    part.validate(g)
+    if g.n == 0:
+        raise ValueError("capacity of the empty graph is undefined")
+    s_side = sorted(part.independent)
+    c_side = sorted(part.clique)
+    best = None
+    if s_side:
+        subset, nu = min_ratio_subset(s_side, g.adj)
+        a0 = Fraction(1, 1) / (1 + nu)
+        best = (a0, set_to_mask(subset))
+    if c_side:
+        d, c = min((g.degree(v), v) for v in c_side)
+        witness = ((1 << g.n) - 1) & ~g.adj[c]
+        a1 = Fraction(g.n - d, g.n)
+        if best is None or a1 > best[0]:
+            best = (a1, witness)
+    return _finish(g, best[0], best[1], Engine.SPLIT)
+
+
+# ---------------------------------------------------------------------------
+# interval, permutation and bounded-treewidth graphs
 
 
 def _chain_dp(g: Graph, order, chain_ok, gain, pen):
@@ -407,11 +428,11 @@ def a_general_exact(g: Graph, limit=None) -> CapacityResult:
             continue
         subset, nu = found
         a = Fraction(1, 1) / (1 + nu)
-        wit = frozenset(subset)
-        if best is None or a > best[0] or (a == best[0] and sorted(wit) < sorted(best[1])):
+        wit = sorted(subset)
+        if best is None or a > best[0] or (a == best[0] and wit < best[1]):
             best = (a, wit)
             price = nu
-    return _finish(g, best[0], best[1], Engine.GENERAL)
+    return _finish(g, best[0], set_to_mask(best[1]), Engine.GENERAL)
 
 
 def has_fractional_perfect_matching(g: Graph) -> bool:
@@ -488,7 +509,7 @@ def tensor_capacity(
         verts = sorted(mask_to_set(part))
         sub = g.subgraph(verts)
         res = a_general_exact(sub, limit=limit)
-        wit = frozenset(verts[v] for v in res.witness)
+        wit = set_to_mask(verts[v] for v in res.witness)
         if best is None or res.a > best[0]:
             best = (res.a, wit)
     return _finish(g, best[0], best[1], Engine.GENERAL)

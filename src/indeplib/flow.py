@@ -357,46 +357,3 @@ def min_ratio_subset(svars, nbr, price=None):
             # fixpoint: the maximal cut gives the maximal minimizer
             return set(chosen), best
         best = ratio
-
-
-def min_ratio_subset_exhaustive(svars, nbr):
-    """Oracle twin of min_ratio_subset: scans all nonempty subsets."""
-    svars = sorted(set(svars))
-    ratios = {}
-    for mask in range(1, 1 << len(svars)):
-        sub = frozenset(svars[i] for i in range(len(svars)) if (mask >> i) & 1)
-        nbrs = set().union(*(nbr[v] for v in sub)) if sub else set()
-        ratios[sub] = Fraction(len(nbrs), len(sub))
-    best = min(ratios.values())
-    # minimizers are closed under union, so their union is the maximal one
-    best_set = set().union(*(s for s, r in ratios.items() if r == best))
-    return best_set, best
-
-
-def min_ratio_subset_by_difference(svars, nbr):
-    """The difference-minimizing recursion (argmin |N(S')| - |S'|, then
-    recurse on the rest).  Returns (S*, ratio) or None when the recursion
-    does not make progress; kept as a cross-check path only."""
-    svars = sorted(set(svars))
-    if not svars:
-        raise ValueError("empty ground set")
-    zero = {v for v in svars if not nbr[v]}
-    if zero:
-        return zero, Fraction(0)
-    ground = sorted(set().union(*(nbr[v] for v in svars)))
-    best = None
-    best_set = None
-    remaining = list(svars)
-    while remaining:
-        net, sidx, _ = _ratio_network(remaining, ground, nbr, 1, 1)
-        _, cut = max_flow(net)
-        s1 = {v for v in remaining if sidx[v] in cut.source_side}
-        if not s1:
-            return None  # no progress: the maximal difference minimizer is empty
-        nbrs = set().union(*(nbr[v] for v in s1))
-        ratio = Fraction(len(nbrs), len(s1))
-        if best is None or ratio < best:
-            best = ratio
-            best_set = s1
-        remaining = [v for v in remaining if v not in s1]
-    return best_set, best

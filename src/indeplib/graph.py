@@ -153,7 +153,7 @@ def categorical_product(g: Graph, h: Graph) -> Graph:
                 row |= hadj[b] << (a2 * hn)
                 w &= w - 1
             adj[abase + b] = row
-    return Graph.from_adj(adj)
+    return Graph._from_symmetric(adj)  # symmetric and loop-free, as g and h are
 
 
 def graph_power(g: Graph, k: int, limit=DEFAULT_POWER_LIMIT) -> Graph:
@@ -166,7 +166,7 @@ def graph_power(g: Graph, k: int, limit=DEFAULT_POWER_LIMIT) -> Graph:
             f"graph power needs {size} vertices, limit is {limit}", required=size
         )
     if k == 1:
-        return Graph.from_adj(g.adj)
+        return g  # graphs are immutable
     out = g
     for _ in range(k - 1):
         out = categorical_product(out, g)
@@ -251,7 +251,7 @@ def complete_multipartite(sizes) -> Graph:
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    return Graph.from_adj(list(g.adj) + [m << g.n for m in h.adj])
+    return Graph._from_symmetric(list(g.adj) + [m << g.n for m in h.adj])
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -263,4 +263,4 @@ def join(g: Graph, h: Graph) -> Graph:
         adj[v] |= hmask
     for v in range(g.n, g.n + h.n):
         adj[v] |= gmask
-    return Graph.from_adj(adj)
+    return Graph._from_symmetric(adj)

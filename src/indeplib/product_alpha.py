@@ -111,23 +111,6 @@ def alpha_product_multipartite(sizes_g, sizes_h):
     return max(max(sizes_g) * sum(sizes_h), max(sizes_h) * sum(sizes_g))
 
 
-def multipartite_product_witness(sizes_g, sizes_h):
-    """A generalized row (or column) achieving the closed form; rows are
-    preferred on ties and the least class index wins."""
-    ng, nh = sum(sizes_g), sum(sizes_h)
-    row_value = max(sizes_g) * nh
-    col_value = max(sizes_h) * ng
-    if row_value >= col_value:
-        cls = sizes_g.index(max(sizes_g))
-        start = sum(sizes_g[:cls])
-        gs = range(start, start + sizes_g[cls])
-        return {_product_id(nh, g, h) for g in gs for h in range(nh)}
-    cls = sizes_h.index(max(sizes_h))
-    start = sum(sizes_h[:cls])
-    hs = range(start, start + sizes_h[cls])
-    return {_product_id(nh, g, h) for g in range(ng) for h in hs}
-
-
 # ---------------------------------------------------------------------------
 # splitgraph products
 

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from indeplib import kernels
 from indeplib.capacity import NeighborhoodProfile
-from indeplib.cotree import LEAF, UNION, join, leaf, union
+from indeplib.cotree import LEAF, UNION, Cotree, join, leaf, union
 from indeplib.errors import (
     InvalidDecomposition,
     InvalidModel,
@@ -33,7 +33,7 @@ from indeplib.graph import (
     neighborhood,
     set_to_mask,
 )
-from indeplib.product_alpha import _SplitProductMIS, bipartite_mis
+from indeplib.product_alpha import _product_id, _SplitProductMIS, bipartite_mis
 from indeplib.treedecomp import FORGET, INTRODUCE, JOIN, START, NiceTreeDecomposition
 
 GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -714,6 +714,52 @@ def chain_dp_reference(g: Graph, order, chain_ok):
     return result
 
 
+def cograph_profile_reference(t: Cotree) -> NeighborhoodProfile:
+    """The size-indexed profile DP on a cotree, which the cograph engine ran
+    before its Dinkelbach steps: ell(k) for every k.  Unions convolve
+    (min-plus), joins take the best child and pay for every vertex of the
+    other children.  Nodes are solved in reverse preorder, so children come
+    first and deep cotrees do not recurse.  Witnesses are vertex masks until
+    the root's profile."""
+    stack, order = [t], []
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    solved = {}  # id(node) -> (table, witness masks), until the parent takes it
+    for node in reversed(order):
+        if node.kind == LEAF:
+            table, wits = {0: 0, 1: 0}, {0: 0, 1: 1 << node.vertex}
+        elif node.kind == UNION:
+            table, wits = {0: 0}, {0: 0}
+            for child in node.children:
+                ct, cw = solved.pop(id(child))
+                nt, nw = {}, {}
+                for k1, e1 in table.items():
+                    for k2, e2 in ct.items():
+                        k = k1 + k2
+                        if k not in nt or e1 + e2 < nt[k]:
+                            nt[k] = e1 + e2
+                            nw[k] = wits[k1] | cw[k2]
+                table, wits = nt, nw
+        else:
+            # join: a nonempty independent set sits inside one child and
+            # sees every vertex of the other children
+            table, wits = {0: 0}, {0: 0}
+            for child in node.children:
+                other = node.size - child.size
+                ct, cw = solved.pop(id(child))
+                for k, e in ct.items():
+                    if k == 0:
+                        continue
+                    if k not in table or e + other < table[k]:
+                        table[k] = e + other
+                        wits[k] = cw[k]
+        solved[id(node)] = table, wits
+    table, wits = solved[id(t)]
+    return NeighborhoodProfile(table, {k: mask_to_set(w) for k, w in wits.items()})
+
+
 def treewidth_profile_reference(g: Graph, d: NiceTreeDecomposition) -> NeighborhoodProfile:
     """The size-indexed profile DP on a nice decomposition, which the
     treewidth engine ran before its Dinkelbach steps: ell(k) for every k.
@@ -806,6 +852,37 @@ def profile_exhaustive(g: Graph, limit=20) -> NeighborhoodProfile:
             table[k] = nb
             wits[k] = frozenset(vs)
     return NeighborhoodProfile(table, wits)
+
+
+def min_ratio_subset_exhaustive(svars, nbr):
+    """Oracle twin of min_ratio_subset: scans all nonempty subsets."""
+    svars = sorted(set(svars))
+    ratios = {}
+    for mask in range(1, 1 << len(svars)):
+        sub = frozenset(svars[i] for i in range(len(svars)) if (mask >> i) & 1)
+        nbrs = set().union(*(nbr[v] for v in sub)) if sub else set()
+        ratios[sub] = Fraction(len(nbrs), len(sub))
+    best = min(ratios.values())
+    # minimizers are closed under union, so their union is the maximal one
+    best_set = set().union(*(s for s, r in ratios.items() if r == best))
+    return best_set, best
+
+
+def multipartite_product_witness(sizes_g, sizes_h):
+    """A generalized row (or column) achieving the closed form; rows are
+    preferred on ties and the least class index wins."""
+    ng, nh = sum(sizes_g), sum(sizes_h)
+    row_value = max(sizes_g) * nh
+    col_value = max(sizes_h) * ng
+    if row_value >= col_value:
+        cls = sizes_g.index(max(sizes_g))
+        start = sum(sizes_g[:cls])
+        gs = range(start, start + sizes_g[cls])
+        return {_product_id(nh, g, h) for g in gs for h in range(nh)}
+    cls = sizes_h.index(max(sizes_h))
+    start = sum(sizes_h[:cls])
+    hs = range(start, start + sizes_h[cls])
+    return {_product_id(nh, g, h) for g in range(ng) for h in hs}
 
 
 # ---------------------------------------------------------------------------

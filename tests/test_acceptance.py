@@ -14,6 +14,7 @@ from _helpers import (
     cotree_catalog,
     enumerate_maximal_independent_sets,
     graph_catalog_upto,
+    multipartite_product_witness,
     random_cotree,
     random_graph,
     random_max_degree,
@@ -56,7 +57,6 @@ from indeplib.product_alpha import (
     alpha_product_multipartite,
     alpha_product_split,
     extract_is_from_k4_product,
-    multipartite_product_witness,
 )
 from indeplib.splitgraph import is_splitgraph, split_partition
 from indeplib.treedecomp import validate_and_nicify

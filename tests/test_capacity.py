@@ -13,11 +13,14 @@ import pytest
 import indeplib
 from _helpers import (
     chain_dp_reference,
+    cograph_profile_reference,
     connected_components,
     enumerate_maximal_independent_sets,
+    min_ratio_subset_exhaustive,
     profile_exhaustive,
     random_cotree,
     random_graph,
+    threshold_cotree_text,
     treewidth_decomposition,
     treewidth_profile_reference,
     trivial_decomposition,
@@ -40,7 +43,6 @@ from indeplib.capacity import (
 )
 from indeplib.cotree import cograph_recognize, is_cograph, parse_cotree, realize
 from indeplib.errors import InvalidDecomposition, LimitExceeded, VerificationError
-from indeplib.flow import min_ratio_subset_exhaustive
 from indeplib.graph import (
     Graph,
     categorical_product,
@@ -107,14 +109,51 @@ def test_a_cograph_examples():
 
 
 def test_cograph_profile_matches_exhaustive():
+    # the step against the exhaustive profile, on random (gain, pen), and
+    # the size-indexed reference's table against the same profile
     rng = random.Random(3)
-    for _ in range(60):
-        t = random_cotree(rng.randint(1, 8), rng)
+    for _ in range(150):
+        t = random_cotree(rng.randint(1, 10), rng, max_arity=rng.choice([2, 3, 5]))
         g = realize(t)
-        p = cograph_profile(t)
-        q = profile_exhaustive(g)
-        assert p.table == q.table
-        p.verify(g)
+        gain, pen = rng.randint(0, 12), rng.randint(1, 12)
+        _step_ok(g, *cograph_profile(t, gain, pen), gain, pen)
+        if g.n <= 8:
+            p = cograph_profile_reference(t)
+            assert p.table == profile_exhaustive(g).table
+            p.verify(g)
+
+
+def test_a_cograph_matches_profile_reference():
+    rng = random.Random(13)
+    for _ in range(200):
+        t = random_cotree(rng.randint(1, 40), rng, max_arity=rng.choice([2, 3, 6]))
+        assert a_cograph(t).a == cograph_profile_reference(t).best()[0]
+    # 1200 leaves nested 1199 deep: neither the step nor the loop recurses
+    t = parse_cotree(threshold_cotree_text(1200))
+    assert a_cograph(t).a == cograph_profile_reference(t).best()[0]
+
+
+def test_cograph_witness_rule():
+    # K3: the start {0} has ratio 1/3 = a and no step improves
+    r = a_cograph(parse_cotree("(* 0 1 2)"))
+    assert r.a == Fraction(1, 3) and r.witness == {0}
+    # paw: the start {3} (least vertex of minimum degree) attains 1/2, as
+    # does {0, 3}, so it stays the witness
+    r = a_cograph(parse_cotree("(* 2 (+ (* 0 1) 3))"))
+    assert r.a == Fraction(1, 2) and r.witness == {3}
+    # P3: the step from {0} (gain 1, pen 1) scores {0, 1} at 2 - 1 = 1
+    r = a_cograph(parse_cotree("(* (+ 0 1) 2)"))
+    assert r.a == Fraction(2, 3) and r.witness == {0, 1}
+    # two P3s: the union adds both positive halves, so the witness is
+    # {0, 1, 3, 4}, the last improving step's set, though {0, 1} alone
+    # attains 2/3 too
+    r = a_cograph(parse_cotree("(+ (* (+ 0 1) 2) (* (+ 3 4) 5))"))
+    assert r.a == Fraction(2, 3) and r.witness == {0, 1, 3, 4}
+    # a join keeps its first child of strictly largest value; the step's
+    # maximum of 0 is the empty set's
+    t = parse_cotree("(* (+ 0 1) (+ 2 3))")
+    assert cograph_profile(t, 2, 1) == (2, 0b11)
+    assert cograph_profile(t, 1, 1) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +546,7 @@ def test_general_witness_matches_exhaustive_reference():
 
 
 def test_verification_survives_optimize():
-    # a corrupted neighbourhood must still fail _finish under python -O
+    # a corrupted witness check must still fail _finish under python -O
     code = textwrap.dedent(
         """
         import sys
@@ -517,7 +556,7 @@ def test_verification_survives_optimize():
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
-        capacity.neighborhood = lambda g, vs: set(range(g.n))
+        capacity._witness_counts = lambda g, mask, what: (mask.bit_count(), g.n)
         try:
             capacity.tensor_capacity(cycle_graph(5))
         except VerificationError:

@@ -208,19 +208,25 @@ def test_capacity_oracle_limit_env(capsys, files, monkeypatch):
 
 
 def test_capacity_verification_failure_exits_1(capsys, files, monkeypatch):
-    # a wrong neighbourhood makes the witness miss its ratio in _finish
-    monkeypatch.setattr(capacity, "neighborhood", lambda g, vs: set(range(g.n)))
+    # a wrong neighbourhood count makes the witness miss its ratio in _finish
+    monkeypatch.setattr(capacity, "_witness_counts", lambda g, mask, what: (mask.bit_count(), g.n))
     code, out, err = run(capsys, "capacity", files["c5"])
     assert code == EXIT_VIOLATION
     assert out == "" and "verification failed" in err and "Traceback" not in err
 
 
 def test_capacity_profile_verification_failure_exits_1(capsys, files, monkeypatch):
-    # a wrong neighbourhood makes the cograph profile fail its own check
-    monkeypatch.setattr(capacity, "neighborhood", lambda g, vs: set(range(g.n)))
+    # a cograph step that overstates its value fails the loop's check
+    step = capacity.cograph_profile
+
+    def misreporting(t, gain, pen):
+        value, mask = step(t, gain, pen)
+        return value + 1, mask
+
+    monkeypatch.setattr(capacity, "cograph_profile", misreporting)
     code, out, err = run(capsys, "capacity", "--cotree", files["cotree"])
     assert code == EXIT_VIOLATION and out == "" and "Traceback" not in err
-    assert err.startswith("error: verification failed: profile witness")
+    assert err.startswith("error: verification failed: Dinkelbach step reported")
 
 
 def test_capacity_deep_threshold_cotree(capsys, tmp_path):

@@ -12,6 +12,7 @@ from _helpers import (
     connected_components,
     is_bipartite,
     is_connected,
+    random_graph,
 )
 from indeplib.errors import LimitExceeded, ParseError
 from indeplib.graph import (
@@ -93,6 +94,40 @@ def test_categorical_product_vs_definition():
                     for b2 in range(3):
                         want = g.has_edge(a, a2) and h.has_edge(b, b2)
                         assert p.has_edge(a * 3 + b, a2 * 3 + b2) == want
+
+
+def test_library_built_graphs_pass_from_adj():
+    # products, powers, unions and joins skip from_adj's checks; each must
+    # still be a graph from_adj accepts, with the edges of its definition
+    rng = random.Random(9)
+    for _ in range(300):
+        g = random_graph(rng.randint(1, 6), rng.random(), rng)
+        h = random_graph(rng.randint(1, 6), rng.random(), rng)
+        k = rng.randint(1, 3)
+        results = {
+            "product": categorical_product(g, h),
+            "power": graph_power(g, k),
+            "union": disjoint_union(g, h),
+            "join": join(g, h),
+        }
+        for name, r in results.items():
+            assert Graph.from_adj(r.adj) == r, name
+        edges = {
+            "product": lambda x, y: g.has_edge(x // h.n, y // h.n) and h.has_edge(x % h.n, y % h.n),
+            "power": lambda x, y: all(
+                g.has_edge(x // g.n**i % g.n, y // g.n**i % g.n) for i in range(k)
+            ),
+            "union": lambda x, y: g.has_edge(x, y) if y < g.n else
+            x >= g.n and h.has_edge(x - g.n, y - g.n),
+            "join": lambda x, y: (x < g.n) != (y < g.n) or (
+                g.has_edge(x, y) if y < g.n else h.has_edge(x - g.n, y - g.n)
+            ),
+        }
+        for name, r in results.items():
+            for x in range(r.n):
+                for y in range(r.n):
+                    want = x != y and edges[name](min(x, y), max(x, y))
+                    assert r.has_edge(x, y) == want, (name, g.adj, h.adj, k)
 
 
 def test_product_of_empty_graph_raises():

@@ -42,8 +42,10 @@ def test_trace_wrappers_install_and_count():
         assert calls["kernels.bipartite_matching"] >= 2
         assert calls["cotree.find_p4"] == 1
         assert calls["splitgraph._find_obstruction"] == 1
-        # the chain and treewidth engines reach their steps as module globals
+        # the cograph, chain and treewidth engines reach their steps as
+        # module globals
         item = tracer.begin_item(1)
+        lib.capacity.a_cograph(lib.cotree.parse_cotree("(* (+ 0 1) 2)"))
         lib.capacity.a_interval(lib.intersection.IntervalModel(((0, 1), (1, 2), (2, 3))))
         lib.capacity.a_permutation(lib.intersection.PermutationModel((1, 0, 2)))
         p5 = path_graph(5)
@@ -55,6 +57,7 @@ def test_trace_wrappers_install_and_count():
         calls = {name: c for name, (c, _, _) in tracer.aggregate().items()}
         assert calls["capacity._chain_dp"] >= 2
         assert calls["capacity.treewidth_profile"] == 2  # P5: one improving step, one final
+        assert calls["capacity.cograph_profile"] >= 2  # P3: {0} improves to {0, 1}
     finally:
         sys.path.remove(PERFBENCH)
         for name in _indeplib_modules():

@@ -13,6 +13,7 @@ import indeplib
 from _helpers import (
     cograph_product_reference,
     is_bipartite,
+    multipartite_product_witness,
     random_cotree,
     random_graph,
     random_max_degree,
@@ -42,7 +43,6 @@ from indeplib.product_alpha import (
     alpha_product_split,
     bipartite_mis,
     extract_is_from_k4_product,
-    multipartite_product_witness,
 )
 from indeplib.splitgraph import split_partition
 
