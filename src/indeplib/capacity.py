@@ -6,9 +6,10 @@ algorithms: a ratio minimization for split graphs, and one Dinkelbach loop
 for cographs, interval, permutation and bounded-treewidth graphs, whose
 step is a pass over the cotree, a chain DP or a tree-decomposition DP.
 The general engine scans maximal independent sets and solves a ratio
-minimization per set.  Every engine hands its witness to _finish as a
-vertex mask, checked by the same routine as each Dinkelbach step's.  All
-values are exact Fractions.
+minimization per set, dropping each branch of the scan whose sets cannot
+tie or beat the best ratio so far.  Every engine hands its witness to
+_finish as a vertex mask, checked by the same routine as each Dinkelbach
+step's.  All values are exact Fractions.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import kernels
 from .config import DEFAULT_ALPHA_LIMIT
 from .cotree import LEAF, UNION, Cotree, realize
 from .errors import InvalidDecomposition, LimitExceeded, VerificationError
-from .flow import min_ratio_subset
+from .flow import min_ratio_subset, ratio_exceeds
 from .graph import Graph, components, mask_to_set, neighborhood, set_to_mask
 from .intersection import IntervalModel, PermutationModel, realize_interval, realize_permutation
 from .kernels import bipartite_matching
@@ -405,8 +406,13 @@ def a_general_exact(g: Graph, limit=None) -> CapacityResult:
     nonempty S inside I, which gives max_S |S|/(|S|+|N(S)|) = 1/(1+nu).
 
     Each minimization is priced at the best nu so far, so a set that can
-    only do worse costs one cut; ties are still solved, which keeps the
-    witness the lexicographically smallest among the best sets."""
+    only do worse costs one cut.  The price starts at the minimum degree,
+    which a single vertex attains, so the optimum lies at or below it.  Each
+    branch of the scan also costs at most one cut: a node (R, P) is dropped
+    when every nonempty S inside R | P, independent or not, has a ratio above
+    the price, for then every set below it would return None.  Sets that tie
+    or beat the price are still solved, which keeps the witness the
+    lexicographically smallest maximal minimizer among the best sets."""
     if limit is None:
         limit = DEFAULT_ALPHA_LIMIT
     if g.n == 0:
@@ -415,15 +421,20 @@ def a_general_exact(g: Graph, limit=None) -> CapacityResult:
         raise LimitExceeded(
             f"a_general_exact limited to {limit} vertices, got {g.n}", required=g.n
         )
+    adj = g.adj
     best = None
-    price = None  # nu = 1/a - 1 of the best set so far
-    for mask in kernels.maximal_independent_sets(list(g.adj)):
+    price = Fraction(min(m.bit_count() for m in adj))  # nu = 1/a - 1 to tie or beat
+
+    def prune(mask):
+        return ratio_exceeds(mask, adj, price.numerator, price.denominator)
+
+    for mask in kernels.maximal_independent_sets(list(adj), prune=prune):
         iset = []
         while mask:
             low = mask & -mask
             iset.append(low.bit_length() - 1)
             mask ^= low
-        found = min_ratio_subset(iset, g.adj, price)
+        found = min_ratio_subset(iset, adj, price)
         if found is None:
             continue
         subset, nu = found
@@ -432,6 +443,8 @@ def a_general_exact(g: Graph, limit=None) -> CapacityResult:
         if best is None or a > best[0] or (a == best[0] and wit < best[1]):
             best = (a, wit)
             price = nu
+    if best is None:
+        raise VerificationError("no maximal independent set reached the minimum degree's ratio")
     return _finish(g, best[0], set_to_mask(best[1]), Engine.GENERAL)
 
 

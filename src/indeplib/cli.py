@@ -86,8 +86,10 @@ def cmd_alpha(args):
     inputs = f"{args.files[0]} x {args.files[1]}"
     engine = None
     if not args.oracle and not args.split:
+        # only --cotree reports the P4, so only then is it searched for
         try:
-            tg, th = cograph_recognize(g), cograph_recognize(h)
+            tg = cograph_recognize(g, witness=args.cotree)
+            th = cograph_recognize(h, witness=args.cotree)
             value, witness = alpha_product_cographs(tg, th)
             engine = "cograph"
         except NotACograph:

@@ -153,14 +153,15 @@ def find_p4(g: Graph, vertices=None):
     return None
 
 
-def cograph_recognize(g: Graph) -> Cotree:
+def cograph_recognize(g: Graph, witness=True) -> Cotree:
     """Canonical cotree for g, or NotACograph with an induced-P4 witness.
 
     A vertex set of a cograph with >= 2 vertices is disconnected in g (a
     union node) or in its complement (a join node).  Sets are split on an
     explicit stack, parts ordered by least vertex and expanded depth first;
     nodes are built children first.  The witness is find_p4 on the first
-    set, in that order, that splits in neither graph.
+    set, in that order, that splits in neither graph; with witness=False
+    that search is skipped and NotACograph carries no witness.
     """
     n = g.n
     if n == 0:
@@ -183,7 +184,7 @@ def cograph_recognize(g: Graph) -> Cotree:
             if len(parts) == 1:
                 kind, parts = JOIN, components(co, item)
                 if len(parts) == 1:
-                    raise NotACograph(find_p4(g, mask_to_set(item)))
+                    raise NotACograph(find_p4(g, mask_to_set(item)) if witness else ())
             stack.append((kind, len(parts)))
             stack.extend(reversed(parts))
     return built[0]

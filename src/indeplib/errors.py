@@ -31,10 +31,14 @@ class ParseError(IndeplibError):
 
 
 class NotACograph(IndeplibError):
-    """Raised by cograph recognition; carries an induced-P4 witness."""
+    """Raised by cograph recognition; carries an induced-P4 witness, or an
+    empty one when the recognition was asked for no witness."""
 
     def __init__(self, witness):
-        super().__init__(f"graph contains an induced P4 on vertices {sorted(witness)}")
+        if witness:
+            super().__init__(f"graph contains an induced P4 on vertices {sorted(witness)}")
+        else:
+            super().__init__("graph is not a cograph")
         self.witness = tuple(witness)
 
 

@@ -317,6 +317,37 @@ def _ratio_cut(svars, nbr, ground, p, q):
     return rest
 
 
+def ratio_exceeds(mask, nbr, p, q):
+    """True iff q*|N(S)| > p*|S| for every nonempty S inside the vertex
+    mask, N(S) the union of the neighbour masks nbr[v].  S need not be
+    independent, so N(S) may meet the mask.
+
+    Two necessary tests come first, each on a subset that would tie or beat
+    p/q: every single vertex (q*|nbr[v]| > p) and the whole mask (q*|N(mask)|
+    > p*|mask|).  Only when both pass is one cut run, on the bipartite double
+    cover: the mask's vertices on the left and N(mask) on the right, which
+    _ratio_cut keeps apart (ints against one-bit masks) even where they
+    overlap.  Its maximal min-cut source side collects every S with
+    q*|N(S)| <= p*|S|, ties included, so the answer is true iff that side
+    is empty.
+    """
+    svars = []
+    ground = 0
+    m = mask
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        m ^= low
+        nv = nbr[v]
+        if q * nv.bit_count() <= p:
+            return False
+        ground |= nv
+        svars.append(v)
+    if svars and q * ground.bit_count() <= p * len(svars):
+        return False
+    return not _ratio_cut(svars, nbr, ground, p, q)
+
+
 def min_ratio_subset(svars, nbr, price=None):
     """min over nonempty S' of |N(S')| / |S'| with N(S') the union of the
     neighbour masks nbr[v] (nbr may be g.adj).

@@ -95,11 +95,23 @@ class Graph:
         return True
 
     def subgraph(self, vertices):
-        """Induced subgraph; vertex order = sorted(vertices)."""
-        order = sorted(vertices)
-        pos = {v: i for i, v in enumerate(order)}
-        edges = [(pos[u], pos[v]) for u in order for v in order if u < v and self.has_edge(u, v)]
-        return Graph(len(order), edges)
+        """Induced subgraph; vertex order = sorted(vertices).  Each kept
+        vertex's mask is remapped bit by bit onto the new ids."""
+        order = sorted(set(vertices))
+        if order and not (0 <= order[0] and order[-1] < self.n):
+            raise ValueError(f"subgraph vertices must lie in 0..{self.n - 1}")
+        pos = {1 << v: i for i, v in enumerate(order)}
+        keep = set_to_mask(order)
+        adj = []
+        for v in order:
+            m = self.adj[v] & keep
+            row = 0
+            while m:
+                low = m & -m
+                row |= 1 << pos[low]
+                m ^= low
+            adj.append(row)
+        return Graph._from_symmetric(adj)  # an induced subgraph stays symmetric and loop-free
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj

@@ -131,6 +131,8 @@ def parse_tree_decomposition(text: str):
                 raise ParseError(f"bag {bid} exceeds the declared width", line=ln)
             bags[bid - 1] = set(verts)
         else:
+            if len(parts) != 2:
+                raise ParseError(f"expected tree edge '<i> <j>', got {line!r}", line=ln)
             a, b = _ints(parts, ln)
             if not (1 <= a <= nbags and 1 <= b <= nbags):
                 raise ParseError(f"tree edge ({a},{b}) out of range", line=ln)

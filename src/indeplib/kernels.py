@@ -93,13 +93,19 @@ def max_independent_set(adj):
     return best_size, best_mask
 
 
-def maximal_independent_sets(adj):
+def maximal_independent_sets(adj, prune=None):
     """Yields every maximal independent set exactly once, as masks.
 
     Pivoting Bron-Kerbosch on the complement (maximal independent sets of G
     are the maximal cliques of its complement).  Pivot: vertex of P∪X with
     the most non-neighbors in P, lowest id on ties; candidates are visited
     in increasing id, so the stream order is deterministic.
+
+    prune is a predicate on vertex masks.  At a node whose R and P are both
+    nonempty, prune(R | P) true drops the node with everything below it;
+    every set below lies inside R | P, so a predicate that is true only
+    when no subset of that mask can matter loses nothing.  The sets that
+    remain come in the same order as without it; prune=None yields them all.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -113,6 +119,9 @@ def maximal_independent_sets(adj):
         if cand is None:
             if not p and not x:
                 yield r
+                stack.pop()
+                continue
+            if prune is not None and r and p and prune(r | p):
                 stack.pop()
                 continue
             pivot = -1

@@ -519,6 +519,19 @@ def _general_reference(g):
     return best
 
 
+def _tensor_reference(g):
+    """(a, witness) of tensor_capacity on a bare graph: disconnected inputs
+    are solved per component, the first best component winning ties."""
+    comp = connected_components(g)
+    want = None
+    for c in range(max(comp) + 1):
+        verts = [v for v in range(g.n) if comp[v] == c]
+        a, wit = _general_reference(g.subgraph(verts))
+        if want is None or a > want[0]:
+            want = (a, frozenset(verts[v] for v in wit))
+    return want
+
+
 def test_general_witness_matches_exhaustive_reference():
     rng = random.Random(53)
     for _ in range(120):
@@ -532,17 +545,29 @@ def test_general_witness_matches_exhaustive_reference():
             perm = list(range(g.n))
             rng.shuffle(perm)
             g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-        # disconnected inputs are solved per component, the first best
-        # component winning ties, as tensor_capacity does
-        comp = connected_components(g)
-        want = None
-        for c in range(max(comp) + 1):
-            verts = [v for v in range(g.n) if comp[v] == c]
-            a, wit = _general_reference(g.subgraph(verts))
-            if want is None or a > want[0]:
-                want = (a, frozenset(verts[v] for v in wit))
         res = tensor_capacity(g)
+        assert (res.a, res.witness) == _tensor_reference(g), (g.adj, res)
+
+
+def test_general_witness_on_tie_heavy_graphs():
+    # many maximal sets tie at the optimum (a = 1/2 on paths, even cycles
+    # and K_{m,m}), or reach it through an isolated vertex or a
+    # single-vertex component; the scan on the whole graph and the
+    # per-component split both keep the reference's value and witness
+    graphs = [path_graph(n) for n in range(1, 13)]
+    graphs += [cycle_graph(n) for n in range(3, 13)]
+    graphs += [complete_bipartite(m, m) for m in range(1, 6)]
+    graphs += [complete_bipartite(2, 4), star_graph(4), Graph(1), Graph(3), Graph(5, [(1, 3)])]
+    graphs += [disjoint_union(Graph(1), g) for g in (path_graph(4), cycle_graph(6))]
+    graphs += [disjoint_union(g, Graph(2)) for g in (complete_bipartite(3, 3), cycle_graph(5))]
+    graphs += [disjoint_union(path_graph(5), cycle_graph(4))]
+    graphs += [disjoint_union(cycle_graph(4), path_graph(4))]
+    for g in graphs:
+        want = _general_reference(g)
+        res = a_general_exact(g)
         assert (res.a, res.witness) == want, (g.adj, res, want)
+        res = tensor_capacity(g)
+        assert (res.a, res.witness) == _tensor_reference(g), (g.adj, res)
 
 
 def test_verification_survives_optimize():

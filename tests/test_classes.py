@@ -112,12 +112,16 @@ def test_cograph_recognition_round_trip():
         if is_cograph(g):
             t = cograph_recognize(g)
             assert realize(t).adj == g.adj
+            assert cograph_recognize(g, witness=False) == t
         else:
             with pytest.raises(NotACograph) as err:
                 cograph_recognize(g)
             a, b, c, d = err.value.witness
             assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d)
             assert not (g.has_edge(a, c) or g.has_edge(a, d) or g.has_edge(b, d))
+            with pytest.raises(NotACograph) as err:
+                cograph_recognize(g, witness=False)
+            assert err.value.witness == () and str(err.value) == "graph is not a cograph"
 
 
 def test_find_p4():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from _helpers import random_graph, threshold_cotree_text
-from indeplib import capacity, cli, splitgraph
+from indeplib import capacity, cli, cotree, splitgraph
 from indeplib.capacity import a_split
 from indeplib.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, EXIT_VIOLATION, main
 from indeplib.cotree import parse_cotree, realize
@@ -142,6 +142,61 @@ def test_alpha_skips_split_obstruction_without_split_flag(capsys, tmp_path, monk
     assert err == "error: alpha_exact limited to 40 vertices, got 1600\n"
 
 
+def test_alpha_skips_p4_search_without_cotree_flag(capsys, tmp_path, monkeypatch):
+    # K96 plus a P4 96-97-98-99 whose middle vertices see the whole clique:
+    # a split graph, not a cograph, whose P4 a full scan of the 4-subsets
+    # finds last; without --cotree the P4 is never reported, so not searched
+    def refuse(g, vertices=None):
+        raise AssertionError("P4 searched without --cotree")
+
+    monkeypatch.setattr(cotree, "find_p4", refuse)
+    edges = [(u, v) for v in range(96) for u in range(v)]
+    edges += [(u, v) for u in (97, 98) for v in range(96)]
+    edges += [(96, 97), (97, 98), (98, 99)]
+    (tmp_path / "late_p4.g").write_text(format_graph(Graph(100, edges)))
+    (tmp_path / "k2.g").write_text(format_graph(complete_graph(2)))
+    code, out, err = run(capsys, "alpha", str(tmp_path / "late_p4.g"), str(tmp_path / "k2.g"))
+    assert code == EXIT_OK and err == ""
+    assert out == "alpha=100 engine=split\n"
+
+
+P4_0123 = "graph contains an induced P4 on vertices [0, 1, 2, 3]"
+# (flags, first file, second file, exit code, stdout, stderr)
+ALPHA_PINNED = [
+    ("", "p3", "p3", 0, "alpha=6 engine=cograph\n", ""),
+    ("", "p3", "k3", 0, "alpha=6 engine=cograph\n", ""),
+    ("", "p4", "p4", 0, "alpha=8 engine=split\n", ""),
+    ("", "p4", "star", 0, "alpha=12 engine=split\n", ""),
+    ("", "c5", "p3", 0, "alpha=10 engine=oracle\n", ""),
+    ("", "k3", "bad", 2, "", "error: line 2: edge (0,9) out of range for n=2\n"),
+    ("", "star", "c5", 0, "alpha=15 engine=oracle\n", ""),
+    ("--witness", "p3", "p3", 0, "alpha=6 engine=cograph witness=0,1,2,6,7,8\n", ""),
+    ("--witness", "p4", "p4", 0, "alpha=8 engine=split witness=0,1,2,3,12,13,14,15\n", ""),
+    ("--witness", "p4", "star", 0,
+     "alpha=12 engine=split witness=1,2,3,5,6,7,9,10,11,13,14,15\n", ""),
+    ("--witness", "c5", "p3", 0, "alpha=10 engine=oracle witness=0,2,3,5,6,8,9,11,12,14\n", ""),
+    ("--cotree", "p3", "k3", 0, "alpha=6 engine=cograph\n", ""),
+    ("--cotree", "p4", "star", 2, "", f"error: {P4_0123}\n"),
+    ("--cotree", "c5", "p3", 2, "", f"error: {P4_0123}\n"),
+    ("--cotree", "star", "c5", 2, "", f"error: {P4_0123}\n"),
+    ("--cotree", "k3", "bad", 2, "", "error: line 2: edge (0,9) out of range for n=2\n"),
+    ("--split", "p3", "k3", 0, "alpha=6 engine=split\n", ""),
+    ("--split", "p4", "star", 0, "alpha=12 engine=split\n", ""),
+    ("--split", "star", "c5", 2, "",
+     "error: graph is not a splitgraph: induced C5 on vertices [0, 1, 2, 3, 4]\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags,first,second,code,out,err",
+    ALPHA_PINNED,
+    ids=[f"{row[0] or 'auto'}-{row[1]}-{row[2]}" for row in ALPHA_PINNED],
+)
+def test_alpha_output_pinned(capsys, files, flags, first, second, code, out, err):
+    argv = ["alpha", *flags.split(), files[first], files[second]]
+    assert run(capsys, *argv) == (code, out, err)
+
+
 def test_alpha_json(capsys, files):
     code, out, _ = run(capsys, "--json", "alpha", files["p3"], files["p3"])
     assert code == EXIT_OK
@@ -244,6 +299,14 @@ def test_capacity_deep_threshold_cotree(capsys, tmp_path):
     rec = json.loads(out)
     assert rec["engine"] == "cograph"
     assert rec["a"] == ratio_str(a_split(g, part).a)
+
+
+def test_capacity_td_bad_tree_edge_line(capsys, files, tmp_path):
+    path = tmp_path / "bad.td"
+    path.write_text("s td 3 2 4\nb 1 0 1\nb 2 1 2\nb 3 2 3\n1 2 3\n2 3\n")
+    code, out, err = run(capsys, "capacity", "--td", str(path), files["p4"])
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: line 5: expected tree edge '<i> <j>', got '1 2 3'\n"
 
 
 def test_capacity_td_long_path(capsys, tmp_path):

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from _helpers import min_ratio_subset_exhaustive
-from indeplib.flow import INF, FlowNetwork, max_flow, min_ratio_subset
+from _helpers import min_ratio_subset_exhaustive, random_graph
+from indeplib import flow
+from indeplib.flow import INF, FlowNetwork, max_flow, min_ratio_subset, ratio_exceeds
 from indeplib.graph import set_to_mask
 
 
@@ -132,3 +133,71 @@ def test_min_ratio_returns_maximal_minimizer():
     # priced at exactly that minimum, the maximal minimizer is still found
     subset, nu = min_ratio_subset([0, 1], nbr, Fraction(1))
     assert nu == 1 and subset == {0, 1}
+
+
+def _exceeds_exhaustive(mask, nbr, p, q):
+    """Every nonempty S inside mask has q*|N(S)| > p*|S|, by scanning all S."""
+    verts = [v for v in range(len(nbr)) if (mask >> v) & 1]
+    for sub in range(1, 1 << len(verts)):
+        nbrs = size = 0
+        for i, v in enumerate(verts):
+            if (sub >> i) & 1:
+                nbrs |= nbr[v]
+                size += 1
+        if q * nbrs.bit_count() <= p * size:
+            return False
+    return True
+
+
+def test_ratio_exceeds_vs_exhaustive():
+    # graphs (so N(S) meets the mask and S need not be independent) and
+    # arbitrary neighbour masks, priced at each subset ratio that occurs
+    # (ties), just below and above it, and at random prices
+    rng = random.Random(23)
+    for case in range(400):
+        n = rng.randint(1, 10)
+        if case % 2:
+            nbr = list(random_graph(n, rng.random(), rng).adj)
+        else:
+            nbr = [rng.getrandbits(n) for _ in range(n)]
+        mask = rng.getrandbits(n)
+        verts = [v for v in range(n) if (mask >> v) & 1]
+        ratios = set()
+        for sub in range(1, 1 << len(verts)):
+            picked = [v for i, v in enumerate(verts) if (sub >> i) & 1]
+            nbrs = 0
+            for v in picked:
+                nbrs |= nbr[v]
+            ratios.add(Fraction(nbrs.bit_count(), len(picked)))
+        prices = {Fraction(0), Fraction(rng.randint(0, 12), rng.randint(1, 5))}
+        for r in rng.sample(sorted(ratios), min(3, len(ratios))):
+            prices |= {r, r + Fraction(1, 17)}
+            if r:
+                prices.add(r - Fraction(1, 17))
+        for price in prices:
+            p, q = price.numerator, price.denominator
+            want = _exceeds_exhaustive(mask, nbr, p, q)
+            assert ratio_exceeds(mask, nbr, p, q) == want, (nbr, mask, price)
+
+
+def test_ratio_exceeds_spends_no_cut_on_a_failed_necessary_test(monkeypatch):
+    cuts = []
+    real = flow._ratio_cut
+
+    def counted(*args):
+        cuts.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(flow, "_ratio_cut", counted)
+    # K_{3,3} side {0, 1, 2}: each vertex alone has ratio 3, the side has 1
+    nbr = [0b111000] * 3 + [0b000111] * 3
+    assert not ratio_exceeds(0b111, nbr, 2, 1)  # the whole set beats 2
+    assert not ratio_exceeds(0b111, nbr, 1, 1)  # the whole set ties 1
+    assert not ratio_exceeds(0b1001, nbr, 3, 1)  # a single vertex ties 3
+    assert cuts == []
+    # 0 and 1 share their two neighbours, so {0, 1} has ratio 1 while each
+    # single vertex has 2 or 4 and the whole mask 10/4: only the cut sees
+    # that {0, 1} beats 3/2
+    nbr = [0b11 << 5, 0b11 << 5, 0, 0b1111 << 7, 0b1111 << 11]
+    assert not ratio_exceeds(0b11011, nbr, 3, 2) and len(cuts) == 1
+    assert ratio_exceeds(0b11011, nbr, 1, 2) and len(cuts) == 2

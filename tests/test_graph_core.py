@@ -67,6 +67,26 @@ def test_complement_and_subgraph():
     assert sorted(c.edges()) == [(0, 2), (0, 3), (1, 3)]
     sub = g.subgraph([1, 2, 3])
     assert sub.n == 3 and sorted(sub.edges()) == [(0, 1), (1, 2)]
+    with pytest.raises(ValueError):
+        g.subgraph([0, 4])
+
+
+def test_subgraph_matches_pairwise_definition():
+    # the remapped masks give the graph built edge by edge on sorted ids
+    rng = random.Random(61)
+    for _ in range(200):
+        g = random_graph(rng.randint(1, 24), rng.random(), rng)
+        verts = rng.sample(range(g.n), rng.randint(0, g.n))
+        order = sorted(verts)
+        edges = [
+            (i, j)
+            for i, u in enumerate(order)
+            for j, v in enumerate(order)
+            if i < j and g.has_edge(u, v)
+        ]
+        want = Graph(len(order), edges)
+        sub = g.subgraph(verts)
+        assert sub == want and sub == Graph.from_adj(sub.adj)
 
 
 def test_mask_helpers():

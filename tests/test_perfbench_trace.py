@@ -58,6 +58,15 @@ def test_trace_wrappers_install_and_count():
         assert calls["capacity._chain_dp"] >= 2
         assert calls["capacity.treewidth_profile"] == 2  # P5: one improving step, one final
         assert calls["capacity.cograph_profile"] >= 2  # P3: {0} improves to {0, 1}
+        # the general engine reaches the ratio minimizer and the maximal-set
+        # scan through the names the tracer wraps
+        item = tracer.begin_item(2)
+        lib.capacity.tensor_capacity(cycle_graph(5))
+        tracer.finish(item)
+        after = {name: c for name, (c, _, _) in tracer.aggregate().items()}
+        assert after["flow.min_ratio_subset"] > calls["flow.min_ratio_subset"]  # a_split ran one
+        assert after["kernels.maximal_independent_sets"] >= 2
+        assert tracer.counts["kernels.maximal_independent_sets.sets"] >= 1
     finally:
         sys.path.remove(PERFBENCH)
         for name in _indeplib_modules():
