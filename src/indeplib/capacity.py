@@ -5,11 +5,11 @@ rounds values above 1/2 up to 1.  Per-class engines run polynomial
 algorithms: a ratio minimization for split graphs, and one Dinkelbach loop
 for cographs, interval, permutation and bounded-treewidth graphs, whose
 step is a pass over the cotree, a chain DP or a tree-decomposition DP.
-The general engine scans maximal independent sets and solves a ratio
-minimization per set, dropping each branch of the scan whose sets cannot
-tie or beat the best ratio so far.  Every engine hands its witness to
-_finish as a vertex mask, checked by the same routine as each Dinkelbach
-step's.  All values are exact Fractions.
+The general engine scans each component's maximal independent sets and
+solves a ratio minimization per set, dropping each branch of the scan
+whose sets cannot tie or beat the best ratio so far.  Every engine hands
+its witness to _finish as a vertex mask, checked by the same routine as
+each Dinkelbach step's.  All values are exact Fractions.
 """
 
 from __future__ import annotations
@@ -405,44 +405,48 @@ def a_general_exact(g: Graph, limit=None) -> CapacityResult:
     """Scan maximal independent sets; per set I, minimize |N(S)|/|S| over
     nonempty S inside I, which gives max_S |S|/(|S|+|N(S)|) = 1/(1+nu).
 
-    Each minimization is priced at the best nu so far, so a set that can
-    only do worse costs one cut.  The price starts at the minimum degree,
-    which a single vertex attains, so the optimum lies at or below it.  Each
-    branch of the scan also costs at most one cut: a node (R, P) is dropped
-    when every nonempty S inside R | P, independent or not, has a ratio above
-    the price, for then every set below it would return None.  Sets that tie
-    or beat the price are still solved, which keeps the witness the
-    lexicographically smallest maximal minimizer among the best sets."""
+    a of a disjoint union is the largest a of its parts, so the scan runs
+    on each connected component's mask in turn, in order of least vertex,
+    and limit bounds each component; all are checked before any scan.
+
+    Each minimization is priced at the best nu so far, in any component,
+    so a set that can only do worse costs one cut.  The price starts at the
+    minimum degree, which a single vertex attains, so the optimum lies at
+    or below it.  Each branch of the scan also costs at most one cut: a
+    node (R, P) is dropped when every nonempty S inside R | P, independent
+    or not, has a ratio above the price, for then every set below it would
+    return None.  Sets that tie or beat the price are still solved, so the
+    witness comes from the first component with the strictly largest a and
+    is the lexicographically smallest maximal minimizer among its best sets."""
     if limit is None:
         limit = DEFAULT_ALPHA_LIMIT
     if g.n == 0:
         raise ValueError("capacity of the empty graph is undefined")
-    if g.n > limit:
-        raise LimitExceeded(
-            f"a_general_exact limited to {limit} vertices, got {g.n}", required=g.n
-        )
     adj = g.adj
-    best = None
+    parts = components(adj, (1 << g.n) - 1)
+    for part in parts:
+        size = part.bit_count()
+        if size > limit:
+            raise LimitExceeded(
+                f"a_general_exact limited to {limit} vertices, got {size}", required=size
+            )
+    best = None  # (a, sorted witness, component)
     price = Fraction(min(m.bit_count() for m in adj))  # nu = 1/a - 1 to tie or beat
 
     def prune(mask):
         return ratio_exceeds(mask, adj, price.numerator, price.denominator)
 
-    for mask in kernels.maximal_independent_sets(list(adj), prune=prune):
-        iset = []
-        while mask:
-            low = mask & -mask
-            iset.append(low.bit_length() - 1)
-            mask ^= low
-        found = min_ratio_subset(iset, adj, price)
-        if found is None:
-            continue
-        subset, nu = found
-        a = Fraction(1, 1) / (1 + nu)
-        wit = sorted(subset)
-        if best is None or a > best[0] or (a == best[0] and wit < best[1]):
-            best = (a, wit)
-            price = nu
+    for part in parts:
+        for mask in kernels.maximal_independent_sets(adj, part, prune=prune):
+            found = min_ratio_subset(mask_to_set(mask), adj, price)
+            if found is None:
+                continue
+            subset, nu = found
+            a = Fraction(1, 1) / (1 + nu)
+            wit = sorted(subset)
+            if best is None or a > best[0] or (a == best[0] and part == best[2] and wit < best[1]):
+                best = (a, wit, part)
+                price = nu
     if best is None:
         raise VerificationError("no maximal independent set reached the minimum degree's ratio")
     return _finish(g, best[0], set_to_mask(best[1]), Engine.GENERAL)
@@ -484,8 +488,9 @@ def tensor_capacity(
 
     A class certificate selects its engine (preference when several are
     given: cograph, split, interval, permutation, treewidth); a bare graph
-    goes to the general engine, per connected component, combining by max
-    (a and Theta^T of a disjoint union are the componentwise maxima).
+    goes to the general engine, which solves each connected component and
+    combines by max (a and Theta^T of a disjoint union are the
+    componentwise maxima); limit bounds each component's vertex count.
     """
     if cotree is not None:
         result = a_cograph(cotree)
@@ -512,17 +517,4 @@ def tensor_capacity(
         return a_treewidth(g, decomposition)
     if g is None:
         raise ValueError("tensor_capacity needs a graph or a certificate")
-    if g.n == 0:
-        raise ValueError("capacity of the empty graph is undefined")
-    parts = components(g.adj, (1 << g.n) - 1)
-    if len(parts) == 1:
-        return a_general_exact(g, limit=limit)
-    best = None
-    for part in parts:
-        verts = sorted(mask_to_set(part))
-        sub = g.subgraph(verts)
-        res = a_general_exact(sub, limit=limit)
-        wit = set_to_mask(verts[v] for v in res.witness)
-        if best is None or res.a > best[0]:
-            best = (res.a, wit)
-    return _finish(g, best[0], best[1], Engine.GENERAL)
+    return a_general_exact(g, limit=limit)

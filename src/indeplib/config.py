@@ -11,7 +11,7 @@ import os
 DEFAULT_ALPHA_LIMIT = 40
 # Subset-enumeration oracles (a_bruteforce, independent_domination_exact).
 DEFAULT_BRUTEFORCE_LIMIT = 20
-# Vertex-count ceiling for iterated categorical powers.
+# Vertex-count ceiling for iterated categorical powers and graph files.
 DEFAULT_POWER_LIMIT = 10**6
 
 

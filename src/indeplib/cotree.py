@@ -192,7 +192,7 @@ def cograph_recognize(g: Graph, witness=True) -> Cotree:
 
 def is_cograph(g: Graph) -> bool:
     try:
-        cograph_recognize(g)
+        cograph_recognize(g, witness=False)
         return True
     except NotACograph:
         return False

@@ -1,17 +1,20 @@
 """Text formats for graphs and structured models.
 
 Edge list: header "p il <n> <m>", then m lines "e <u> <v>" (0-indexed);
-"#" starts a comment.  Interval model: one "<id> <left> <right>" line per
+"#" starts a comment; n above config.DEFAULT_POWER_LIMIT is refused before
+anything is allocated.  Interval model: one "<id> <left> <right>" line per
 vertex.  Permutation model: "<n>" then n integers, values 1..n.  Tree
 decomposition (PACE-style): "s td <#bags> <width+1> <n>", bag lines
-"b <i> <v...>" with 1-based bag ids, then one "<i> <j>" line per tree
-edge; vertex ids stay 0-indexed to match the edge-list format.
+"b <i> <v...>" with 1-based bag ids, one line per bag, then one "<i> <j>"
+line per tree edge; vertex ids stay 0-indexed to match the edge-list
+format.
 """
 
 from __future__ import annotations
 
+from .config import DEFAULT_POWER_LIMIT
 from .cotree import Cotree, parse_cotree
-from .errors import ParseError
+from .errors import LimitExceeded, ParseError
 from .graph import Graph
 from .intersection import IntervalModel, PermutationModel
 
@@ -44,6 +47,10 @@ def parse_graph(text: str) -> Graph:
     n, m = _ints(parts[2:], ln)
     if n < 0 or m < 0:
         raise ParseError("negative counts in header", line=ln)
+    if n > DEFAULT_POWER_LIMIT:
+        raise LimitExceeded(
+            f"graph file declares {n} vertices, limit is {DEFAULT_POWER_LIMIT}", required=n
+        )
     edges = []
     for ln, line in lines[1:]:
         parts = line.split()
@@ -112,6 +119,8 @@ def parse_tree_decomposition(text: str):
     if len(parts) != 5 or parts[0] != "s" or parts[1] != "td":
         raise ParseError(f"expected header 's td <#bags> <width+1> <n>', got {header!r}", line=ln)
     nbags, wplus, n = _ints(parts[2:], ln)
+    if nbags > len(lines) - 1:
+        raise ParseError(f"header declares {nbags} bags, {len(lines) - 1} lines follow", line=ln)
     bags = [None] * nbags
     tree_edges = []
     for ln, line in lines[1:]:

@@ -2,10 +2,13 @@
 independent set enumeration and Hopcroft-Karp bipartite matching.
 
 Adjacency is a list of int masks (bit v of adj[u] set iff u~v), so any
-graph size works.  These are the hot inner loops of the library.
-Everything here is deterministic: given the same adjacency, the same sets
-come out in the same order.
+graph size works, and each kernel takes the vertex masks it works on, so
+a component or side of a graph needs no copy.  These are the hot inner
+loops of the library.  Everything here is deterministic: given the same
+adjacency, the same sets come out in the same order.
 """
+
+from .graph import mask_to_set
 
 # Read by the benchmark to label its records; these kernels are the only ones.
 HAVE_COMPILED = False
@@ -33,15 +36,17 @@ def clique_cover_bound(adj, mask):
     return count
 
 
-def max_independent_set(adj):
-    """Exact maximum independent set: (size, vertex mask).
+def max_independent_set(adj, mask):
+    """Exact maximum independent set of the subgraph induced on the vertex
+    mask: (size, vertex mask).
 
     Branch and bound: vertices of degree <= 1 in the candidate set are
     taken greedily, the greedy clique cover prunes, and branching is on the
     lowest-id vertex of maximum degree (in-branch first).  The witness is
-    the first optimum found under this fixed order, so it is reproducible.
+    the first optimum found under this fixed order, so it is reproducible,
+    and it depends on the ids only through their order: the subgraph built
+    on sorted(mask) gives the same witness, relabelled.
     """
-    n = len(adj)
     best_size = 0
     best_mask = 0
 
@@ -89,17 +94,20 @@ def max_independent_set(adj):
             expand(p & ~(adj[bv] | (1 << bv)), cur_mask | (1 << bv), cur_size + 1)
             p &= ~(1 << bv)
 
-    expand((1 << n) - 1, 0, 0)
+    expand(mask, 0, 0)
     return best_size, best_mask
 
 
-def maximal_independent_sets(adj, prune=None):
-    """Yields every maximal independent set exactly once, as masks.
+def maximal_independent_sets(adj, mask, prune=None):
+    """Yields every maximal independent set of the subgraph induced on the
+    vertex mask exactly once, as masks.
 
     Pivoting Bron-Kerbosch on the complement (maximal independent sets of G
     are the maximal cliques of its complement).  Pivot: vertex of P∪X with
     the most non-neighbors in P, lowest id on ties; candidates are visited
-    in increasing id, so the stream order is deterministic.
+    in increasing id, so the stream order is deterministic, and the
+    subgraph built on sorted(mask) yields the same sets, relabelled, in the
+    same order.
 
     prune is a predicate on vertex masks.  At a node whose R and P are both
     nonempty, prune(R | P) true drops the node with everything below it;
@@ -107,12 +115,10 @@ def maximal_independent_sets(adj, prune=None):
     when no subset of that mask can matter loses nothing.  The sets that
     remain come in the same order as without it; prune=None yields them all.
     """
-    n = len(adj)
-    full = (1 << n) - 1
-    comp = [full & ~adj[v] & ~(1 << v) for v in range(n)]
+    comp = {v: mask & ~adj[v] & ~(1 << v) for v in mask_to_set(mask)}
 
     # frame: [r, p, x, branch-candidates]
-    stack = [[0, full, 0, None]]
+    stack = [[0, mask, 0, None]]
     while stack:
         frame = stack[-1]
         r, p, x, cand = frame

@@ -15,35 +15,19 @@ from .graph import Graph, components, mask_to_set
 def alpha_exact(g: Graph, limit=None):
     """Exact maximum independent set: (size, witness vertex set).
 
-    Branch and bound per connected component; deterministic witness (the
-    first optimum under the kernels' fixed branching order).
+    Branch and bound on each connected component's mask; deterministic
+    witness (the first optimum under the kernels' fixed branching order).
     """
     if limit is None:
         limit = DEFAULT_ALPHA_LIMIT
     if g.n > limit:
         raise LimitExceeded(f"alpha_exact limited to {limit} vertices, got {g.n}", required=g.n)
-    total = 0
-    witness = set()
+    total = witness = 0
     for part in components(g.adj, (1 << g.n) - 1):
-        vertices = sorted(mask_to_set(part))
-        if len(vertices) == 1:
-            total += 1
-            witness.add(vertices[0])
-            continue
-        pos = {v: i for i, v in enumerate(vertices)}
-        adj = [0] * len(vertices)
-        for v in vertices:
-            m = g.adj[v]
-            row = 0
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                row |= 1 << pos[u]
-            adj[pos[v]] = row
-        size, mask = kernels.max_independent_set(adj)
+        size, mask = kernels.max_independent_set(g.adj, part)
         total += size
-        witness.update(vertices[i] for i in mask_to_set(mask))
-    return total, witness
+        witness |= mask
+    return total, mask_to_set(witness)
 
 
 def a_bruteforce(g: Graph, limit=DEFAULT_BRUTEFORCE_LIMIT):
@@ -86,4 +70,5 @@ def independent_domination_exact(g: Graph, limit=DEFAULT_BRUTEFORCE_LIMIT):
         )
     if g.n == 0:
         return 0
-    return min(mask.bit_count() for mask in kernels.maximal_independent_sets(list(g.adj)))
+    full = (1 << g.n) - 1
+    return min(mask.bit_count() for mask in kernels.maximal_independent_sets(g.adj, full))

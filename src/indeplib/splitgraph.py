@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NotASplitgraph
+from .errors import NotASplitgraph, VerificationError
 from .graph import Graph, mask_to_set, set_to_mask
 
 
@@ -71,7 +71,7 @@ def split_partition(g: Graph, obstruction=True) -> SplitPartition:
             raise NotASplitgraph(None, ())
         found = _find_obstruction(g)
         if found is None:
-            raise RuntimeError("degree test rejected a graph with no 2K2/C4/C5")
+            raise VerificationError("degree test rejected a graph with no 2K2/C4/C5")
         raise NotASplitgraph(*found)
     c_mask = set_to_mask(base_c)
     s_mask = set_to_mask(base_s)
@@ -90,7 +90,7 @@ def split_partition(g: Graph, obstruction=True) -> SplitPartition:
 
 def is_splitgraph(g: Graph) -> bool:
     try:
-        split_partition(g)
+        split_partition(g, obstruction=False)
         return True
     except NotASplitgraph:
         return False

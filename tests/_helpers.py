@@ -649,12 +649,12 @@ def enumerate_maximal_independent_sets(g: Graph):
     """Every maximal independent set exactly once, as frozensets, in the
     kernel's deterministic order.  The count is at most 3^(n/3)
     (Moon-Moser)."""
-    for mask in kernels.maximal_independent_sets(list(g.adj)):
+    for mask in kernels.maximal_independent_sets(g.adj, (1 << g.n) - 1):
         yield frozenset(mask_to_set(mask))
 
 
 def count_maximal_independent_sets(adj):
-    return sum(1 for _ in kernels.maximal_independent_sets(adj))
+    return sum(1 for _ in kernels.maximal_independent_sets(adj, (1 << len(adj)) - 1))
 
 
 def split_partition_scan(g: Graph):

@@ -399,6 +399,29 @@ def test_a_general_limit():
         a_general_exact(complete_graph(8), limit=7)
 
 
+def test_a_general_limit_is_per_component(monkeypatch):
+    # C30 + C30 has 60 vertices in components of 30, so the default limit
+    # of 40 admits it; a limit below 30 names the component's size
+    g = disjoint_union(cycle_graph(30), cycle_graph(30))
+    res = a_general_exact(g)
+    assert (res.a, res.a_star, res.has_fpm) == (Fraction(1, 2), Fraction(1, 2), True)
+    assert tensor_capacity(g) == res
+    with pytest.raises(LimitExceeded, match="limited to 29 vertices, got 30$") as exc:
+        a_general_exact(g, limit=29)
+    assert exc.value.required == 30
+
+    # every component is checked before any scan, and the first one over
+    # the limit is reported
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan started before the limit check")
+
+    monkeypatch.setattr(indeplib.kernels, "maximal_independent_sets", refuse)
+    g = disjoint_union(disjoint_union(cycle_graph(5), complete_graph(8)), complete_graph(9))
+    with pytest.raises(LimitExceeded, match="limited to 7 vertices, got 8$") as exc:
+        tensor_capacity(g, limit=7)
+    assert exc.value.required == 8
+
+
 def test_fractional_perfect_matching_examples():
     assert has_fractional_perfect_matching(complete_graph(2))
     assert not has_fractional_perfect_matching(star_graph(3))
@@ -552,8 +575,9 @@ def test_general_witness_matches_exhaustive_reference():
 def test_general_witness_on_tie_heavy_graphs():
     # many maximal sets tie at the optimum (a = 1/2 on paths, even cycles
     # and K_{m,m}), or reach it through an isolated vertex or a
-    # single-vertex component; the scan on the whole graph and the
-    # per-component split both keep the reference's value and witness
+    # single-vertex component; the general engine, called directly or
+    # through the dispatch, keeps the per-component reference's value and
+    # witness
     graphs = [path_graph(n) for n in range(1, 13)]
     graphs += [cycle_graph(n) for n in range(3, 13)]
     graphs += [complete_bipartite(m, m) for m in range(1, 6)]
@@ -563,11 +587,31 @@ def test_general_witness_on_tie_heavy_graphs():
     graphs += [disjoint_union(path_graph(5), cycle_graph(4))]
     graphs += [disjoint_union(cycle_graph(4), path_graph(4))]
     for g in graphs:
-        want = _general_reference(g)
-        res = a_general_exact(g)
-        assert (res.a, res.witness) == want, (g.adj, res, want)
-        res = tensor_capacity(g)
-        assert (res.a, res.witness) == _tensor_reference(g), (g.adj, res)
+        want = _tensor_reference(g)
+        for res in (a_general_exact(g), tensor_capacity(g)):
+            assert (res.a, res.witness) == want, (g.adj, res, want)
+
+
+def test_general_engine_matches_dispatch_on_unions():
+    # the engine splits a graph into components itself, so called directly
+    # it gives the dispatch's value and witness; isolated vertices and
+    # single-vertex components are mixed in
+    rng = random.Random(59)
+    for _ in range(80):
+        g = Graph(rng.randint(0, 3))
+        for _ in range(rng.randint(1, 3)):
+            g = disjoint_union(g, random_graph(rng.randint(1, 6), rng.uniform(0.2, 0.8), rng))
+        g = disjoint_union(g, Graph(rng.randint(0, 2)))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        want = _tensor_reference(g)
+        for res in (a_general_exact(g), tensor_capacity(g)):
+            assert (res.a, res.witness) == want, (g.adj, res, want)
+    # two stars K_{1,2} tie at a = 2/3; the first component's witness {3, 4}
+    # wins although the second's {2, 5} is lexicographically smaller
+    res = a_general_exact(Graph(6, [(0, 3), (0, 4), (1, 2), (1, 5)]))
+    assert (res.a, res.witness) == (Fraction(2, 3), {3, 4})
 
 
 def test_verification_survives_optimize():

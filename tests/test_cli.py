@@ -10,6 +10,7 @@ from indeplib import capacity, cli, cotree, splitgraph
 from indeplib.capacity import a_split
 from indeplib.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, EXIT_VIOLATION, main
 from indeplib.cotree import parse_cotree, realize
+from indeplib.errors import VerificationError
 from indeplib.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from indeplib.io import format_graph, parse_graph
 from indeplib.ratio import ratio_str
@@ -309,6 +310,41 @@ def test_capacity_td_bad_tree_edge_line(capsys, files, tmp_path):
     assert err == "error: line 5: expected tree edge '<i> <j>', got '1 2 3'\n"
 
 
+@pytest.mark.parametrize(
+    "command,header,code,err",
+    [
+        ("capacity", "p il 10000000000000000000 0", EXIT_LIMIT,
+         "error: graph file declares 10000000000000000000 vertices, limit is 1000000\n"),
+        ("capacity", "p il 1000000000 0", EXIT_LIMIT,
+         "error: graph file declares 1000000000 vertices, limit is 1000000\n"),
+        ("alpha", "p il 1000000000 0", EXIT_LIMIT,
+         "error: graph file declares 1000000000 vertices, limit is 1000000\n"),
+        ("check", "p il 10000000000000000000 0", EXIT_LIMIT,
+         "error: graph file declares 10000000000000000000 vertices, limit is 1000000\n"),
+    ],
+    ids=["capacity-1e19", "capacity-1e9", "alpha-1e9", "check-1e19"],
+)
+def test_declared_vertex_count_checked_at_parse(capsys, tmp_path, command, header, code, err):
+    # the header alone is refused, before a vertex is allocated
+    path = tmp_path / "huge.g"
+    path.write_text(header + "\n")
+    files = [str(path)] * (2 if command == "alpha" else 1)
+    assert run(capsys, command, *files) == (code, "", err)
+
+
+def test_declared_bag_count_checked_at_parse(capsys, files, tmp_path):
+    # every bag needs its own line, so a header promising more is refused
+    path = tmp_path / "huge.td"
+    path.write_text("s td 10000000000000000000 2 1\n")
+    (tmp_path / "k1.g").write_text("p il 1 0\n")
+    code, out, err = run(capsys, "capacity", "--td", str(path), str(tmp_path / "k1.g"))
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: line 1: header declares 10000000000000000000 bags, 0 lines follow\n"
+    path.write_text("s td 4 2 4\nb 1 0 1\nb 2 1 2\nb 3 2 3\n")
+    code, out, err = run(capsys, "capacity", "--td", str(path), files["p4"])
+    assert code == EXIT_INPUT and "declares 4 bags, 3 lines follow" in err
+
+
 def test_capacity_td_long_path(capsys, tmp_path):
     # a 1199-bag path decomposition of P1200 is nicified without recursion
     n = 1200
@@ -365,3 +401,46 @@ def test_check_all_ok(capsys, files):
     lines = out.strip().splitlines()
     assert all(": ok" in line for line in lines)
     assert any(line.startswith("engines agree") for line in lines)
+
+
+def test_check_skips_recognition_witnesses(capsys, tmp_path, monkeypatch):
+    # check only asks whether each class engine applies, so a failed
+    # recognition must not search for its P4 or 2K2/C4/C5: the output with
+    # both searches disabled is the output with them enabled
+    late_p4 = [(u, v) for v in range(36) for u in range(v)]
+    late_p4 += [(u, v) for u in (37, 38) for v in range(36)]
+    late_p4 += [(36, 37), (37, 38), (38, 39)]
+    graphs = {
+        "late_p4": Graph(40, late_p4),
+        "c5_isolated": Graph(40, [(35 + i, 35 + (i + 1) % 5) for i in range(5)]),
+        "c5": cycle_graph(5),
+        "p4": path_graph(4),
+        "k3": complete_graph(3),
+    }
+    paths = {}
+    for name, g in graphs.items():
+        paths[name] = tmp_path / f"{name}.g"
+        paths[name].write_text(format_graph(g))
+    expected = {name: run(capsys, "check", str(p)) for name, p in paths.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("recognition witness searched")
+
+    monkeypatch.setattr(cotree, "find_p4", refuse)
+    monkeypatch.setattr(splitgraph, "_find_obstruction", refuse)
+    for name, p in paths.items():
+        assert run(capsys, "check", str(p)) == expected[name], name
+    assert not cotree.is_cograph(graphs["late_p4"])
+    assert not splitgraph.is_splitgraph(graphs["c5_isolated"])
+    assert splitgraph.is_splitgraph(graphs["late_p4"]) and cotree.is_cograph(graphs["k3"])
+
+
+def test_split_recognition_disagreement_exits_1(capsys, files, monkeypatch):
+    # a degree test that rejects a graph with no obstruction found is a
+    # failed self-check, not an input error
+    monkeypatch.setattr(splitgraph, "_find_obstruction", lambda g: None)
+    with pytest.raises(VerificationError, match="no 2K2/C4/C5"):
+        splitgraph.split_partition(cycle_graph(4))
+    code, out, err = run(capsys, "capacity", "--split", files["c5"])
+    assert code == EXIT_VIOLATION and out == ""
+    assert err == "error: verification failed: degree test rejected a graph with no 2K2/C4/C5\n"

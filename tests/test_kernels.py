@@ -3,7 +3,7 @@
 import random
 
 from _helpers import count_maximal_independent_sets, random_graph
-from indeplib.graph import set_to_mask
+from indeplib.graph import Graph, components, disjoint_union, mask_to_set, set_to_mask
 from indeplib.kernels import (
     bipartite_matching,
     clique_cover_bound,
@@ -58,7 +58,7 @@ def _max_matching_by_search(adj, left_mask, right_mask):
 def test_max_independent_set_small():
     # C5: alpha = 2
     adj = [0b00110, 0b01001, 0b10001, 0b10010, 0b01100]
-    size, mask = max_independent_set(adj)
+    size, mask = max_independent_set(adj, 0b11111)
     assert size == 2
     for v in range(5):
         if (mask >> v) & 1:
@@ -67,7 +67,7 @@ def test_max_independent_set_small():
 
 def test_maximal_sets_triangle():
     adj = [0b110, 0b101, 0b011]
-    masks = sorted(maximal_independent_sets(adj))
+    masks = sorted(maximal_independent_sets(adj, 0b111))
     assert masks == [0b001, 0b010, 0b100]
     assert count_maximal_independent_sets(adj) == 3
 
@@ -80,8 +80,9 @@ def test_maximal_sets_prune():
     for _ in range(150):
         n = rng.randint(1, 14)
         adj = _random_adj(n, rng.random(), rng)
-        full = list(maximal_independent_sets(adj))
-        assert list(maximal_independent_sets(adj, prune=lambda m: False)) == full
+        every = (1 << n) - 1
+        full = list(maximal_independent_sets(adj, every))
+        assert list(maximal_independent_sets(adj, every, prune=lambda m: False)) == full
         target = rng.getrandbits(n)
         seen = []
 
@@ -89,11 +90,39 @@ def test_maximal_sets_prune():
             seen.append(mask)
             return not mask & target
 
-        kept = list(maximal_independent_sets(adj, prune=misses_target))
+        kept = list(maximal_independent_sets(adj, every, prune=misses_target))
         assert [m for m in full if m & target] == [m for m in kept if m & target]
         it = iter(full)
         assert all(m in it for m in kept)  # a subsequence of the full stream
         assert all(m & (m - 1) for m in seen)  # R and P are both nonempty
+
+
+def _relabel(mask, verts):
+    """The mask over positions in verts, as a mask over verts' ids."""
+    return set_to_mask(verts[i] for i in mask_to_set(mask))
+
+
+def test_kernels_on_masks_match_subgraphs():
+    # on a component, or on any vertex mask, the kernels give the results of
+    # the subgraph built on the sorted mask, relabelled: the maximal-set
+    # stream in its order, and the branch-and-bound size and witness
+    rng = random.Random(23)
+    for _ in range(150):
+        g = random_graph(rng.randint(1, 8), rng.uniform(0.1, 0.7), rng)
+        for _ in range(rng.randint(1, 3)):
+            g = disjoint_union(g, random_graph(rng.randint(1, 7), rng.uniform(0.1, 0.7), rng))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        masks = components(g.adj, (1 << g.n) - 1) + [rng.getrandbits(g.n) for _ in range(3)]
+        for mask in masks:
+            verts = sorted(mask_to_set(mask))
+            sub = g.subgraph(verts)
+            every = (1 << sub.n) - 1
+            want = [_relabel(m, verts) for m in maximal_independent_sets(sub.adj, every)]
+            assert list(maximal_independent_sets(g.adj, mask)) == want, (g.adj, mask)
+            size, wit = max_independent_set(sub.adj, every)
+            assert max_independent_set(g.adj, mask) == (size, _relabel(wit, verts)), (g.adj, mask)
 
 
 def test_bipartite_matching_masks():
@@ -121,10 +150,10 @@ def test_kernels_match_subset_scan():
         n = rng.randint(1, 16)
         adj = _random_adj(n, rng.random(), rng)
         alpha, maximal = _subset_scan(adj)
-        size, mask = max_independent_set(adj)
+        size, mask = max_independent_set(adj, (1 << n) - 1)
         assert size == alpha == mask.bit_count()
         assert all(not adj[v] & mask for v in range(n) if (mask >> v) & 1)
-        found = list(maximal_independent_sets(adj))
+        found = list(maximal_independent_sets(adj, (1 << n) - 1))
         assert len(found) == len(set(found))
         assert set(found) == maximal
         nl = rng.randint(1, 8)
@@ -141,7 +170,7 @@ def test_kernels_match_subset_scan():
 
 
 def test_max_independent_set_200_vertices():
-    size, mask = max_independent_set([0] * 200)
+    size, mask = max_independent_set([0] * 200, (1 << 200) - 1)
     assert size == 200 and mask == (1 << 200) - 1
 
 

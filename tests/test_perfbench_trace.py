@@ -67,6 +67,18 @@ def test_trace_wrappers_install_and_count():
         assert after["flow.min_ratio_subset"] > calls["flow.min_ratio_subset"]  # a_split ran one
         assert after["kernels.maximal_independent_sets"] >= 2
         assert tracer.counts["kernels.maximal_independent_sets.sets"] >= 1
+        # a disconnected graph is one engine call with one witness check and
+        # one matching test, however many components it has
+        item = tracer.begin_item(3)
+        lib.capacity.tensor_capacity(Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6)]))
+        tracer.finish(item)
+        last = {name: c for name, (c, _, _) in tracer.aggregate().items()}
+        for name in (
+            "capacity.a_general_exact",
+            "capacity.verify",
+            "capacity.has_fractional_perfect_matching",
+        ):
+            assert last[name] - after[name] == 1, name
     finally:
         sys.path.remove(PERFBENCH)
         for name in _indeplib_modules():
