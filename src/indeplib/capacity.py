@@ -15,19 +15,43 @@ each Dinkelbach step's.  All values are exact Fractions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import kernels
+from . import _lazy_getattr, kernels
 from .config import DEFAULT_ALPHA_LIMIT
-from .cotree import LEAF, UNION, Cotree, realize
 from .errors import InvalidDecomposition, LimitExceeded, VerificationError
 from .flow import min_ratio_subset, ratio_exceeds
 from .graph import Graph, components, mask_to_set, neighborhood, set_to_mask
-from .intersection import IntervalModel, PermutationModel, realize_interval, realize_permutation
 from .kernels import bipartite_matching
-from .splitgraph import SplitPartition
-from .treedecomp import FORGET, INTRODUCE, JOIN, START, NiceTreeDecomposition
+
+if TYPE_CHECKING:
+    from .cotree import Cotree
+    from .intersection import IntervalModel, PermutationModel
+    from .splitgraph import SplitPartition
+    from .treedecomp import NiceTreeDecomposition
+
+# The class modules load on first use, so a bare graph imports none of
+# them.  Engines read these names as attributes of this module, once per
+# call, so a name rebound here (the benchmark's tracer wraps the realize
+# functions) is the one that runs.
+__getattr__ = _lazy_getattr(
+    globals(),
+    {
+        "LEAF": "cotree",
+        "UNION": "cotree",
+        "realize": "cotree",
+        "realize_interval": "intersection",
+        "realize_permutation": "intersection",
+        "START": "treedecomp",
+        "INTRODUCE": "treedecomp",
+        "FORGET": "treedecomp",
+        "JOIN": "treedecomp",
+    },
+)
+# this module as an object, whose attribute reads reach __getattr__
+_lazy = sys.modules[__name__]
 
 
 class Engine(enum.Enum):
@@ -46,8 +70,7 @@ def a_star(a: Fraction) -> Fraction:
     return Fraction(1) if a > Fraction(1, 2) else Fraction(a)
 
 
-@dataclass(frozen=True)
-class CapacityResult:
+class CapacityResult(NamedTuple):
     a: Fraction
     a_star: Fraction
     witness: frozenset
@@ -188,6 +211,7 @@ def cograph_profile(t: Cotree, gain, pen):
     engine calls this through the module global, under the name the
     benchmark's tracer wraps.
     """
+    leaf, union = _lazy.LEAF, _lazy.UNION
     stack, order = [t], []
     while stack:
         node = stack.pop()
@@ -198,13 +222,13 @@ def cograph_profile(t: Cotree, gain, pen):
     # are the last entries of solved, in order
     solved = []
     for node in reversed(order):
-        if node.kind == LEAF:
+        if node.kind == leaf:
             solved.append((gain, 1 << node.vertex))
             continue
         k = len(node.children)
         kids = solved[-k:]
         del solved[-k:]
-        if node.kind == UNION:
+        if node.kind == union:
             value = mask = 0
             for cv, cm in kids:
                 if cv > 0:
@@ -223,7 +247,7 @@ def cograph_profile(t: Cotree, gain, pen):
 
 
 def a_cograph(t: Cotree) -> CapacityResult:
-    g = realize(t)
+    g = _lazy.realize(t)
     a, witness = _dinkelbach(g, lambda gain, pen: cograph_profile(t, gain, pen))
     return _finish(g, a, witness, Engine.COGRAPH)
 
@@ -295,7 +319,7 @@ def _chain_dp(g: Graph, order, chain_ok, gain, pen):
 def a_interval(model: IntervalModel) -> CapacityResult:
     if model.n == 0:
         raise ValueError("capacity of the empty graph is undefined")
-    g = realize_interval(model)
+    g = _lazy.realize_interval(model)
     ivs = model.intervals
     order = sorted(range(model.n), key=lambda v: (ivs[v][1], ivs[v][0], v))
 
@@ -309,7 +333,7 @@ def a_interval(model: IntervalModel) -> CapacityResult:
 def a_permutation(model: PermutationModel) -> CapacityResult:
     if model.n == 0:
         raise ValueError("capacity of the empty graph is undefined")
-    g = realize_permutation(model)
+    g = _lazy.realize_permutation(model)
     order = list(range(model.n))
     a, witness = _dinkelbach(g, lambda gain, pen: _chain_dp(g, order, model.left_of, gain, pen))
     return _finish(g, a, witness, Engine.PERMUTATION)
@@ -328,14 +352,15 @@ def treewidth_profile(g: Graph, d: NiceTreeDecomposition, gain, pen):
     this through the module global, under the name the benchmark's tracer
     wraps.
     """
+    start, introduce, forget, join = _lazy.START, _lazy.INTRODUCE, _lazy.FORGET, _lazy.JOIN
     tables = []
     for node in d.nodes:
         bag = node.bag
-        if node.kind == START:
+        if node.kind == start:
             if bag:
                 raise InvalidDecomposition("nice-form", "start bags must be empty")
             tab = {(0, 0): (0, 0)}
-        elif node.kind == INTRODUCE:
+        elif node.kind == introduce:
             if not 0 <= node.vertex < g.n:
                 raise InvalidDecomposition(
                     "nice-form", f"introduced vertex {node.vertex} is not a vertex of the graph"
@@ -358,7 +383,7 @@ def treewidth_profile(g: Graph, d: NiceTreeDecomposition, gain, pen):
                     put((inb, nbrb), value, wit)  # x stays free
                 else:
                     put((inb, nbrb | bit), value - pen, wit)
-        elif node.kind == FORGET:
+        elif node.kind == forget:
             keep = ~(1 << node.vertex)
             child = tables[node.children[0]]
             tab = {}
@@ -366,7 +391,7 @@ def treewidth_profile(g: Graph, d: NiceTreeDecomposition, gain, pen):
                 key = (inb & keep, nbrb & keep)
                 if key not in tab or value > tab[key][0]:
                     tab[key] = (value, wit)
-        elif node.kind == JOIN:
+        elif node.kind == join:
             left = tables[node.children[0]]
             right = tables[node.children[1]]
             by_in = {}
@@ -495,7 +520,7 @@ def tensor_capacity(
     if cotree is not None:
         result = a_cograph(cotree)
         if g is not None:
-            _require_same_graph(g, realize(cotree))
+            _require_same_graph(g, _lazy.realize(cotree))
         return result
     if split is not None:
         if g is None:
@@ -504,12 +529,12 @@ def tensor_capacity(
     if interval is not None:
         result = a_interval(interval)
         if g is not None:
-            _require_same_graph(g, realize_interval(interval))
+            _require_same_graph(g, _lazy.realize_interval(interval))
         return result
     if permutation is not None:
         result = a_permutation(permutation)
         if g is not None:
-            _require_same_graph(g, realize_permutation(permutation))
+            _require_same_graph(g, _lazy.realize_permutation(permutation))
         return result
     if decomposition is not None:
         if g is None:

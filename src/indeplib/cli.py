@@ -1,24 +1,25 @@
 """Command line front end.
 
 Subcommands: product, alpha, capacity, domination, check.  Exit codes:
-0 ok, 1 property violation, 2 input error, 3 resource limit.  With --json
-each result is one JSON object per line with the fixed field set
-{command, input, engine, a, a_star, alpha, witness, fpm}; rationals are
-serialized as "p/q" strings.
-"""
+0 ok, 1 property violation, 2 input error, 3 resource limit (including
+running out of memory).  With --json each result is one JSON object per
+line with the fixed field set {command, input, engine, a, a_star, alpha,
+witness, fpm}; rationals are serialized as "p/q" strings.
 
-from __future__ import annotations
+Start-up is most of a short command's time, so this module imports only
+what parsing the arguments and reporting errors need, and each command
+imports the modules it runs.  The library functions the commands call by
+name are attributes of this module, resolved on first use; the commands
+call them through the module, so a name rebound here (a test's
+monkeypatch, the benchmark's tracer) is the one that runs.
+"""
 
 import argparse
 import json
 import sys
 
-from fractions import Fraction
-
-from . import capacity as cap
-from . import io as gio
+from . import _lazy_getattr
 from .config import oracle_limit
-from .cotree import cograph_recognize
 from .errors import (
     IndeplibError,
     InvalidDecomposition,
@@ -29,12 +30,23 @@ from .errors import (
     ParseError,
     VerificationError,
 )
-from .graph import Graph, categorical_product, graph_power, neighborhood
-from .oracles import a_bruteforce, alpha_exact
-from .product_alpha import alpha_product_cographs, alpha_product_split
 from .ratio import ratio_decimal, ratio_str
-from .splitgraph import split_partition
-from .treedecomp import validate_and_nicify
+
+__getattr__ = _lazy_getattr(
+    globals(),
+    {
+        "a_bruteforce": "oracles",
+        "alpha_exact": "oracles",
+        "alpha_product_cographs": "product_alpha",
+        "alpha_product_split": "product_alpha",
+        "categorical_product": "graph",
+        "cograph_recognize": "cotree",
+        "split_partition": "splitgraph",
+        "validate_and_nicify": "treedecomp",
+    },
+)
+# this module as an object, whose attribute reads reach __getattr__
+_lazy = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -60,11 +72,16 @@ def _emit(args, human, record):
         print(human)
 
 
-def _load_graph(path) -> Graph:
+def _load_graph(path):
+    from . import io as gio
+
     return gio.parse_graph(gio.read_text(path))
 
 
 def cmd_product(args):
+    from . import io as gio
+    from .graph import graph_power
+
     if args.power is not None:
         if len(args.files) != 1:
             raise ParseError("--power takes exactly one graph file")
@@ -75,12 +92,17 @@ def cmd_product(args):
             raise ParseError("product takes two graph files (or one with --power)")
         g = _load_graph(args.files[0])
         h = _load_graph(args.files[1])
-        result = categorical_product(g, h)
+        result = _lazy.categorical_product(g, h)
     sys.stdout.write(gio.format_graph(result))
     return EXIT_OK
 
 
 def cmd_alpha(args):
+    """alpha(G x H) from the first engine that takes both factors: cograph,
+    split, then the explicit product.  The product's vertex count is checked
+    against the oracle limit before the product is built, on top of
+    alpha_exact's own per-component check, so a product too large to search
+    is never allocated."""
     g = _load_graph(args.files[0])
     h = _load_graph(args.files[1])
     inputs = f"{args.files[0]} x {args.files[1]}"
@@ -88,9 +110,9 @@ def cmd_alpha(args):
     if not args.oracle and not args.split:
         # only --cotree reports the P4, so only then is it searched for
         try:
-            tg = cograph_recognize(g, witness=args.cotree)
-            th = cograph_recognize(h, witness=args.cotree)
-            value, witness = alpha_product_cographs(tg, th)
+            tg = _lazy.cograph_recognize(g, witness=args.cotree)
+            th = _lazy.cograph_recognize(h, witness=args.cotree)
+            value, witness = _lazy.alpha_product_cographs(tg, th)
             engine = "cograph"
         except NotACograph:
             if args.cotree:
@@ -98,9 +120,9 @@ def cmd_alpha(args):
     if engine is None and not args.oracle:
         # only --split reports the obstruction, so only then is it searched for
         try:
-            pg = split_partition(g, obstruction=args.split)
-            ph = split_partition(h, obstruction=args.split)
-            value, witness = alpha_product_split(g, pg, h, ph)
+            pg = _lazy.split_partition(g, obstruction=args.split)
+            ph = _lazy.split_partition(h, obstruction=args.split)
+            value, witness = _lazy.alpha_product_split(g, pg, h, ph)
             engine = "split"
         except NotASplitgraph:
             if args.split:
@@ -109,7 +131,7 @@ def cmd_alpha(args):
         limit, size = oracle_limit(), g.n * h.n
         if size > limit:
             raise LimitExceeded(f"alpha_exact limited to {limit} vertices, got {size}", required=size)
-        value, witness = alpha_exact(categorical_product(g, h), limit=limit)
+        value, witness = _lazy.alpha_exact(_lazy.categorical_product(g, h), limit=limit)
         engine = "oracle"
     human = f"alpha={value} engine={engine}"
     witness = sorted(witness)
@@ -130,6 +152,9 @@ def cmd_alpha(args):
 
 
 def _capacity_result(args):
+    from . import capacity as cap
+    from . import io as gio
+
     if args.cotree:
         t = gio.parse_cotree_file(gio.read_text(args.file))
         return cap.tensor_capacity(cotree=t)
@@ -144,10 +169,10 @@ def _capacity_result(args):
         bags, tree_edges, n = gio.parse_tree_decomposition(gio.read_text(args.td))
         if n != g.n:
             raise ParseError(f"decomposition declares {n} vertices, graph has {g.n}")
-        nice = validate_and_nicify(g, bags, tree_edges)
+        nice = _lazy.validate_and_nicify(g, bags, tree_edges)
         return cap.tensor_capacity(g, decomposition=nice)
     if args.split:
-        return cap.tensor_capacity(g, split=split_partition(g))
+        return cap.tensor_capacity(g, split=_lazy.split_partition(g))
     return cap.tensor_capacity(g, limit=oracle_limit())
 
 
@@ -206,6 +231,15 @@ def cmd_domination(args):
 
 
 def cmd_check(args):
+    """Cross-check the engines and invariants on one graph.  The general
+    engine's limit bounds each connected component, so the checks are
+    skipped only when a component is over it, and the message gives that
+    component's vertex count."""
+    from fractions import Fraction
+
+    from . import capacity as cap
+    from .graph import graph_power, neighborhood
+
     g = _load_graph(args.file)
     failures = 0
 
@@ -218,20 +252,21 @@ def cmd_check(args):
             failures += 1
 
     limit = oracle_limit()
-    if g.n > limit:
-        print(f"all checks skipped: {g.n} vertices exceeds limit {limit}")
+    try:
+        base = cap.tensor_capacity(g, limit=limit)
+    except LimitExceeded as exc:
+        print(f"all checks skipped: {exc.required} vertices exceeds limit {limit}")
         return EXIT_OK
-    base = cap.tensor_capacity(g, limit=limit)
     values = {"general": base.a}
     if g.n <= 20:
-        values["brute"] = a_bruteforce(g)[0]
+        values["brute"] = _lazy.a_bruteforce(g)[0]
     # a failed recognition only skips its engine, so no witness is searched for
     try:
-        values["cograph"] = cap.a_cograph(cograph_recognize(g, witness=False)).a
+        values["cograph"] = cap.a_cograph(_lazy.cograph_recognize(g, witness=False)).a
     except NotACograph:
         pass
     try:
-        values["split"] = cap.a_split(g, split_partition(g, obstruction=False)).a
+        values["split"] = cap.a_split(g, _lazy.split_partition(g, obstruction=False)).a
     except NotASplitgraph:
         pass
     agree = len(set(values.values())) == 1
@@ -310,6 +345,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_LIMIT
     except (ParseError, InvalidModel, InvalidDecomposition, NotACograph, NotASplitgraph) as exc:
         print(f"error: {exc}", file=sys.stderr)

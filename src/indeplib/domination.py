@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING
 
 from .errors import LimitExceeded
-from .graph import Graph, graph_power
-from .oracles import independent_domination_exact
+
+if TYPE_CHECKING:
+    from .graph import Graph
 
 
 def ri_complete_bipartite_power(m: int, n: int, k: int) -> Fraction:
@@ -49,6 +51,9 @@ def ultimate_independent_domination_multipartite(sizes) -> Fraction:
 
 def ri_power_exact(g: Graph, k: int, limit=20) -> Fraction:
     """Brute-force r_i(G^k) = i(G^k) / |V(G)|^k (oracle bound on |V|^k)."""
+    from .graph import graph_power
+    from .oracles import independent_domination_exact
+
     if k < 1:
         raise ValueError("k must be positive")
     if g.n**k > limit:

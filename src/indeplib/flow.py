@@ -6,8 +6,8 @@ minimizer compares candidate ratios by cross-multiplication via Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import VerificationError
 from .graph import set_to_mask
@@ -35,8 +35,7 @@ class FlowNetwork:
         self.arcs.append((u, v, capacity))
 
 
-@dataclass(frozen=True)
-class CutResult:
+class CutResult(NamedTuple):
     value: int
     source_side: frozenset  # inclusion-wise MAXIMAL min-cut source side
 

@@ -12,11 +12,15 @@ format.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .config import DEFAULT_POWER_LIMIT
-from .cotree import Cotree, parse_cotree
 from .errors import LimitExceeded, ParseError
 from .graph import Graph
-from .intersection import IntervalModel, PermutationModel
+
+if TYPE_CHECKING:
+    from .cotree import Cotree
+    from .intersection import IntervalModel, PermutationModel
 
 
 def _content_lines(text):
@@ -75,6 +79,8 @@ def format_graph(g: Graph) -> str:
 
 
 def parse_interval_model(text: str) -> IntervalModel:
+    from .intersection import IntervalModel
+
     rows = {}
     for ln, line in _content_lines(text):
         parts = line.split()
@@ -94,6 +100,8 @@ def parse_interval_model(text: str) -> IntervalModel:
 
 
 def parse_permutation_model(text: str) -> PermutationModel:
+    from .intersection import PermutationModel
+
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty permutation file")
@@ -153,6 +161,8 @@ def parse_tree_decomposition(text: str):
 
 
 def parse_cotree_file(text: str) -> Cotree:
+    from .cotree import parse_cotree
+
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty cotree file")

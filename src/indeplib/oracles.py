@@ -17,13 +17,17 @@ def alpha_exact(g: Graph, limit=None):
 
     Branch and bound on each connected component's mask; deterministic
     witness (the first optimum under the kernels' fixed branching order).
+    limit bounds each component, and all are checked before any search.
     """
     if limit is None:
         limit = DEFAULT_ALPHA_LIMIT
-    if g.n > limit:
-        raise LimitExceeded(f"alpha_exact limited to {limit} vertices, got {g.n}", required=g.n)
+    parts = components(g.adj, (1 << g.n) - 1)
+    for part in parts:
+        size = part.bit_count()
+        if size > limit:
+            raise LimitExceeded(f"alpha_exact limited to {limit} vertices, got {size}", required=size)
     total = witness = 0
-    for part in components(g.adj, (1 << g.n) - 1):
+    for part in parts:
         size, mask = kernels.max_independent_set(g.adj, part)
         total += size
         witness |= mask

@@ -6,11 +6,15 @@ rebuilds an independent set of the first factor from one of G x K4.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .cotree import LEAF, UNION, Cotree
 from .errors import VerificationError
 from .graph import Graph, categorical_product, complete_graph, mask_to_set, set_to_mask
 from .kernels import bipartite_matching
-from .splitgraph import SplitPartition
+
+if TYPE_CHECKING:
+    from .splitgraph import SplitPartition
 
 
 def _product_id(hn, a, b):

@@ -422,6 +422,28 @@ def test_a_general_limit_is_per_component(monkeypatch):
     assert exc.value.required == 8
 
 
+def test_alpha_exact_limit_is_per_component(monkeypatch):
+    # the branch and bound runs on each component, so the default limit of
+    # 40 admits C30 + C30, and a limit below 30 names the component's size
+    g = disjoint_union(cycle_graph(30), cycle_graph(30))
+    size, witness = alpha_exact(g)
+    assert size == 30 and len(witness) == 30 and g.is_independent(witness)
+    with pytest.raises(LimitExceeded, match="alpha_exact limited to 29 vertices, got 30$") as exc:
+        alpha_exact(g, limit=29)
+    assert exc.value.required == 30
+
+    # every component is checked before any search, and the first one over
+    # the limit is reported
+    def refuse(*args, **kwargs):
+        raise AssertionError("search started before the limit check")
+
+    monkeypatch.setattr(indeplib.kernels, "max_independent_set", refuse)
+    g = disjoint_union(disjoint_union(cycle_graph(5), complete_graph(8)), complete_graph(9))
+    with pytest.raises(LimitExceeded, match="limited to 7 vertices, got 8$") as exc:
+        alpha_exact(g, limit=7)
+    assert exc.value.required == 8
+
+
 def test_fractional_perfect_matching_examples():
     assert has_fractional_perfect_matching(complete_graph(2))
     assert not has_fractional_perfect_matching(star_graph(3))

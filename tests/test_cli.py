@@ -11,7 +11,14 @@ from indeplib.capacity import a_split
 from indeplib.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, EXIT_VIOLATION, main
 from indeplib.cotree import parse_cotree, realize
 from indeplib.errors import VerificationError
-from indeplib.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
+from indeplib.graph import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    path_graph,
+    star_graph,
+)
 from indeplib.io import format_graph, parse_graph
 from indeplib.ratio import ratio_str
 from indeplib.splitgraph import SplitPartition
@@ -444,3 +451,40 @@ def test_split_recognition_disagreement_exits_1(capsys, files, monkeypatch):
     code, out, err = run(capsys, "capacity", "--split", files["c5"])
     assert code == EXIT_VIOLATION and out == ""
     assert err == "error: verification failed: degree test rejected a graph with no 2K2/C4/C5\n"
+
+
+def test_check_limit_is_per_component(capsys, tmp_path):
+    # C30 + C30 has 60 vertices in components of 30, which the general
+    # engine's limit of 40 admits, so every check runs, as capacity does
+    path = tmp_path / "c30c30.g"
+    path.write_text(format_graph(disjoint_union(cycle_graph(30), cycle_graph(30))))
+    assert run(capsys, "check", str(path)) == (
+        EXIT_OK,
+        "engines agree: ok (general=1/2)\n"
+        "a*=1 iff no fractional perfect matching: ok\n"
+        "toth a*(G^2)=a*(G): skipped (size)\n"
+        "witness achieves a: ok\n",
+        "",
+    )
+    assert run(capsys, "capacity", str(path))[:2] == (
+        EXIT_OK,
+        "a=1/2 (~0.500000) theta=1/2 (~0.500000) engine=general fpm=true\n",
+    )
+    # one component over the limit skips them all, naming its size
+    path = tmp_path / "c41.g"
+    path.write_text(format_graph(cycle_graph(41)))
+    assert run(capsys, "check", str(path)) == (
+        EXIT_OK,
+        "all checks skipped: 41 vertices exceeds limit 40\n",
+        "",
+    )
+
+
+def test_memory_error_exits_3(capsys, files, monkeypatch):
+    # a patched library name on the cli module is the one the command runs
+    def exhaust(g, limit=None):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "alpha_exact", exhaust)
+    code, out, err = run(capsys, "alpha", files["c5"], files["p3"])
+    assert (code, out, err) == (EXIT_LIMIT, "", "error: out of memory\n")
