@@ -14,88 +14,82 @@ from .graph import mask_to_set
 HAVE_COMPILED = False
 
 
-def _lowest(mask):
-    return (mask & -mask).bit_length() - 1
-
-
-def clique_cover_bound(adj, mask):
-    """Greedy clique cover of the vertices in mask; an upper bound on the
-    independence number of the induced subgraph."""
-    count = 0
-    rest = mask
-    while rest:
-        u = _lowest(rest)
-        rest &= rest - 1
-        cand = rest & adj[u]
-        while cand:
-            w = _lowest(cand)
-            rest &= ~(1 << w)
-            cand &= cand - 1
-            cand &= adj[w]
-        count += 1
-    return count
-
-
 def max_independent_set(adj, mask):
     """Exact maximum independent set of the subgraph induced on the vertex
     mask: (size, vertex mask).
 
-    Branch and bound: vertices of degree <= 1 in the candidate set are
-    taken greedily, the greedy clique cover prunes, and branching is on the
-    lowest-id vertex of maximum degree (in-branch first).  The witness is
-    the first optimum found under this fixed order, so it is reproducible,
-    and it depends on the ids only through their order: the subgraph built
-    on sorted(mask) gives the same witness, relabelled.
+    Branch and bound on an explicit stack, so the depth of the search is
+    not bounded by the interpreter's recursion limit.  Each node makes one
+    pass over its candidate set p, in increasing id: a vertex of degree 0
+    in G[p] is taken and the pass goes on; the first vertex of degree 1 is
+    taken, its neighbour dropped, and the pass starts again; if no vertex
+    of degree 1 is met, the pass has also found the lowest-id vertex of
+    maximum degree.  A greedy clique cover of p bounds the node, which is
+    dropped when it cannot beat the best set so far, and otherwise branches
+    on that vertex: the in-branch (take it) is searched first, the
+    out-branch waits on the stack.  The witness is the first optimum found
+    under this fixed order, so it is reproducible, and it depends on the
+    ids only through their order: the subgraph built on sorted(mask) gives
+    the same witness, relabelled.
     """
     best_size = 0
     best_mask = 0
-
-    def expand(p, cur_mask, cur_size):
-        nonlocal best_size, best_mask
+    stack = []  # out-branches (p, cur_mask, cur_size), searched last-in first
+    p, cur_mask, cur_size = mask, 0, 0
+    while True:
         while True:
-            # reductions: take isolated and degree-1 vertices of G[p]
-            reduced = False
+            top = 1  # largest degree seen, and the lowest vertex bit with it
+            branch = 0
             w = p
             while w:
-                v = _lowest(w)
-                w &= w - 1
-                d = (adj[v] & p).bit_count()
-                if d == 0:
-                    p &= ~(1 << v)
-                    cur_mask |= 1 << v
+                low = w & -w
+                w ^= low
+                nbrs = adj[low.bit_length() - 1] & p
+                d = nbrs.bit_count()
+                if d > 1:
+                    if d > top:
+                        top = d
+                        branch = low
+                elif d:
+                    p &= ~(nbrs | low)
+                    cur_mask |= low
                     cur_size += 1
-                    reduced = True
-                elif d == 1:
-                    p &= ~((adj[v] & p) | (1 << v))
-                    cur_mask |= 1 << v
-                    cur_size += 1
-                    reduced = True
                     break
-            if reduced:
+                else:
+                    p ^= low
+                    cur_mask |= low
+                    cur_size += 1
+            else:
+                break
+        if p:
+            # greedy clique cover of p, stopped once it cannot prune
+            bound = cur_size
+            rest = p
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                cand = rest & adj[low.bit_length() - 1]
+                while cand:
+                    low = cand & -cand
+                    rest ^= low
+                    cand ^= low
+                    cand &= adj[low.bit_length() - 1]
+                bound += 1
+                if bound > best_size:
+                    break
+            if bound > best_size:
+                stack.append((p ^ branch, cur_mask, cur_size))
+                p &= ~adj[branch.bit_length() - 1]
+                p ^= branch
+                cur_mask |= branch
+                cur_size += 1
                 continue
-            if not p:
-                if cur_size > best_size:
-                    best_size = cur_size
-                    best_mask = cur_mask
-                return
-            if cur_size + clique_cover_bound(adj, p) <= best_size:
-                return
-            # branch vertex: lowest id of maximum degree in G[p]
-            bv = -1
-            bd = -1
-            w = p
-            while w:
-                v = _lowest(w)
-                w &= w - 1
-                d = (adj[v] & p).bit_count()
-                if d > bd:
-                    bd = d
-                    bv = v
-            expand(p & ~(adj[bv] | (1 << bv)), cur_mask | (1 << bv), cur_size + 1)
-            p &= ~(1 << bv)
-
-    expand(mask, 0, 0)
-    return best_size, best_mask
+        elif cur_size > best_size:
+            best_size = cur_size
+            best_mask = cur_mask
+        if not stack:
+            return best_size, best_mask
+        p, cur_mask, cur_size = stack.pop()
 
 
 def maximal_independent_sets(adj, mask, prune=None):
@@ -134,8 +128,9 @@ def maximal_independent_sets(adj, mask, prune=None):
             pivot_deg = -1
             w = p | x
             while w:
-                u = _lowest(w)
-                w &= w - 1
+                low = w & -w
+                w ^= low
+                u = low.bit_length() - 1
                 d = (comp[u] & p).bit_count()
                 if d > pivot_deg:
                     pivot_deg = d
@@ -145,12 +140,12 @@ def maximal_independent_sets(adj, mask, prune=None):
         if not cand:
             stack.pop()
             continue
-        v = _lowest(cand)
-        bit = 1 << v
-        frame[1] = p & ~bit
+        bit = cand & -cand
+        far = comp[bit.bit_length() - 1]
+        frame[1] = p ^ bit
         frame[2] = x | bit
-        frame[3] = cand & ~bit
-        stack.append([r | bit, p & comp[v], x & comp[v], None])
+        frame[3] = cand ^ bit
+        stack.append([r | bit, p & far, x & far, None])
 
 
 def bipartite_matching(adj, left, right, warm=None):

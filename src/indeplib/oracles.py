@@ -15,8 +15,11 @@ from .graph import Graph, components, mask_to_set
 def alpha_exact(g: Graph, limit=None):
     """Exact maximum independent set: (size, witness vertex set).
 
-    Branch and bound on each connected component's mask; deterministic
-    witness (the first optimum under the kernels' fixed branching order).
+    kernels.max_independent_set on each connected component's mask, in
+    order of least vertex; the witness is the union of the components'
+    witnesses, each the first optimum under the kernel's fixed branching
+    order, so it is reproducible.  The search keeps its branches on an
+    explicit stack, so its depth is not bounded by the recursion limit.
     limit bounds each component, and all are checked before any search.
     """
     if limit is None:

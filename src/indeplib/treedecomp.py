@@ -3,10 +3,10 @@ nice form (START / INTRODUCE / FORGET / JOIN with an empty root bag)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidDecomposition
-from .graph import Graph
+from .graph import Graph, set_to_mask
 
 START = "start"
 INTRODUCE = "introduce"
@@ -14,8 +14,7 @@ FORGET = "forget"
 JOIN = "join"
 
 
-@dataclass(frozen=True)
-class NiceNode:
+class NiceNode(NamedTuple):
     kind: str
     bag: frozenset
     vertex: int | None  # the introduced/forgotten vertex
@@ -96,33 +95,33 @@ def validate_and_nicify(g: Graph, bags, tree_edges) -> NiceTreeDecomposition:
 
     Standard expansion: empty START leaves, INTRODUCE/FORGET chains between
     adjacent bags, binary JOINs, FORGET chain to an empty root bag.  Width
-    is preserved and the axioms are re-verified on the result.
+    is preserved, and the result is checked again by _recheck.
     """
     bags, adj = validate_decomposition(g, bags, tree_edges)
     width = max(len(b) for b in bags) - 1
     nodes = []
 
     def emit(kind, bag, vertex=None, children=()):
-        nodes.append(NiceNode(kind, frozenset(bag), vertex, tuple(children)))
+        nodes.append(NiceNode(kind, bag, vertex, children))
         return len(nodes) - 1
 
     def chain_from_empty(target):
-        idx = emit(START, frozenset())
-        bag = set()
+        bag = frozenset()
+        idx = emit(START, bag)
         for v in sorted(target):
-            bag.add(v)
-            idx = emit(INTRODUCE, set(bag), v, (idx,))
+            bag = bag | {v}
+            idx = emit(INTRODUCE, bag, v, (idx,))
         return idx
 
     def transform(idx, src, dst):
         """FORGET src\\dst then INTRODUCE dst\\src, one vertex per node."""
-        bag = set(src)
+        bag = src
         for v in sorted(src - dst):
-            bag.discard(v)
-            idx = emit(FORGET, set(bag), v, (idx,))
+            bag = bag - {v}
+            idx = emit(FORGET, bag, v, (idx,))
         for v in sorted(dst - src):
-            bag.add(v)
-            idx = emit(INTRODUCE, set(bag), v, (idx,))
+            bag = bag | {v}
+            idx = emit(INTRODUCE, bag, v, (idx,))
         return idx
 
     # Depth-first from bag 0 on an explicit stack of (bag, parent, unvisited
@@ -148,15 +147,65 @@ def validate_and_nicify(g: Graph, bags, tree_edges) -> NiceTreeDecomposition:
 
 
 def _recheck(g: Graph, nice: NiceTreeDecomposition, width):
-    nice_bags = [set(n.bag) for n in nice.nodes]
-    edges = []
-    for i, n in enumerate(nice.nodes):
-        for c in n.children:
-            edges.append((i, c))
-        if n.kind == JOIN:
-            for c in n.children:
-                if n.bag != nice.nodes[c].bag:
-                    raise InvalidDecomposition("nice-form", "join child bag differs")
-    validate_decomposition(g, nice_bags, edges)
-    if max(len(b) for b in nice_bags) - 1 > width:
-        raise InvalidDecomposition("nice-form", "width increased during nicification")
+    """Checks the nice form in one pass over its nodes, on bag masks.
+
+    Every child index is below its parent's and every node but the root is
+    exactly one node's child, so the nodes form a tree in postorder.  START
+    bags are empty, an INTRODUCE or FORGET bag is its child's plus or minus
+    its vertex, a JOIN bag equals both children's, and the root bag is
+    empty; so the bags holding a vertex are connected exactly when it is
+    forgotten once.  When v is forgotten, each neighbour of v not yet
+    forgotten must be in the child's bag, so every edge meets a bag at the
+    first FORGET of its two ends.  No bag may exceed the width.
+    """
+    adj = g.adj
+    nodes = nice.nodes
+    masks = []
+    used = 0  # node indices already some node's child
+    forgotten = 0
+    for i, node in enumerate(nodes):
+        children = node.children
+        for c in children:
+            if not 0 <= c < i or used >> c & 1:
+                raise InvalidDecomposition("tree", f"node {i} cannot have child {c}")
+            used |= 1 << c
+        kids = [masks[c] for c in children]
+        bag = set_to_mask(node.bag)
+        kind = node.kind
+        v = node.vertex
+        if kind == START:
+            ok = not kids and not bag
+        elif kind == INTRODUCE or kind == FORGET:
+            if not 0 <= v < g.n:
+                raise InvalidDecomposition("nice-form", f"vertex {v} is not a vertex of the graph")
+            bit = 1 << v
+            ok = len(kids) == 1 and bag == kids[0] ^ bit and bool(kids[0] & bit) == (kind == FORGET)
+        elif kind == JOIN:
+            ok = len(kids) == 2 and kids[0] == bag == kids[1]
+        else:
+            raise InvalidDecomposition("nice-form", f"unknown node kind {kind!r}")
+        if not ok:
+            raise InvalidDecomposition("nice-form", f"{kind} node {i} does not match its children")
+        if kind == FORGET:
+            if forgotten & bit:
+                raise InvalidDecomposition(
+                    "subtree-connectivity", f"vertex {v} is forgotten twice", witness=v
+                )
+            missed = adj[v] & ~forgotten & ~kids[0]
+            if missed:
+                edge = tuple(sorted((v, (missed & -missed).bit_length() - 1)))
+                raise InvalidDecomposition(
+                    "edge-coverage", f"edge ({edge[0]},{edge[1]}) is in no bag", witness=edge
+                )
+            forgotten |= bit
+        if bag.bit_count() - 1 > width:
+            raise InvalidDecomposition("nice-form", "width increased during nicification")
+        masks.append(bag)
+    if used != (1 << (len(nodes) - 1)) - 1:
+        raise InvalidDecomposition("tree", "a node below the root is no node's child")
+    if masks[-1]:
+        raise InvalidDecomposition("nice-form", "the root bag must be empty")
+    missing = ~forgotten & ((1 << g.n) - 1)
+    if missing:
+        v = (missing & -missing).bit_length() - 1
+        raise InvalidDecomposition("vertex-coverage", f"vertex {v} appears in no bag", witness=v)

@@ -34,7 +34,14 @@ from indeplib.graph import (
     set_to_mask,
 )
 from indeplib.product_alpha import _product_id, _SplitProductMIS, bipartite_mis
-from indeplib.treedecomp import FORGET, INTRODUCE, JOIN, START, NiceTreeDecomposition
+from indeplib.treedecomp import (
+    FORGET,
+    INTRODUCE,
+    JOIN,
+    START,
+    NiceTreeDecomposition,
+    validate_decomposition,
+)
 
 GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -836,6 +843,24 @@ def treewidth_profile_reference(g: Graph, d: NiceTreeDecomposition) -> Neighborh
     return NeighborhoodProfile(table, {k: mask_to_set(w) for k, w in wits.items()})
 
 
+def recheck_reference(g: Graph, nice: NiceTreeDecomposition, width):
+    """The nice-form check validate_and_nicify ran before its one-pass
+    check: equal JOIN bags, then the three axioms on all the nice bags,
+    then the width."""
+    nice_bags = [set(n.bag) for n in nice.nodes]
+    edges = []
+    for i, n in enumerate(nice.nodes):
+        for c in n.children:
+            edges.append((i, c))
+        if n.kind == JOIN:
+            for c in n.children:
+                if n.bag != nice.nodes[c].bag:
+                    raise InvalidDecomposition("nice-form", "join child bag differs")
+    validate_decomposition(g, nice_bags, edges)
+    if max(len(b) for b in nice_bags) - 1 > width:
+        raise InvalidDecomposition("nice-form", "width increased during nicification")
+
+
 def profile_exhaustive(g: Graph, limit=20) -> NeighborhoodProfile:
     """Profile ell(k) by scanning every independent set (small graphs)."""
     if g.n > limit:
@@ -883,6 +908,89 @@ def multipartite_product_witness(sizes_g, sizes_h):
     start = sum(sizes_h[:cls])
     hs = range(start, start + sizes_h[cls])
     return {_product_id(nh, g, h) for g in range(ng) for h in hs}
+
+
+# ---------------------------------------------------------------------------
+# the branch-and-bound kernel as it was written before its explicit stack
+
+
+def _lowest(mask):
+    return (mask & -mask).bit_length() - 1
+
+
+def clique_cover_bound(adj, mask):
+    """Greedy clique cover of the vertices in mask; an upper bound on the
+    independence number of the induced subgraph."""
+    count = 0
+    rest = mask
+    while rest:
+        u = _lowest(rest)
+        rest &= rest - 1
+        cand = rest & adj[u]
+        while cand:
+            w = _lowest(cand)
+            rest &= ~(1 << w)
+            cand &= cand - 1
+            cand &= adj[w]
+        count += 1
+    return count
+
+
+def max_independent_set_reference(adj, mask):
+    """kernels.max_independent_set as a recursive closure: two scans of the
+    candidates per node (reductions, then the branch vertex) and the full
+    clique cover before each pruning test.  The same search in the same
+    order, so the same (size, witness mask); its depth is bounded by the
+    recursion limit."""
+    best_size = 0
+    best_mask = 0
+
+    def expand(p, cur_mask, cur_size):
+        nonlocal best_size, best_mask
+        while True:
+            # reductions: take isolated and degree-1 vertices of G[p]
+            reduced = False
+            w = p
+            while w:
+                v = _lowest(w)
+                w &= w - 1
+                d = (adj[v] & p).bit_count()
+                if d == 0:
+                    p &= ~(1 << v)
+                    cur_mask |= 1 << v
+                    cur_size += 1
+                    reduced = True
+                elif d == 1:
+                    p &= ~((adj[v] & p) | (1 << v))
+                    cur_mask |= 1 << v
+                    cur_size += 1
+                    reduced = True
+                    break
+            if reduced:
+                continue
+            if not p:
+                if cur_size > best_size:
+                    best_size = cur_size
+                    best_mask = cur_mask
+                return
+            if cur_size + clique_cover_bound(adj, p) <= best_size:
+                return
+            # branch vertex: lowest id of maximum degree in G[p]
+            bv = -1
+            bd = -1
+            w = p
+            while w:
+                v = _lowest(w)
+                w &= w - 1
+                d = (adj[v] & p).bit_count()
+                if d > bd:
+                    bd = d
+                    bv = v
+            expand(p & ~(adj[bv] | (1 << bv)), cur_mask | (1 << bv), cur_size + 1)
+            p &= ~(1 << bv)
+
+    expand(mask, 0, 0)
+    return best_size, best_mask
 
 
 # ---------------------------------------------------------------------------

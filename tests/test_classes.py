@@ -11,8 +11,10 @@ from _helpers import (
     graph_catalog_upto,
     random_cotree,
     random_graph,
+    recheck_reference,
     split_partition_scan,
     threshold_cotree_text,
+    treewidth_decomposition,
     trivial_decomposition,
 )
 from indeplib.cotree import (
@@ -53,7 +55,17 @@ from indeplib.io import (
     parse_tree_decomposition,
 )
 from indeplib.splitgraph import _find_obstruction, is_splitgraph, split_partition
-from indeplib.treedecomp import validate_and_nicify, validate_decomposition
+from indeplib.treedecomp import (
+    FORGET,
+    INTRODUCE,
+    JOIN,
+    START,
+    NiceNode,
+    NiceTreeDecomposition,
+    _recheck,
+    validate_and_nicify,
+    validate_decomposition,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +447,83 @@ def test_nicify_node_order_with_join():
         "S", "I2", "I4", "F4", "I0", "F2", "I1", "S", "I0", "I3", "F3", "I1", "J", "F0", "F1"
     ]
     assert nice.nodes[12].children == (6, 11) and nice.nodes[12].bag == {0, 1}
+
+
+def _nodes(*spec):
+    """Nice nodes from (kind, bag, vertex, children) tuples."""
+    return [NiceNode(kind, frozenset(bag), v, children) for kind, bag, v, children in spec]
+
+
+S = (START, (), None, ())
+
+
+def test_nice_form_check_rejects_corrupt_forms():
+    # each form breaks one rule; the one-pass check and the axiom check it
+    # replaced both refuse it
+    p2 = path_graph(2)
+    corrupt = {
+        ("subtree-connectivity", "forgotten twice"): (  # vertex 0 introduced again after its forget
+            path_graph(1),
+            _nodes(S, (INTRODUCE, {0}, 0, (0,)), (FORGET, (), 0, (1,)),
+                   (INTRODUCE, {0}, 0, (2,)), (FORGET, (), 0, (3,))),
+            0,
+        ),
+        ("edge-coverage", r"edge \(0,1\)"): (  # 0 and 1 never share a bag
+            p2,
+            _nodes(S, (INTRODUCE, {0}, 0, (0,)), (FORGET, (), 0, (1,)),
+                   (INTRODUCE, {1}, 1, (2,)), (FORGET, (), 1, (3,))),
+            0,
+        ),
+        ("nice-form", "join node 5"): (  # the join's bag is not its children's
+            p2,
+            _nodes(S, (INTRODUCE, {0}, 0, (0,)), (INTRODUCE, {0, 1}, 1, (1,)),
+                   S, (INTRODUCE, {0}, 0, (3,)), (JOIN, {0, 1}, None, (2, 4)),
+                   (FORGET, {1}, 0, (5,)), (FORGET, (), 1, (6,))),
+            1,
+        ),
+        ("tree", "node 3 cannot have child 2"): (  # node 1 is the child of two nodes
+            p2,
+            _nodes(S, (INTRODUCE, {0}, 0, (0,)), (INTRODUCE, {0, 1}, 1, (1,)),
+                   (JOIN, {0, 1}, None, (2, 2)), (FORGET, {1}, 0, (3,)),
+                   (FORGET, (), 1, (4,))),
+            1,
+        ),
+        ("nice-form", "root bag must be empty"): (  # vertex 0 is forgotten and then stays in the root
+            path_graph(1),
+            _nodes(S, (INTRODUCE, {0}, 0, (0,)), (FORGET, (), 0, (1,)),
+                   (INTRODUCE, {0}, 0, (2,))),
+            0,
+        ),
+        ("nice-form", "width increased"): (  # a bag of two vertices at width 0
+            p2,
+            _nodes(S, (INTRODUCE, {0}, 0, (0,)), (INTRODUCE, {0, 1}, 1, (1,)),
+                   (FORGET, {1}, 0, (2,)), (FORGET, (), 1, (3,))),
+            0,
+        ),
+    }
+    for (axiom, text), (g, nodes, width) in corrupt.items():
+        nice = NiceTreeDecomposition(nodes, width)
+        with pytest.raises(InvalidDecomposition, match=text) as info:
+            _recheck(g, nice, width)
+        assert info.value.axiom == axiom
+        with pytest.raises(InvalidDecomposition):
+            recheck_reference(g, nice, width)
+    # a nice form cut short of its root is still a decomposition, so only
+    # the one-pass check refuses its nonempty root
+    nice = NiceTreeDecomposition(_nodes(S, (INTRODUCE, {0}, 0, (0,))), 0)
+    recheck_reference(path_graph(1), nice, 0)
+    with pytest.raises(InvalidDecomposition, match="root bag must be empty"):
+        _recheck(path_graph(1), nice, 0)
+
+
+def test_nice_form_check_accepts_valid_forms():
+    rng = random.Random(6)
+    for _ in range(60):
+        g = random_graph(rng.randint(1, 9), rng.random(), rng)
+        for _, bags, edges in [treewidth_decomposition(g), (None, *trivial_decomposition(g))]:
+            nice = validate_and_nicify(g, bags, edges)
+            _recheck(g, nice, nice.width)
+            recheck_reference(g, nice, nice.width)
 
 
 def test_parse_tree_decomposition():

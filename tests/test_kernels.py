@@ -1,15 +1,27 @@
 """Bitset kernels against subset-scan references."""
 
 import random
+import sys
 
-from _helpers import count_maximal_independent_sets, random_graph
-from indeplib.graph import Graph, components, disjoint_union, mask_to_set, set_to_mask
-from indeplib.kernels import (
-    bipartite_matching,
+import pytest
+
+from _helpers import (
     clique_cover_bound,
-    max_independent_set,
-    maximal_independent_sets,
+    count_maximal_independent_sets,
+    max_independent_set_reference,
+    random_graph,
+    random_max_degree,
 )
+from indeplib.graph import (
+    Graph,
+    categorical_product,
+    complete_graph,
+    components,
+    disjoint_union,
+    mask_to_set,
+    set_to_mask,
+)
+from indeplib.kernels import bipartite_matching, max_independent_set, maximal_independent_sets
 
 
 def _random_adj(n, p, rng):
@@ -167,6 +179,70 @@ def test_kernels_match_subset_scan():
         full = bipartite_matching(badj, (1 << nl) - 1, (1 << nr) - 1)
         state = bipartite_matching(badj, lm, rm, full)
         assert _check_matching(badj, lm, rm, state) == _max_matching_by_search(badj, lm, rm)
+
+
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_max_independent_set_matches_recursive_reference():
+    # the same (size, witness) as the recursive kernel it replaced, on
+    # shuffled disjoint unions, product components, G x K4 of degree-3
+    # graphs and G(n, p) up to 40 vertices, each on its whole vertex set
+    # and on a random mask
+    rng = random.Random(24)
+    graphs = []
+    for _ in range(120):
+        g = random_graph(rng.randint(1, 8), rng.uniform(0.1, 0.7), rng)
+        for _ in range(rng.randint(1, 3)):
+            g = disjoint_union(g, random_graph(rng.randint(1, 8), rng.uniform(0.1, 0.7), rng))
+        graphs.append(_shuffled(g, rng))
+    for _ in range(100):
+        g = random_graph(rng.randint(4, 7), rng.uniform(0.2, 0.8), rng)
+        h = random_graph(rng.randint(4, 7), rng.uniform(0.2, 0.8), rng)
+        graphs.append(categorical_product(g, h))
+    for _ in range(60):
+        g = random_max_degree(rng.randint(1, 9), 3, rng.random(), rng)
+        graphs.append(categorical_product(g, complete_graph(4)))
+    for _ in range(120):
+        n = rng.randint(1, 40)
+        graphs.append(random_graph(n, rng.uniform(0.05, 0.6), rng))
+    checked = 0
+    for g in graphs:
+        every = (1 << g.n) - 1
+        for mask in components(g.adj, every) + [every, rng.getrandbits(g.n)]:
+            got = max_independent_set(g.adj, mask)
+            assert got == max_independent_set_reference(g.adj, mask), (g.adj, mask)
+            checked += 1
+    assert checked >= 1000
+
+
+def _frame_depth():
+    frame = sys._getframe()
+    depth = 0
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_max_independent_set_deeper_than_recursion_limit():
+    # 200 disjoint triangles branch 200 deep; under a recursion limit 100
+    # frames above this test the recursive reference fails, the kernel not
+    n = 600
+    g = Graph(n, [e for i in range(0, n, 3) for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        with pytest.raises(RecursionError):
+            max_independent_set_reference(g.adj, (1 << n) - 1)
+        size, mask = max_independent_set(g.adj, (1 << n) - 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert size == 200 == mask.bit_count()
+    assert all(not g.adj[v] & mask for v in mask_to_set(mask))
 
 
 def test_max_independent_set_200_vertices():

@@ -77,3 +77,13 @@ def test_capacity_and_domination_import_only_what_they_run(tmp_path):
     ran = library(loaded["command"])
     assert "domination" in ran
     assert not ran & {"capacity", "flow", "product_alpha", "cotree", "io"}
+
+
+def test_tree_decomposition_capacity_skips_dataclasses(tmp_path):
+    # NiceNode is a NamedTuple, so `capacity --td` needs no dataclasses
+    (tmp_path / "p3.g").write_text(format_graph(path_graph(3)))
+    (tmp_path / "p3.td").write_text("s td 2 2 3\nb 1 0 1\nb 2 1 2\n1 2\n")
+    loaded = run_child("--json", "capacity", "--td", "p3.td", "p3.g", cwd=tmp_path)
+    assert loaded["code"] == 0
+    assert "treedecomp" in library(loaded["command"])
+    assert "dataclasses" not in loaded["command"]
