@@ -435,14 +435,20 @@ def a_general_exact(g: Graph, limit=None) -> CapacityResult:
     and limit bounds each component; all are checked before any scan.
 
     Each minimization is priced at the best nu so far, in any component,
-    so a set that can only do worse costs one cut.  The price starts at the
-    minimum degree, which a single vertex attains, so the optimum lies at
-    or below it.  Each branch of the scan also costs at most one cut: a
-    node (R, P) is dropped when every nonempty S inside R | P, independent
-    or not, has a ratio above the price, for then every set below it would
-    return None.  Sets that tie or beat the price are still solved, so the
-    witness comes from the first component with the strictly largest a and
-    is the lexicographically smallest maximal minimizer among its best sets."""
+    so a set that can only do worse costs one cut.  The price starts at
+    the ratio of one greedy maximal independent set, solved before the
+    scan: from the least vertex of minimum degree, it adds the candidate
+    with the fewest candidate neighbours, least first on ties.  That ratio
+    is at most the minimum degree and is attained by a real independent
+    set, so the optimum lies at or below every price.  Each branch of the
+    scan also costs at most one cut: a node (R, P) is dropped when every
+    nonempty S inside R | P, independent or not, has a ratio above the
+    price, for then every set below it would return None.  Sets that tie
+    or beat the price are still solved, and their maximal minimizers do
+    not depend on it, so the witness comes from the first component with
+    the strictly largest a and is the lexicographically smallest maximal
+    minimizer among its best sets.  A component that cannot reach the
+    price records nothing."""
     if limit is None:
         limit = DEFAULT_ALPHA_LIMIT
     if g.n == 0:
@@ -455,8 +461,19 @@ def a_general_exact(g: Graph, limit=None) -> CapacityResult:
             raise LimitExceeded(
                 f"a_general_exact limited to {limit} vertices, got {size}", required=size
             )
-    best = None  # (a, sorted witness, component)
     price = Fraction(min(m.bit_count() for m in adj))  # nu = 1/a - 1 to tie or beat
+    if price:  # an isolated vertex already attains nu = 0
+        # a pick changes no candidate count outside its component, so the
+        # set grows one component at a time as it would over the whole graph
+        greedy = []
+        for part in parts:
+            cand = part
+            while cand:
+                v = min(mask_to_set(cand), key=lambda u: ((adj[u] & cand).bit_count(), u))
+                greedy.append(v)
+                cand &= ~adj[v] & ~(1 << v)
+        price = min_ratio_subset(greedy, adj, price)[1]
+    best = None  # (a, sorted witness, component)
 
     def prune(mask):
         return ratio_exceeds(mask, adj, price.numerator, price.denominator)
@@ -473,7 +490,7 @@ def a_general_exact(g: Graph, limit=None) -> CapacityResult:
                 best = (a, wit, part)
                 price = nu
     if best is None:
-        raise VerificationError("no maximal independent set reached the minimum degree's ratio")
+        raise VerificationError("no maximal independent set reached the starting price")
     return _finish(g, best[0], set_to_mask(best[1]), Engine.GENERAL)
 
 

@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import _lazy_getattr
-from .config import oracle_limit
+from .config import DEFAULT_POWER_LIMIT, oracle_limit
 from .errors import (
     IndeplibError,
     InvalidDecomposition,
@@ -99,10 +99,11 @@ def cmd_product(args):
 
 def cmd_alpha(args):
     """alpha(G x H) from the first engine that takes both factors: cograph,
-    split, then the explicit product.  The product's vertex count is checked
-    against the oracle limit before the product is built, on top of
-    alpha_exact's own per-component check, so a product too large to search
-    is never allocated."""
+    split, then the explicit product.  A component of G x H lies inside the
+    product of a component of G and one of H, so the product is refused
+    before it is built when the largest components of G and H multiply past
+    the oracle limit, or when its vertex count passes the shared vertex
+    ceiling; otherwise alpha_exact checks each component of the product."""
     g = _load_graph(args.files[0])
     h = _load_graph(args.files[1])
     inputs = f"{args.files[0]} x {args.files[1]}"
@@ -128,9 +129,19 @@ def cmd_alpha(args):
             if args.split:
                 raise
     if engine is None:
-        limit, size = oracle_limit(), g.n * h.n
+        from .graph import components
+
+        limit = oracle_limit()
+        size = 1
+        for f in (g, h):
+            size *= max(map(int.bit_count, components(f.adj, (1 << f.n) - 1)), default=0)
         if size > limit:
             raise LimitExceeded(f"alpha_exact limited to {limit} vertices, got {size}", required=size)
+        size = g.n * h.n
+        if size > DEFAULT_POWER_LIMIT:
+            raise LimitExceeded(
+                f"product needs {size} vertices, limit is {DEFAULT_POWER_LIMIT}", required=size
+            )
         value, witness = _lazy.alpha_exact(_lazy.categorical_product(g, h), limit=limit)
         engine = "oracle"
     human = f"alpha={value} engine={engine}"

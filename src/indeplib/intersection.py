@@ -2,25 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidModel
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class IntervalModel:
+class IntervalModel(NamedTuple("IntervalModel", [("intervals", tuple)])):
     """Closed intervals with integer endpoints; vertex i = intervals[i].
-    Sharing an endpoint counts as intersecting."""
+    Sharing an endpoint counts as intersecting.  Construction, _make and
+    _replace all check the intervals."""
 
-    intervals: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        ivs = tuple((int(l), int(r)) for l, r in self.intervals)
-        object.__setattr__(self, "intervals", ivs)
+    def __new__(cls, intervals):
+        ivs = tuple((int(l), int(r)) for l, r in intervals)
         for i, (l, r) in enumerate(ivs):
             if l > r:
                 raise InvalidModel(f"interval {i} has left {l} > right {r}")
+        return super().__new__(cls, ivs)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def n(self):
@@ -38,19 +42,23 @@ def realize_interval(model: IntervalModel) -> Graph:
     return Graph(len(ivs), edges)
 
 
-@dataclass(frozen=True)
-class PermutationModel:
+class PermutationModel(NamedTuple("PermutationModel", [("perm", tuple)])):
     """Vertex i is the segment from position i on the top line to position
     perm[i] on the bottom line (0-based internally); i ~ j iff the segments
-    cross: (i - j) * (perm[i] - perm[j]) < 0."""
+    cross: (i - j) * (perm[i] - perm[j]) < 0.  Construction, _make and
+    _replace all check the permutation."""
 
-    perm: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        p = tuple(int(x) for x in self.perm)
-        object.__setattr__(self, "perm", p)
+    def __new__(cls, perm):
+        p = tuple(int(x) for x in perm)
         if sorted(p) != list(range(len(p))):
             raise InvalidModel(f"not a permutation of 0..{len(p) - 1}: {p}")
+        return super().__new__(cls, p)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def n(self):

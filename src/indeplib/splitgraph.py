@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import NotASplitgraph, VerificationError
 from .graph import Graph, mask_to_set, set_to_mask
 
 
-@dataclass(frozen=True)
-class SplitPartition:
+class SplitPartition(NamedTuple):
     clique: frozenset
     independent: frozenset
 

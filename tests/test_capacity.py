@@ -636,6 +636,53 @@ def test_general_engine_matches_dispatch_on_unions():
     assert (res.a, res.witness) == (Fraction(2, 3), {3, 4})
 
 
+def _record_ratio_calls(monkeypatch):
+    """Record (sorted set, result) of each min_ratio_subset call the
+    general engine makes; the first is the greedy set's."""
+    calls = []
+    real = capacity.min_ratio_subset
+
+    def recorded(svars, nbr, price=None):
+        found = real(svars, nbr, price)
+        calls.append((sorted(svars), found))
+        return found
+
+    monkeypatch.setattr(capacity, "min_ratio_subset", recorded)
+    return calls
+
+
+# a connected 6-vertex graph with a = 1/2 (nu = 1) whose greedy set only
+# reaches nu = 2; its vertices are relabelled below
+SLOW_GREEDY = [(0, 3), (0, 5), (1, 2), (1, 4), (2, 4), (2, 5), (3, 4)]
+
+
+def test_general_seed_from_a_later_component_keeps_the_first_best(monkeypatch):
+    # the first component (vertices 0, 3-7) and the edge 1-2 both reach
+    # a = 1/2, but only the edge's part of the greedy set does; the price
+    # starts at the edge's ratio and the first component still wins, though
+    # the edge's witness {1} is lexicographically smaller than its {3, 5, 7}
+    label = [0, 3, 4, 5, 6, 7]
+    g = Graph(8, [(label[u], label[v]) for u, v in SLOW_GREEDY] + [(1, 2)])
+    calls = _record_ratio_calls(monkeypatch)
+    res = a_general_exact(g)
+    assert calls[0] == ([0, 1, 3], ({1}, Fraction(1)))
+    assert (res.a, res.witness) == (Fraction(1, 2), {3, 5, 7}) == _tensor_reference(g)
+    assert tensor_capacity(g) == res
+
+
+def test_general_component_below_the_seed_records_nothing(monkeypatch):
+    # the star on 6-9 seeds the price at 1/3 (its leaves), which no set of
+    # the first component (best nu = 1) can reach, so no ratio is found
+    # there (at the minimum degree's price, 1, its best sets tied it); the
+    # value and witness are still the reference's
+    g = disjoint_union(Graph(6, SLOW_GREEDY), star_graph(3))
+    calls = _record_ratio_calls(monkeypatch)
+    res = a_general_exact(g)
+    assert calls[0] == ([0, 1, 7, 8, 9], ({7, 8, 9}, Fraction(1, 3)))
+    assert not [found for _, found in calls[1:] if found and max(found[0]) < 6]
+    assert (res.a, res.witness) == (Fraction(3, 4), {7, 8, 9}) == _tensor_reference(g)
+
+
 def test_verification_survives_optimize():
     # a corrupted witness check must still fail _finish under python -O
     code = textwrap.dedent(

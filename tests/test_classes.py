@@ -54,7 +54,12 @@ from indeplib.io import (
     parse_permutation_model,
     parse_tree_decomposition,
 )
-from indeplib.splitgraph import _find_obstruction, is_splitgraph, split_partition
+from indeplib.splitgraph import (
+    SplitPartition,
+    _find_obstruction,
+    is_splitgraph,
+    split_partition,
+)
 from indeplib.treedecomp import (
     FORGET,
     INTRODUCE,
@@ -335,6 +340,38 @@ def test_permutation_models():
         PermutationModel((0, 2))
     m = PermutationModel((1, 0, 2))
     assert m.left_of(0, 2) and not m.left_of(0, 1) and not m.left_of(2, 0)
+
+
+def test_certificate_models_are_checked_frozen_values():
+    # the models are NamedTuples: built from any iterable, checked on every
+    # construction (_make and _replace included), equal and hashed by value,
+    # and read-only
+    m = IntervalModel([[0, 1], (1, 2)])
+    assert m.intervals == ((0, 1), (1, 2)) and m.n == 2
+    assert m == IntervalModel(((0, 1), (1, 2))) and hash(m) == hash(IntervalModel(m.intervals))
+    assert m != IntervalModel(((0, 1),)) and len({m, IntervalModel(m.intervals)}) == 1
+    assert repr(m) == "IntervalModel(intervals=((0, 1), (1, 2)))"
+    with pytest.raises(InvalidModel):
+        m._replace(intervals=((1, 0),))
+    with pytest.raises(InvalidModel):
+        IntervalModel._make((((3, 2),),))
+    with pytest.raises(AttributeError):
+        m.intervals = ()
+
+    pm = PermutationModel([2, 0, 1])
+    assert pm.perm == (2, 0, 1) and pm.n == 3
+    assert pm == PermutationModel((2, 0, 1)) and hash(pm) == hash(PermutationModel(pm.perm))
+    assert pm != PermutationModel((0, 1, 2))
+    with pytest.raises(InvalidModel):
+        pm._replace(perm=(0, 0))
+    with pytest.raises(AttributeError):
+        pm.perm = (0,)
+
+    part = split_partition(path_graph(4))
+    assert part == SplitPartition(frozenset({1, 2}), frozenset({0, 3}))
+    assert hash(part) == hash(SplitPartition(part.clique, part.independent))
+    with pytest.raises(AttributeError):
+        part.clique = frozenset()
 
 
 def test_model_file_formats():

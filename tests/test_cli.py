@@ -130,6 +130,39 @@ def test_alpha_oracle_limit_checked_before_product(capsys, tmp_path, monkeypatch
     assert err == "error: alpha_exact limited to 40 vertices, got 10000\n"
 
 
+def test_alpha_oracle_limit_is_per_component(capsys, tmp_path, monkeypatch):
+    # (C5 + 40 isolated vertices) x C5 has 225 vertices, but a component of
+    # a product lies inside the product of a component of each factor, so
+    # its largest component has 25: alpha(C5 x C5) = 10, plus 200 isolated
+    c5 = tmp_path / "c5.g"
+    c5.write_text(format_graph(cycle_graph(5)))
+    padded = tmp_path / "c5_40.g"
+    padded.write_text(format_graph(disjoint_union(cycle_graph(5), Graph(40))))
+    code, out, err = run(capsys, "alpha", "--witness", str(padded), str(c5))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("alpha=210 engine=oracle witness=")
+
+    def refuse(g, h):
+        raise AssertionError("product built past a limit")
+
+    monkeypatch.setattr(cli, "categorical_product", refuse)
+    # C9 x C5: largest components 9 and 5 multiply past the oracle limit
+    c9 = tmp_path / "c9.g"
+    c9.write_text(format_graph(disjoint_union(cycle_graph(9), Graph(3))))
+    code, out, err = run(capsys, "alpha", str(c9), str(c5))
+    assert (code, out) == (EXIT_LIMIT, "")
+    assert err == "error: alpha_exact limited to 40 vertices, got 45\n"
+    # 2000 x 501 vertices pass the vertex ceiling, though every component
+    # of the product has at most 25
+    big = tmp_path / "big.g"
+    big.write_text(format_graph(disjoint_union(cycle_graph(5), Graph(1995))))
+    wide = tmp_path / "wide.g"
+    wide.write_text(format_graph(disjoint_union(cycle_graph(5), Graph(496))))
+    code, out, err = run(capsys, "alpha", str(big), str(wide))
+    assert (code, out) == (EXIT_LIMIT, "")
+    assert err == "error: product needs 1002000 vertices, limit is 1000000\n"
+
+
 def test_alpha_forced_split_reports_obstruction(capsys, files):
     code, out, err = run(capsys, "alpha", "--split", files["c5"], files["p3"])
     assert code == EXIT_INPUT and out == ""
@@ -138,7 +171,9 @@ def test_alpha_forced_split_reports_obstruction(capsys, files):
 
 def test_alpha_skips_split_obstruction_without_split_flag(capsys, tmp_path, monkeypatch):
     # a C5 on vertices 35-39 of 40 fails the split degree test; without
-    # --split its 2K2/C4/C5 witness is never reported, so it is not searched
+    # --split its 2K2/C4/C5 witness is never reported, so it is not searched.
+    # The product's largest component is C5 x C5, within the oracle limit,
+    # so alpha_exact answers alpha(C5 x C5) = 10 plus 1575 isolated vertices
     def refuse(g):
         raise AssertionError("obstruction searched without --split")
 
@@ -146,8 +181,7 @@ def test_alpha_skips_split_obstruction_without_split_flag(capsys, tmp_path, monk
     path = tmp_path / "a.g"
     path.write_text(format_graph(Graph(40, [(35 + i, 35 + (i + 1) % 5) for i in range(5)])))
     code, out, err = run(capsys, "alpha", str(path), str(path))
-    assert code == EXIT_LIMIT and out == ""
-    assert err == "error: alpha_exact limited to 40 vertices, got 1600\n"
+    assert (code, out, err) == (EXIT_OK, "alpha=1585 engine=oracle\n", "")
 
 
 def test_alpha_skips_p4_search_without_cotree_flag(capsys, tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 from _helpers import min_ratio_subset_exhaustive, random_graph
 from indeplib import flow
+from indeplib.errors import VerificationError
 from indeplib.flow import INF, FlowNetwork, max_flow, min_ratio_subset, ratio_exceeds
 from indeplib.graph import set_to_mask
 
@@ -201,3 +202,92 @@ def test_ratio_exceeds_spends_no_cut_on_a_failed_necessary_test(monkeypatch):
     nbr = [0b11 << 5, 0b11 << 5, 0, 0b1111 << 7, 0b1111 << 11]
     assert not ratio_exceeds(0b11011, nbr, 3, 2) and len(cuts) == 1
     assert ratio_exceeds(0b11011, nbr, 1, 2) and len(cuts) == 2
+
+
+def _cut_exhaustive(svars, nbr, p, q):
+    """The S-vertices of every maximizer of p*|S| - q*|N(S)| over subsets
+    S of svars (the empty set included), in svars order: the maximal
+    min-cut source side, since maximizers are closed under union."""
+    values = {}
+    for sub in range(1 << len(svars)):
+        picked = [v for i, v in enumerate(svars) if (sub >> i) & 1]
+        nbrs = 0
+        for v in picked:
+            nbrs |= nbr[v]
+        values[sub] = p * len(picked) - q * nbrs.bit_count()
+    top = max(values.values())
+    union = 0
+    for sub, value in values.items():
+        if value == top:
+            union |= sub
+    return [v for i, v in enumerate(svars) if (union >> i) & 1]
+
+
+def test_ratio_cut_vs_exhaustive():
+    # graphs (so the sides of the double cover overlap, as ratio_exceeds
+    # builds them) and arbitrary neighbour masks, up to 10 vertices; the
+    # ground may hold vertices no S-vertex sees, which never take flow;
+    # prices tie a subset's ratio (q > 1 included), or are random
+    rng = random.Random(31)
+    for case in range(1500):
+        n = rng.randint(1, 10)
+        if case % 2:
+            nbr = list(random_graph(n, rng.random(), rng).adj)
+        else:
+            nbr = [rng.getrandbits(n) for _ in range(n)]
+        svars = [v for v in range(n) if rng.random() < 0.6]
+        ground = rng.getrandbits(n) if case % 3 == 0 else 0
+        for v in svars:
+            ground |= nbr[v]
+        prices = {(rng.randint(0, 12), rng.randint(1, 5))}
+        if svars:
+            picked = rng.sample(svars, rng.randint(1, len(svars)))
+            nbrs = 0
+            for v in picked:
+                nbrs |= nbr[v]
+            tie = Fraction(nbrs.bit_count(), len(picked))
+            k = rng.randint(1, 3)
+            prices.add((tie.numerator * k, tie.denominator * k))
+            prices.add((tie.numerator, tie.denominator))
+        for p, q in prices:
+            got = flow._ratio_cut(list(svars), nbr, ground, p, q)
+            assert got == _cut_exhaustive(svars, nbr, p, q), (svars, nbr, ground, p, q)
+
+
+def test_ratio_cut_checks_catch_a_corrupted_flow(monkeypatch):
+    class Masks(list):
+        """Neighbour masks that count their reads and, past read number
+        `after`, also show the ground vertices in `extra`."""
+
+        def __init__(self, masks, after=None, extra=0):
+            super().__init__(masks)
+            self.reads, self.after, self.extra = 0, after, extra
+
+        def __getitem__(self, v):
+            self.reads += 1
+            mask = super().__getitem__(v)
+            if self.after is not None and self.reads > self.after:
+                mask |= self.extra
+            return mask
+
+    # S-vertex 1 (ratio 1 at price 1) is the source side; S-vertex 0 sees
+    # ground vertices 2 and 3, and 3 keeps its residual to t.  The last
+    # read, the final check's of vertex 1, also shows an arc 1 -> 3 across
+    # the cut
+    svars, masks, ground = [0, 1], [0b1100, 0b10000, 0, 0, 0], 0b11100
+    counted = Masks(masks)
+    assert flow._ratio_cut(svars, counted, ground, 1, 1) == [1]
+    lying = Masks(masks, after=counted.reads - 1, extra=0b1000)
+    with pytest.raises(VerificationError, match="unbounded arc crosses"):
+        flow._ratio_cut(svars, lying, ground, 1, 1)
+
+    # the greedy start is handed S-vertex 0 twice: its second pass's flow
+    # overwrites the record of the first, so ground vertex 2 fills up with
+    # flow the state does not hold, and the cut's capacity exceeds the value
+    def twice(items, key=None):
+        items = sorted(items, key=key)
+        return items[:1] + items
+
+    monkeypatch.setattr(flow, "sorted", twice, raising=False)
+    with pytest.raises(VerificationError, match="ratio cut capacity"):
+        flow._ratio_cut([0], [0b1100, 0, 0, 0], 0b1100, 1, 1)

@@ -1,0 +1,105 @@
+"""Fuzzing the graph-file path: valid and mutated `p il` files through
+`capacity`, `check` and `alpha`, in-process.
+
+Every file must end in an exit code of 0-3 with no traceback; a valid file
+within the oracle limits must also pass `capacity` and every check of
+`check`.  Hypothesis runs a fixed number of examples from a fixed seed and
+keeps no example database, so each run sees the same files.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from indeplib import cli
+
+HUGE = st.sampled_from([10**6 + 1, 2**31, 2**63, 10**20])
+
+
+@st.composite
+def graph_files(draw):
+    """(file text, valid) for a small graph file, perhaps mutated."""
+    n = draw(st.integers(1, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = sorted({(min(e), max(e)) for e in draw(st.lists(pairs, max_size=14)) if e[0] != e[1]})
+    header = ["p", "il", str(n), str(len(edges))]
+    lines = [f"e {u} {v}" for u, v in edges]
+    mutation = draw(
+        st.sampled_from(
+            [
+                "none",
+                "duplicate",
+                "huge-id",
+                "huge-count",
+                "out-of-range",
+                "truncate",
+                "edge-count",
+                "token",
+            ]
+        )
+    )
+    if mutation == "duplicate" and lines:
+        lines.append(draw(st.sampled_from(lines)))
+        header[3] = str(len(lines))
+    elif mutation == "huge-id":
+        lines.append(f"e 0 {draw(HUGE)}")
+        header[3] = str(len(lines))
+    elif mutation == "huge-count":
+        header[draw(st.sampled_from([2, 3]))] = str(draw(HUGE))
+    elif mutation == "out-of-range":
+        lines.append(f"e {draw(st.integers(-3, -1))} {n}")
+        header[3] = str(len(lines))
+    elif mutation == "edge-count":
+        header[3] = str(len(lines) + draw(st.sampled_from([-1, 1])))
+    elif mutation == "token":
+        # one token of the header or of an edge line becomes arbitrary text
+        row = draw(st.integers(0, len(lines)))
+        tokens = header if row == 0 else lines[row - 1].split()
+        junk = st.text("0123456789-+_.xeilp \u0663", max_size=5)
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(junk)
+        if row:
+            lines[row - 1] = " ".join(tokens)
+    text = "\n".join([" ".join(header)] + lines) + "\n"
+    if mutation == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text, mutation == "none" or (mutation == "duplicate" and not lines)
+
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@seed(20260)
+@settings(max_examples=120, deadline=None, database=None)
+@given(case=graph_files())
+def test_graph_files_end_in_an_exit_code(workdir, monkeypatch_module, case):
+    text, valid = case
+    path = workdir / "g.g"
+    path.write_text(text)
+    for argv in (("capacity", str(path)), ("check", str(path)), ("alpha", str(path), str(path))):
+        code, out, err = run(*argv)
+        assert code in (0, 1, 2, 3), (argv, text, code)
+        assert "Traceback" not in out + err, (argv, text)
+        if valid and argv[0] != "alpha":
+            assert code == 0 and "FAIL" not in out, (argv, text, out, err)
+        if code:
+            assert err.startswith("error: "), (argv, text, err)
+
+
+@pytest.fixture(scope="module")
+def monkeypatch_module():
+    # the oracle limit comes from the environment; fix it at the default
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("IL_ORACLE_LIMIT", raising=False)
+        yield mp

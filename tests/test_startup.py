@@ -87,3 +87,24 @@ def test_tree_decomposition_capacity_skips_dataclasses(tmp_path):
     assert loaded["code"] == 0
     assert "treedecomp" in library(loaded["command"])
     assert "dataclasses" not in loaded["command"]
+
+
+def test_certificate_models_skip_dataclasses(tmp_path):
+    # IntervalModel, PermutationModel and SplitPartition are NamedTuples, so
+    # the commands that build them need no dataclasses (nor inspect)
+    (tmp_path / "p3.iv").write_text("0 0 1\n1 1 2\n2 2 3\n")
+    (tmp_path / "p3.pm").write_text("3\n2 1 3\n")
+    (tmp_path / "p4.g").write_text(format_graph(path_graph(4)))
+    runs = [
+        (("capacity", "--interval", "p3.iv"), "intersection"),
+        (("capacity", "--permutation", "p3.pm"), "intersection"),
+        (("capacity", "--split", "p4.g"), "splitgraph"),
+        (("check", "p4.g"), "splitgraph"),
+        # P4 is split but not a cograph, so alpha takes the split path
+        (("alpha", "p4.g", "p4.g"), "product_alpha"),
+    ]
+    for argv, module in runs:
+        loaded = run_child("--json", *argv, cwd=tmp_path)
+        assert loaded["code"] == 0, argv
+        assert module in library(loaded["command"]), argv
+        assert not {"dataclasses", "inspect"} & set(loaded["command"]), argv
