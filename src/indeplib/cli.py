@@ -99,11 +99,8 @@ def cmd_product(args):
 
 def cmd_alpha(args):
     """alpha(G x H) from the first engine that takes both factors: cograph,
-    split, then the explicit product.  A component of G x H lies inside the
-    product of a component of G and one of H, so the product is refused
-    before it is built when the largest components of G and H multiply past
-    the oracle limit, or when its vertex count passes the shared vertex
-    ceiling; otherwise alpha_exact checks each component of the product."""
+    split, then the explicit product, one pair of factor components at a
+    time (_alpha_by_components)."""
     g = _load_graph(args.files[0])
     h = _load_graph(args.files[1])
     inputs = f"{args.files[0]} x {args.files[1]}"
@@ -129,20 +126,7 @@ def cmd_alpha(args):
             if args.split:
                 raise
     if engine is None:
-        from .graph import components
-
-        limit = oracle_limit()
-        size = 1
-        for f in (g, h):
-            size *= max(map(int.bit_count, components(f.adj, (1 << f.n) - 1)), default=0)
-        if size > limit:
-            raise LimitExceeded(f"alpha_exact limited to {limit} vertices, got {size}", required=size)
-        size = g.n * h.n
-        if size > DEFAULT_POWER_LIMIT:
-            raise LimitExceeded(
-                f"product needs {size} vertices, limit is {DEFAULT_POWER_LIMIT}", required=size
-            )
-        value, witness = _lazy.alpha_exact(_lazy.categorical_product(g, h), limit=limit)
+        value, witness = _alpha_by_components(g, h)
         engine = "oracle"
     human = f"alpha={value} engine={engine}"
     witness = sorted(witness)
@@ -160,6 +144,47 @@ def cmd_alpha(args):
         },
     )
     return EXIT_OK
+
+
+def _alpha_by_components(g, h):
+    """alpha(G x H) by alpha_exact, without building G x H.
+
+    G x H is the disjoint union of the products Gi x Hj of a component of G
+    and one of H, so its alpha is their sum.  Gi x Hj keeps the order of
+    its vertices (a, b), so alpha_exact's witness on it, mapped back to
+    a*|V(H)| + b, is the one it gives on G x H.  Equal pairs are solved
+    once.  Refused before any search when |V(G)|*|V(H)| passes the vertex
+    ceiling, or when the largest Gi x Hj passes the oracle limit.
+    """
+    from .graph import components, mask_to_set
+
+    if not g.n or not h.n:
+        raise ValueError("empty graph")
+    size = g.n * h.n
+    if size > DEFAULT_POWER_LIMIT:
+        raise LimitExceeded(
+            f"product needs {size} vertices, limit is {DEFAULT_POWER_LIMIT}", required=size
+        )
+    parts = []
+    for f in (g, h):
+        verts = [sorted(mask_to_set(c)) for c in components(f.adj, (1 << f.n) - 1)]
+        parts.append([(vs, f.subgraph(vs)) for vs in verts])
+    limit = oracle_limit()
+    size = max(len(vs) for vs, _ in parts[0]) * max(len(vs) for vs, _ in parts[1])
+    if size > limit:
+        raise LimitExceeded(f"alpha_exact limited to {limit} vertices, got {size}", required=size)
+    solved = {}
+    total = 0
+    witness = []
+    for gv, gi in parts[0]:
+        for hv, hj in parts[1]:
+            if (gi, hj) not in solved:
+                solved[gi, hj] = _lazy.alpha_exact(_lazy.categorical_product(gi, hj), limit=limit)
+            value, local = solved[gi, hj]
+            total += value
+            k = len(hv)
+            witness += [gv[x // k] * h.n + hv[x % k] for x in local]
+    return total, witness
 
 
 def _capacity_result(args):

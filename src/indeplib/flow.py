@@ -174,122 +174,139 @@ def _ratio_cut(svars, nbr, ground, p, q):
     ground.  Returns the S-vertices on the source side, as a list.
 
     Ground vertices are kept as one-bit masks.  The flow is held as the
-    residual s -> v per S-vertex (rs), the positive flow per arc, the mask
-    fwd[v] of ground vertices v sends flow to, and the residual c -> t (rt)
-    of each ground vertex that has taken flow without filling up.  The
-    state is built only where the flow goes: a ground vertex it has not
-    reached reads as residual q, and a full one leaves open_t for good.
-
-    A greedy start sends each S-vertex's p along its direct paths, the
-    S-vertices with fewer arcs first.  Then a layered search runs backwards
-    from t: the ground vertices with residual to t, the S-vertices with an
-    arc into them, the ground vertices those send flow to (the residual
-    back arcs c -> v), and so on.  Reaching an S-vertex with residual from
-    s closes a shortest augmenting path, which is augmented before the
-    search starts again.  A search that reaches none has found every node
-    that reaches t, and the S-vertices it missed are the maximal source
-    side.  Raises VerificationError unless the cut is certified minimum:
-    its capacity equals the flow value and no unbounded arc crosses it.
+    residual s -> v per S-vertex (rs), the residual c -> t per ground
+    vertex (rt), the positive flow per arc, and two masks: fwd[v], the
+    ground vertices v sends flow to, and back[c], the S-vertices sending
+    flow to c (the residual back arcs c -> v).  rt and back are filled only
+    where the flow goes: a ground vertex it has not reached reads as
+    residual q with no back arcs.  The greedy start takes the S-vertices
+    with fewer arcs first, which leaves fewer augmenting paths; the maximal
+    min-cut source side is unique, so the order does not change it.
+    Raises VerificationError unless the cut is certified minimum: its
+    capacity equals the flow value and no unbounded arc crosses it.
     """
     rs = {}
     rt = {}
+    back = {}
     fwd = {}
     flow = {}
     open_t = ground  # ground vertices with residual capacity to t
     open_s = 0  # S-vertices with residual capacity from s
 
     # greedy start along the direct paths s -> v -> c -> t, S-vertices with
-    # fewer arcs first; each stops as soon as its p is sent
+    # fewer arcs first
     for v in sorted(svars, key=lambda v: nbr[v].bit_count()):
         r = p
-        m = avail = nbr[v] & open_t
-        while m:
+        sent = 0
+        m = nbr[v] & open_t
+        while r and m:
             low = m & -m
             m ^= low
             left = rt.get(low, q)
-            if left > r:
-                flow[v, low] = r
-                rt[low] = left - r
-                r = 0
-                break
-            flow[v, low] = left
-            open_t ^= low
-            r -= left
-            if not r:
-                break
-        fwd[v] = avail ^ m
+            amt = left if left < r else r
+            flow[v, low] = amt
+            sent |= low
+            back[low] = back.get(low, 0) | 1 << v
+            rt[low] = left - amt
+            if left == amt:
+                open_t ^= low
+            r -= amt
         rs[v] = r
+        fwd[v] = sent
         if r:
             open_s |= 1 << v
 
-    # shortest augmenting paths s -> vk -> ck -> ... -> v0 -> c0 -> t, each
-    # ci -> v(i-1) a back arc; layer i is (front, got): the ground vertices
-    # first reached at depth i and the S-vertices with an arc into them
-    while True:
-        rest = svars  # the S-vertices not reached yet
-        reach_c = front = open_t
+    # shortest augmenting paths s -> v0 -> c0 -> v1 -> ... -> ck -> t, each
+    # c(i-1) -> vi a back arc; the search runs layer by layer on masks and
+    # the path is picked out of the layers afterwards
+    while open_s and open_t:
         layers = []
-        start = -1
+        seen_s = front = open_s
+        seen_c = hit = 0
         while front:
-            kept = []
-            got = []
-            grown = 0
-            for v in rest:
-                if nbr[v] & front:
-                    if open_s >> v & 1:
-                        start = v
-                        break
-                    got.append(v)
-                    grown |= fwd[v]
-                else:
-                    kept.append(v)
-            layers.append((front, got))
-            if start >= 0:
+            reached = 0
+            m = front
+            while m:
+                low = m & -m
+                m ^= low
+                reached |= nbr[low.bit_length() - 1]
+            reached &= ~seen_c
+            if not reached:
                 break
-            rest = kept
-            front = grown & ~reach_c
-            reach_c |= front
-        if start < 0:
+            seen_c |= reached
+            layers.append((front, reached))
+            hit = reached & open_t
+            if hit:
+                break
+            front = 0
+            m = reached
+            while m:
+                low = m & -m
+                m ^= low
+                front |= back.get(low, 0)
+            front &= ~seen_s
+            seen_s |= front
+        if not hit:
             break
-        # pick the path out of the layers, from start back to t
-        v = start
-        amt = rs[v]
+        end = c = hit & -hit
+        amt = rt.get(c, q)
         path = []
         for i in range(len(layers) - 1, -1, -1):
-            c = nbr[v] & layers[i][0]
-            c &= -c
+            m = layers[i][0]
+            while True:
+                low = m & -m
+                v = low.bit_length() - 1
+                if nbr[v] & c:
+                    break
+                m ^= low
             path.append((v, c))
             if not i:
+                if rs[v] < amt:
+                    amt = rs[v]
                 break
-            for u in layers[i - 1][1]:
-                if fwd[u] & c:
-                    break
-            if flow[u, c] < amt:
-                amt = flow[u, c]
-            path.append((u, c))
-            v = u
-        left = rt.get(c, q)  # c is c0 now, whose arc to t ends the path
-        if left <= amt:
-            amt = left
-            open_t ^= c
-        else:
-            rt[c] = left - amt
-        rs[start] -= amt
-        if not rs[start]:
-            open_s ^= 1 << start
+            m = layers[i - 1][1]
+            while not back.get(m & -m, 0) & low:
+                m &= m - 1
+            c = m & -m
+            if flow[v, c] < amt:
+                amt = flow[v, c]
+            path.append((v, c))
+        rt[end] = rt.get(end, q) - amt
+        if not rt[end]:
+            open_t ^= end
+        rs[v] -= amt
+        if not rs[v]:
+            open_s ^= 1 << v
         for j, (v, c) in enumerate(path):
             if j % 2:  # back arc c -> v: cancel flow on v -> c
-                f = flow[v, c] - amt
-                if f:
-                    flow[v, c] = f
-                else:
+                flow[v, c] -= amt
+                if not flow[v, c]:
                     del flow[v, c]
                     fwd[v] ^= c
+                    back[c] ^= 1 << v
             else:
                 flow[v, c] = flow.get((v, c), 0) + amt
                 fwd[v] |= c
+                back[c] = back.get(c, 0) | 1 << v
 
-    value = p * len(svars) - sum(rs.values())
+    # the nodes that reach t in the residual graph: c with residual to t,
+    # v with an arc into such a c, and c with a back arc to such a v
+    reach_c = open_t
+    rest = svars
+    while True:
+        kept = []
+        grown = reach_c
+        for v in rest:
+            if nbr[v] & reach_c:
+                grown |= fwd[v]
+            else:
+                kept.append(v)
+        if len(kept) == len(rest):
+            break
+        rest = kept
+        reach_c = grown
+
+    value = sum(p - r for r in rs.values())
     capacity = p * (len(svars) - len(rest)) + q * (ground & ~reach_c).bit_count()
     if capacity != value:
         raise VerificationError(f"ratio cut capacity {capacity} != flow value {value}")

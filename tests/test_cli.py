@@ -163,6 +163,34 @@ def test_alpha_oracle_limit_is_per_component(capsys, tmp_path, monkeypatch):
     assert err == "error: product needs 1002000 vertices, limit is 1000000\n"
 
 
+def test_alpha_oracle_never_builds_the_whole_product(capsys, tmp_path, monkeypatch):
+    # 200 disjoint C5 squared: 10^6 product vertices, at the vertex ceiling,
+    # whose bitset rows would take tens of GB.  Only C5 x C5 is built, and
+    # solved once for all 40,000 equal pairs: alpha = 40,000 * 10
+    built, solved = [], []
+    product, alpha_exact = cli.categorical_product, cli.alpha_exact
+
+    def small_product(g, h):
+        built.append(g.n * h.n)
+        return product(g, h)
+
+    def counted_alpha(g, limit=None):
+        solved.append(g.n)
+        return alpha_exact(g, limit=limit)
+
+    monkeypatch.setattr(cli, "categorical_product", small_product)
+    monkeypatch.setattr(cli, "alpha_exact", counted_alpha)
+    path = tmp_path / "c5x200.g"
+    edges = [(5 * k + i, 5 * k + (i + 1) % 5) for k in range(200) for i in range(5)]
+    path.write_text(format_graph(Graph(1000, edges)))
+    code, out, err = run(capsys, "alpha", "--witness", str(path), str(path))
+    assert (code, err) == (EXIT_OK, "")
+    # each pair's witness is rows 0 and 2 of its C5 x C5
+    witness = [a * 1000 + b for a in range(1000) if a % 5 in (0, 2) for b in range(1000)]
+    assert out == "alpha=400000 engine=oracle witness=" + ",".join(map(str, witness)) + "\n"
+    assert built == [25] and solved == [25]
+
+
 def test_alpha_forced_split_reports_obstruction(capsys, files):
     code, out, err = run(capsys, "alpha", "--split", files["c5"], files["p3"])
     assert code == EXIT_INPUT and out == ""
