@@ -7,7 +7,7 @@ for cographs, interval, permutation and bounded-treewidth graphs, whose
 step is a pass over the cotree, a chain DP or a tree-decomposition DP.
 The general engine scans each component's maximal independent sets and
 solves a ratio minimization per set, dropping each branch of the scan
-whose sets cannot tie or beat the best ratio so far.  Every engine hands
+whose sets cannot beat the best ratio so far.  Every engine hands
 its witness to _finish as a vertex mask, checked by the same routine as
 each Dinkelbach step's.  All values are exact Fractions.
 """
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import _lazy_getattr, kernels
 from .config import DEFAULT_ALPHA_LIMIT
 from .errors import InvalidDecomposition, LimitExceeded, VerificationError
-from .flow import min_ratio_subset, ratio_exceeds
+from .flow import min_ratio_subset, ratio_at_least
 from .graph import Graph, components, mask_to_set, neighborhood, set_to_mask
 from .kernels import bipartite_matching
 
@@ -434,21 +434,21 @@ def a_general_exact(g: Graph, limit=None) -> CapacityResult:
     on each connected component's mask in turn, in order of least vertex,
     and limit bounds each component; all are checked before any scan.
 
-    Each minimization is priced at the best nu so far, in any component,
-    so a set that can only do worse costs one cut.  The price starts at
-    the ratio of one greedy maximal independent set, solved before the
-    scan: from the least vertex of minimum degree, it adds the candidate
-    with the fewest candidate neighbours, least first on ties.  That ratio
-    is at most the minimum degree and is attained by a real independent
-    set, so the optimum lies at or below every price.  Each branch of the
-    scan also costs at most one cut: a node (R, P) is dropped when every
-    nonempty S inside R | P, independent or not, has a ratio above the
-    price, for then every set below it would return None.  Sets that tie
-    or beat the price are still solved, and their maximal minimizers do
-    not depend on it, so the witness comes from the first component with
-    the strictly largest a and is the lexicographically smallest maximal
-    minimizer among its best sets.  A component that cannot reach the
-    price records nothing."""
+    The scan looks only for sets that strictly beat the best nu so far, in
+    any component, and the witness is the last strict improvement.  Both
+    start from one greedy maximal independent set, solved before the scan:
+    from the least vertex of minimum degree, it adds the candidate with the
+    fewest candidate neighbours, least first on ties.  Its maximal
+    minimizer is the first witness and its ratio, at most the minimum
+    degree, the first price.  Each later set is solved priced at the best
+    nu so far, so a set that can only tie or do worse costs one cut and is
+    skipped; one that beats it gives the new witness, its maximal
+    minimizer, in scan order: components by least vertex, then
+    Bron-Kerbosch order.  Each branch of the scan also costs at most one
+    cut: a node (R, P) is dropped when no nonempty S inside R | P,
+    independent or not, has a ratio below the price, for then no set below
+    it can beat the price.  An isolated vertex attains nu = 0, which no set
+    beats, so a graph with one runs no scan."""
     if limit is None:
         limit = DEFAULT_ALPHA_LIMIT
     if g.n == 0:
@@ -461,37 +461,28 @@ def a_general_exact(g: Graph, limit=None) -> CapacityResult:
             raise LimitExceeded(
                 f"a_general_exact limited to {limit} vertices, got {size}", required=size
             )
-    price = Fraction(min(m.bit_count() for m in adj))  # nu = 1/a - 1 to tie or beat
-    if price:  # an isolated vertex already attains nu = 0
-        # a pick changes no candidate count outside its component, so the
-        # set grows one component at a time as it would over the whole graph
-        greedy = []
-        for part in parts:
-            cand = part
-            while cand:
-                v = min(mask_to_set(cand), key=lambda u: ((adj[u] & cand).bit_count(), u))
-                greedy.append(v)
-                cand &= ~adj[v] & ~(1 << v)
-        price = min_ratio_subset(greedy, adj, price)[1]
-    best = None  # (a, sorted witness, component)
+    # a pick changes no candidate count outside its component, so the set
+    # grows one component at a time as it would over the whole graph
+    greedy = []
+    for part in parts:
+        cand = part
+        while cand:
+            v = min(mask_to_set(cand), key=lambda u: ((adj[u] & cand).bit_count(), u))
+            greedy.append(v)
+            cand &= ~adj[v] & ~(1 << v)
+    # the greedy set holds a vertex of minimum degree, whose ratio bounds it
+    witness, price = min_ratio_subset(greedy, adj, Fraction(min(m.bit_count() for m in adj)))
 
     def prune(mask):
-        return ratio_exceeds(mask, adj, price.numerator, price.denominator)
+        return ratio_at_least(mask, adj, price.numerator, price.denominator)
 
-    for part in parts:
-        for mask in kernels.maximal_independent_sets(adj, part, prune=prune):
-            found = min_ratio_subset(mask_to_set(mask), adj, price)
-            if found is None:
-                continue
-            subset, nu = found
-            a = Fraction(1, 1) / (1 + nu)
-            wit = sorted(subset)
-            if best is None or a > best[0] or (a == best[0] and part == best[2] and wit < best[1]):
-                best = (a, wit, part)
-                price = nu
-    if best is None:
-        raise VerificationError("no maximal independent set reached the starting price")
-    return _finish(g, best[0], set_to_mask(best[1]), Engine.GENERAL)
+    if price:  # else an isolated vertex attains nu = 0, which no set beats
+        for part in parts:
+            for mask in kernels.maximal_independent_sets(adj, part, prune=prune):
+                found = min_ratio_subset(mask_to_set(mask), adj, price)
+                if found is not None and found[1] < price:
+                    witness, price = found
+    return _finish(g, 1 / (1 + price), set_to_mask(witness), Engine.GENERAL)
 
 
 def has_fractional_perfect_matching(g: Graph) -> bool:

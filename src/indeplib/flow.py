@@ -315,19 +315,20 @@ def _ratio_cut(svars, nbr, ground, p, q):
     return rest
 
 
-def ratio_exceeds(mask, nbr, p, q):
-    """True iff q*|N(S)| > p*|S| for every nonempty S inside the vertex
-    mask, N(S) the union of the neighbour masks nbr[v].  S need not be
-    independent, so N(S) may meet the mask.
+def ratio_at_least(mask, nbr, p, q):
+    """True iff no nonempty S inside the vertex mask has q*|N(S)| < p*|S|,
+    N(S) the union of the neighbour masks nbr[v]: every such S ties or is
+    above the ratio p/q.  S need not be independent, so N(S) may meet the
+    mask.
 
-    Two necessary tests come first, each on a subset that would tie or beat
-    p/q: every single vertex (q*|nbr[v]| > p) and the whole mask (q*|N(mask)|
-    > p*|mask|).  Only when both pass is one cut run, on the bipartite double
+    Two necessary tests come first, each on a subset that would beat p/q:
+    every single vertex (q*|nbr[v]| < p) and the whole mask (q*|N(mask)| <
+    p*|mask|).  Only when both pass is one cut run, on the bipartite double
     cover: the mask's vertices on the left and N(mask) on the right, which
     _ratio_cut keeps apart (ints against one-bit masks) even where they
-    overlap.  Its maximal min-cut source side collects every S with
-    q*|N(S)| <= p*|S|, ties included, so the answer is true iff that side
-    is empty.
+    overlap.  Its maximal min-cut source side T maximizes p*|S| - q*|N(S)|
+    over all S, the empty set included, so the answer is true iff T is
+    empty or only ties: q*|N(T)| >= p*|T|.
     """
     svars = []
     ground = 0
@@ -337,13 +338,17 @@ def ratio_exceeds(mask, nbr, p, q):
         v = low.bit_length() - 1
         m ^= low
         nv = nbr[v]
-        if q * nv.bit_count() <= p:
+        if q * nv.bit_count() < p:
             return False
         ground |= nv
         svars.append(v)
-    if svars and q * ground.bit_count() <= p * len(svars):
+    if svars and q * ground.bit_count() < p * len(svars):
         return False
-    return not _ratio_cut(svars, nbr, ground, p, q)
+    side = _ratio_cut(svars, nbr, ground, p, q)
+    nbrs = 0
+    for v in side:
+        nbrs |= nbr[v]
+    return q * nbrs.bit_count() >= p * len(side)
 
 
 def min_ratio_subset(svars, nbr, price=None):

@@ -893,6 +893,33 @@ def min_ratio_subset_exhaustive(svars, nbr):
     return best_set, best
 
 
+def general_reference(g: Graph):
+    """(a, witness) of the general engine by its documented rule, with no
+    pruning and no price: the greedy maximal independent set (from the
+    least vertex of minimum degree, add the candidate with the fewest
+    candidate neighbours, least first on ties) gives the first witness, its
+    maximal ratio minimizer; then every maximal independent set of every
+    component, components by least vertex and each in the kernel's
+    Bron-Kerbosch order, replaces it with its own maximal minimizer when
+    its ratio is strictly smaller.  Minimizers come from the subset scan."""
+    nbr = [g.neighbors(v) for v in range(g.n)]
+    cand = set(range(g.n))
+    greedy = []
+    while cand:
+        v = min(cand, key=lambda u: (len(nbr[u] & cand), u))
+        greedy.append(v)
+        cand -= nbr[v] | {v}
+    witness, nu = min_ratio_subset_exhaustive(greedy, nbr)
+    comp = connected_components(g)
+    for c in range(max(comp) + 1):
+        part = set_to_mask(v for v in range(g.n) if comp[v] == c)
+        for mask in kernels.maximal_independent_sets(g.adj, part):
+            subset, ratio = min_ratio_subset_exhaustive(mask_to_set(mask), nbr)
+            if ratio < nu:
+                witness, nu = subset, ratio
+    return 1 / (1 + nu), frozenset(witness)
+
+
 def multipartite_product_witness(sizes_g, sizes_h):
     """A generalized row (or column) achieving the closed form; rows are
     preferred on ties and the least class index wins."""

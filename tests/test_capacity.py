@@ -1,6 +1,7 @@
 """Capacity engines: a(G), a*(G), Theta^T, fractional perfect matchings,
 and the dispatch layer."""
 
+import json
 import os
 import random
 import subprocess
@@ -14,9 +15,7 @@ import indeplib
 from _helpers import (
     chain_dp_reference,
     cograph_profile_reference,
-    connected_components,
-    enumerate_maximal_independent_sets,
-    min_ratio_subset_exhaustive,
+    general_reference,
     profile_exhaustive,
     random_cotree,
     random_graph,
@@ -25,7 +24,7 @@ from _helpers import (
     treewidth_profile_reference,
     trivial_decomposition,
 )
-from indeplib import capacity
+from indeplib import capacity, cli
 from indeplib.capacity import (
     CapacityResult,
     Engine,
@@ -58,6 +57,7 @@ from indeplib.graph import (
     star_graph,
 )
 from indeplib.intersection import IntervalModel, PermutationModel
+from indeplib.io import format_graph
 from indeplib.oracles import a_bruteforce, alpha_exact
 from indeplib.splitgraph import is_splitgraph, split_partition
 from indeplib.treedecomp import (
@@ -550,33 +550,6 @@ def test_tensor_capacity_dispatch():
     assert tensor_capacity(g, decomposition=_nice(g)).engine is Engine.TREEWIDTH
 
 
-def _general_reference(g):
-    """(a, witness) of the general engine by definition: every maximal
-    independent set, its exhaustive maximal ratio minimizer, then the
-    largest a and the lexicographically smallest sorted witness."""
-    best = None
-    for iset in enumerate_maximal_independent_sets(g):
-        subset, nu = min_ratio_subset_exhaustive(iset, {v: g.neighbors(v) for v in iset})
-        a = 1 / (1 + nu)
-        wit = frozenset(subset)
-        if best is None or a > best[0] or (a == best[0] and sorted(wit) < sorted(best[1])):
-            best = (a, wit)
-    return best
-
-
-def _tensor_reference(g):
-    """(a, witness) of tensor_capacity on a bare graph: disconnected inputs
-    are solved per component, the first best component winning ties."""
-    comp = connected_components(g)
-    want = None
-    for c in range(max(comp) + 1):
-        verts = [v for v in range(g.n) if comp[v] == c]
-        a, wit = _general_reference(g.subgraph(verts))
-        if want is None or a > want[0]:
-            want = (a, frozenset(verts[v] for v in wit))
-    return want
-
-
 def test_general_witness_matches_exhaustive_reference():
     rng = random.Random(53)
     for _ in range(120):
@@ -591,15 +564,14 @@ def test_general_witness_matches_exhaustive_reference():
             rng.shuffle(perm)
             g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
         res = tensor_capacity(g)
-        assert (res.a, res.witness) == _tensor_reference(g), (g.adj, res)
+        assert (res.a, res.witness) == general_reference(g), (g.adj, res)
 
 
 def test_general_witness_on_tie_heavy_graphs():
     # many maximal sets tie at the optimum (a = 1/2 on paths, even cycles
     # and K_{m,m}), or reach it through an isolated vertex or a
     # single-vertex component; the general engine, called directly or
-    # through the dispatch, keeps the per-component reference's value and
-    # witness
+    # through the dispatch, keeps the reference's value and witness
     graphs = [path_graph(n) for n in range(1, 13)]
     graphs += [cycle_graph(n) for n in range(3, 13)]
     graphs += [complete_bipartite(m, m) for m in range(1, 6)]
@@ -609,7 +581,7 @@ def test_general_witness_on_tie_heavy_graphs():
     graphs += [disjoint_union(path_graph(5), cycle_graph(4))]
     graphs += [disjoint_union(cycle_graph(4), path_graph(4))]
     for g in graphs:
-        want = _tensor_reference(g)
+        want = general_reference(g)
         for res in (a_general_exact(g), tensor_capacity(g)):
             assert (res.a, res.witness) == want, (g.adj, res, want)
 
@@ -627,13 +599,14 @@ def test_general_engine_matches_dispatch_on_unions():
         perm = list(range(g.n))
         rng.shuffle(perm)
         g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-        want = _tensor_reference(g)
+        want = general_reference(g)
         for res in (a_general_exact(g), tensor_capacity(g)):
             assert (res.a, res.witness) == want, (g.adj, res, want)
-    # two stars K_{1,2} tie at a = 2/3; the first component's witness {3, 4}
-    # wins although the second's {2, 5} is lexicographically smaller
-    res = a_general_exact(Graph(6, [(0, 3), (0, 4), (1, 2), (1, 5)]))
-    assert (res.a, res.witness) == (Fraction(2, 3), {3, 4})
+    # two stars K_{1,2} tie at a = 2/3; the greedy set takes both stars'
+    # leaves, and its maximal minimizer, all four, spans both components
+    g = Graph(6, [(0, 3), (0, 4), (1, 2), (1, 5)])
+    res = a_general_exact(g)
+    assert (res.a, res.witness) == (Fraction(2, 3), {2, 3, 4, 5}) == general_reference(g)
 
 
 def _record_ratio_calls(monkeypatch):
@@ -658,15 +631,15 @@ SLOW_GREEDY = [(0, 3), (0, 5), (1, 2), (1, 4), (2, 4), (2, 5), (3, 4)]
 
 def test_general_seed_from_a_later_component_keeps_the_first_best(monkeypatch):
     # the first component (vertices 0, 3-7) and the edge 1-2 both reach
-    # a = 1/2, but only the edge's part of the greedy set does; the price
-    # starts at the edge's ratio and the first component still wins, though
-    # the edge's witness {1} is lexicographically smaller than its {3, 5, 7}
+    # a = 1/2, but only the edge's part of the greedy set does; the greedy
+    # set's witness {1} is the first best, and the first component's sets,
+    # which only tie it, do not replace it
     label = [0, 3, 4, 5, 6, 7]
     g = Graph(8, [(label[u], label[v]) for u, v in SLOW_GREEDY] + [(1, 2)])
     calls = _record_ratio_calls(monkeypatch)
     res = a_general_exact(g)
     assert calls[0] == ([0, 1, 3], ({1}, Fraction(1)))
-    assert (res.a, res.witness) == (Fraction(1, 2), {3, 5, 7}) == _tensor_reference(g)
+    assert (res.a, res.witness) == (Fraction(1, 2), {1}) == general_reference(g)
     assert tensor_capacity(g) == res
 
 
@@ -680,7 +653,59 @@ def test_general_component_below_the_seed_records_nothing(monkeypatch):
     res = a_general_exact(g)
     assert calls[0] == ([0, 1, 7, 8, 9], ({7, 8, 9}, Fraction(1, 3)))
     assert not [found for _, found in calls[1:] if found and max(found[0]) < 6]
-    assert (res.a, res.witness) == (Fraction(3, 4), {7, 8, 9}) == _tensor_reference(g)
+    assert (res.a, res.witness) == (Fraction(3, 4), {7, 8, 9}) == general_reference(g)
+
+
+def test_general_sets_that_only_tie_are_not_solved(monkeypatch):
+    # every maximal set of C12, K6,6, Q5 and P20 reaches at best nu = 1,
+    # the greedy set's ratio, so the branch cuts drop the whole scan and
+    # the greedy set's is the only ratio minimization
+    q5 = Graph(32, [(u, u ^ 1 << i) for u in range(32) for i in range(5) if u < u ^ 1 << i])
+    calls = _record_ratio_calls(monkeypatch)
+    for g in (cycle_graph(12), complete_bipartite(6, 6), q5, path_graph(20)):
+        calls.clear()
+        res = a_general_exact(g)
+        assert res.a == Fraction(1, 2) and len(calls) == 1, (g.n, calls)
+
+
+def test_general_isolated_vertex_runs_no_scan(monkeypatch):
+    # nu = 0 already, which no set beats; the witness is the greedy set's
+    # maximal minimizer, every isolated vertex
+    scans = []
+    real = indeplib.kernels.maximal_independent_sets
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(indeplib.kernels, "maximal_independent_sets", counted)
+    for g, want in (
+        (Graph(6, [(0, 1), (1, 2), (0, 2), (4, 5)]), {3}),
+        (disjoint_union(cycle_graph(5), Graph(2)), {5, 6}),
+    ):
+        res = a_general_exact(g)
+        assert scans == [] and (res.a, res.witness) == (Fraction(1), want)
+        assert general_reference(g) == (Fraction(1), want)
+        scans.clear()
+
+
+@pytest.mark.parametrize("name", ["P40", "tree40"])
+def test_general_40_vertex_bipartite_graph_through_the_cli(name, monkeypatch, capsys, tmp_path):
+    # each took most of a second or more when sets that only tie the price
+    # were solved; now the greedy set's minimization is the only one, and
+    # its maximal minimizer (on P40 every even vertex) is the witness
+    if name == "P40":
+        g, a, witness = path_graph(40), "1/2", list(range(0, 40, 2))
+    else:
+        rng = random.Random(1)
+        g = Graph(40, [(v, rng.randrange(v)) for v in range(1, 40)])
+        a, witness = "6/7", [2, 4, 16, 23, 24, 25]
+    path = tmp_path / "g.g"
+    path.write_text(format_graph(g))
+    calls = _record_ratio_calls(monkeypatch)
+    assert cli.main(["--json", "capacity", "--witness", str(path)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["a"], sorted(record["witness"]), len(calls)) == (a, witness, 1)
 
 
 def test_verification_survives_optimize():

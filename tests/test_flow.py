@@ -8,7 +8,7 @@ import pytest
 from _helpers import min_ratio_subset_exhaustive, random_graph
 from indeplib import flow
 from indeplib.errors import VerificationError
-from indeplib.flow import INF, FlowNetwork, max_flow, min_ratio_subset, ratio_exceeds
+from indeplib.flow import INF, FlowNetwork, max_flow, min_ratio_subset, ratio_at_least
 from indeplib.graph import set_to_mask
 
 
@@ -136,25 +136,15 @@ def test_min_ratio_returns_maximal_minimizer():
     assert nu == 1 and subset == {0, 1}
 
 
-def _exceeds_exhaustive(mask, nbr, p, q):
-    """Every nonempty S inside mask has q*|N(S)| > p*|S|, by scanning all S."""
-    verts = [v for v in range(len(nbr)) if (mask >> v) & 1]
-    for sub in range(1, 1 << len(verts)):
-        nbrs = size = 0
-        for i, v in enumerate(verts):
-            if (sub >> i) & 1:
-                nbrs |= nbr[v]
-                size += 1
-        if q * nbrs.bit_count() <= p * size:
-            return False
-    return True
-
-
-def test_ratio_exceeds_vs_exhaustive():
+def test_ratio_at_least_vs_exhaustive():
     # graphs (so N(S) meets the mask and S need not be independent) and
     # arbitrary neighbour masks, priced at each subset ratio that occurs
-    # (ties), just below and above it, and at random prices
+    # (ties), just below and just above it, and at 0 and a random price.
+    # Two subset ratios differ by at least 1/90, so 1/97 either side of a
+    # ratio passes no other; the answer is true iff no subset's ratio is
+    # below the price.
     rng = random.Random(23)
+    eps = Fraction(1, 97)
     for case in range(400):
         n = rng.randint(1, 10)
         if case % 2:
@@ -171,17 +161,17 @@ def test_ratio_exceeds_vs_exhaustive():
                 nbrs |= nbr[v]
             ratios.add(Fraction(nbrs.bit_count(), len(picked)))
         prices = {Fraction(0), Fraction(rng.randint(0, 12), rng.randint(1, 5))}
-        for r in rng.sample(sorted(ratios), min(3, len(ratios))):
-            prices |= {r, r + Fraction(1, 17)}
+        for r in ratios:
+            prices |= {r, r + eps}
             if r:
-                prices.add(r - Fraction(1, 17))
+                prices.add(r - eps)
         for price in prices:
             p, q = price.numerator, price.denominator
-            want = _exceeds_exhaustive(mask, nbr, p, q)
-            assert ratio_exceeds(mask, nbr, p, q) == want, (nbr, mask, price)
+            want = all(r >= price for r in ratios)
+            assert ratio_at_least(mask, nbr, p, q) == want, (nbr, mask, price)
 
 
-def test_ratio_exceeds_spends_no_cut_on_a_failed_necessary_test(monkeypatch):
+def test_ratio_at_least_spends_no_cut_on_a_failed_necessary_test(monkeypatch):
     cuts = []
     real = flow._ratio_cut
 
@@ -192,16 +182,19 @@ def test_ratio_exceeds_spends_no_cut_on_a_failed_necessary_test(monkeypatch):
     monkeypatch.setattr(flow, "_ratio_cut", counted)
     # K_{3,3} side {0, 1, 2}: each vertex alone has ratio 3, the side has 1
     nbr = [0b111000] * 3 + [0b000111] * 3
-    assert not ratio_exceeds(0b111, nbr, 2, 1)  # the whole set beats 2
-    assert not ratio_exceeds(0b111, nbr, 1, 1)  # the whole set ties 1
-    assert not ratio_exceeds(0b1001, nbr, 3, 1)  # a single vertex ties 3
+    assert not ratio_at_least(0b111, nbr, 2, 1)  # the whole set beats 2
+    assert not ratio_at_least(0b1001, nbr, 4, 1)  # a single vertex beats 4
     assert cuts == []
+    # a tie passes both tests, and the cut finds nothing below it
+    assert ratio_at_least(0b111, nbr, 1, 1) and len(cuts) == 1  # the whole set ties 1
+    assert ratio_at_least(0b1001, nbr, 3, 1) and len(cuts) == 2  # every subset ties 3
     # 0 and 1 share their two neighbours, so {0, 1} has ratio 1 while each
     # single vertex has 2 or 4 and the whole mask 10/4: only the cut sees
-    # that {0, 1} beats 3/2
+    # that {0, 1} beats 3/2 and ties 1
     nbr = [0b11 << 5, 0b11 << 5, 0, 0b1111 << 7, 0b1111 << 11]
-    assert not ratio_exceeds(0b11011, nbr, 3, 2) and len(cuts) == 1
-    assert ratio_exceeds(0b11011, nbr, 1, 2) and len(cuts) == 2
+    assert not ratio_at_least(0b11011, nbr, 3, 2) and len(cuts) == 3
+    assert ratio_at_least(0b11011, nbr, 1, 1) and len(cuts) == 4
+    assert ratio_at_least(0b11011, nbr, 1, 2) and len(cuts) == 5
 
 
 def _cut_exhaustive(svars, nbr, p, q):
@@ -224,7 +217,7 @@ def _cut_exhaustive(svars, nbr, p, q):
 
 
 def test_ratio_cut_vs_exhaustive():
-    # graphs (so the sides of the double cover overlap, as ratio_exceeds
+    # graphs (so the sides of the double cover overlap, as ratio_at_least
     # builds them) and arbitrary neighbour masks, up to 10 vertices; the
     # ground may hold vertices no S-vertex sees, which never take flow;
     # prices tie a subset's ratio (q > 1 included), or are random
