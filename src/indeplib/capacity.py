@@ -440,15 +440,15 @@ def a_general_exact(g: Graph, limit=None) -> CapacityResult:
     from the least vertex of minimum degree, it adds the candidate with the
     fewest candidate neighbours, least first on ties.  Its maximal
     minimizer is the first witness and its ratio, at most the minimum
-    degree, the first price.  Each later set is solved priced at the best
-    nu so far, so a set that can only tie or do worse costs one cut and is
-    skipped; one that beats it gives the new witness, its maximal
-    minimizer, in scan order: components by least vertex, then
-    Bron-Kerbosch order.  Each branch of the scan also costs at most one
-    cut: a node (R, P) is dropped when no nonempty S inside R | P,
-    independent or not, has a ratio below the price, for then no set below
-    it can beat the price.  An isolated vertex attains nu = 0, which no set
-    beats, so a graph with one runs no scan."""
+    degree, the first price.  The scan then prunes by one test,
+    ratio_at_least at the best nu so far: true when no nonempty S inside a
+    mask, independent or not, has a ratio below the price.  A node (R, P)
+    whose R | P passes is dropped, for no set below it can beat the price;
+    so is each maximal set that passes, for it can only tie or do worse.
+    Every other set strictly beats the price and is solved, priced at it:
+    its maximal minimizer is the new witness, in scan order (components by
+    least vertex, then Bron-Kerbosch order).  An isolated vertex attains
+    nu = 0, which no set beats, so a graph with one runs no scan."""
     if limit is None:
         limit = DEFAULT_ALPHA_LIMIT
     if g.n == 0:
@@ -479,9 +479,15 @@ def a_general_exact(g: Graph, limit=None) -> CapacityResult:
     if price:  # else an isolated vertex attains nu = 0, which no set beats
         for part in parts:
             for mask in kernels.maximal_independent_sets(adj, part, prune=prune):
+                if prune(mask):
+                    continue
                 found = min_ratio_subset(mask_to_set(mask), adj, price)
-                if found is not None and found[1] < price:
-                    witness, price = found
+                if found is None or found[1] >= price:
+                    raise VerificationError(
+                        f"maximal set {sorted(mask_to_set(mask))} beats the price "
+                        f"{price}, but its minimization gives {found}"
+                    )
+                witness, price = found
     return _finish(g, 1 / (1 + price), set_to_mask(witness), Engine.GENERAL)
 
 

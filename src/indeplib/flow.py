@@ -168,6 +168,12 @@ def _ratio_network(svars, ground, nbr, p, q):
     return net, sidx, cidx
 
 
+def _fewest_arcs_first(svars, nbr):
+    """The order of both greedy fills: S-vertices with fewer arcs first,
+    in svars order (increasing id) on ties."""
+    return sorted(svars, key=lambda v: nbr[v].bit_count())
+
+
 def _ratio_cut(svars, nbr, ground, p, q):
     """Maximal minimum cut of s -> v (capacity p) for v in S, v -> c
     (unbounded) for c in nbr[v], c -> t (capacity q) for c in the mask
@@ -182,8 +188,9 @@ def _ratio_cut(svars, nbr, ground, p, q):
     residual q with no back arcs.  The greedy start takes the S-vertices
     with fewer arcs first, which leaves fewer augmenting paths; the maximal
     min-cut source side is unique, so the order does not change it.
-    Raises VerificationError unless the cut is certified minimum: its
-    capacity equals the flow value and no unbounded arc crosses it.
+    Raises VerificationError unless the cut is certified minimum: the flow
+    runs on arcs only and the ground receives all of it, the cut's capacity
+    equals the flow value and no unbounded arc crosses the cut.
     """
     rs = {}
     rt = {}
@@ -193,9 +200,8 @@ def _ratio_cut(svars, nbr, ground, p, q):
     open_t = ground  # ground vertices with residual capacity to t
     open_s = 0  # S-vertices with residual capacity from s
 
-    # greedy start along the direct paths s -> v -> c -> t, S-vertices with
-    # fewer arcs first
-    for v in sorted(svars, key=lambda v: nbr[v].bit_count()):
+    # greedy start along the direct paths s -> v -> c -> t
+    for v in _fewest_arcs_first(svars, nbr):
         r = p
         sent = 0
         m = nbr[v] & open_t
@@ -306,10 +312,20 @@ def _ratio_cut(svars, nbr, ground, p, q):
         rest = kept
         reach_c = grown
 
-    value = sum(p - r for r in rs.values())
+    # the flow runs on arcs only, and the ground receives what the
+    # S-vertices send; the bounds 0 <= rs <= p and 0 <= rt <= q are not
+    # checked, as scanning the residuals for them costs more than all the
+    # other checks together
+    for v in svars:
+        if fwd[v] & ~nbr[v]:
+            raise VerificationError(f"the ratio cut's flow leaves {v} on a non-arc")
+    value = p * len(rs) - sum(rs.values())
     capacity = p * (len(svars) - len(rest)) + q * (ground & ~reach_c).bit_count()
     if capacity != value:
         raise VerificationError(f"ratio cut capacity {capacity} != flow value {value}")
+    received = q * len(rt) - sum(rt.values())
+    if received != value:
+        raise VerificationError(f"the ratio cut's ground receives {received}, not {value}")
     if any(nbr[v] & reach_c for v in rest):
         raise VerificationError("an unbounded arc crosses the ratio cut")
     return rest
@@ -323,12 +339,16 @@ def ratio_at_least(mask, nbr, p, q):
 
     Two necessary tests come first, each on a subset that would beat p/q:
     every single vertex (q*|nbr[v]| < p) and the whole mask (q*|N(mask)| <
-    p*|mask|).  Only when both pass is one cut run, on the bipartite double
-    cover: the mask's vertices on the left and N(mask) on the right, which
-    _ratio_cut keeps apart (ints against one-bit masks) even where they
-    overlap.  Its maximal min-cut source side T maximizes p*|S| - q*|N(S)|
-    over all S, the empty set included, so the answer is true iff T is
-    empty or only ties: q*|N(T)| >= p*|T|.
+    p*|mask|).  Then comes a flow on the bipartite double cover: the mask's
+    vertices on the left and N(mask) on the right, which _ratio_cut keeps
+    apart (ints against one-bit masks) even where they overlap, with s -> v
+    of capacity p and c -> t of capacity q.  _ratio_cut's greedy start runs
+    first, alone and on the sink residuals only: if it places all p units
+    of every vertex, the flow saturates the source arcs, which by Gale's
+    supply-demand theorem (1957) shows that no S has q*|N(S)| < p*|S|.
+    Only when it strands flow is the cut run.  Its maximal min-cut source
+    side T maximizes p*|S| - q*|N(S)| over all S, the empty set included,
+    so the answer is true iff T is empty or only ties: q*|N(T)| >= p*|T|.
     """
     svars = []
     ground = 0
@@ -344,6 +364,26 @@ def ratio_at_least(mask, nbr, p, q):
         svars.append(v)
     if svars and q * ground.bit_count() < p * len(svars):
         return False
+    # _ratio_cut's greedy start with only the sink residuals kept
+    rt = {}
+    open_t = ground
+    for v in _fewest_arcs_first(svars, nbr):
+        r = p
+        m = nbr[v] & open_t
+        while r and m:
+            low = m & -m
+            m ^= low
+            left = rt.get(low, q)
+            if left > r:
+                rt[low] = left - r
+                r = 0
+            else:
+                r -= left
+                open_t ^= low
+        if r:
+            break
+    else:
+        return True
     side = _ratio_cut(svars, nbr, ground, p, q)
     nbrs = 0
     for v in side:

@@ -689,6 +689,23 @@ def test_general_isolated_vertex_runs_no_scan(monkeypatch):
         scans.clear()
 
 
+def test_general_solves_only_sets_that_beat_the_price(monkeypatch):
+    # a maximal set that fails the price test strictly beats the price, so
+    # after the greedy set's (nu = 23/7) each minimization improves on the
+    # one before; on this G(30, 0.35) three do
+    g = random_graph(30, 0.35, random.Random(14))
+    calls = _record_ratio_calls(monkeypatch)
+    res = a_general_exact(g)
+    ratios = [found[1] for _, found in calls]
+    assert ratios == [Fraction(23, 7), Fraction(11, 4), Fraction(19, 7), Fraction(7, 3)]
+    assert (res.a, res.witness) == general_reference(g)
+    # with a price test that every mask fails, C6's sets reach the solver,
+    # though they only tie the greedy set's nu = 1 or lose to it
+    monkeypatch.setattr(capacity, "ratio_at_least", lambda *args: False)
+    with pytest.raises(VerificationError, match="beats the price"):
+        a_general_exact(cycle_graph(6))
+
+
 @pytest.mark.parametrize("name", ["P40", "tree40"])
 def test_general_40_vertex_bipartite_graph_through_the_cli(name, monkeypatch, capsys, tmp_path):
     # each took most of a second or more when sets that only tie the price

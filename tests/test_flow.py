@@ -136,15 +136,25 @@ def test_min_ratio_returns_maximal_minimizer():
     assert nu == 1 and subset == {0, 1}
 
 
-def test_ratio_at_least_vs_exhaustive():
+def test_ratio_at_least_vs_exhaustive(monkeypatch):
     # graphs (so N(S) meets the mask and S need not be independent) and
     # arbitrary neighbour masks, priced at each subset ratio that occurs
     # (ties), just below and just above it, and at 0 and a random price.
     # Two subset ratios differ by at least 1/90, so 1/97 either side of a
     # ratio passes no other; the answer is true iff no subset's ratio is
-    # below the price.
+    # below the price.  Both ways to a flow answer are taken: a true answer
+    # with no cut is the greedy fill's, and some answers need the cut
+    cuts = []
+    real = flow._ratio_cut
+
+    def counted(*args):
+        cuts.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(flow, "_ratio_cut", counted)
     rng = random.Random(23)
     eps = Fraction(1, 97)
+    settled = reached = 0
     for case in range(400):
         n = rng.randint(1, 10)
         if case % 2:
@@ -168,7 +178,14 @@ def test_ratio_at_least_vs_exhaustive():
         for price in prices:
             p, q = price.numerator, price.denominator
             want = all(r >= price for r in ratios)
-            assert ratio_at_least(mask, nbr, p, q) == want, (nbr, mask, price)
+            before = len(cuts)
+            got = ratio_at_least(mask, nbr, p, q)
+            assert got == want, (nbr, mask, price)
+            if len(cuts) > before:
+                reached += 1
+            elif got:
+                settled += 1
+    assert settled and reached, (settled, reached)
 
 
 def test_ratio_at_least_spends_no_cut_on_a_failed_necessary_test(monkeypatch):
@@ -184,17 +201,24 @@ def test_ratio_at_least_spends_no_cut_on_a_failed_necessary_test(monkeypatch):
     nbr = [0b111000] * 3 + [0b000111] * 3
     assert not ratio_at_least(0b111, nbr, 2, 1)  # the whole set beats 2
     assert not ratio_at_least(0b1001, nbr, 4, 1)  # a single vertex beats 4
+    # a tie passes both tests, and the greedy fill places all of the flow
+    assert ratio_at_least(0b111, nbr, 1, 1)  # the whole set ties 1
+    assert ratio_at_least(0b1001, nbr, 3, 1)  # every subset ties 3
     assert cuts == []
-    # a tie passes both tests, and the cut finds nothing below it
-    assert ratio_at_least(0b111, nbr, 1, 1) and len(cuts) == 1  # the whole set ties 1
-    assert ratio_at_least(0b1001, nbr, 3, 1) and len(cuts) == 2  # every subset ties 3
+    # 0 and 1 take their least neighbours, 3 and 4, which strands 2 (arcs
+    # to 3 and 4) though 0 -> 5, 1 -> 6, 2 -> 3 places it all: only the cut
+    # sees that no subset beats 1, and that the whole mask only ties 4/3
+    nbr = [0b101000, 0b1010000, 0b11000, 0, 0, 0, 0]
+    assert ratio_at_least(0b111, nbr, 1, 1) and len(cuts) == 1
+    assert ratio_at_least(0b111, nbr, 4, 3) and len(cuts) == 2
     # 0 and 1 share their two neighbours, so {0, 1} has ratio 1 while each
-    # single vertex has 2 or 4 and the whole mask 10/4: only the cut sees
-    # that {0, 1} beats 3/2 and ties 1
+    # single vertex has 2 or 4 and the whole mask 10/4: the greedy fill
+    # strands 1's flow, and only the cut sees that {0, 1} beats 3/2; at 1
+    # and 1/2 the greedy fill places it all
     nbr = [0b11 << 5, 0b11 << 5, 0, 0b1111 << 7, 0b1111 << 11]
     assert not ratio_at_least(0b11011, nbr, 3, 2) and len(cuts) == 3
-    assert ratio_at_least(0b11011, nbr, 1, 1) and len(cuts) == 4
-    assert ratio_at_least(0b11011, nbr, 1, 2) and len(cuts) == 5
+    assert ratio_at_least(0b11011, nbr, 1, 1) and len(cuts) == 3
+    assert ratio_at_least(0b11011, nbr, 1, 2) and len(cuts) == 3
 
 
 def _cut_exhaustive(svars, nbr, p, q):
@@ -250,16 +274,17 @@ def test_ratio_cut_vs_exhaustive():
 def test_ratio_cut_checks_catch_a_corrupted_flow(monkeypatch):
     class Masks(list):
         """Neighbour masks that count their reads and, past read number
-        `after`, also show the ground vertices in `extra`."""
+        `after` or up to read number `until`, also show the ground vertices
+        in `extra`."""
 
-        def __init__(self, masks, after=None, extra=0):
+        def __init__(self, masks, after=None, extra=0, until=0):
             super().__init__(masks)
-            self.reads, self.after, self.extra = 0, after, extra
+            self.reads, self.after, self.extra, self.until = 0, after, extra, until
 
         def __getitem__(self, v):
             self.reads += 1
             mask = super().__getitem__(v)
-            if self.after is not None and self.reads > self.after:
+            if self.after is not None and self.reads > self.after or self.reads <= self.until:
                 mask |= self.extra
             return mask
 
@@ -274,6 +299,15 @@ def test_ratio_cut_checks_catch_a_corrupted_flow(monkeypatch):
     with pytest.raises(VerificationError, match="unbounded arc crosses"):
         flow._ratio_cut(svars, lying, ground, 1, 1)
 
+    # S-vertex 0 ties the price 1 through ground vertex 2, so its side is
+    # [0]; the greedy start alone (one read for the order, one for the
+    # arcs) is also shown an arc 0 -> 1, and its flow on that non-arc lets
+    # 0 reach t: every other check passes the empty side
+    assert flow._ratio_cut([0], [0b100, 0, 0], 0b110, 1, 1) == [0]
+    lying = Masks([0b100, 0, 0], extra=0b10, until=2)
+    with pytest.raises(VerificationError, match="non-arc"):
+        flow._ratio_cut([0], lying, 0b110, 1, 1)
+
     # the greedy start is handed S-vertex 0 twice: its second pass's flow
     # overwrites the record of the first, so ground vertex 2 fills up with
     # flow the state does not hold, and the cut's capacity exceeds the value
@@ -284,3 +318,8 @@ def test_ratio_cut_checks_catch_a_corrupted_flow(monkeypatch):
     monkeypatch.setattr(flow, "sorted", twice, raising=False)
     with pytest.raises(VerificationError, match="ratio cut capacity"):
         flow._ratio_cut([0], [0b1100, 0, 0, 0], 0b1100, 1, 1)
+    # at q = 2 both passes put their unit on ground vertex 1, and the state
+    # records one: the cut's capacity matches that value, but the ground
+    # holds 2 units where the S-vertex sent 1
+    with pytest.raises(VerificationError, match="receives 2, not 1"):
+        flow._ratio_cut([0], [0b110, 0, 0], 0b110, 1, 2)
