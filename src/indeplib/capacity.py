@@ -1,15 +1,15 @@
 """Tensor capacity: a(G), a*(G) and Theta^T(G) = a*(G).
 
 a(G) maximizes |I| / (|I| + |N(I)|) over nonempty independent sets I; a*
-rounds values above 1/2 up to 1.  Per-class engines run polynomial
-algorithms: a ratio minimization for split graphs, and one Dinkelbach loop
-for cographs, interval, permutation and bounded-treewidth graphs, whose
-step is a pass over the cotree, a chain DP or a tree-decomposition DP.
-The general engine scans each component's maximal independent sets and
-solves a ratio minimization per set, dropping each branch of the scan
-whose sets cannot beat the best ratio so far.  Every engine hands
-its witness to _finish as a vertex mask, checked by the same routine as
-each Dinkelbach step's.  All values are exact Fractions.
+rounds values above 1/2 up to 1.  All six engines run one Dinkelbach loop,
+_dinkelbach.  Its step is a pass over the cotree, a chain DP (interval and
+permutation graphs), a tree-decomposition DP, or, for split and general
+graphs, one ratio cut on a fixed independent set (min_ratio_subset).  The
+split engine solves the independent side; the general engine scans each
+component's maximal independent sets and solves the sets that strictly
+beat the best a so far, dropping each branch of the scan whose sets cannot.
+Every engine hands its witness to _finish as a vertex mask, checked by the
+same routine as each Dinkelbach step's.  All values are exact Fractions.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ from __future__ import annotations
 import enum
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import _lazy_getattr, kernels
+from . import _lazy_getattr, flow, kernels
 from .config import DEFAULT_ALPHA_LIMIT
 from .errors import InvalidDecomposition, LimitExceeded, VerificationError
-from .flow import min_ratio_subset, ratio_at_least
+from .flow import ratio_at_least
 from .graph import Graph, components, mask_to_set, neighborhood, set_to_mask
 from .kernels import bipartite_matching
 
@@ -161,24 +162,26 @@ def _finish(g: Graph, a, witness, engine) -> CapacityResult:
     return CapacityResult(a, astar, frozenset(mask_to_set(witness)), engine, fpm)
 
 
-def _dinkelbach(g: Graph, step):
+def _dinkelbach(g: Graph, step, start):
     """(a, witness mask) by Dinkelbach's iteration (1967) on integers.
 
     From a set of ratio a = p/q, step(gain=q - p, pen=p) returns the maximum
     of gain*|I| - pen*|N(I)| over independent sets I with a witness mask;
     the maximum is positive exactly when some I has a ratio above p/q.
     While it is, the loop moves to the witness's ratio; it stops at 0, which
-    the current set attains.  The start is the least vertex of minimum
-    degree, and the witness is the set found by the last improving step.
+    the current set attains.  The loop starts at the vertex mask start,
+    which must be a nonempty independent set of g, and the witness is the
+    set found by the last improving step, or start if none improves.
 
     Each improving witness is checked against g: it must be an independent
     set of g whose gain*|I| - pen*|N(I)| is the reported value.  A step fed
     a malformed certificate then raises VerificationError instead of
     looping, and the checked ratio strictly increases, so the loop ends.
     """
-    adj = g.adj
-    v = min(range(g.n), key=lambda u: adj[u].bit_count())
-    witness, p, q = 1 << v, 1, 1 + adj[v].bit_count()
+    size, nbrs = _witness_counts(g, start, "Dinkelbach start")
+    if not size:
+        raise ValueError("the Dinkelbach loop needs a nonempty start set")
+    witness, p, q = start, size, size + nbrs
     while True:
         gain, pen = q - p, p
         value, mask = step(gain=gain, pen=pen)
@@ -190,6 +193,37 @@ def _dinkelbach(g: Graph, step):
                 f"Dinkelbach step reported {value}, its witness attains {gain * size - pen * nbrs}"
             )
         witness, p, q = mask, size, size + nbrs
+
+
+def _min_degree_vertex(g: Graph):
+    """The mask of the least vertex of minimum degree, the DP engines' start."""
+    return 1 << min(range(g.n), key=lambda u: g.adj[u].bit_count())
+
+
+def min_ratio_subset(g: Graph, mask):
+    """(a, witness mask): the largest |S|/(|S| + |N(S)|) over nonempty S
+    inside the independent vertex mask, and the largest S attaining it.
+
+    The Dinkelbach loop starts at the whole mask, and each step is one
+    _ratio_cut of the mask against N(mask).  Cut sides nest as the price
+    falls, so the last improving cut's side (or the whole mask) is that
+    largest S.  The split and general engines call this through the module
+    global, under the name the benchmark's tracer wraps.
+    """
+    adj = g.adj
+    svars = sorted(mask_to_set(mask))
+    ground = 0
+    for v in svars:
+        ground |= adj[v]
+
+    def step(gain, pen):
+        side = flow._ratio_cut(svars, adj, ground, gain, pen)
+        nbrs = 0
+        for v in side:
+            nbrs |= adj[v]
+        return gain * len(side) - pen * nbrs.bit_count(), set_to_mask(side)
+
+    return _dinkelbach(g, step, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +282,7 @@ def cograph_profile(t: Cotree, gain, pen):
 
 def a_cograph(t: Cotree) -> CapacityResult:
     g = _lazy.realize(t)
-    a, witness = _dinkelbach(g, lambda gain, pen: cograph_profile(t, gain, pen))
+    a, witness = _dinkelbach(g, partial(cograph_profile, t), _min_degree_vertex(g))
     return _finish(g, a, witness, Engine.COGRAPH)
 
 
@@ -257,21 +291,16 @@ def a_cograph(t: Cotree) -> CapacityResult:
 
 
 def a_split(g: Graph, part: SplitPartition) -> CapacityResult:
-    """max of the independent-side value a0 = 1/(1+nu) (nu from the ratio
-    minimizer over S) and the clique value a1 = (n-d)/n, d the minimum
-    degree over C."""
+    """max of the independent-side value a0 (min_ratio_subset over S) and
+    the clique value a1 = (n-d)/n, d the minimum degree over C."""
     part.validate(g)
     if g.n == 0:
         raise ValueError("capacity of the empty graph is undefined")
-    s_side = sorted(part.independent)
-    c_side = sorted(part.clique)
     best = None
-    if s_side:
-        subset, nu = min_ratio_subset(s_side, g.adj)
-        a0 = Fraction(1, 1) / (1 + nu)
-        best = (a0, set_to_mask(subset))
-    if c_side:
-        d, c = min((g.degree(v), v) for v in c_side)
+    if part.independent:
+        best = min_ratio_subset(g, set_to_mask(part.independent))
+    if part.clique:
+        d, c = min((g.degree(v), v) for v in part.clique)
         witness = ((1 << g.n) - 1) & ~g.adj[c]
         a1 = Fraction(g.n - d, g.n)
         if best is None or a1 > best[0]:
@@ -326,7 +355,7 @@ def a_interval(model: IntervalModel) -> CapacityResult:
     def chain_ok(y, x):
         return ivs[y][1] < ivs[x][0]
 
-    a, witness = _dinkelbach(g, lambda gain, pen: _chain_dp(g, order, chain_ok, gain, pen))
+    a, witness = _dinkelbach(g, partial(_chain_dp, g, order, chain_ok), _min_degree_vertex(g))
     return _finish(g, a, witness, Engine.INTERVAL)
 
 
@@ -335,7 +364,7 @@ def a_permutation(model: PermutationModel) -> CapacityResult:
         raise ValueError("capacity of the empty graph is undefined")
     g = _lazy.realize_permutation(model)
     order = list(range(model.n))
-    a, witness = _dinkelbach(g, lambda gain, pen: _chain_dp(g, order, model.left_of, gain, pen))
+    a, witness = _dinkelbach(g, partial(_chain_dp, g, order, model.left_of), _min_degree_vertex(g))
     return _finish(g, a, witness, Engine.PERMUTATION)
 
 
@@ -418,7 +447,7 @@ def treewidth_profile(g: Graph, d: NiceTreeDecomposition, gain, pen):
 def a_treewidth(g: Graph, d: NiceTreeDecomposition) -> CapacityResult:
     if g.n == 0:
         raise ValueError("capacity of the empty graph is undefined")
-    a, witness = _dinkelbach(g, lambda gain, pen: treewidth_profile(g, d, gain, pen))
+    a, witness = _dinkelbach(g, partial(treewidth_profile, g, d), _min_degree_vertex(g))
     return _finish(g, a, witness, Engine.TREEWIDTH)
 
 
@@ -427,28 +456,27 @@ def a_treewidth(g: Graph, d: NiceTreeDecomposition) -> CapacityResult:
 
 
 def a_general_exact(g: Graph, limit=None) -> CapacityResult:
-    """Scan maximal independent sets; per set I, minimize |N(S)|/|S| over
-    nonempty S inside I, which gives max_S |S|/(|S|+|N(S)|) = 1/(1+nu).
+    """Scan maximal independent sets; per set I, min_ratio_subset gives the
+    largest |S|/(|S| + |N(S)|) over nonempty S inside I.
 
     a of a disjoint union is the largest a of its parts, so the scan runs
     on each connected component's mask in turn, in order of least vertex,
     and limit bounds each component; all are checked before any scan.
 
-    The scan looks only for sets that strictly beat the best nu so far, in
+    The scan looks only for sets that strictly beat the best a so far, in
     any component, and the witness is the last strict improvement.  Both
     start from one greedy maximal independent set, solved before the scan:
     from the least vertex of minimum degree, it adds the candidate with the
     fewest candidate neighbours, least first on ties.  Its maximal
-    minimizer is the first witness and its ratio, at most the minimum
-    degree, the first price.  The scan then prunes by one test,
-    ratio_at_least at the best nu so far: true when no nonempty S inside a
-    mask, independent or not, has a ratio below the price.  A node (R, P)
-    whose R | P passes is dropped, for no set below it can beat the price;
-    so is each maximal set that passes, for it can only tie or do worse.
-    Every other set strictly beats the price and is solved, priced at it:
-    its maximal minimizer is the new witness, in scan order (components by
+    maximizer is the first witness and its a the first price.  The scan
+    then prunes by one test, ratio_at_least at nu = 1/a - 1: true when no
+    nonempty S inside a mask, independent or not, has |N(S)|/|S| below nu.
+    A node (R, P) whose R | P passes is dropped, for no set below it can
+    beat the price; so is each maximal set that passes, for it can only tie
+    or do worse.  Every other set strictly beats the price and is solved:
+    its maximal maximizer is the new witness, in scan order (components by
     least vertex, then Bron-Kerbosch order).  An isolated vertex attains
-    nu = 0, which no set beats, so a graph with one runs no scan."""
+    a = 1, which no set beats, so a graph with one runs no scan."""
     if limit is None:
         limit = DEFAULT_ALPHA_LIMIT
     if g.n == 0:
@@ -463,32 +491,31 @@ def a_general_exact(g: Graph, limit=None) -> CapacityResult:
             )
     # a pick changes no candidate count outside its component, so the set
     # grows one component at a time as it would over the whole graph
-    greedy = []
+    greedy = 0
     for part in parts:
         cand = part
         while cand:
             v = min(mask_to_set(cand), key=lambda u: ((adj[u] & cand).bit_count(), u))
-            greedy.append(v)
+            greedy |= 1 << v
             cand &= ~adj[v] & ~(1 << v)
-    # the greedy set holds a vertex of minimum degree, whose ratio bounds it
-    witness, price = min_ratio_subset(greedy, adj, Fraction(min(m.bit_count() for m in adj)))
+    a, witness = min_ratio_subset(g, greedy)
 
     def prune(mask):
-        return ratio_at_least(mask, adj, price.numerator, price.denominator)
+        return ratio_at_least(mask, adj, a.denominator - a.numerator, a.numerator)
 
-    if price:  # else an isolated vertex attains nu = 0, which no set beats
+    if a != 1:  # else an isolated vertex attains a = 1, which no set beats
         for part in parts:
             for mask in kernels.maximal_independent_sets(adj, part, prune=prune):
                 if prune(mask):
                     continue
-                found = min_ratio_subset(mask_to_set(mask), adj, price)
-                if found is None or found[1] >= price:
+                found, subset = min_ratio_subset(g, mask)
+                if found <= a:
                     raise VerificationError(
                         f"maximal set {sorted(mask_to_set(mask))} beats the price "
-                        f"{price}, but its minimization gives {found}"
+                        f"a = {a}, but its minimization gives {found}"
                     )
-                witness, price = found
-    return _finish(g, 1 / (1 + price), set_to_mask(witness), Engine.GENERAL)
+                a, witness = found, subset
+    return _finish(g, a, witness, Engine.GENERAL)
 
 
 def has_fractional_perfect_matching(g: Graph) -> bool:

@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import _lazy_getattr
-from .config import DEFAULT_POWER_LIMIT, oracle_limit
+from .config import DEFAULT_POWER_LIMIT, DOMINATION_KMAX_LIMIT, oracle_limit
 from .errors import (
     IndeplibError,
     InvalidDecomposition,
@@ -245,6 +245,9 @@ def cmd_domination(args):
     )
 
     if args.bipartite:
+        if args.kmax > DOMINATION_KMAX_LIMIT:
+            msg = f"domination --kmax limited to {DOMINATION_KMAX_LIMIT}, got {args.kmax}"
+            raise LimitExceeded(msg, required=args.kmax)
         m, n = args.bipartite
         label = f"bipartite {m} {n}"
         rows = [(k, ri_complete_bipartite_power(m, n, k)) for k in range(1, args.kmax + 1)]
@@ -343,19 +346,21 @@ def build_parser():
 
     p = sub.add_parser("alpha", help="alpha(G x H) via class engines or the explicit oracle")
     p.add_argument("files", nargs=2)
-    p.add_argument("--cotree", action="store_true", help="require the cograph engine")
-    p.add_argument("--split", action="store_true", help="require the splitgraph engine")
-    p.add_argument("--oracle", action="store_true", help="force explicit product + exact search")
+    eng = p.add_mutually_exclusive_group()
+    eng.add_argument("--cotree", action="store_true", help="require the cograph engine")
+    eng.add_argument("--split", action="store_true", help="require the splitgraph engine")
+    eng.add_argument("--oracle", action="store_true", help="force explicit product + exact search")
     p.add_argument("--witness", action="store_true")
     p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("capacity", help="a(G) and theta = a*(G)")
     p.add_argument("file")
-    p.add_argument("--cotree", action="store_true", help="input file is a cotree expression")
-    p.add_argument("--interval", action="store_true", help="input file is an interval model")
-    p.add_argument("--permutation", action="store_true", help="input file is a permutation model")
-    p.add_argument("--td", default=None, help="tree decomposition file for the input graph")
-    p.add_argument("--split", action="store_true", help="use the splitgraph engine")
+    eng = p.add_mutually_exclusive_group()
+    eng.add_argument("--cotree", action="store_true", help="input file is a cotree expression")
+    eng.add_argument("--interval", action="store_true", help="input file is an interval model")
+    eng.add_argument("--permutation", action="store_true", help="input file is a permutation model")
+    eng.add_argument("--td", default=None, help="tree decomposition file for the input graph")
+    eng.add_argument("--split", action="store_true", help="use the splitgraph engine")
     p.add_argument("--witness", action="store_true")
     p.set_defaults(func=cmd_capacity)
 

@@ -1,8 +1,8 @@
-"""Resource limits for the exponential oracles.
+"""Resource limits for the exponential oracles and the CLI.
 
-The limits are configuration, not constants: callers may pass an explicit
-limit to any oracle, and the CLI honours the IL_ORACLE_LIMIT environment
-variable.
+The oracle limits are configuration, not constants: callers may pass an
+explicit limit to any oracle, and the CLI honours the IL_ORACLE_LIMIT
+environment variable.  The domination command's --kmax ceiling is fixed.
 """
 
 import os
@@ -13,6 +13,8 @@ DEFAULT_ALPHA_LIMIT = 40
 DEFAULT_BRUTEFORCE_LIMIT = 20
 # Vertex-count ceiling for iterated categorical powers and graph files.
 DEFAULT_POWER_LIMIT = 10**6
+# Ceiling on domination --kmax; the rows' cost grows faster than kmax^3.
+DOMINATION_KMAX_LIMIT = 500
 
 
 def oracle_limit(default=DEFAULT_ALPHA_LIMIT):

@@ -1,17 +1,23 @@
-"""Max-flow / min-cut and the parametric neighborhood-ratio minimizer.
+"""Neighborhood-ratio cuts, and a general max-flow / min-cut.
 
-All capacities are integers and every cut decision is exact; the ratio
-minimizer compares candidate ratios by cross-multiplication via Fraction.
+_ratio_cut is the maximal minimum cut of one bipartite network shape: the
+step of the split and general engines' Dinkelbach loop in capacity.
+ratio_at_least tests every subset of a mask against one ratio with it, the
+general engine's branch test.  All capacities are integers and every cut
+decision is exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import VerificationError
-from .graph import set_to_mask
 
+# The Dinic max-flow below has no caller in the library: the ratio cut
+# replaced it.  It stays because the benchmark's trace wrappers
+# (perfbench/spans.py, checked by tests/test_perfbench_trace.py) bind
+# flow.max_flow and flow._ratio_network by name, so its deletion needs a
+# change to the benchmark.
 INF = "inf"
 
 
@@ -150,7 +156,7 @@ def max_flow(net: FlowNetwork):
 
 
 # ---------------------------------------------------------------------------
-# parametric ratio minimization (Dinkelbach iteration)
+# neighborhood-ratio cuts
 
 
 def _ratio_network(svars, ground, nbr, p, q):
@@ -389,45 +395,3 @@ def ratio_at_least(mask, nbr, p, q):
     for v in side:
         nbrs |= nbr[v]
     return q * nbrs.bit_count() >= p * len(side)
-
-
-def min_ratio_subset(svars, nbr, price=None):
-    """min over nonempty S' of |N(S')| / |S'| with N(S') the union of the
-    neighbour masks nbr[v] (nbr may be g.adj).
-
-    Returns (maximal minimizer S*, exact ratio).  Dinkelbach iteration: a
-    candidate ratio p/q prices the network s->v at p and c->t at q; a min
-    cut below p*|S| certifies a strictly better subset, and at the fixpoint
-    the maximal min-cut source side is the maximal minimizer.
-
-    With a price, the first cut runs at min(price, ratio of S) and None is
-    returned when every subset's ratio is above the price.  A minimum at
-    exactly the price is still returned with its maximal minimizer.
-    """
-    svars = sorted(set(svars))
-    if not svars:
-        raise ValueError("min_ratio_subset needs a nonempty ground set")
-    zero = {v for v in svars if not nbr[v]}
-    if zero:
-        return zero, Fraction(0)
-    ground = 0
-    for v in svars:
-        ground |= nbr[v]
-    if ground & set_to_mask(svars):
-        raise ValueError("neighborhood ground set must be disjoint from S")
-
-    best = Fraction(ground.bit_count(), len(svars))
-    if price is not None and price < best:
-        best = price
-    while True:
-        chosen = _ratio_cut(svars, nbr, ground, best.numerator, best.denominator)
-        if not chosen:
-            return None  # only at a price below every subset's ratio
-        nbrs = 0
-        for v in chosen:
-            nbrs |= nbr[v]
-        ratio = Fraction(nbrs.bit_count(), len(chosen))
-        if ratio == best:
-            # fixpoint: the maximal cut gives the maximal minimizer
-            return set(chosen), best
-        best = ratio

@@ -377,9 +377,14 @@ def test_treewidth_rejects_a_nice_form_that_misses_an_edge():
 def test_dinkelbach_checks_each_improving_witness():
     g = path_graph(3)
     with pytest.raises(VerificationError, match="outside the graph"):
-        capacity._dinkelbach(g, lambda gain, pen: (1, 1 << 3))
+        capacity._dinkelbach(g, lambda gain, pen: (1, 1 << 3), 1)
     with pytest.raises(VerificationError, match="reported 5"):
-        capacity._dinkelbach(g, lambda gain, pen: (5, 0b101))
+        capacity._dinkelbach(g, lambda gain, pen: (5, 0b101), 1)
+    # the start is checked the same way, and must not be empty
+    with pytest.raises(VerificationError, match="start witness is not independent"):
+        capacity._dinkelbach(g, lambda gain, pen: (0, 0), 0b11)
+    with pytest.raises(ValueError, match="nonempty start"):
+        capacity._dinkelbach(g, lambda gain, pen: (0, 0), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -610,22 +615,22 @@ def test_general_engine_matches_dispatch_on_unions():
 
 
 def _record_ratio_calls(monkeypatch):
-    """Record (sorted set, result) of each min_ratio_subset call the
-    general engine makes; the first is the greedy set's."""
+    """Record (sorted set, (a, witness set)) of each min_ratio_subset call
+    the general engine makes; the first is the greedy set's."""
     calls = []
     real = capacity.min_ratio_subset
 
-    def recorded(svars, nbr, price=None):
-        found = real(svars, nbr, price)
-        calls.append((sorted(svars), found))
-        return found
+    def recorded(g, mask):
+        a, witness = real(g, mask)
+        calls.append((sorted(mask_to_set(mask)), (a, mask_to_set(witness))))
+        return a, witness
 
     monkeypatch.setattr(capacity, "min_ratio_subset", recorded)
     return calls
 
 
-# a connected 6-vertex graph with a = 1/2 (nu = 1) whose greedy set only
-# reaches nu = 2; its vertices are relabelled below
+# a connected 6-vertex graph with a = 1/2 whose greedy set only reaches
+# a = 1/3; its vertices are relabelled below
 SLOW_GREEDY = [(0, 3), (0, 5), (1, 2), (1, 4), (2, 4), (2, 5), (3, 4)]
 
 
@@ -638,27 +643,26 @@ def test_general_seed_from_a_later_component_keeps_the_first_best(monkeypatch):
     g = Graph(8, [(label[u], label[v]) for u, v in SLOW_GREEDY] + [(1, 2)])
     calls = _record_ratio_calls(monkeypatch)
     res = a_general_exact(g)
-    assert calls[0] == ([0, 1, 3], ({1}, Fraction(1)))
+    assert calls[0] == ([0, 1, 3], (Fraction(1, 2), {1}))
     assert (res.a, res.witness) == (Fraction(1, 2), {1}) == general_reference(g)
     assert tensor_capacity(g) == res
 
 
 def test_general_component_below_the_seed_records_nothing(monkeypatch):
-    # the star on 6-9 seeds the price at 1/3 (its leaves), which no set of
-    # the first component (best nu = 1) can reach, so no ratio is found
-    # there (at the minimum degree's price, 1, its best sets tied it); the
-    # value and witness are still the reference's
+    # the star on 6-9 seeds the price at a = 3/4 (its leaves), which no set
+    # of the first component (best a = 1/2) can reach, so no set of it is
+    # solved; the value and witness are still the reference's
     g = disjoint_union(Graph(6, SLOW_GREEDY), star_graph(3))
     calls = _record_ratio_calls(monkeypatch)
     res = a_general_exact(g)
-    assert calls[0] == ([0, 1, 7, 8, 9], ({7, 8, 9}, Fraction(1, 3)))
-    assert not [found for _, found in calls[1:] if found and max(found[0]) < 6]
+    assert calls[0] == ([0, 1, 7, 8, 9], (Fraction(3, 4), {7, 8, 9}))
+    assert not [found for _, found in calls[1:] if max(found[1]) < 6]
     assert (res.a, res.witness) == (Fraction(3, 4), {7, 8, 9}) == general_reference(g)
 
 
 def test_general_sets_that_only_tie_are_not_solved(monkeypatch):
-    # every maximal set of C12, K6,6, Q5 and P20 reaches at best nu = 1,
-    # the greedy set's ratio, so the branch cuts drop the whole scan and
+    # every maximal set of C12, K6,6, Q5 and P20 reaches at best a = 1/2,
+    # the greedy set's value, so the branch cuts drop the whole scan and
     # the greedy set's is the only ratio minimization
     q5 = Graph(32, [(u, u ^ 1 << i) for u in range(32) for i in range(5) if u < u ^ 1 << i])
     calls = _record_ratio_calls(monkeypatch)
@@ -669,8 +673,8 @@ def test_general_sets_that_only_tie_are_not_solved(monkeypatch):
 
 
 def test_general_isolated_vertex_runs_no_scan(monkeypatch):
-    # nu = 0 already, which no set beats; the witness is the greedy set's
-    # maximal minimizer, every isolated vertex
+    # a = 1 already, which no set beats; the witness is the greedy set's
+    # maximal maximizer, every isolated vertex
     scans = []
     real = indeplib.kernels.maximal_independent_sets
 
@@ -691,16 +695,16 @@ def test_general_isolated_vertex_runs_no_scan(monkeypatch):
 
 def test_general_solves_only_sets_that_beat_the_price(monkeypatch):
     # a maximal set that fails the price test strictly beats the price, so
-    # after the greedy set's (nu = 23/7) each minimization improves on the
+    # after the greedy set's (a = 7/30) each minimization improves on the
     # one before; on this G(30, 0.35) three do
     g = random_graph(30, 0.35, random.Random(14))
     calls = _record_ratio_calls(monkeypatch)
     res = a_general_exact(g)
-    ratios = [found[1] for _, found in calls]
-    assert ratios == [Fraction(23, 7), Fraction(11, 4), Fraction(19, 7), Fraction(7, 3)]
+    values = [found[0] for _, found in calls]
+    assert values == [Fraction(7, 30), Fraction(4, 15), Fraction(7, 26), Fraction(3, 10)]
     assert (res.a, res.witness) == general_reference(g)
     # with a price test that every mask fails, C6's sets reach the solver,
-    # though they only tie the greedy set's nu = 1 or lose to it
+    # though they only tie the greedy set's a = 1/2 or lose to it
     monkeypatch.setattr(capacity, "ratio_at_least", lambda *args: False)
     with pytest.raises(VerificationError, match="beats the price"):
         a_general_exact(cycle_graph(6))

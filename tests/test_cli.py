@@ -9,6 +9,7 @@ from _helpers import random_graph, threshold_cotree_text
 from indeplib import capacity, cli, cotree, splitgraph
 from indeplib.capacity import a_split
 from indeplib.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, EXIT_VIOLATION, main
+from indeplib.config import DOMINATION_KMAX_LIMIT
 from indeplib.cotree import parse_cotree, realize
 from indeplib.errors import VerificationError
 from indeplib.graph import (
@@ -267,6 +268,18 @@ def test_alpha_output_pinned(capsys, files, flags, first, second, code, out, err
     assert run(capsys, *argv) == (code, out, err)
 
 
+@pytest.mark.parametrize(
+    "flags", [("--cotree", "--split"), ("--cotree", "--oracle"), ("--split", "--oracle")]
+)
+def test_alpha_rejects_conflicting_engine_flags(capsys, files, flags):
+    # each flag names the one engine to run, so two of them are an input
+    # error; --split used to override --cotree, and --oracle both
+    with pytest.raises(SystemExit) as exit_info:
+        main(["alpha", *flags, files["p3"], files["p3"]])
+    assert exit_info.value.code == EXIT_INPUT
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_alpha_json(capsys, files):
     code, out, _ = run(capsys, "--json", "alpha", files["p3"], files["p3"])
     assert code == EXIT_OK
@@ -314,6 +327,26 @@ def test_capacity_certificates(capsys, files):
     assert code == EXIT_OK and "a=3/4" in out and "theta=1/1" in out and "fpm=false" in out
     code, out, _ = run(capsys, "capacity", "--td", files["td"], files["p4"])
     assert code == EXIT_OK and "a=1/2" in out and "engine=treewidth" in out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--cotree", "--interval"),
+        ("--interval", "--permutation"),
+        ("--split", "--td", "p4.td"),
+        ("--permutation", "--split"),
+        ("--td", "p4.td", "--cotree"),
+    ],
+)
+def test_capacity_rejects_conflicting_engine_flags(capsys, files, flags):
+    # each flag names the input's class, so two of them are an input error;
+    # the cotree engine used to run whatever else was given
+    flags = [files["td"] if f == "p4.td" else f for f in flags]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["capacity", *flags, files["p4"]])
+    assert exit_info.value.code == EXIT_INPUT
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_capacity_witness_flag(capsys, files):
@@ -451,6 +484,21 @@ def test_domination_json(capsys):
     recs = [json.loads(line) for line in out.strip().splitlines()]
     assert len(recs) == 3
     assert all(r["command"] == "domination" and r["a"] == "1/2" for r in recs)
+
+
+def test_domination_kmax_ceiling(capsys, monkeypatch):
+    # one past the ceiling exits 3 before any row is computed; the rows at
+    # the ceiling itself take about a second, so they are not run here
+    from indeplib import domination
+
+    def no_rows(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(domination, "ri_complete_bipartite_power", no_rows)
+    kmax = str(DOMINATION_KMAX_LIMIT + 1)
+    code, out, err = run(capsys, "domination", "--bipartite", "2", "3", "--kmax", kmax)
+    assert (code, out) == (EXIT_LIMIT, "")
+    assert err == f"error: domination --kmax limited to {DOMINATION_KMAX_LIMIT}, got {kmax}\n"
 
 
 def test_domination_argument_errors(capsys):

@@ -1,4 +1,4 @@
-"""Max-flow and the neighborhood-ratio minimizer."""
+"""Max-flow, the ratio cut and the neighborhood-ratio minimizer."""
 
 import random
 from fractions import Fraction
@@ -7,9 +7,10 @@ import pytest
 
 from _helpers import min_ratio_subset_exhaustive, random_graph
 from indeplib import flow
+from indeplib.capacity import min_ratio_subset
 from indeplib.errors import VerificationError
-from indeplib.flow import INF, FlowNetwork, max_flow, min_ratio_subset, ratio_at_least
-from indeplib.graph import set_to_mask
+from indeplib.flow import INF, FlowNetwork, max_flow, ratio_at_least
+from indeplib.graph import Graph, set_to_mask
 
 
 def test_max_flow_simple():
@@ -60,30 +61,29 @@ def test_max_flow_returns_maximal_cut_side():
     assert cut.source_side == {0, 1, 2}
 
 
-def _masks(nbr):
-    return {v: set_to_mask(cs) for v, cs in nbr.items()}
+def _bipartite(nbr):
+    """The graph joining each S-vertex v to the ground vertices in nbr[v]."""
+    edges = [(v, c) for v, cs in nbr.items() for c in cs]
+    return Graph(1 + max([v for e in edges for v in e] + list(nbr)), edges)
 
 
 def test_min_ratio_examples():
     # one side of K_{3,3}: every vertex sees the full other side {3, 4, 5}
-    nbr = {v: 0b111000 for v in range(3)}
-    subset, nu = min_ratio_subset(range(3), nbr)
-    assert nu == 1 and subset == {0, 1, 2}
-    # vertex with empty neighborhood gives ratio zero
-    nbr = {0: 1 << 3, 1: 0, 2: 1 << 4}
-    subset, nu = min_ratio_subset(range(3), nbr)
-    assert nu == 0 and subset == {1}
+    g = _bipartite({v: {3, 4, 5} for v in range(3)})
+    assert min_ratio_subset(g, 0b111) == (Fraction(1, 2), 0b111)
+    # vertex with empty neighborhood gives ratio zero, a = 1
+    g = _bipartite({0: {3}, 1: set(), 2: {4}})
+    assert min_ratio_subset(g, 0b111) == (Fraction(1), 0b10)
     # pendant structure: nu = 1/3 from the three leaves of a star
-    nbr = {v: 1 << 3 for v in range(3)}
-    subset, nu = min_ratio_subset(range(3), nbr)
-    assert nu == Fraction(1, 3) and subset == {0, 1, 2}
+    g = _bipartite({v: {3} for v in range(3)})
+    assert min_ratio_subset(g, 0b111) == (Fraction(3, 4), 0b111)
 
 
 def test_min_ratio_input_validation():
-    with pytest.raises(ValueError):
-        min_ratio_subset([], {})
-    with pytest.raises(ValueError):
-        min_ratio_subset([0, 1], {0: 1 << 1, 1: 1 << 0})  # ground set overlaps S
+    with pytest.raises(ValueError, match="nonempty"):
+        min_ratio_subset(Graph(2), 0)
+    with pytest.raises(VerificationError, match="not independent"):
+        min_ratio_subset(_bipartite({0: {1}}), 0b11)  # the ground overlaps S
 
 
 def _random_ratio_case(rng):
@@ -102,38 +102,21 @@ def test_min_ratio_vs_exhaustive_randomized():
     rng = random.Random(13)
     for _ in range(300):
         svars, nbr = _random_ratio_case(rng)
-        got = min_ratio_subset(svars, _masks(nbr))
-        want = min_ratio_subset_exhaustive(svars, nbr)
-        assert got == want, (nbr, got, want)
-
-
-def test_min_ratio_priced_vs_exhaustive():
-    # a price below the minimum gives None; at or above it, the maximal
-    # minimizer as without a price
-    rng = random.Random(17)
-    for _ in range(300):
-        svars, nbr = _random_ratio_case(rng)
-        masks = _masks(nbr)
-        want = min_ratio_subset_exhaustive(svars, nbr)
-        prices = {want[1], want[1] + Fraction(1, 3), Fraction(rng.randint(0, 8), rng.randint(1, 4))}
-        if want[1] > 0:
-            prices.add(want[1] - Fraction(1, 13))
-        for price in prices:
-            got = min_ratio_subset(svars, masks, price)
-            if want[1] > price:
-                assert got is None, (nbr, price, got, want)
-            else:
-                assert got == want, (nbr, price, got, want)
+        got = min_ratio_subset(_bipartite(nbr), set_to_mask(svars))
+        subset, nu = min_ratio_subset_exhaustive(svars, nbr)
+        assert got == (1 / (1 + nu), set_to_mask(subset)), (nbr, got, nu, subset)
 
 
 def test_min_ratio_returns_maximal_minimizer():
-    # both {0} and {1} minimize at ratio 1; the maximal minimizer is {0,1}
-    nbr = {0: 1 << 2, 1: 1 << 3}
-    subset, nu = min_ratio_subset([0, 1], nbr)
-    assert nu == 1 and subset == {0, 1}
-    # priced at exactly that minimum, the maximal minimizer is still found
-    subset, nu = min_ratio_subset([0, 1], nbr, Fraction(1))
-    assert nu == 1 and subset == {0, 1}
+    # both {0} and {1} minimize at ratio 1; the maximal minimizer is {0,1}.
+    # A loop started at the single vertex 0 would stop there, for no set
+    # beats it; started at the whole mask it keeps both
+    g = _bipartite({0: {2}, 1: {3}})
+    assert min_ratio_subset(g, 0b11) == (Fraction(1, 2), 0b11)
+    # the tie survives an improving cut: {0, 1, 2} has ratio 4/3, and the
+    # cut moves to the maximal minimizer {0, 1}, not to one of its halves
+    g = _bipartite({0: {3}, 1: {4}, 2: {5, 6}})
+    assert min_ratio_subset(g, 0b111) == (Fraction(1, 2), 0b11)
 
 
 def test_ratio_at_least_vs_exhaustive(monkeypatch):
