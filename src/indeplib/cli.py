@@ -249,6 +249,9 @@ def cmd_domination(args):
             msg = f"domination --kmax limited to {DOMINATION_KMAX_LIMIT}, got {args.kmax}"
             raise LimitExceeded(msg, required=args.kmax)
         m, n = args.bipartite
+        if m + n > DEFAULT_POWER_LIMIT:  # K(m, n) has m + n vertices
+            msg = f"domination --bipartite needs {m + n} vertices, limit is {DEFAULT_POWER_LIMIT}"
+            raise LimitExceeded(msg, required=m + n)
         label = f"bipartite {m} {n}"
         rows = [(k, ri_complete_bipartite_power(m, n, k)) for k in range(1, args.kmax + 1)]
         limit = ultimate_independent_domination_multipartite([m, n])

@@ -11,7 +11,8 @@ import os
 DEFAULT_ALPHA_LIMIT = 40
 # Subset-enumeration oracles (a_bruteforce, independent_domination_exact).
 DEFAULT_BRUTEFORCE_LIMIT = 20
-# Vertex-count ceiling for iterated categorical powers and graph files.
+# Vertex-count ceiling for iterated categorical powers, graph files and the
+# sides of domination --bipartite.
 DEFAULT_POWER_LIMIT = 10**6
 # Ceiling on domination --kmax; the rows' cost grows faster than kmax^3.
 DOMINATION_KMAX_LIMIT = 500

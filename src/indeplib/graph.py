@@ -7,8 +7,12 @@ threads.
 
 from __future__ import annotations
 
+import sys
+
 from .config import DEFAULT_POWER_LIMIT
 from .errors import LimitExceeded
+
+_DIGIT_BITS = sys.int_info.bits_per_digit
 
 
 class Graph:
@@ -147,24 +151,38 @@ def categorical_product(g: Graph, h: Graph) -> Graph:
 
     Vertex (a,b) gets id a*h.n + b (row-major, g-coordinate major).
     (g1,h1) ~ (g2,h2) iff g1~g2 in g and h1~h2 in h.
+
+    The product is built one block row at a time: row (a,b) is h.adj[b]
+    copied into the hn-bit block of each neighbour of a (hn = h.n).  For a
+    vertex a of many neighbours that is one multiplication, h.adj[b] times
+    the mask with one bit at the start of each neighbour's block: the
+    blocks do not overlap, so no carries arise and the product equals the
+    OR of the shifted copies.  Multiplying costs about one pass over the
+    row per digit of h.adj[b] and shifting one pass per neighbour, so a
+    vertex a with deg(a) * sys.int_info.bits_per_digit < hn, fewer
+    neighbours than a row of H can have digits, ORs shifted copies instead,
+    with the shifts computed once per a.
     """
     if g.n == 0 or h.n == 0:
         raise ValueError("empty graph")
     hn = h.n
-    # Adjacency of (a,b) = rows of g.adj[a] expanded blockwise with h.adj[b].
-    adj = [0] * (g.n * hn)
     hadj = h.adj
-    for a in range(g.n):
-        ga = g.adj[a]
-        abase = a * hn
-        for b in range(hn):
-            row = 0
-            w = ga
-            while w:
-                a2 = (w & -w).bit_length() - 1
-                row |= hadj[b] << (a2 * hn)
-                w &= w - 1
-            adj[abase + b] = row
+    adj = []
+    for ga in g.adj:
+        shifts = []
+        while ga:
+            low = ga & -ga
+            shifts.append((low.bit_length() - 1) * hn)
+            ga ^= low
+        if len(shifts) * _DIGIT_BITS < hn:
+            for hb in hadj:
+                row = 0
+                for s in shifts:
+                    row |= hb << s
+                adj.append(row)
+        else:
+            spread = sum(1 << s for s in shifts)
+            adj.extend([hb * spread for hb in hadj])
     return Graph._from_symmetric(adj)  # symmetric and loop-free, as g and h are
 
 

@@ -234,8 +234,10 @@ class _SplitProductMIS:
         """(column, left, right, rook) per case, where rook is the mask of
         the rook vertex that joins the Koenig set (or 0) and column marks
         the column cases.  A rook or row case keeps case 0's left side or
-        part of it; a column case puts S1 x V(H) on the left, so none of
-        case 0's matching pairs lies inside its sides.
+        part of it.  A column case has case 0's right side S1 x C2 inside
+        its left side, and part of case 0's left side, C1 x (S2 minus
+        N(cv2)), inside its right side, so case 0's pairs read backwards
+        lie between its sides.
 
         - no rook vertex: V(G) x S2 against S1 x C2;
         - one rook vertex r: the same sides minus N(r);
@@ -256,18 +258,43 @@ class _SplitProductMIS:
             yield True, self.s1_rows, self._block(self.c1_mask, ys), 0
 
 
-def _kept_pairs(state, left, right):
-    """Number of pairs of the matching in a bipartite_mis state with both
-    ends inside the vertex masks left and right: the pairs whose left end
-    stays, less those among them whose right end goes."""
-    mate_r, ml, mr = state[2][1:]
-    kept = (ml & left).bit_count()
+def _swap_sides(state):
+    """A bipartite_mis state with its left and right sides exchanged; adj
+    is symmetric, so each pair read backwards is still an edge."""
+    left, right, (mate_l, mate_r, ml, mr) = state
+    return right, left, (mate_r, mate_l, mr, ml)
+
+
+def _pairs_in_hand(adj, base, left, right, enough):
+    """Size of a matching between the vertex masks left and right, found
+    without a search and counted up to enough: the pairs of base (a
+    bipartite_mis state) with both ends inside the sides, then one greedy
+    pass between the left vertices outside those pairs and the right
+    vertices base leaves unmatched.  The pass gives each vertex of the side
+    with fewer of them its lowest free neighbour on the other side; adj is
+    symmetric, so it may start from either side."""
+    _, mate_r, ml, mr = base[2]
+    kept_l = ml & left
     gone = mr & ~right
+    if kept_l.bit_count() - gone.bit_count() >= enough:
+        return enough  # each gone right end costs at most one pair
     while gone:
         low = gone & -gone
         gone ^= low
-        if (left >> mate_r[low.bit_length() - 1]) & 1:
-            kept -= 1
+        kept_l &= ~(1 << mate_r[low.bit_length() - 1])
+    kept = kept_l.bit_count()
+    if kept >= enough:
+        return kept
+    free_l, free_r = left & ~kept_l, right & ~mr
+    if free_l.bit_count() > free_r.bit_count():
+        free_l, free_r = free_r, free_l
+    while kept < enough and free_l and free_r:
+        low = free_l & -free_l
+        free_l ^= low
+        cand = adj[low.bit_length() - 1] & free_r
+        if cand:
+            free_r ^= cand & -cand
+            kept += 1
     return kept
 
 
@@ -278,38 +305,45 @@ def alpha_product_split(g: Graph, p1: SplitPartition, h: Graph, p2: SplitPartiti
     rook block C1 x C2.  Two or more rook vertices must pairwise share a
     coordinate, hence all lie in one row or one column.  Each case is one
     Koenig run on masks of the explicit product; the first best case wins.
-    Case 0 runs cold; the rook and row cases start from case 0's matching
-    and sides, the column cases from those of the first column case run.
-    The Koenig witness does not depend on which maximum matching was
-    found, so warm starts change neither the value nor the witness.
+    Case 0 runs cold, and every later case starts from case 0's matching
+    and sides: a rook or row case as they are, a column case with the two
+    sides swapped.  The Koenig witness does not depend on which maximum
+    matching was found, so warm starts change neither the value nor the
+    witness.
 
     A case is skipped when an upper bound on its value cannot beat the best
-    so far.  The bound is its vertex count |L| + |R| + |rook|, less, for a
-    warm-started case, the number kept of its base matching's pairs with
-    both ends inside L and R.  Those pairs are checked edges between the
-    sides, so they are a matching of the case's bipartite graph: its
-    maximum matching has at least kept pairs, and by Koenig its alpha is at
-    most |L| + |R| - kept.  A skipped case cannot strictly beat the best,
-    so the first best case, hence the value and the witness, are the same
-    as with every case run.
+    so far.  The bound is its vertex count |L| + |R| + |rook|, less the
+    pairs of a matching in hand: the start matching's pairs with both ends
+    inside L and R, plus one greedy pass between vertices that no such pair
+    uses.  Start pairs are checked edges between the sides and greedy pairs
+    are edges between unused vertices, so together they are a matching of
+    the case's graph, and by Koenig its alpha is at most |L| + |R| less
+    their number.  A skipped case cannot strictly beat the best, so the
+    first best case, hence the value and the witness, are the same as with
+    every case run.
     """
     p1.validate(g)
     p2.validate(h)
     solver = _SplitProductMIS(g, p1, h, p2)
+    adj = solver.adj
     best, witness = -1, 0
-    bases = {}
+    base = swapped = None  # case 0's state, as it is and with its sides swapped
     for column, left, right, rook in solver.cases():
-        bound = left.bit_count() + right.bit_count() + rook.bit_count()
-        base = bases.get(column)
-        if base is not None and bound > best:
-            bound -= _kept_pairs(base, left, right)
-        if bound <= best:
+        n_l, n_r, n_rook = left.bit_count(), right.bit_count(), rook.bit_count()
+        # matched pairs that settle the case; case 0 needs more than a side
+        # has (best is -1), so it always runs and every later case has a start
+        need = n_l + n_r + n_rook - best
+        start = swapped if column else base
+        if need <= 0 or (
+            need <= min(n_l, n_r) and _pairs_in_hand(adj, start, left, right, need) >= need
+        ):
             continue
-        size, cand, state = bipartite_mis(solver.adj, left, right, base)
-        bases.setdefault(column, state)
-        if size + rook.bit_count() > best:
-            best, witness = size + rook.bit_count(), cand | rook
-    if witness.bit_count() != best or not _is_independent(solver.adj, witness):
+        size, cand, state = bipartite_mis(adj, left, right, start)
+        if base is None:
+            base, swapped = state, _swap_sides(state)
+        if size + n_rook > best:
+            best, witness = size + n_rook, cand | rook
+    if witness.bit_count() != best or not _is_independent(adj, witness):
         raise VerificationError(f"split witness is not an independent set of size {best}")
     return best, mask_to_set(witness)
 

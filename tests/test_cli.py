@@ -9,7 +9,7 @@ from _helpers import random_graph, threshold_cotree_text
 from indeplib import capacity, cli, cotree, splitgraph
 from indeplib.capacity import a_split
 from indeplib.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, EXIT_VIOLATION, main
-from indeplib.config import DOMINATION_KMAX_LIMIT
+from indeplib.config import DEFAULT_POWER_LIMIT, DOMINATION_KMAX_LIMIT
 from indeplib.cotree import parse_cotree, realize
 from indeplib.errors import VerificationError
 from indeplib.graph import (
@@ -499,6 +499,25 @@ def test_domination_kmax_ceiling(capsys, monkeypatch):
     code, out, err = run(capsys, "domination", "--bipartite", "2", "3", "--kmax", kmax)
     assert (code, out) == (EXIT_LIMIT, "")
     assert err == f"error: domination --kmax limited to {DOMINATION_KMAX_LIMIT}, got {kmax}\n"
+
+
+def test_domination_side_ceiling(capsys, monkeypatch):
+    # K(M, N) has M + N vertices, held to the ceiling graph files obey;
+    # sides past it exit 3 before any row is computed
+    from indeplib import domination
+
+    at = str(DEFAULT_POWER_LIMIT - 3)
+    assert run(capsys, "domination", "--bipartite", at, "3", "--kmax", "1")[0] == EXIT_OK
+
+    def no_rows(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(domination, "ri_complete_bipartite_power", no_rows)
+    m = 10**100
+    code, out, err = run(capsys, "domination", "--bipartite", str(m), "3")
+    assert (code, out) == (EXIT_LIMIT, "")
+    limit = DEFAULT_POWER_LIMIT
+    assert err == f"error: domination --bipartite needs {m + 3} vertices, limit is {limit}\n"
 
 
 def test_domination_argument_errors(capsys):

@@ -1,5 +1,6 @@
 """Fuzzing the graph-file path: valid and mutated `p il` files through
-`capacity`, `check` and `alpha`, in-process.
+`capacity`, `check` and `alpha`, in-process; and the split product engine
+against running every case cold.
 
 Every file must end in an exit code of 0-3 with no traceback; a valid file
 within the oracle limits must also pass `capacity` and every check of
@@ -14,7 +15,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from _helpers import split_product_reference
 from indeplib import cli
+from indeplib.graph import Graph
+from indeplib.product_alpha import alpha_product_split
+from indeplib.splitgraph import split_partition
 
 HUGE = st.sampled_from([10**6 + 1, 2**31, 2**63, 10**20])
 
@@ -103,3 +108,25 @@ def monkeypatch_module():
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("IL_ORACLE_LIMIT", raising=False)
         yield mp
+
+
+@st.composite
+def split_graphs(draw):
+    """A split graph of at most 10 vertices: a clique on a drawn number of
+    them, any edges from it to the rest, vertices in a drawn order."""
+    n = draw(st.integers(1, 10))
+    c = draw(st.integers(0, n))
+    order = draw(st.permutations(range(n)))
+    edges = [(u, v) for u in range(c) for v in range(u + 1, c)]
+    cross = [(u, v) for u in range(c) for v in range(c, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(cross), max_size=len(cross)))
+    edges += [e for e, k in zip(cross, keep) if k]
+    return Graph(n, [(order[u], order[v]) for u, v in edges])
+
+
+@seed(20261)
+@settings(max_examples=80, deadline=None, database=None)
+@given(g=split_graphs(), h=split_graphs())
+def test_split_product_matches_cold_reference(g, h):
+    p1, p2 = split_partition(g), split_partition(h)
+    assert alpha_product_split(g, p1, h, p2) == split_product_reference(g, p1, h, p2)[:2]

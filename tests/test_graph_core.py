@@ -1,6 +1,7 @@
 """Graph construction, products, powers, helpers, file formats, ratios."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,59 @@ def test_categorical_product_vs_definition():
                     for b2 in range(3):
                         want = g.has_edge(a, a2) and h.has_edge(b, b2)
                         assert p.has_edge(a * 3 + b, a2 * 3 + b2) == want
+
+
+def _product_by_definition(g, h):
+    """Adjacency masks of G x H, one edge (a,b)~(a2,b2) at a time."""
+    adj = [0] * (g.n * h.n)
+    for a in range(g.n):
+        for b in range(h.n):
+            for a2 in g.neighbors(a):
+                for b2 in h.neighbors(b):
+                    adj[a * h.n + b] |= 1 << (a2 * h.n + b2)
+    return adj
+
+
+def test_categorical_product_row_paths_vs_definition():
+    # a row multiplies h.adj[b] by one bit per neighbour's block when
+    # deg(a) * bits_per_digit >= |V(H)|, and ORs shifted copies otherwise;
+    # the pairs below reach both paths, within one product too
+    digit = sys.int_info.bits_per_digit
+    rng = random.Random(19)
+    hub = star_graph(6)  # the centre multiplies against H of 70, a leaf shifts
+    pairs = [
+        (complete_graph(6), random_graph(8, 0.5, rng)),  # dense rows
+        (cycle_graph(5), random_graph(100, 0.3, rng)),  # sparse rows, wide H
+        (hub, random_graph(70, 0.4, rng)),
+        (random_graph(9, 0.4, rng), hub),
+        (complete_graph(1), random_graph(12, 0.5, rng)),  # K1 factors
+        (random_graph(7, 0.5, rng), complete_graph(1)),
+        (empty_graph(4), random_graph(40, 0.5, rng)),  # edgeless factors
+        (random_graph(5, 0.6, rng), empty_graph(33)),
+        (path_graph(3), complete_graph(50)),
+        (random_graph(40, 0.2, rng), random_graph(3, 1.0, rng)),  # unequal sizes
+    ]
+    paths = set()
+    for g, h in pairs:
+        assert categorical_product(g, h).adj == tuple(_product_by_definition(g, h))
+        paths.update(g.degree(a) * digit < h.n for a in range(g.n) if g.degree(a))
+    assert paths == {True, False}
+    for _ in range(40):
+        g = random_graph(rng.randint(1, 12), rng.random(), rng)
+        h = random_graph(rng.randint(1, 90), rng.random() * 0.3, rng)
+        assert categorical_product(g, h).adj == tuple(_product_by_definition(g, h))
+
+
+def test_graph_power_matches_iterated_definition():
+    # C5^3 left-associated: vertex ((a*5 + b)*5 + c) ~ ((a2*5 + b2)*5 + c2)
+    # iff every coordinate is adjacent in C5
+    c5 = cycle_graph(5)
+    cube = graph_power(c5, 3)
+    assert cube.n == 125
+    for x in range(125):
+        for y in range(125):
+            want = all(c5.has_edge(x // 5**i % 5, y // 5**i % 5) for i in range(3))
+            assert cube.has_edge(x, y) == want, (x, y)
 
 
 def test_library_built_graphs_pass_from_adj():
