@@ -195,9 +195,25 @@ def _dinkelbach(g: Graph, step, start):
         witness, p, q = mask, size, size + nbrs
 
 
-def _min_degree_vertex(g: Graph):
-    """The mask of the least vertex of minimum degree, the DP engines' start."""
-    return 1 << min(range(g.n), key=lambda u: g.adj[u].bit_count())
+def _greedy_start(g: Graph):
+    """The DP engines' start: a nonempty independent vertex mask I.
+
+    One pass over the vertices in order of degree, least first on ties; a
+    vertex outside I | N(I) joins when |I|/(|I| + |N(I)|) does not drop.
+    The first vertex always joins, so the start's ratio is at least that
+    of the least vertex of minimum degree."""
+    adj = g.adj
+    start = nbrs = size = count = 0  # I, N(I), |I|, |N(I)|
+    for v in sorted(range(g.n), key=lambda u: adj[u].bit_count()):
+        if (start | nbrs) >> v & 1:
+            continue
+        grown = nbrs | adj[v]
+        more = grown.bit_count()
+        # (size + 1) / (size + 1 + more) >= size / (size + count)
+        if (size + 1) * (size + count) >= size * (size + 1 + more):
+            start |= 1 << v
+            nbrs, size, count = grown, size + 1, more
+    return start
 
 
 def min_ratio_subset(g: Graph, mask):
@@ -281,8 +297,12 @@ def cograph_profile(t: Cotree, gain, pen):
 
 
 def a_cograph(t: Cotree) -> CapacityResult:
-    g = _lazy.realize(t)
-    a, witness = _dinkelbach(g, partial(cograph_profile, t), _min_degree_vertex(g))
+    return _cograph(_lazy.realize(t), t)
+
+
+def _cograph(g: Graph, t: Cotree) -> CapacityResult:
+    """The cograph engine on g, the graph t realizes."""
+    a, witness = _dinkelbach(g, partial(cograph_profile, t), _greedy_start(g))
     return _finish(g, a, witness, Engine.COGRAPH)
 
 
@@ -346,25 +366,33 @@ def _chain_dp(g: Graph, order, chain_ok, gain, pen):
 
 
 def a_interval(model: IntervalModel) -> CapacityResult:
-    if model.n == 0:
+    return _interval(_lazy.realize_interval(model), model)
+
+
+def _interval(g: Graph, model: IntervalModel) -> CapacityResult:
+    """The interval engine on g, the graph model realizes."""
+    if g.n == 0:
         raise ValueError("capacity of the empty graph is undefined")
-    g = _lazy.realize_interval(model)
     ivs = model.intervals
     order = sorted(range(model.n), key=lambda v: (ivs[v][1], ivs[v][0], v))
 
     def chain_ok(y, x):
         return ivs[y][1] < ivs[x][0]
 
-    a, witness = _dinkelbach(g, partial(_chain_dp, g, order, chain_ok), _min_degree_vertex(g))
+    a, witness = _dinkelbach(g, partial(_chain_dp, g, order, chain_ok), _greedy_start(g))
     return _finish(g, a, witness, Engine.INTERVAL)
 
 
 def a_permutation(model: PermutationModel) -> CapacityResult:
-    if model.n == 0:
+    return _permutation(_lazy.realize_permutation(model), model)
+
+
+def _permutation(g: Graph, model: PermutationModel) -> CapacityResult:
+    """The permutation engine on g, the graph model realizes."""
+    if g.n == 0:
         raise ValueError("capacity of the empty graph is undefined")
-    g = _lazy.realize_permutation(model)
     order = list(range(model.n))
-    a, witness = _dinkelbach(g, partial(_chain_dp, g, order, model.left_of), _min_degree_vertex(g))
+    a, witness = _dinkelbach(g, partial(_chain_dp, g, order, model.left_of), _greedy_start(g))
     return _finish(g, a, witness, Engine.PERMUTATION)
 
 
@@ -380,49 +408,76 @@ def treewidth_profile(g: Graph, d: NiceTreeDecomposition, gain, pen):
     subtree.  Each key keeps its first strict maximizer.  The engine calls
     this through the module global, under the name the benchmark's tracer
     wraps.
+
+    Keys hold only live vertices, those introduced below the node and not
+    forgotten since, which in a nice form are its bag; an introduced
+    vertex's neighbors are read from them.  validate_and_nicify checks the
+    nice form of what it returns, but nodes built by hand skip that check,
+    so an INTRODUCE vertex must be neither in its child's bag nor live
+    there, and a FORGET vertex must be in its child's bag.  No child key
+    then holds the introduced vertex, whatever the bags say, and the
+    Dinkelbach loop checks every witness again.
     """
     start, introduce, forget, join = _lazy.START, _lazy.INTRODUCE, _lazy.FORGET, _lazy.JOIN
+    nodes = d.nodes
     tables = []
-    for node in d.nodes:
-        bag = node.bag
+    live = []  # per node, the mask of its live vertices
+    for node in nodes:
         if node.kind == start:
-            if bag:
+            if node.bag:
                 raise InvalidDecomposition("nice-form", "start bags must be empty")
             tab = {(0, 0): (0, 0)}
+            alive = 0
         elif node.kind == introduce:
-            if not 0 <= node.vertex < g.n:
+            x, c = node.vertex, node.children[0]
+            if not 0 <= x < g.n:
                 raise InvalidDecomposition(
-                    "nice-form", f"introduced vertex {node.vertex} is not a vertex of the graph"
+                    "nice-form", f"introduced vertex {x} is not a vertex of the graph"
                 )
-            bit = 1 << node.vertex
-            child = tables[node.children[0]]
+            bit = 1 << x
+            if x in nodes[c].bag or live[c] & bit:
+                raise InvalidDecomposition(
+                    "nice-form", f"introduced vertex {x} is already in its child's bag"
+                )
+            child = tables[c]
+            xnbrs = g.adj[x] & live[c]
+            alive = live[c] | bit
+            # no child key holds x, so the keys where x stays free or cannot
+            # join are distinct and are stored at once; only the keys where
+            # x joins I can meet
             tab = {}
-
-            def put(key, value, wit):
-                if key not in tab or value > tab[key][0]:
-                    tab[key] = (value, wit)
-
-            xnbrs = g.adj[node.vertex] & set_to_mask(bag)
-            for (inb, nbrb), (value, wit) in child.items():
-                if not xnbrs & inb:
-                    # x joins I: free bag neighbors of x become NBR
-                    promoted = xnbrs & ~nbrb
-                    joined = value + gain - pen * promoted.bit_count()
-                    put((inb | bit, nbrb | promoted), joined, wit | bit)
-                    put((inb, nbrb), value, wit)  # x stays free
-                else:
-                    put((inb, nbrb | bit), value - pen, wit)
+            for key, entry in child.items():
+                inb, nbrb = key
+                if xnbrs & inb:
+                    tab[inb, nbrb | bit] = (entry[0] - pen, entry[1])
+                    continue
+                # x joins I: free bag neighbors of x become NBR
+                promoted = xnbrs & ~nbrb
+                value = entry[0] + gain - pen * promoted.bit_count()
+                joined = (inb | bit, nbrb | promoted)
+                old = tab.get(joined)
+                if old is None or value > old[0]:
+                    tab[joined] = (value, entry[1] | bit)
+                tab[key] = entry  # x stays free
         elif node.kind == forget:
-            keep = ~(1 << node.vertex)
-            child = tables[node.children[0]]
+            x, c = node.vertex, node.children[0]
+            if x not in nodes[c].bag:
+                raise InvalidDecomposition(
+                    "nice-form", f"forgotten vertex {x} is not in its child's bag"
+                )
+            keep = ~(1 << x)
+            child = tables[c]
+            alive = live[c] & keep
             tab = {}
-            for (inb, nbrb), (value, wit) in child.items():
+            for (inb, nbrb), entry in child.items():
                 key = (inb & keep, nbrb & keep)
-                if key not in tab or value > tab[key][0]:
-                    tab[key] = (value, wit)
+                old = tab.get(key)
+                if old is None or entry[0] > old[0]:
+                    tab[key] = entry
         elif node.kind == join:
             left = tables[node.children[0]]
             right = tables[node.children[1]]
+            alive = live[node.children[0]] | live[node.children[1]]
             by_in = {}
             for (inb, nbr2), entry in right.items():
                 by_in.setdefault(inb, []).append((nbr2, entry))
@@ -437,6 +492,7 @@ def treewidth_profile(g: Graph, d: NiceTreeDecomposition, gain, pen):
         else:
             raise InvalidDecomposition("nice-form", f"unknown node kind {node.kind!r}")
         tables.append(tab)
+        live.append(alive)
 
     root = tables[d.root]
     if set(root) != {(0, 0)}:
@@ -447,7 +503,7 @@ def treewidth_profile(g: Graph, d: NiceTreeDecomposition, gain, pen):
 def a_treewidth(g: Graph, d: NiceTreeDecomposition) -> CapacityResult:
     if g.n == 0:
         raise ValueError("capacity of the empty graph is undefined")
-    a, witness = _dinkelbach(g, partial(treewidth_profile, g, d), _min_degree_vertex(g))
+    a, witness = _dinkelbach(g, partial(treewidth_profile, g, d), _greedy_start(g))
     return _finish(g, a, witness, Engine.TREEWIDTH)
 
 
@@ -535,9 +591,12 @@ def has_fractional_perfect_matching(g: Graph) -> bool:
 # dispatch
 
 
-def _require_same_graph(g: Graph, certified: Graph):
-    if g.adj != certified.adj:
+def _realized(g: Graph, realize, model) -> Graph:
+    """The graph the certificate model realizes, which must be g if given."""
+    certified = realize(model)
+    if g is not None and g.adj != certified.adj:
         raise ValueError("certificate does not match the supplied graph")
+    return certified
 
 
 def tensor_capacity(
@@ -557,26 +616,19 @@ def tensor_capacity(
     goes to the general engine, which solves each connected component and
     combines by max (a and Theta^T of a disjoint union are the
     componentwise maxima); limit bounds each component's vertex count.
+    A cotree, interval or permutation certificate is realized once; with a
+    graph too, the two must match before the engine runs.
     """
     if cotree is not None:
-        result = a_cograph(cotree)
-        if g is not None:
-            _require_same_graph(g, _lazy.realize(cotree))
-        return result
+        return _cograph(_realized(g, _lazy.realize, cotree), cotree)
     if split is not None:
         if g is None:
             raise ValueError("a split certificate needs the graph")
         return a_split(g, split)
     if interval is not None:
-        result = a_interval(interval)
-        if g is not None:
-            _require_same_graph(g, _lazy.realize_interval(interval))
-        return result
+        return _interval(_realized(g, _lazy.realize_interval, interval), interval)
     if permutation is not None:
-        result = a_permutation(permutation)
-        if g is not None:
-            _require_same_graph(g, _lazy.realize_permutation(permutation))
-        return result
+        return _permutation(_realized(g, _lazy.realize_permutation, permutation), permutation)
     if decomposition is not None:
         if g is None:
             raise ValueError("a tree decomposition needs the graph")

@@ -134,21 +134,29 @@ def test_a_cograph_matches_profile_reference():
 
 
 def test_cograph_witness_rule():
-    # K3: the start {0} has ratio 1/3 = a and no step improves
+    # the start passes over the vertices by degree, least first on ties,
+    # and takes each vertex outside I | N(I) that does not lower the ratio
+    # K3: the start is {0}, whose neighbours are the rest; its ratio 1/3 = a
+    # and no step improves
     r = a_cograph(parse_cotree("(* 0 1 2)"))
     assert r.a == Fraction(1, 3) and r.witness == {0}
-    # paw: the start {3} (least vertex of minimum degree) attains 1/2, as
-    # does {0, 3}, so it stays the witness
+    # paw: the start takes 3 (degree 1, ratio 1/2), then 0, which keeps
+    # 2/4 = 1/2; {0, 3} attains a = 1/2, as does {3}, so no step improves
     r = a_cograph(parse_cotree("(* 2 (+ (* 0 1) 3))"))
-    assert r.a == Fraction(1, 2) and r.witness == {3}
-    # P3: the step from {0} (gain 1, pen 1) scores {0, 1} at 2 - 1 = 1
+    assert r.a == Fraction(1, 2) and r.witness == {0, 3}
+    # P3: the start takes 0, then 1 (2/3 >= 1/2); {0, 1} attains a = 2/3
     r = a_cograph(parse_cotree("(* (+ 0 1) 2)"))
     assert r.a == Fraction(2, 3) and r.witness == {0, 1}
-    # two P3s: the union adds both positive halves, so the witness is
-    # {0, 1, 3, 4}, the last improving step's set, though {0, 1} alone
-    # attains 2/3 too
+    # two P3s: the start takes 0 and 1 (2/3); 3 would lower it to 3/5, so
+    # the start {0, 1} attains a = 2/3 and stays the witness, though
+    # {0, 1, 3, 4} attains 2/3 too
     r = a_cograph(parse_cotree("(+ (* (+ 0 1) 2) (* (+ 3 4) 5))"))
-    assert r.a == Fraction(2, 3) and r.witness == {0, 1, 3, 4}
+    assert r.a == Fraction(2, 3) and r.witness == {0, 1}
+    # K2 + P3: the start takes 0, 2 and 3 (ratio 3/5); the step from it
+    # (gain 2, pen 3) scores {2, 3} at 4 - 3 = 1, the next one has maximum
+    # 0, so the last improving step's set is the witness
+    r = a_cograph(parse_cotree("(+ (* 0 1) (* (+ 2 3) 4))"))
+    assert r.a == Fraction(2, 3) and r.witness == {2, 3}
     # a join keeps its first child of strictly largest value; the step's
     # maximum of 0 is the empty set's
     t = parse_cotree("(* (+ 0 1) (+ 2 3))")
@@ -241,22 +249,28 @@ def test_chain_dp_matches_reference():
 
 
 def test_chain_witness_rule_on_several_optimal_chains():
-    # 2K2 plus an isolated vertex: {4} (ratio 1) beats every chain through
-    # the edges, and the start vertex of minimum degree is the least one
+    # 2K2 plus an isolated vertex: the start takes {4} first (degree 0,
+    # ratio 1), which every other vertex would lower, and nothing beats 1
     r = a_interval(IntervalModel(((0, 1), (1, 2), (3, 4), (4, 5), (7, 7))))
     assert r.a == 1 and r.witness == {4}
-    # P4: the start {0} (least vertex of degree 1) has ratio 1/2 = a, so no
-    # step improves and it stays the witness, though {0,2}, {0,3} and {1,3}
-    # attain 1/2 too
+    # P4: the start takes 0, then 3, which keeps 2/4 = 1/2 = a, so no step
+    # improves and it stays the witness, though {0}, {0,2} and {1,3} attain
+    # 1/2 too
     r = a_interval(IntervalModel(((0, 1), (1, 2), (2, 3), (3, 4))))
-    assert r.a == Fraction(1, 2) and r.witness == {0}
-    # 3K2 as a permutation: the step from {0} (gain 1, pen 1) has maximum 0
+    assert r.a == Fraction(1, 2) and r.witness == {0, 3}
+    # 3K2 as a permutation: the start takes 0, 2 and 4 (ratio 1/2 all the
+    # way), and the step from it (gain 3, pen 3) has maximum 0
     r = a_permutation(PermutationModel((1, 0, 3, 2, 5, 4)))
-    assert r.a == Fraction(1, 2) and r.witness == {0}
-    # P5: the step from {0} scores {0,2,4} at 3 - 2 = 1, the next one has
-    # maximum 0, so the last improving step's set is the witness
+    assert r.a == Fraction(1, 2) and r.witness == {0, 2, 4}
+    # P5: the start takes 0, 4 (2/4) and 2 (3/5), the optimum, so the step
+    # has maximum 0
     r = a_interval(IntervalModel(((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))))
     assert r.a == Fraction(3, 5) and r.witness == {0, 2, 4}
+    # K2 + P3: the start takes 0, 2 and 4 (ratio 3/5); the step from it
+    # (gain 2, pen 3) scores {2, 4} at 4 - 3 = 1, the next one has maximum
+    # 0, so the last improving step's set is the witness
+    r = a_interval(IntervalModel(((0, 1), (1, 2), (3, 4), (4, 5), (5, 6))))
+    assert r.a == Fraction(2, 3) and r.witness == {2, 4}
     # P6 with gain 2, pen 1: {0,2,4}, {0,2,5}, {0,3,5} and {1,3,5} all score
     # 6 - 3; the first strict maximizer in processing order is kept, so the
     # chain ending in 4 wins.  A maximum of 0 is the empty chain's.
@@ -357,6 +371,80 @@ def test_treewidth_profile_rejects_malformed_nice_form():
     outside = [NiceNode(START, frozenset(), None, ()), NiceNode(INTRODUCE, frozenset({1}), 1, (0,))]
     with pytest.raises(InvalidDecomposition, match="not a vertex of the graph"):
         a_treewidth(g, NiceTreeDecomposition(outside, 0))
+    # an INTRODUCE vertex already in its child's bag, and a FORGET vertex
+    # missing from it: the step stores the keys where the introduced vertex
+    # stays free at once, which is right only when no child key holds it
+    g = path_graph(2)
+    twice = [
+        NiceNode(START, frozenset(), None, ()),
+        NiceNode(INTRODUCE, frozenset({0}), 0, (0,)),
+        NiceNode(INTRODUCE, frozenset({0}), 0, (1,)),
+        NiceNode(FORGET, frozenset(), 0, (2,)),
+    ]
+    lying = [
+        NiceNode(START, frozenset(), None, ()),
+        NiceNode(INTRODUCE, frozenset({0, 1}), 1, (0,)),
+        NiceNode(INTRODUCE, frozenset({0, 1}), 0, (1,)),
+        NiceNode(FORGET, frozenset({1}), 0, (2,)),
+        NiceNode(FORGET, frozenset(), 1, (3,)),
+    ]
+    # 0 is live below the second INTRODUCE of 0 though its child's bag
+    # leaves it out
+    again = [
+        NiceNode(START, frozenset(), None, ()),
+        NiceNode(INTRODUCE, frozenset({0}), 0, (0,)),
+        NiceNode(INTRODUCE, frozenset({1}), 1, (1,)),
+        NiceNode(INTRODUCE, frozenset({0, 1}), 0, (2,)),
+    ]
+    absent = [
+        NiceNode(START, frozenset(), None, ()),
+        NiceNode(INTRODUCE, frozenset({0}), 0, (0,)),
+        NiceNode(FORGET, frozenset({0}), 1, (1,)),
+        NiceNode(FORGET, frozenset(), 0, (2,)),
+    ]
+    for nodes, match in (
+        (twice, "introduced vertex 0 is already in its child's bag"),
+        (lying, "introduced vertex 0 is already in its child's bag"),
+        (again, "introduced vertex 0 is already in its child's bag"),
+        (absent, "forgotten vertex 1 is not in its child's bag"),
+    ):
+        d = NiceTreeDecomposition(nodes, 1)
+        with pytest.raises(InvalidDecomposition, match=match) as info:
+            treewidth_profile(g, d, 1, 1)
+        assert info.value.axiom == "nice-form"
+        with pytest.raises(InvalidDecomposition, match=match):
+            a_treewidth(g, d)
+
+
+def test_treewidth_reads_neighbours_from_live_vertices():
+    # hand-built paths of INTRODUCE then FORGET nodes whose bags are not
+    # their child's plus or minus the vertex; the step takes a vertex's
+    # neighbours among the vertices introduced and not yet forgotten, so
+    # neither bag changes a
+    def path_nodes(intro_bags, forget_bags):
+        nodes = [NiceNode(START, frozenset(), None, ())]
+        for kind, bags in ((INTRODUCE, intro_bags), (FORGET, forget_bags)):
+            for v, bag in enumerate(bags):
+                nodes.append(NiceNode(kind, frozenset(bag), v, (len(nodes) - 1,)))
+        return NiceTreeDecomposition(nodes, 4)
+
+    # introducing 1 in bag {1, 4} drops the live 0: read from the bag, the
+    # edge 0-1 would be missed and a would come out 1/3
+    g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)])
+    d = path_nodes(
+        [{0}, {1, 4}, {0, 1, 2}, {0, 1, 2, 3}, {0, 1, 2, 3, 4}],
+        [{1, 2, 3, 4}, {2, 3, 4}, {3, 4}, {4}, set()],
+    )
+    assert a_treewidth(g, d).a == a_bruteforce(g)[0] == Fraction(2, 5)
+    # introducing 0 in bag {0, 2} names 2 before its INTRODUCE: read from
+    # the bag, keys would hold 2 when it is introduced, and the stores that
+    # take no child key to hold it would lose the optimum (a = 3/5)
+    g = Graph(5, [(0, 2), (1, 4), (2, 3)])
+    d = path_nodes(
+        [{0, 2}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}, {0, 1, 2, 3, 4}],
+        [{1, 2, 3, 4}, {2, 4}, {3, 4}, {4}, set()],
+    )
+    assert a_treewidth(g, d).a == a_bruteforce(g)[0] == Fraction(2, 3)
 
 
 def test_treewidth_rejects_a_nice_form_that_misses_an_edge():
@@ -385,6 +473,33 @@ def test_dinkelbach_checks_each_improving_witness():
         capacity._dinkelbach(g, lambda gain, pen: (0, 0), 0b11)
     with pytest.raises(ValueError, match="nonempty start"):
         capacity._dinkelbach(g, lambda gain, pen: (0, 0), 0)
+
+
+def _start_graphs(rng):
+    """Graphs of 1 to 40 vertices: edgeless, complete, random, and random
+    with isolated vertices among the rest."""
+    for n in range(1, 41):
+        yield Graph(n)
+        yield complete_graph(n)
+        for p in (0.1, 0.3, 0.6, 0.9):
+            yield random_graph(n, p, rng)
+        core = random_graph(rng.randint(0, n), rng.uniform(0.2, 0.8), rng)
+        g = disjoint_union(core, Graph(n - core.n)) if core.n < n else core
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_greedy_start_beats_the_least_min_degree_vertex():
+    # the DP engines' start is a nonempty independent set whose ratio is at
+    # least 1/(1 + d), the ratio of a vertex of minimum degree d
+    rng = random.Random(41)
+    for g in _start_graphs(rng):
+        start = capacity._greedy_start(g)
+        vs = mask_to_set(start)
+        assert vs and max(vs) < g.n and g.is_independent(vs), g.adj
+        d = min(g.degrees())
+        assert Fraction(len(vs), len(vs) + len(neighborhood(g, vs))) >= Fraction(1, 1 + d), g.adj
 
 
 # ---------------------------------------------------------------------------
@@ -773,6 +888,38 @@ def test_tensor_capacity_product_theorem_property():
         p = categorical_product(g, h)
         want = max(tensor_capacity(g).a_star, tensor_capacity(h).a_star)
         assert tensor_capacity(p).a_star == want
+
+
+def test_tensor_capacity_realizes_a_certificate_once(monkeypatch):
+    # P3 as each certificate: a graph that differs is refused before any
+    # step runs, and a matching one realizes the certificate once
+    p3 = Graph(3, [(0, 1), (0, 2)])
+    cases = (
+        ("cotree", parse_cotree("(* 0 (+ 1 2))"), "realize", "cograph_profile"),
+        ("interval", IntervalModel(((1, 2), (0, 1), (2, 3))), "realize_interval", "_chain_dp"),
+        ("permutation", PermutationModel((2, 0, 1)), "realize_permutation", "_chain_dp"),
+    )
+    for key, cert, realize_name, step_name in cases:
+        realized, steps = [], []
+        real_realize, real_step = getattr(capacity, realize_name), getattr(capacity, step_name)
+
+        def counted_realize(model, f=real_realize):
+            realized.append(model)
+            return f(model)
+
+        def counted_step(*args, f=real_step, **kwargs):
+            steps.append(args)
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(capacity, realize_name, counted_realize)
+        monkeypatch.setattr(capacity, step_name, counted_step)
+        with pytest.raises(ValueError, match="does not match"):
+            tensor_capacity(path_graph(3), **{key: cert})
+        assert len(realized) == 1 and not steps, key
+        realized.clear()
+        r = tensor_capacity(p3, **{key: cert})
+        assert r.a == Fraction(2, 3) and r.witness == {1, 2}, key
+        assert len(realized) == 1 and steps, key
 
 
 def test_tensor_capacity_errors():
