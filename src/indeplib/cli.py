@@ -41,6 +41,7 @@ __getattr__ = _lazy_getattr(
         "alpha_product_split": "product_alpha",
         "categorical_product": "graph",
         "cograph_recognize": "cotree",
+        "is_product_independent": "graph",
         "split_partition": "splitgraph",
         "validate_and_nicify": "treedecomp",
     },
@@ -100,7 +101,7 @@ def cmd_product(args):
 def cmd_alpha(args):
     """alpha(G x H) from the first engine that takes both factors: cograph,
     split, then the explicit product, one pair of factor components at a
-    time (_alpha_by_components)."""
+    time (_alpha_by_components); its witness is checked before printing."""
     g = _load_graph(args.files[0])
     h = _load_graph(args.files[1])
     inputs = f"{args.files[0]} x {args.files[1]}"
@@ -128,8 +129,10 @@ def cmd_alpha(args):
     if engine is None:
         value, witness = _alpha_by_components(g, h)
         engine = "oracle"
+    witness = sorted(witness)  # the row check rejects repeats, so len counts distinct ids
+    if len(witness) != value or not _lazy.is_product_independent(g, h, witness):
+        raise VerificationError(f"{engine} witness is not an independent set of size {value}")
     human = f"alpha={value} engine={engine}"
-    witness = sorted(witness)
     if args.witness:
         human += " witness=" + ",".join(str(v) for v in witness)
     _emit(

@@ -18,9 +18,6 @@ DEFAULT_POWER_LIMIT = 10**6
 DOMINATION_KMAX_LIMIT = 500
 
 
-def oracle_limit(default=DEFAULT_ALPHA_LIMIT):
+def oracle_limit():
     """Oracle vertex limit, honouring the IL_ORACLE_LIMIT override."""
-    env = os.environ.get("IL_ORACLE_LIMIT")
-    if env is not None:
-        return int(env)
-    return default
+    return int(os.environ.get("IL_ORACLE_LIMIT", DEFAULT_ALPHA_LIMIT))

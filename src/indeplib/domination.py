@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING
 
+from .config import DEFAULT_BRUTEFORCE_LIMIT
 from .errors import LimitExceeded
 
 if TYPE_CHECKING:
@@ -49,7 +50,7 @@ def ultimate_independent_domination_multipartite(sizes) -> Fraction:
     return Fraction(0)
 
 
-def ri_power_exact(g: Graph, k: int, limit=20) -> Fraction:
+def ri_power_exact(g: Graph, k: int, limit=DEFAULT_BRUTEFORCE_LIMIT) -> Fraction:
     """Brute-force r_i(G^k) = i(G^k) / |V(G)|^k (oracle bound on |V|^k)."""
     from .graph import graph_power
     from .oracles import independent_domination_exact

@@ -186,6 +186,32 @@ def categorical_product(g: Graph, h: Graph) -> Graph:
     return Graph._from_symmetric(adj)  # symmetric and loop-free, as g and h are
 
 
+def is_product_independent(g: Graph, h: Graph, ids) -> bool:
+    """Whether ids, row-major vertices a*h.n + b of G x H, are distinct, in
+    range and pairwise non-adjacent, checked on the factors' rows: rows
+    a ~ a2 of G conflict when an id in one has an H-neighbour in the other."""
+    hn, size = h.n, g.n * h.n
+    rows = {}
+    for pid in ids:
+        if not 0 <= pid < size:
+            return False
+        a, b = divmod(pid, hn)
+        row = rows.get(a, 0)
+        if (row >> b) & 1:
+            return False
+        rows[a] = row | (1 << b)
+    used = set_to_mask(rows)
+    for a, row in rows.items():
+        near = g.adj[a] & used
+        if near:
+            reach = 0
+            for b in mask_to_set(row):
+                reach |= h.adj[b]
+            if any(reach & rows[a2] for a2 in mask_to_set(near)):
+                return False
+    return True
+
+
 def graph_power(g: Graph, k: int, limit=DEFAULT_POWER_LIMIT) -> Graph:
     """k-fold categorical product G x ... x G, left-associated."""
     if k < 1:

@@ -10,7 +10,14 @@ from typing import TYPE_CHECKING
 
 from .cotree import LEAF, UNION, Cotree
 from .errors import VerificationError
-from .graph import Graph, categorical_product, complete_graph, mask_to_set, set_to_mask
+from .graph import (
+    Graph,
+    categorical_product,
+    complete_graph,
+    is_product_independent,
+    mask_to_set,
+    set_to_mask,
+)
 from .kernels import bipartite_matching
 
 if TYPE_CHECKING:
@@ -353,58 +360,23 @@ def alpha_product_split(g: Graph, p1: SplitPartition, h: Graph, p2: SplitPartiti
 
 
 def extract_is_from_k4_product(g: Graph, s_prime):
-    """From an independent set of G x K4 (max degree of G at most 3),
-    rebuild an independent set of G of size >= |S'|/4.
-
-    Iterative rewrite: a projected vertex s in conflict occurs with exactly
-    one K4-coordinate t; its projected neighbors then occur only with that
-    same t, so their product vertices move into s's K4-column and the
-    neighbors leave the projection.  Conflicts strictly decrease.
-    """
-    if max((g.degree(v) for v in range(g.n)), default=0) > 3:
+    """From an independent set S' of G x K4 (max degree of G at most 3; ids
+    outside 0..4n-1 make S' dependent), an independent set of G of size
+    >= |S'|/4, by one greedy pass over the projection P of S' in increasing
+    id.  A vertex of P with two or more K4-coordinates (at most 4 members of
+    S') has no neighbour in P, so it is kept.  One with a single coordinate t
+    has neighbours in P only among vertices with that same t, so, degrees
+    being at most 3, at least a quarter of each such class is kept."""
+    if max(g.degrees(), default=0) > 3:
         raise ValueError("extraction requires maximum degree <= 3")
-    k4 = 4
-    product = categorical_product(g, complete_graph(k4))
     s_prime = set(s_prime)
-    if not product.is_independent(s_prime):
+    if not is_product_independent(g, complete_graph(4), s_prime):
         raise ValueError("input set is not independent in G x K4")
-    pairs = {(pid // k4, pid % k4) for pid in s_prime}
-    original_size = len(pairs)
-
-    def projection():
-        return {gv for gv, _ in pairs}
-
-    while True:
-        proj = projection()
-        conflict = None
-        for s in sorted(proj):
-            if any(u in proj for u in g.neighbors(s)):
-                conflict = s
-                break
-        if conflict is None:
-            break
-        s = conflict
-        ts = {t for gv, t in pairs if gv == s}
-        if len(ts) != 1:
-            raise VerificationError("conflicted vertex occurs with several K4 coordinates")
-        t0 = next(iter(ts))
-        nbrs_in_proj = sorted(u for u in g.neighbors(s) if u in proj)
-        removed = []
-        for u in nbrs_in_proj:
-            for t in range(k4):
-                if (u, t) in pairs:
-                    if t != t0:
-                        raise VerificationError("neighbor occurs with a different coordinate")
-                    pairs.discard((u, t))
-                    removed.append(u)
-        free_ts = sorted(set(range(k4)) - {t0})
-        for t in free_ts[: len(removed)]:
-            pairs.add((s, t))
-
-    # more than three removed neighbours would show up here as a lost pair
-    if len(pairs) != original_size:
-        raise VerificationError(f"extraction kept {len(pairs)} of {original_size} pairs")
-    result = projection()
-    if not g.is_independent(result) or 4 * len(result) < original_size:
+    kept, result = 0, set()
+    for v in sorted({pid // 4 for pid in s_prime}):
+        if not g.adj[v] & kept:
+            kept |= 1 << v
+            result.add(v)
+    if not g.is_independent(result) or 4 * len(result) < len(s_prime):
         raise VerificationError("extracted set is not independent or below |S'|/4")
     return result

@@ -1,10 +1,15 @@
 """CLI behavior: output formats, JSON lines, exit codes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import indeplib
 from _helpers import random_graph, threshold_cotree_text
 from indeplib import capacity, cli, cotree, splitgraph
 from indeplib.capacity import a_split
@@ -100,6 +105,49 @@ def test_alpha_split_fallback(capsys, files):
     # C5 is neither: falls through to the oracle
     code, out, _ = run(capsys, "alpha", files["c5"], files["c5"])
     assert code == EXIT_OK and "engine=oracle" in out
+
+
+def test_alpha_checks_the_cograph_witness(capsys, files, monkeypatch):
+    # P3 x P3 ids are 3a + b; (0,0) ~ (1,1) is the pair 0, 4
+    for answer in ((2, {0, 4}), (3, {0, 2}), (2, [0, 0])):
+        monkeypatch.setattr(cli, "alpha_product_cographs", lambda tg, th, answer=answer: answer)
+        code, out, err = run(capsys, "alpha", files["p3"], files["p3"])
+        assert code == EXIT_VIOLATION and out == "" and "Traceback" not in err
+        assert err.startswith("error: verification failed: cograph witness"), err
+
+
+def test_alpha_checks_the_oracle_witness(capsys, files, monkeypatch):
+    # C5 x C5 is one pair of components, so local ids are global: (0,0) ~ (1,1)
+    monkeypatch.setattr(cli, "alpha_exact", lambda g, limit=None: (2, {0, 6}))
+    code, out, err = run(capsys, "alpha", "--witness", files["c5"], files["c5"])
+    assert code == EXIT_VIOLATION and out == ""
+    assert err.startswith("error: verification failed: oracle witness"), err
+
+
+def test_alpha_witness_check_survives_optimize(files):
+    # an oracle witness with an adjacent pair must still exit 1 under python -O
+    code = textwrap.dedent(
+        """
+        import sys
+        from indeplib import cli
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        cli.alpha_exact = lambda g, limit=None: (2, {0, 6})
+        sys.exit(cli.main(["alpha", "--oracle", sys.argv[1], sys.argv[1]]))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(indeplib.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code, files["c5"]],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_VIOLATION, proc.stderr
+    assert proc.stderr.startswith("error: verification failed: oracle witness"), proc.stderr
 
 
 def test_alpha_forced_cotree_rejects_p4(capsys, files):

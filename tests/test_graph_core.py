@@ -27,6 +27,7 @@ from indeplib.graph import (
     disjoint_union,
     empty_graph,
     graph_power,
+    is_product_independent,
     join,
     mask_to_set,
     neighborhood,
@@ -156,6 +157,35 @@ def test_categorical_product_row_paths_vs_definition():
         g = random_graph(rng.randint(1, 12), rng.random(), rng)
         h = random_graph(rng.randint(1, 90), rng.random() * 0.3, rng)
         assert categorical_product(g, h).adj == tuple(_product_by_definition(g, h))
+
+
+def test_is_product_independent_cases():
+    # P3 x K2: (a, b) has id 2a + b, and (a, b) ~ (a2, b2) iff |a - a2| = 1, b != b2
+    g, h = path_graph(3), complete_graph(2)
+    assert is_product_independent(g, h, [])
+    assert is_product_independent(g, h, {0, 2, 4})  # column 0, adjacent rows
+    assert is_product_independent(g, h, {0, 1})  # two ids in one row
+    assert is_product_independent(g, h, {0, 1, 4, 5})  # rows 0 and 2 are not adjacent
+    assert not is_product_independent(g, h, {0, 3})  # (0,0) ~ (1,1), across two rows
+    assert not is_product_independent(g, h, {5, 2})  # (2,1) ~ (1,0)
+    assert not is_product_independent(g, h, [0, 2, 0])  # a repeated id
+    assert not is_product_independent(g, h, {6})  # past the last id
+    assert not is_product_independent(g, h, {-1})  # negative
+    assert not is_product_independent(g, empty_graph(0), {0})  # an empty factor has no ids
+
+
+def test_is_product_independent_vs_explicit_product():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(200):
+        g = random_graph(rng.randint(1, 7), rng.random(), rng)
+        h = random_graph(rng.randint(1, 7), rng.random(), rng)
+        p = categorical_product(g, h)
+        ids = rng.sample(range(p.n), rng.randint(0, min(p.n, 6)))
+        want = p.is_independent(ids)
+        assert is_product_independent(g, h, ids) == want, (g.adj, h.adj, ids)
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_graph_power_matches_iterated_definition():

@@ -427,6 +427,89 @@ def test_extraction_from_optimal_witnesses():
         assert size == 4 * alpha_exact(g)[0]
 
 
+def _degree3_graph(n, rng):
+    """A random graph of maximum degree 3 from 3n random pairs, in O(n)."""
+    deg = [0] * n
+    edges = set()
+    for _ in range(3 * n):
+        u, v = sorted(rng.sample(range(n), 2))
+        if deg[u] < 3 and deg[v] < 3 and (u, v) not in edges:
+            edges.add((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    return Graph(n, edges)
+
+
+def _random_maximal_k4_set(g, rng):
+    """A random maximal independent set of G x K4 (ids 4a + t), grown in a
+    random order of product vertices: (a, t) joins unless a neighbour of a
+    already holds a coordinate other than t."""
+    order = [(a, t) for a in range(g.n) for t in range(4)]
+    rng.shuffle(order)
+    coords = [0] * g.n
+    for a, t in order:
+        if not any(coords[u] & ~(1 << t) for u in g.neighbors(a)):
+            coords[a] |= 1 << t
+    return {4 * a + t for a in range(g.n) for t in range(4) if (coords[a] >> t) & 1}
+
+
+def _check_extraction(g, s_prime):
+    result = extract_is_from_k4_product(g, s_prime)
+    assert g.is_independent(result) and 4 * len(result) >= len(s_prime)
+    # a vertex that occurs with two or more coordinates is always kept
+    multi = {a for a in range(g.n) if sum(4 * a + t in s_prime for t in range(4)) > 1}
+    assert multi <= result
+    return result, multi
+
+
+def test_extraction_from_random_maximal_sets():
+    # maximal but mostly not maximum, with both multi-coordinate vertices
+    # and single-coordinate classes
+    rng = random.Random(41)
+    k4 = complete_graph(4)
+    mixed = short = 0
+    for _ in range(150):
+        g = random_max_degree(rng.randint(2, 12), 3, rng.random(), rng)
+        s_prime = _random_maximal_k4_set(g, rng)
+        product = categorical_product(g, k4)
+        assert product.is_independent(s_prime)
+        outside = set(range(product.n)) - s_prime
+        assert all(product.adj[v] & set_to_mask(s_prime) for v in outside)  # maximal
+        result, multi = _check_extraction(g, s_prime)
+        single = {pid // 4 for pid in s_prime} - multi
+        mixed += bool(multi and single)
+        short += len(s_prime) < 4 * alpha_exact(g)[0]
+    assert mixed >= 40 and short >= 50, (mixed, short)
+
+
+def test_extraction_4000_vertices():
+    rng = random.Random(43)
+    g = _degree3_graph(4000, rng)
+    s_prime = _random_maximal_k4_set(g, rng)
+    result, multi = _check_extraction(g, s_prime)
+    assert multi and len(result) > len(multi)
+
+
+def test_extraction_never_builds_the_product(monkeypatch):
+    def refuse(g, h):
+        raise AssertionError("G x K4 was built")
+
+    monkeypatch.setattr(product_alpha, "categorical_product", refuse)
+    rng = random.Random(47)
+    for _ in range(20):
+        g = _degree3_graph(rng.randint(2, 40), rng)
+        _check_extraction(g, _random_maximal_k4_set(g, rng))
+    with pytest.raises(ValueError, match="independent"):
+        extract_is_from_k4_product(path_graph(2), {0, 5})
+
+
+def test_extraction_rejects_out_of_range_ids():
+    # P3 x K4 has ids 0..11; an id outside fails before any work, like a dependent set
+    for s_prime in ({12}, {-1}, {0, 12}):
+        with pytest.raises(ValueError, match="input set is not independent in G x K4"):
+            extract_is_from_k4_product(path_graph(3), s_prime)
+
+
 def test_extraction_error_paths():
     with pytest.raises(ValueError, match="degree"):
         extract_is_from_k4_product(star_graph(4), set())
