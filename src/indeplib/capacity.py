@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import _lazy_getattr, flow, kernels
 from .config import DEFAULT_ALPHA_LIMIT
-from .errors import InvalidDecomposition, LimitExceeded, VerificationError
+from .errors import LimitExceeded, VerificationError
 from .flow import ratio_at_least
 from .graph import Graph, components, mask_to_set, neighborhood, set_to_mask
 from .kernels import bipartite_matching
@@ -48,7 +48,6 @@ __getattr__ = _lazy_getattr(
         "START": "treedecomp",
         "INTRODUCE": "treedecomp",
         "FORGET": "treedecomp",
-        "JOIN": "treedecomp",
     },
 )
 # this module as an object, whose attribute reads reach __getattr__
@@ -397,7 +396,8 @@ def _permutation(g: Graph, model: PermutationModel) -> CapacityResult:
 
 
 def treewidth_profile(g: Graph, d: NiceTreeDecomposition, gain, pen):
-    """One Dinkelbach step on the nice-decomposition DP.
+    """One Dinkelbach step on the nice-decomposition DP; d is a nice form
+    of g, checked when it was built.
 
     Returns (max of gain*|I| - pen*|N(I)| over independent sets I, a
     witness mask).  Entry key: (mask of bag vertices in I, mask of bag
@@ -408,43 +408,22 @@ def treewidth_profile(g: Graph, d: NiceTreeDecomposition, gain, pen):
     subtree.  Each key keeps its first strict maximizer.  The engine calls
     this through the module global, under the name the benchmark's tracer
     wraps.
-
-    Keys hold only live vertices, those introduced below the node and not
-    forgotten since, which in a nice form are its bag; an introduced
-    vertex's neighbors are read from them.  validate_and_nicify checks the
-    nice form of what it returns, but nodes built by hand skip that check,
-    so an INTRODUCE vertex must be neither in its child's bag nor live
-    there, and a FORGET vertex must be in its child's bag.  No child key
-    then holds the introduced vertex, whatever the bags say, and the
-    Dinkelbach loop checks every witness again.
     """
-    start, introduce, forget, join = _lazy.START, _lazy.INTRODUCE, _lazy.FORGET, _lazy.JOIN
-    nodes = d.nodes
+    start, introduce, forget = _lazy.START, _lazy.INTRODUCE, _lazy.FORGET
+    adj = g.adj
+    masks = d.masks
     tables = []
-    live = []  # per node, the mask of its live vertices
-    for node in nodes:
+    for node in d.nodes:
         if node.kind == start:
-            if node.bag:
-                raise InvalidDecomposition("nice-form", "start bags must be empty")
             tab = {(0, 0): (0, 0)}
-            alive = 0
         elif node.kind == introduce:
             x, c = node.vertex, node.children[0]
-            if not 0 <= x < g.n:
-                raise InvalidDecomposition(
-                    "nice-form", f"introduced vertex {x} is not a vertex of the graph"
-                )
             bit = 1 << x
-            if x in nodes[c].bag or live[c] & bit:
-                raise InvalidDecomposition(
-                    "nice-form", f"introduced vertex {x} is already in its child's bag"
-                )
             child = tables[c]
-            xnbrs = g.adj[x] & live[c]
-            alive = live[c] | bit
-            # no child key holds x, so the keys where x stays free or cannot
-            # join are distinct and are stored at once; only the keys where
-            # x joins I can meet
+            xnbrs = adj[x] & masks[c]
+            # x is not in its child's bag, so no child key holds it: the
+            # keys where x stays free or cannot join are distinct and are
+            # stored at once; only the keys where x joins I can meet
             tab = {}
             for key, entry in child.items():
                 inb, nbrb = key
@@ -460,24 +439,16 @@ def treewidth_profile(g: Graph, d: NiceTreeDecomposition, gain, pen):
                     tab[joined] = (value, entry[1] | bit)
                 tab[key] = entry  # x stays free
         elif node.kind == forget:
-            x, c = node.vertex, node.children[0]
-            if x not in nodes[c].bag:
-                raise InvalidDecomposition(
-                    "nice-form", f"forgotten vertex {x} is not in its child's bag"
-                )
-            keep = ~(1 << x)
-            child = tables[c]
-            alive = live[c] & keep
+            keep = ~(1 << node.vertex)
             tab = {}
-            for (inb, nbrb), entry in child.items():
+            for (inb, nbrb), entry in tables[node.children[0]].items():
                 key = (inb & keep, nbrb & keep)
                 old = tab.get(key)
                 if old is None or entry[0] > old[0]:
                     tab[key] = entry
-        elif node.kind == join:
+        else:  # join
             left = tables[node.children[0]]
             right = tables[node.children[1]]
-            alive = live[node.children[0]] | live[node.children[1]]
             by_in = {}
             for (inb, nbr2), entry in right.items():
                 by_in.setdefault(inb, []).append((nbr2, entry))
@@ -489,20 +460,15 @@ def treewidth_profile(g: Graph, d: NiceTreeDecomposition, gain, pen):
                     key = (inb, nbr1 | nbr2)
                     if key not in tab or value > tab[key][0]:
                         tab[key] = (value, w1 | w2)
-        else:
-            raise InvalidDecomposition("nice-form", f"unknown node kind {node.kind!r}")
         tables.append(tab)
-        live.append(alive)
-
-    root = tables[d.root]
-    if set(root) != {(0, 0)}:
-        raise InvalidDecomposition("nice-form", "the root bag must be empty")
-    return root[(0, 0)]
+    return tables[d.root][0, 0]  # the root bag is empty
 
 
 def a_treewidth(g: Graph, d: NiceTreeDecomposition) -> CapacityResult:
     if g.n == 0:
         raise ValueError("capacity of the empty graph is undefined")
+    if d.graph != g:
+        raise ValueError("decomposition does not match the supplied graph")
     a, witness = _dinkelbach(g, partial(treewidth_profile, g, d), _greedy_start(g))
     return _finish(g, a, witness, Engine.TREEWIDTH)
 
@@ -611,14 +577,15 @@ def tensor_capacity(
 ) -> CapacityResult:
     """Theta^T(G) = a*(G) with engine dispatch.
 
-    A class certificate selects its engine (preference when several are
-    given: cograph, split, interval, permutation, treewidth); a bare graph
-    goes to the general engine, which solves each connected component and
-    combines by max (a and Theta^T of a disjoint union are the
-    componentwise maxima); limit bounds each component's vertex count.
+    A class certificate selects its engine, and two are refused; a bare
+    graph goes to the general engine, which solves each connected
+    component and combines by max (a and Theta^T of a disjoint union are
+    the componentwise maxima); limit bounds each component's vertex count.
     A cotree, interval or permutation certificate is realized once; with a
     graph too, the two must match before the engine runs.
     """
+    if sum(c is not None for c in (cotree, split, interval, permutation, decomposition)) > 1:
+        raise ValueError("tensor_capacity takes at most one certificate")
     if cotree is not None:
         return _cograph(_realized(g, _lazy.realize, cotree), cotree)
     if split is not None:

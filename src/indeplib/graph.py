@@ -61,9 +61,6 @@ class Graph:
         g.adj = tuple(adj)
         return g
 
-    def has_edge(self, u, v):
-        return bool(self.adj[u] & (1 << v))
-
     def degree(self, v):
         return self.adj[v].bit_count()
 
@@ -80,9 +77,6 @@ class Graph:
                 v = (w & -w).bit_length() - 1 + u + 1
                 yield (u, v)
                 w &= w - 1
-
-    def neighbors(self, v):
-        return mask_to_set(self.adj[v])
 
     def is_independent(self, vertices):
         mask = set_to_mask(vertices)

@@ -1,5 +1,5 @@
-"""Tree decompositions: validation of the three axioms and conversion to
-nice form (START / INTRODUCE / FORGET / JOIN with an empty root bag)."""
+"""Tree decompositions in nice form (START / INTRODUCE / FORGET / JOIN with
+an empty root bag), checked against their graph when built."""
 
 from __future__ import annotations
 
@@ -22,20 +22,35 @@ class NiceNode(NamedTuple):
 
 
 class NiceTreeDecomposition:
-    """Nodes stored in postorder (children before parents); the root is the
-    last node and has an empty bag."""
+    """A nice tree decomposition of graph, checked when it is built.
 
-    def __init__(self, nodes, width):
+    Nodes are stored in postorder (children before parents); the root is
+    the last node and has an empty bag.  masks holds each node's bag as a
+    vertex mask, and width is the size of the largest bag less one.
+    """
+
+    def __init__(self, graph: Graph, nodes):
+        self.graph = graph
         self.nodes = tuple(nodes)
-        self.width = width
+        self.masks = _check(graph, self.nodes)
+        self.width = max(m.bit_count() for m in self.masks) - 1
 
     @property
     def root(self):
         return len(self.nodes) - 1
 
 
-def validate_decomposition(g: Graph, bags, tree_edges):
-    """Checks the three tree-decomposition axioms; raises with a witness."""
+def validate_and_nicify(g: Graph, bags, tree_edges) -> NiceTreeDecomposition:
+    """Checks that the bags form a tree, then expands them to the nice form
+    of g, which its constructor checks.
+
+    Standard expansion: empty START leaves, INTRODUCE/FORGET chains between
+    adjacent bags, binary JOINs, FORGET chain to an empty root bag.  Every
+    bag appears in the nice form and every nice bag lies inside a bag, so
+    the width is preserved and the nice form covers what the bags cover; a
+    vertex whose bags are disconnected is forgotten once per part.  So the
+    nice-form check settles the coverage and connectivity axioms.
+    """
     bags = [frozenset(b) for b in bags]
     nb = len(bags)
     if nb == 0:
@@ -59,46 +74,6 @@ def validate_decomposition(g: Graph, bags, tree_edges):
     if len(seen) != nb:
         raise InvalidDecomposition("tree", "bag tree is disconnected")
 
-    # vertex -> mask of the bags holding it, built once
-    where = {}
-    for i, b in enumerate(bags):
-        for v in b:
-            where[v] = where.get(v, 0) | (1 << i)
-    for v in range(g.n):
-        if v not in where:
-            raise InvalidDecomposition(
-                "vertex-coverage", f"vertex {v} appears in no bag", witness=v
-            )
-    for u, v in g.edges():
-        if not where[u] & where[v]:
-            raise InvalidDecomposition(
-                "edge-coverage", f"edge ({u},{v}) is in no bag", witness=(u, v)
-            )
-    # the bags holding v induce a subforest of the tree, which is connected
-    # exactly when it has one edge fewer than it has bags
-    shared = {}
-    for a, b in tree_edges:
-        for v in bags[a] & bags[b]:
-            shared[v] = shared.get(v, 0) + 1
-    for v in range(g.n):
-        if shared.get(v, 0) != where[v].bit_count() - 1:
-            raise InvalidDecomposition(
-                "subtree-connectivity",
-                f"bags containing vertex {v} are disconnected",
-                witness=v,
-            )
-    return bags, adj
-
-
-def validate_and_nicify(g: Graph, bags, tree_edges) -> NiceTreeDecomposition:
-    """Checks the axioms, then expands to nice form.
-
-    Standard expansion: empty START leaves, INTRODUCE/FORGET chains between
-    adjacent bags, binary JOINs, FORGET chain to an empty root bag.  Width
-    is preserved, and the result is checked again by _recheck.
-    """
-    bags, adj = validate_decomposition(g, bags, tree_edges)
-    width = max(len(b) for b in bags) - 1
     nodes = []
 
     def emit(kind, bag, vertex=None, children=()):
@@ -141,28 +116,32 @@ def validate_and_nicify(g: Graph, bags, tree_edges) -> NiceTreeDecomposition:
         if frames:
             frames[-1][3].append(transform(idx, bags[b], bags[frames[-1][0]]))
     transform(idx, bags[0], frozenset())
-    nice = NiceTreeDecomposition(nodes, width)
-    _recheck(g, nice, width)
-    return nice
+    return NiceTreeDecomposition(g, nodes)
 
 
-def _recheck(g: Graph, nice: NiceTreeDecomposition, width):
-    """Checks the nice form in one pass over its nodes, on bag masks.
+def _check(g: Graph, nodes):
+    """Checks a nice form of g in one pass over its nodes and returns their
+    bag masks.
 
     Every child index is below its parent's and every node but the root is
-    exactly one node's child, so the nodes form a tree in postorder.  START
-    bags are empty, an INTRODUCE or FORGET bag is its child's plus or minus
-    its vertex, a JOIN bag equals both children's, and the root bag is
-    empty; so the bags holding a vertex are connected exactly when it is
-    forgotten once.  When v is forgotten, each neighbour of v not yet
-    forgotten must be in the child's bag, so every edge meets a bag at the
-    first FORGET of its two ends.  No bag may exceed the width.
+    exactly one node's child, so the nodes form a tree in postorder.  Every
+    bag vertex is a vertex of g.  START bags are empty, an INTRODUCE or
+    FORGET bag is its child's plus or minus its vertex, a JOIN bag equals
+    both children's, and the root bag is empty; so the bags holding a
+    vertex are connected exactly when it is forgotten once.  When v is
+    forgotten, each neighbour of v not yet forgotten must be in the child's
+    bag, so every edge meets a bag at the first FORGET of its two ends.
+    That holds only once every vertex is forgotten exactly once, so a
+    missed edge is refused after the pass, after any vertex in no bag.
     """
+    if not nodes:
+        raise InvalidDecomposition("tree", "decomposition has no nodes")
+    n = g.n
     adj = g.adj
-    nodes = nice.nodes
     masks = []
     used = 0  # node indices already some node's child
     forgotten = 0
+    edge = None  # the first edge missed
     for i, node in enumerate(nodes):
         children = node.children
         for c in children:
@@ -170,13 +149,16 @@ def _recheck(g: Graph, nice: NiceTreeDecomposition, width):
                 raise InvalidDecomposition("tree", f"node {i} cannot have child {c}")
             used |= 1 << c
         kids = [masks[c] for c in children]
+        for u in node.bag:
+            if not 0 <= u < n:
+                raise InvalidDecomposition("nice-form", f"vertex {u} is not a vertex of the graph")
         bag = set_to_mask(node.bag)
         kind = node.kind
         v = node.vertex
         if kind == START:
             ok = not kids and not bag
         elif kind == INTRODUCE or kind == FORGET:
-            if not 0 <= v < g.n:
+            if not 0 <= v < n:
                 raise InvalidDecomposition("nice-form", f"vertex {v} is not a vertex of the graph")
             bit = 1 << v
             ok = len(kids) == 1 and bag == kids[0] ^ bit and bool(kids[0] & bit) == (kind == FORGET)
@@ -192,20 +174,20 @@ def _recheck(g: Graph, nice: NiceTreeDecomposition, width):
                     "subtree-connectivity", f"vertex {v} is forgotten twice", witness=v
                 )
             missed = adj[v] & ~forgotten & ~kids[0]
-            if missed:
+            if missed and edge is None:
                 edge = tuple(sorted((v, (missed & -missed).bit_length() - 1)))
-                raise InvalidDecomposition(
-                    "edge-coverage", f"edge ({edge[0]},{edge[1]}) is in no bag", witness=edge
-                )
             forgotten |= bit
-        if bag.bit_count() - 1 > width:
-            raise InvalidDecomposition("nice-form", "width increased during nicification")
         masks.append(bag)
     if used != (1 << (len(nodes) - 1)) - 1:
         raise InvalidDecomposition("tree", "a node below the root is no node's child")
     if masks[-1]:
         raise InvalidDecomposition("nice-form", "the root bag must be empty")
-    missing = ~forgotten & ((1 << g.n) - 1)
+    missing = ~forgotten & ((1 << n) - 1)
     if missing:
         v = (missing & -missing).bit_length() - 1
         raise InvalidDecomposition("vertex-coverage", f"vertex {v} appears in no bag", witness=v)
+    if edge is not None:
+        raise InvalidDecomposition(
+            "edge-coverage", f"edge ({edge[0]},{edge[1]}) is in no bag", witness=edge
+        )
+    return masks

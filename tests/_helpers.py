@@ -40,12 +40,23 @@ from indeplib.treedecomp import (
     JOIN,
     START,
     NiceTreeDecomposition,
-    validate_decomposition,
 )
 
 GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GRAPHS8_CACHE = os.path.join(DATA_DIR, "graphs8.txt")
+
+
+# ---------------------------------------------------------------------------
+# adjacency queries that only tests use
+
+
+def neighbors(g: Graph, v):
+    return mask_to_set(g.adj[v])
+
+
+def has_edge(g: Graph, u, v):
+    return bool(g.adj[u] >> v & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +91,7 @@ def wl_colors(g: Graph, rounds=3):
     colors = [g.degree(v) for v in range(g.n)]
     for _ in range(rounds):
         sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
+            (colors[v], tuple(sorted(colors[u] for u in neighbors(g, v))))
             for v in range(g.n)
         ]
         relabel = {s: i for i, s in enumerate(sorted(set(sigs)))}
@@ -113,7 +124,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
             if used[w]:
                 continue
             ok = all(
-                g.has_edge(v, u) == h.has_edge(w, mapping[u]) for u in range(v)
+                has_edge(g, v, u) == has_edge(h, w, mapping[u]) for u in range(v)
             )
             if ok:
                 mapping[v] = w
@@ -160,7 +171,7 @@ def canonical_code(g: Graph) -> tuple:
                 continue
             bits = 0
             for j in range(i):
-                if g.has_edge(v, placed[j]):
+                if has_edge(g, v, placed[j]):
                     bits |= 1 << j
             options.append((bits, v))
         options.sort()
@@ -374,7 +385,7 @@ def treewidth_decomposition(g: Graph):
         elim |= 1 << v
 
     # simulate elimination to form bags over the fill-in graph
-    adj = [set(g.neighbors(v)) for v in range(n)]
+    adj = [set(neighbors(g, v)) for v in range(n)]
     alive = set(range(n))
     bags = []
     pos = {v: i for i, v in enumerate(order)}
@@ -515,7 +526,7 @@ def find_p4_reference(g: Graph, vertices=None):
     if vertices is None:
         vertices = range(g.n)
     for quad in combinations(sorted(vertices), 4):
-        sub = [(u, v) for u, v in combinations(quad, 2) if g.has_edge(u, v)]
+        sub = [(u, v) for u, v in combinations(quad, 2) if has_edge(g, u, v)]
         if len(sub) != 3:
             continue
         deg = {v: 0 for v in quad}
@@ -575,7 +586,7 @@ def find_obstruction_reference(g: Graph):
     """First induced 2K2, C4 or C5 in lexicographic subset order, from edge
     lists of every subset."""
     for quad in combinations(range(g.n), 4):
-        edges = [frozenset(e) for e in combinations(quad, 2) if g.has_edge(*e)]
+        edges = [frozenset(e) for e in combinations(quad, 2) if has_edge(g, *e)]
         if len(edges) == 2 and not (edges[0] & edges[1]):
             return "2K2", quad
         if len(edges) == 4:
@@ -583,7 +594,7 @@ def find_obstruction_reference(g: Graph):
             if all(d == 2 for d in deg.values()):
                 return "C4", quad
     for five in combinations(range(g.n), 5):
-        edges = [e for e in combinations(five, 2) if g.has_edge(*e)]
+        edges = [e for e in combinations(five, 2) if has_edge(g, *e)]
         if len(edges) == 5:
             deg = {v: sum(v in e for e in edges) for v in five}
             if all(d == 2 for d in deg.values()):
@@ -696,7 +707,7 @@ def chain_dp_reference(g: Graph, order, chain_ok):
     """The O(n^3) chain DP on vertex sets, one scan of every predecessor per
     chain length: best[(x, k)] = (cost, set), first predecessor in order
     wins on equal cost, final scan x-major then k ascending."""
-    nbr = {v: set(g.neighbors(v)) for v in range(g.n)}
+    nbr = {v: set(neighbors(g, v)) for v in range(g.n)}
     best = {}
     for x in order:
         best[(x, 1)] = (len(nbr[x]), frozenset({x}))
@@ -843,22 +854,78 @@ def treewidth_profile_reference(g: Graph, d: NiceTreeDecomposition) -> Neighborh
     return NeighborhoodProfile(table, {k: mask_to_set(w) for k, w in wits.items()})
 
 
-def recheck_reference(g: Graph, nice: NiceTreeDecomposition, width):
-    """The nice-form check validate_and_nicify ran before its one-pass
-    check: equal JOIN bags, then the three axioms on all the nice bags,
-    then the width."""
-    nice_bags = [set(n.bag) for n in nice.nodes]
+def validate_decomposition(g: Graph, bags, tree_edges):
+    """Checks the three tree-decomposition axioms on plain bags, each
+    failure with a witness: the tree shape, then vertex coverage, edge
+    coverage and subtree connectivity, each for the least vertex or edge."""
+    bags = [frozenset(b) for b in bags]
+    nb = len(bags)
+    if nb == 0:
+        raise InvalidDecomposition("tree", "decomposition has no bags")
+    adj = [[] for _ in range(nb)]
+    for a, b in tree_edges:
+        if not (0 <= a < nb and 0 <= b < nb):
+            raise InvalidDecomposition("tree", f"tree edge ({a},{b}) out of range")
+        adj[a].append(b)
+        adj[b].append(a)
+    if len(tree_edges) != nb - 1:
+        raise InvalidDecomposition("tree", f"{len(tree_edges)} edges for {nb} bags: not a tree")
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    if len(seen) != nb:
+        raise InvalidDecomposition("tree", "bag tree is disconnected")
+
+    # vertex -> mask of the bags holding it, built once
+    where = {}
+    for i, b in enumerate(bags):
+        for v in b:
+            where[v] = where.get(v, 0) | (1 << i)
+    for v in range(g.n):
+        if v not in where:
+            raise InvalidDecomposition(
+                "vertex-coverage", f"vertex {v} appears in no bag", witness=v
+            )
+    for u, v in g.edges():
+        if not where[u] & where[v]:
+            raise InvalidDecomposition(
+                "edge-coverage", f"edge ({u},{v}) is in no bag", witness=(u, v)
+            )
+    # the bags holding v induce a subforest of the tree, which is connected
+    # exactly when it has one edge fewer than it has bags
+    shared = {}
+    for a, b in tree_edges:
+        for v in bags[a] & bags[b]:
+            shared[v] = shared.get(v, 0) + 1
+    for v in range(g.n):
+        if shared.get(v, 0) != where[v].bit_count() - 1:
+            raise InvalidDecomposition(
+                "subtree-connectivity",
+                f"bags containing vertex {v} are disconnected",
+                witness=v,
+            )
+    return bags, adj
+
+
+def recheck_reference(g: Graph, nodes):
+    """The check of a nice form's nodes that the library ran before its
+    one-pass check: equal JOIN bags, then the three axioms on all the nice
+    bags."""
+    nice_bags = [set(n.bag) for n in nodes]
     edges = []
-    for i, n in enumerate(nice.nodes):
+    for i, n in enumerate(nodes):
         for c in n.children:
             edges.append((i, c))
         if n.kind == JOIN:
             for c in n.children:
-                if n.bag != nice.nodes[c].bag:
+                if n.bag != nodes[c].bag:
                     raise InvalidDecomposition("nice-form", "join child bag differs")
     validate_decomposition(g, nice_bags, edges)
-    if max(len(b) for b in nice_bags) - 1 > width:
-        raise InvalidDecomposition("nice-form", "width increased during nicification")
 
 
 def profile_exhaustive(g: Graph, limit=20) -> NeighborhoodProfile:
@@ -902,7 +969,7 @@ def general_reference(g: Graph):
     component, components by least vertex and each in the kernel's
     Bron-Kerbosch order, replaces it with its own maximal minimizer when
     its ratio is strictly smaller.  Minimizers come from the subset scan."""
-    nbr = [g.neighbors(v) for v in range(g.n)]
+    nbr = [neighbors(g, v) for v in range(g.n)]
     cand = set(range(g.n))
     greedy = []
     while cand:

@@ -1,6 +1,7 @@
 """Capacity engines: a(G), a*(G), Theta^T, fractional perfect matchings,
 and the dispatch layer."""
 
+import itertools
 import json
 import os
 import random
@@ -356,100 +357,98 @@ def test_treewidth_profile_reference_matches_exhaustive():
 
 
 def test_treewidth_profile_rejects_malformed_nice_form():
-    # hand-built nodes that validate_and_nicify never emits
+    # hand-built nodes that validate_and_nicify never emits are refused when
+    # the decomposition is built, before any step can run
+    start = NiceNode(START, frozenset(), None, ())
     g = path_graph(1)
     bad = [
-        [NiceNode(START, frozenset({0}), None, ())],
-        [NiceNode("leaf", frozenset(), None, ())],
-        [NiceNode(START, frozenset(), None, ()), NiceNode(INTRODUCE, frozenset({0}), 0, (0,))],
+        ([NiceNode(START, frozenset({0}), None, ())], "start node 0 does not match"),
+        ([NiceNode("leaf", frozenset(), None, ())], "unknown node kind 'leaf'"),
+        ([start, NiceNode(INTRODUCE, frozenset({0}), 0, (0,))], "the root bag must be empty"),
+        ([start, NiceNode(INTRODUCE, frozenset({1}), 1, (0,))], "1 is not a vertex of the graph"),
     ]
-    for nodes in bad:
-        with pytest.raises(InvalidDecomposition, match="nice-form"):
-            treewidth_profile(g, NiceTreeDecomposition(nodes, 0), 1, 1)
-        with pytest.raises(InvalidDecomposition, match="nice-form"):
-            a_treewidth(g, NiceTreeDecomposition(nodes, 0))
-    outside = [NiceNode(START, frozenset(), None, ()), NiceNode(INTRODUCE, frozenset({1}), 1, (0,))]
-    with pytest.raises(InvalidDecomposition, match="not a vertex of the graph"):
-        a_treewidth(g, NiceTreeDecomposition(outside, 0))
-    # an INTRODUCE vertex already in its child's bag, and a FORGET vertex
-    # missing from it: the step stores the keys where the introduced vertex
-    # stays free at once, which is right only when no child key holds it
+    for nodes, match in bad:
+        with pytest.raises(InvalidDecomposition, match=match) as info:
+            NiceTreeDecomposition(g, nodes)
+        assert info.value.axiom == "nice-form"
+    # an INTRODUCE vertex already in its child's bag, or introduced below
+    # and not yet forgotten, and a FORGET vertex missing from its child's
+    # bag: the step stores the keys where the introduced vertex stays free
+    # at once, which is right only when no child key holds it
     g = path_graph(2)
     twice = [
-        NiceNode(START, frozenset(), None, ()),
+        start,
         NiceNode(INTRODUCE, frozenset({0}), 0, (0,)),
         NiceNode(INTRODUCE, frozenset({0}), 0, (1,)),
         NiceNode(FORGET, frozenset(), 0, (2,)),
     ]
     lying = [
-        NiceNode(START, frozenset(), None, ()),
+        start,
         NiceNode(INTRODUCE, frozenset({0, 1}), 1, (0,)),
         NiceNode(INTRODUCE, frozenset({0, 1}), 0, (1,)),
         NiceNode(FORGET, frozenset({1}), 0, (2,)),
         NiceNode(FORGET, frozenset(), 1, (3,)),
     ]
-    # 0 is live below the second INTRODUCE of 0 though its child's bag
-    # leaves it out
     again = [
-        NiceNode(START, frozenset(), None, ()),
+        start,
         NiceNode(INTRODUCE, frozenset({0}), 0, (0,)),
         NiceNode(INTRODUCE, frozenset({1}), 1, (1,)),
         NiceNode(INTRODUCE, frozenset({0, 1}), 0, (2,)),
     ]
     absent = [
-        NiceNode(START, frozenset(), None, ()),
+        start,
         NiceNode(INTRODUCE, frozenset({0}), 0, (0,)),
         NiceNode(FORGET, frozenset({0}), 1, (1,)),
         NiceNode(FORGET, frozenset(), 0, (2,)),
     ]
     for nodes, match in (
-        (twice, "introduced vertex 0 is already in its child's bag"),
-        (lying, "introduced vertex 0 is already in its child's bag"),
-        (again, "introduced vertex 0 is already in its child's bag"),
-        (absent, "forgotten vertex 1 is not in its child's bag"),
+        (twice, "introduce node 2 does not match its children"),
+        (lying, "introduce node 1 does not match its children"),
+        (again, "introduce node 2 does not match its children"),
+        (absent, "forget node 2 does not match its children"),
     ):
-        d = NiceTreeDecomposition(nodes, 1)
         with pytest.raises(InvalidDecomposition, match=match) as info:
-            treewidth_profile(g, d, 1, 1)
+            NiceTreeDecomposition(g, nodes)
         assert info.value.axiom == "nice-form"
-        with pytest.raises(InvalidDecomposition, match=match):
-            a_treewidth(g, d)
 
 
-def test_treewidth_reads_neighbours_from_live_vertices():
+def test_treewidth_refuses_bags_that_lie_about_live_vertices():
     # hand-built paths of INTRODUCE then FORGET nodes whose bags are not
-    # their child's plus or minus the vertex; the step takes a vertex's
-    # neighbours among the vertices introduced and not yet forgotten, so
-    # neither bag changes a
+    # their child's plus or minus the vertex; a step that read neighbours
+    # from such bags would get a wrong a, so the forms are refused when built
     def path_nodes(intro_bags, forget_bags):
         nodes = [NiceNode(START, frozenset(), None, ())]
         for kind, bags in ((INTRODUCE, intro_bags), (FORGET, forget_bags)):
             for v, bag in enumerate(bags):
                 nodes.append(NiceNode(kind, frozenset(bag), v, (len(nodes) - 1,)))
-        return NiceTreeDecomposition(nodes, 4)
+        return nodes
 
-    # introducing 1 in bag {1, 4} drops the live 0: read from the bag, the
-    # edge 0-1 would be missed and a would come out 1/3
+    # introducing 1 in bag {1, 4} drops the live 0 and names 4 early: read
+    # from the bag, the edge 0-1 would be missed and a would come out 1/3
+    # against the true 2/5
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)])
-    d = path_nodes(
+    nodes = path_nodes(
         [{0}, {1, 4}, {0, 1, 2}, {0, 1, 2, 3}, {0, 1, 2, 3, 4}],
         [{1, 2, 3, 4}, {2, 3, 4}, {3, 4}, {4}, set()],
     )
-    assert a_treewidth(g, d).a == a_bruteforce(g)[0] == Fraction(2, 5)
+    with pytest.raises(InvalidDecomposition, match="introduce node 2 does not match"):
+        NiceTreeDecomposition(g, nodes)
     # introducing 0 in bag {0, 2} names 2 before its INTRODUCE: read from
     # the bag, keys would hold 2 when it is introduced, and the stores that
-    # take no child key to hold it would lose the optimum (a = 3/5)
+    # take no child key to hold it would lose the optimum (a = 3/5 against
+    # the true 2/3)
     g = Graph(5, [(0, 2), (1, 4), (2, 3)])
-    d = path_nodes(
+    nodes = path_nodes(
         [{0, 2}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}, {0, 1, 2, 3, 4}],
         [{1, 2, 3, 4}, {2, 4}, {3, 4}, {4}, set()],
     )
-    assert a_treewidth(g, d).a == a_bruteforce(g)[0] == Fraction(2, 3)
+    with pytest.raises(InvalidDecomposition, match="introduce node 1 does not match"):
+        NiceTreeDecomposition(g, nodes)
 
 
 def test_treewidth_rejects_a_nice_form_that_misses_an_edge():
-    # P2 with each vertex in its own bag: the step scores {0, 1} as
-    # independent; the loop must refuse that witness rather than repeat it
+    # P2 with each vertex in its own bag: a step would score {0, 1} as
+    # independent, so the form is refused when built
     g = path_graph(2)
     nodes = [
         NiceNode(START, frozenset(), None, ()),
@@ -458,8 +457,29 @@ def test_treewidth_rejects_a_nice_form_that_misses_an_edge():
         NiceNode(INTRODUCE, frozenset({1}), 1, (2,)),
         NiceNode(FORGET, frozenset(), 1, (3,)),
     ]
-    with pytest.raises(VerificationError, match="not independent"):
-        a_treewidth(g, NiceTreeDecomposition(nodes, 0))
+    with pytest.raises(InvalidDecomposition, match=r"edge \(0,1\) is in no bag") as info:
+        NiceTreeDecomposition(g, nodes)
+    assert info.value.axiom == "edge-coverage" and info.value.witness == (0, 1)
+
+
+def test_treewidth_refuses_a_decomposition_of_another_graph():
+    # a valid nice form of K1,3 on vertices 0..3, against K1,3 + K1,4: the
+    # form leaves vertices 4..8 out, and read against the larger graph the
+    # DP would give a = 3/4 where a(K1,3 + K1,4) = 4/5
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    g = disjoint_union(star, Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]))
+    assert a_bruteforce(g)[0] == Fraction(4, 5)
+    d = validate_and_nicify(star, [{0, 1}, {0, 2}, {0, 3}], [(0, 1), (1, 2)])
+    with pytest.raises(InvalidDecomposition, match="vertex 4 appears in no bag") as info:
+        NiceTreeDecomposition(g, d.nodes)
+    assert info.value.axiom == "vertex-coverage" and info.value.witness == 4
+    for engine in (a_treewidth, lambda g, d: tensor_capacity(g, decomposition=d)):
+        with pytest.raises(ValueError, match="does not match the supplied graph"):
+            engine(g, d)
+    # the same vertex count is not enough: P4 is not the star
+    with pytest.raises(ValueError, match="does not match the supplied graph"):
+        a_treewidth(path_graph(4), d)
+    assert a_treewidth(Graph(4, [(0, 1), (0, 2), (0, 3)]), d).a == Fraction(3, 4)
 
 
 def test_dinkelbach_checks_each_improving_witness():
@@ -920,6 +940,23 @@ def test_tensor_capacity_realizes_a_certificate_once(monkeypatch):
         r = tensor_capacity(p3, **{key: cert})
         assert r.a == Fraction(2, 3) and r.witness == {1, 2}, key
         assert len(realized) == 1 and steps, key
+
+
+def test_tensor_capacity_refuses_two_certificates():
+    # each certificate is valid on its own; the cograph engine used to run
+    # and ignore the rest, here the triangle the interval model realizes
+    g = Graph(3)
+    certs = {
+        "cotree": parse_cotree("(+ 0 1 2)"),
+        "split": split_partition(g),
+        "interval": IntervalModel(((0, 2), (1, 3), (2, 4))),
+        "permutation": PermutationModel((0, 1, 2)),
+        "decomposition": _nice(g),
+    }
+    for pair in itertools.combinations(certs, 2):
+        for graph in (None, g):
+            with pytest.raises(ValueError, match="at most one certificate"):
+                tensor_capacity(graph, **{key: certs[key] for key in pair})
 
 
 def test_tensor_capacity_errors():

@@ -2,6 +2,7 @@
 models, and tree decompositions."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from _helpers import (
     cograph_recognize_reference,
     find_obstruction_reference,
     graph_catalog_upto,
+    has_edge,
     random_cotree,
     random_graph,
     recheck_reference,
@@ -16,6 +18,7 @@ from _helpers import (
     threshold_cotree_text,
     treewidth_decomposition,
     trivial_decomposition,
+    validate_decomposition,
 )
 from indeplib.cotree import (
     cograph_recognize,
@@ -41,6 +44,7 @@ from indeplib.graph import (
     cycle_graph,
     disjoint_union,
     path_graph,
+    set_to_mask,
     star_graph,
 )
 from indeplib.intersection import (
@@ -67,9 +71,7 @@ from indeplib.treedecomp import (
     START,
     NiceNode,
     NiceTreeDecomposition,
-    _recheck,
     validate_and_nicify,
-    validate_decomposition,
 )
 
 
@@ -134,8 +136,8 @@ def test_cograph_recognition_round_trip():
             with pytest.raises(NotACograph) as err:
                 cograph_recognize(g)
             a, b, c, d = err.value.witness
-            assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d)
-            assert not (g.has_edge(a, c) or g.has_edge(a, d) or g.has_edge(b, d))
+            assert has_edge(g, a, b) and has_edge(g, b, c) and has_edge(g, c, d)
+            assert not (has_edge(g, a, c) or has_edge(g, a, d) or has_edge(g, b, d))
             with pytest.raises(NotACograph) as err:
                 cograph_recognize(g, witness=False)
             assert err.value.witness == () and str(err.value) == "graph is not a cograph"
@@ -326,7 +328,7 @@ def test_interval_models():
     assert realize_interval(IntervalModel(((0, 1), (2, 3), (4, 5)))).edge_count() == 0
     assert realize_interval(IntervalModel(((0, 9), (1, 8), (2, 7)))).adj == complete_graph(3).adj
     # endpoint touch counts as intersection
-    assert realize_interval(IntervalModel(((0, 1), (1, 2)))).has_edge(0, 1)
+    assert has_edge(realize_interval(IntervalModel(((0, 1), (1, 2)))), 0, 1)
     with pytest.raises(InvalidModel):
         IntervalModel(((2, 1),))
 
@@ -410,12 +412,13 @@ def test_validate_decomposition_axioms():
 
 
 # Each of the next four tests breaks a later axiom too, and pins which
-# failure is reported first, with its message and witness.
+# failure the reference check validate_decomposition reports first, with
+# its message and witness.
 
 
-def _first_failure(g, bags, tree_edges):
+def _first_failure(g, bags, tree_edges, check=validate_decomposition):
     with pytest.raises(InvalidDecomposition) as info:
-        validate_decomposition(g, bags, tree_edges)
+        check(g, bags, tree_edges)
     return info.value.axiom, str(info.value), info.value.witness
 
 
@@ -461,6 +464,40 @@ def test_decomposition_connectivity_lowest_vertex_first():
     )
 
 
+def test_nicify_first_failures():
+    # the tree shape is checked on the bags, in the reference's order; the
+    # rest by the nice-form check, which reports a vertex forgotten twice
+    # where the reference reports disconnected bags, and a vertex in no bag
+    # before an edge in no bag
+    cases = [
+        (path_graph(4), [], [], ("tree", "tree: decomposition has no bags", None)),
+        (path_graph(4), [{0}, {1}], [(0, 2), (0, 1), (1, 0)],
+         ("tree", "tree: tree edge (0,2) out of range", None)),
+        (path_graph(4), [{0}, {1}], [(0, 1), (1, 0)],
+         ("tree", "tree: 2 edges for 2 bags: not a tree", None)),
+        (path_graph(4), [{0}, {1}, {0}], [(0, 2), (2, 0)],
+         ("tree", "tree: bag tree is disconnected", None)),
+        # the reference's vertex-coverage and edge-coverage cases also have
+        # disconnected bags
+        (path_graph(5), [{0}, {1}, {3}, {0}], [(0, 1), (1, 2), (2, 3)],
+         ("subtree-connectivity", "subtree-connectivity: vertex 0 is forgotten twice", 0)),
+        (path_graph(4), [{0, 1}, {2}, {1}, {3}], [(0, 1), (1, 2), (1, 3)],
+         ("subtree-connectivity", "subtree-connectivity: vertex 1 is forgotten twice", 1)),
+        (path_graph(3), [{0, 2}, {0, 1}, {1, 2}, {0, 2}], [(0, 1), (1, 2), (2, 3)],
+         ("subtree-connectivity", "subtree-connectivity: vertex 0 is forgotten twice", 0)),
+        # the bags cover edge (0,1), but 0 is forgotten below bag 1 first
+        (path_graph(3), [{0, 1}, {1, 2}, {0, 2}], [(0, 1), (1, 2)],
+         ("subtree-connectivity", "subtree-connectivity: vertex 0 is forgotten twice", 0)),
+        # vertex 2 is in no bag, so edge (1,2) is in none either
+        (path_graph(3), [{0, 1}], [],
+         ("vertex-coverage", "vertex-coverage: vertex 2 appears in no bag", 2)),
+        (path_graph(3), [{0, 1}, {2}], [(0, 1)],
+         ("edge-coverage", "edge-coverage: edge (1,2) is in no bag", (1, 2))),
+    ]
+    for g, bags, edges, want in cases:
+        assert _first_failure(g, bags, edges, validate_and_nicify) == want, bags
+
+
 def test_nicify_preserves_width_and_validates():
     rng = random.Random(4)
     for _ in range(30):
@@ -494,63 +531,72 @@ def _nodes(*spec):
 S = (START, (), None, ())
 
 
+def test_nicify_refuses_bag_vertices_outside_the_graph():
+    # refused before a bag mask is made: -1 used to end in "negative shift
+    # count", and 10**9 in masks of over 100 MB first
+    g = path_graph(2)
+    for v in (-1, 10**9):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidDecomposition, match=f"vertex {v} is not a vertex"):
+                validate_and_nicify(g, [{0, 1}, {v}], [(0, 1)])
+            with pytest.raises(InvalidDecomposition, match=f"vertex {v} is not a vertex"):
+                NiceTreeDecomposition(g, _nodes(S, (INTRODUCE, {v}, v, (0,))))
+            with pytest.raises(InvalidDecomposition, match=f"vertex {v} is not a vertex"):
+                NiceTreeDecomposition(g, _nodes(S, (INTRODUCE, {0}, v, (0,))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6, (v, peak)
+
+
 def test_nice_form_check_rejects_corrupt_forms():
-    # each form breaks one rule; the one-pass check and the axiom check it
-    # replaced both refuse it
+    # each form breaks one rule; the one-pass check that builds a
+    # decomposition and the axiom check it replaced both refuse it
     p2 = path_graph(2)
     corrupt = {
         ("subtree-connectivity", "forgotten twice"): (  # vertex 0 introduced again after its forget
             path_graph(1),
             _nodes(S, (INTRODUCE, {0}, 0, (0,)), (FORGET, (), 0, (1,)),
                    (INTRODUCE, {0}, 0, (2,)), (FORGET, (), 0, (3,))),
-            0,
         ),
         ("edge-coverage", r"edge \(0,1\)"): (  # 0 and 1 never share a bag
             p2,
             _nodes(S, (INTRODUCE, {0}, 0, (0,)), (FORGET, (), 0, (1,)),
                    (INTRODUCE, {1}, 1, (2,)), (FORGET, (), 1, (3,))),
-            0,
         ),
         ("nice-form", "join node 5"): (  # the join's bag is not its children's
             p2,
             _nodes(S, (INTRODUCE, {0}, 0, (0,)), (INTRODUCE, {0, 1}, 1, (1,)),
                    S, (INTRODUCE, {0}, 0, (3,)), (JOIN, {0, 1}, None, (2, 4)),
                    (FORGET, {1}, 0, (5,)), (FORGET, (), 1, (6,))),
-            1,
         ),
         ("tree", "node 3 cannot have child 2"): (  # node 1 is the child of two nodes
             p2,
             _nodes(S, (INTRODUCE, {0}, 0, (0,)), (INTRODUCE, {0, 1}, 1, (1,)),
                    (JOIN, {0, 1}, None, (2, 2)), (FORGET, {1}, 0, (3,)),
                    (FORGET, (), 1, (4,))),
-            1,
         ),
         ("nice-form", "root bag must be empty"): (  # vertex 0 is forgotten and then stays in the root
             path_graph(1),
             _nodes(S, (INTRODUCE, {0}, 0, (0,)), (FORGET, (), 0, (1,)),
                    (INTRODUCE, {0}, 0, (2,))),
-            0,
-        ),
-        ("nice-form", "width increased"): (  # a bag of two vertices at width 0
-            p2,
-            _nodes(S, (INTRODUCE, {0}, 0, (0,)), (INTRODUCE, {0, 1}, 1, (1,)),
-                   (FORGET, {1}, 0, (2,)), (FORGET, (), 1, (3,))),
-            0,
         ),
     }
-    for (axiom, text), (g, nodes, width) in corrupt.items():
-        nice = NiceTreeDecomposition(nodes, width)
+    for (axiom, text), (g, nodes) in corrupt.items():
         with pytest.raises(InvalidDecomposition, match=text) as info:
-            _recheck(g, nice, width)
+            NiceTreeDecomposition(g, nodes)
         assert info.value.axiom == axiom
         with pytest.raises(InvalidDecomposition):
-            recheck_reference(g, nice, width)
+            recheck_reference(g, nodes)
     # a nice form cut short of its root is still a decomposition, so only
     # the one-pass check refuses its nonempty root
-    nice = NiceTreeDecomposition(_nodes(S, (INTRODUCE, {0}, 0, (0,))), 0)
-    recheck_reference(path_graph(1), nice, 0)
+    nodes = _nodes(S, (INTRODUCE, {0}, 0, (0,)))
+    recheck_reference(path_graph(1), nodes)
     with pytest.raises(InvalidDecomposition, match="root bag must be empty"):
-        _recheck(path_graph(1), nice, 0)
+        NiceTreeDecomposition(path_graph(1), nodes)
+    with pytest.raises(InvalidDecomposition, match="tree: decomposition has no nodes"):
+        NiceTreeDecomposition(path_graph(1), [])
 
 
 def test_nice_form_check_accepts_valid_forms():
@@ -559,8 +605,17 @@ def test_nice_form_check_accepts_valid_forms():
         g = random_graph(rng.randint(1, 9), rng.random(), rng)
         for _, bags, edges in [treewidth_decomposition(g), (None, *trivial_decomposition(g))]:
             nice = validate_and_nicify(g, bags, edges)
-            _recheck(g, nice, nice.width)
-            recheck_reference(g, nice, nice.width)
+            rebuilt = NiceTreeDecomposition(g, nice.nodes)
+            assert rebuilt.masks == [set_to_mask(node.bag) for node in nice.nodes]
+            assert rebuilt.width == max(len(b) for b in bags) - 1
+            recheck_reference(g, nice.nodes)
+    # the width is read off the largest bag
+    nice = NiceTreeDecomposition(
+        path_graph(2),
+        _nodes(S, (INTRODUCE, {0}, 0, (0,)), (INTRODUCE, {0, 1}, 1, (1,)),
+               (FORGET, {1}, 0, (2,)), (FORGET, (), 1, (3,))),
+    )
+    assert nice.width == 1 and nice.masks == [0, 0b01, 0b11, 0b10, 0]
 
 
 def test_parse_tree_decomposition():

@@ -495,6 +495,27 @@ def test_declared_bag_count_checked_at_parse(capsys, files, tmp_path):
     assert code == EXIT_INPUT and "declares 4 bags, 3 lines follow" in err
 
 
+@pytest.mark.parametrize(
+    "bags,tree,err",
+    [
+        ("b 1 0 1\nb 2 2 3\n", "", "tree: 0 edges for 2 bags: not a tree"),
+        ("b 1 0 1\nb 2 1 2\n", "1 2\n", "vertex-coverage: vertex 3 appears in no bag"),
+        ("b 1 0 1\nb 2 1 2\nb 3 3\n", "1 2\n2 3\n", "edge-coverage: edge (2,3) is in no bag"),
+        ("b 1 0 1\nb 2 1 2\nb 3 2 3\nb 4 0\n", "1 2\n2 3\n3 4\n",
+         "subtree-connectivity: vertex 0 is forgotten twice"),
+    ],
+    ids=["tree", "vertex-coverage", "edge-coverage", "subtree-connectivity"],
+)
+def test_capacity_td_first_failure(capsys, files, tmp_path, bags, tree, err):
+    # P4 with a decomposition that breaks the named axiom, and a later one
+    # too where it can
+    path = tmp_path / "bad.td"
+    path.write_text(f"s td {bags.count('b ')} 2 4\n{bags}{tree}")
+    assert run(capsys, "capacity", "--td", str(path), files["p4"]) == (
+        EXIT_INPUT, "", f"error: {err}\n"
+    )
+
+
 def test_capacity_td_long_path(capsys, tmp_path):
     # a 1199-bag path decomposition of P1200 is nicified without recursion
     n = 1200

@@ -14,6 +14,7 @@ from _helpers import (
     cograph_product_reference,
     is_bipartite,
     multipartite_product_witness,
+    neighbors,
     random_cotree,
     random_graph,
     random_max_degree,
@@ -448,7 +449,7 @@ def _random_maximal_k4_set(g, rng):
     rng.shuffle(order)
     coords = [0] * g.n
     for a, t in order:
-        if not any(coords[u] & ~(1 << t) for u in g.neighbors(a)):
+        if not any(coords[u] & ~(1 << t) for u in neighbors(g, a)):
             coords[a] |= 1 << t
     return {4 * a + t for a in range(g.n) for t in range(4) if (coords[a] >> t) & 1}
 
