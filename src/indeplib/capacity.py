@@ -597,9 +597,7 @@ def tensor_capacity(
     if permutation is not None:
         return _permutation(_realized(g, _lazy.realize_permutation, permutation), permutation)
     if decomposition is not None:
-        if g is None:
-            raise ValueError("a tree decomposition needs the graph")
-        return a_treewidth(g, decomposition)
+        return a_treewidth(decomposition.graph if g is None else g, decomposition)
     if g is None:
         raise ValueError("tensor_capacity needs a graph or a certificate")
     return a_general_exact(g, limit=limit)

@@ -79,6 +79,18 @@ def _load_graph(path):
     return gio.parse_graph(gio.read_text(path))
 
 
+def _load_factors(files):
+    """The two factor graphs of G x H, refused before anything is built or
+    solved when |V(G)|*|V(H)| passes the vertex ceiling."""
+    g, h = _load_graph(files[0]), _load_graph(files[1])
+    size = g.n * h.n
+    if size > DEFAULT_POWER_LIMIT:
+        raise LimitExceeded(
+            f"product needs {size} vertices, limit is {DEFAULT_POWER_LIMIT}", required=size
+        )
+    return g, h
+
+
 def cmd_product(args):
     from . import io as gio
     from .graph import graph_power
@@ -91,9 +103,7 @@ def cmd_product(args):
     else:
         if len(args.files) != 2:
             raise ParseError("product takes two graph files (or one with --power)")
-        g = _load_graph(args.files[0])
-        h = _load_graph(args.files[1])
-        result = _lazy.categorical_product(g, h)
+        result = _lazy.categorical_product(*_load_factors(args.files))
     sys.stdout.write(gio.format_graph(result))
     return EXIT_OK
 
@@ -101,9 +111,9 @@ def cmd_product(args):
 def cmd_alpha(args):
     """alpha(G x H) from the first engine that takes both factors: cograph,
     split, then the explicit product, one pair of factor components at a
-    time (_alpha_by_components); its witness is checked before printing."""
-    g = _load_graph(args.files[0])
-    h = _load_graph(args.files[1])
+    time (_alpha_by_components); its witness is checked before printing.
+    A G x H past the vertex ceiling is refused before any engine runs."""
+    g, h = _load_factors(args.files)
     inputs = f"{args.files[0]} x {args.files[1]}"
     engine = None
     if not args.oracle and not args.split:
@@ -156,18 +166,14 @@ def _alpha_by_components(g, h):
     and one of H, so its alpha is their sum.  Gi x Hj keeps the order of
     its vertices (a, b), so alpha_exact's witness on it, mapped back to
     a*|V(H)| + b, is the one it gives on G x H.  Equal pairs are solved
-    once.  Refused before any search when |V(G)|*|V(H)| passes the vertex
-    ceiling, or when the largest Gi x Hj passes the oracle limit.
+    once.  Refused before any search when the largest Gi x Hj passes the
+    oracle limit; cmd_alpha has already refused a G x H past the vertex
+    ceiling.
     """
     from .graph import components, mask_to_set
 
     if not g.n or not h.n:
         raise ValueError("empty graph")
-    size = g.n * h.n
-    if size > DEFAULT_POWER_LIMIT:
-        raise LimitExceeded(
-            f"product needs {size} vertices, limit is {DEFAULT_POWER_LIMIT}", required=size
-        )
     parts = []
     for f in (g, h):
         verts = [sorted(mask_to_set(c)) for c in components(f.adj, (1 << f.n) - 1)]

@@ -159,9 +159,11 @@ def cograph_recognize(g: Graph, witness=True) -> Cotree:
     A vertex set of a cograph with >= 2 vertices is disconnected in g (a
     union node) or in its complement (a join node).  Sets are split on an
     explicit stack, parts ordered by least vertex and expanded depth first;
-    nodes are built children first.  The witness is find_p4 on the first
-    set, in that order, that splits in neither graph; with witness=False
-    that search is skipped and NotACograph carries no witness.
+    nodes are built children first, already canonical: a part is connected
+    in the graph its parent split on, so it never takes its parent's label.
+    The witness is find_p4 on the first set, in that order, that splits in
+    neither graph; with witness=False that search is skipped and
+    NotACograph carries no witness.
     """
     n = g.n
     if n == 0:
@@ -174,7 +176,7 @@ def cograph_recognize(g: Graph, witness=True) -> Cotree:
         item = stack.pop()
         if isinstance(item, tuple):
             kind, arity = item
-            node = _merge(kind, built[-arity:])
+            node = Cotree(kind, children=built[-arity:])
             del built[-arity:]
             built.append(node)
         elif item & (item - 1) == 0:

@@ -24,10 +24,6 @@ if TYPE_CHECKING:
     from .splitgraph import SplitPartition
 
 
-def _product_id(hn, a, b):
-    return a * hn + b
-
-
 def alpha_product_cographs(tg: Cotree, th: Cotree):
     """alpha(G x H) for cographs given by cotrees: (value, witness).
 
@@ -39,45 +35,53 @@ def alpha_product_cographs(tg: Cotree, th: Cotree):
     makes the product edgeless, so a block with a leaf factor has the other
     factor's size as its value.  When both nodes are unions, G's splits.
 
-    The value pass fills a table over pairs of internal nodes, each tree's
-    internal nodes taken children first, so every block is filled before
-    the pair that needs it; no recursion, so depth is limited by memory
-    only.  For two joins it also keeps the position of the first block of
-    largest value.  The witness is then built in one walk from the root
+    The value pass builds one row per internal node a of G, children
+    first, over H's internal nodes, also children first, so every block is
+    filled before the pair that needs it; no recursion, so depth is
+    limited by memory only.  A union a's row is the sum of its children's
+    rows, a leaf child adding |b|.  A join a first takes the max of its
+    children's rows (|b| for a leaf child), which is its best G-side block
+    against every b; one pass over b then adds the blocks of a union b, or
+    takes the max of that best and the H-side blocks of a join b, all read
+    from the row so far.  The witness is built in one walk from the root
     pair on an explicit stack: a leaf factor contributes every leaf pair
-    of its block, a union factor each of its blocks, two joins the chosen
-    block.  Union blocks are disjoint, so every pair is emitted once;
+    of its block, a union factor each of its blocks, and two joins the
+    first block of largest value, G's children before H's, read back from
+    the table.  Union blocks are disjoint, so every pair is emitted once;
     pairs become row-major product ids.
     """
     nodes_g, nodes_h = _internal_nodes(tg), _internal_nodes(th)
     row_g = {id(a): i for i, a in enumerate(nodes_g)}
     col_h = {id(b): j for j, b in enumerate(nodes_h)}
-    cols = len(nodes_h)
-    # children as table offsets: a row start in G, a column in H; -1 for a leaf
-    kids_h = [[col_h[id(c)] if c.kind != LEAF else -1 for c in b.children] for b in nodes_h]
-    values = []  # value of (nodes_g[i], nodes_h[j]) at i * cols + j
-    choice = {}  # i * cols + j -> position of the chosen block, for two joins
-    for i, a in enumerate(nodes_g):
-        kids_g = [row_g[id(c)] * cols if c.kind != LEAF else -1 for c in a.children]
+    sizes = [b.size for b in nodes_h]
+    # per internal node b of H: is it a union, its internal children as
+    # columns, and how many leaf children it has
+    shape_h = []
+    for b in nodes_h:
+        kids = [col_h[id(c)] for c in b.children if c.kind != LEAF]
+        shape_h.append((b.kind == UNION, kids, len(b.children) - len(kids)))
+    rows = []  # rows[i][j]: alpha of nodes_g[i] x nodes_h[j]
+    for a in nodes_g:
+        parts = [rows[row_g[id(c)]] for c in a.children if c.kind != LEAF]
+        leaves = len(a.children) - len(parts)
+        if a.kind == UNION:
+            rows.append(list(map(sum, zip(*parts, *[sizes] * leaves))))
+            continue
+        gbest = map(max, zip(*parts, sizes) if leaves else zip(*parts))
+        n = a.size
         row = []
-        for j, b in enumerate(nodes_h):
-            if a.kind == UNION:
-                value = sum(values[k + j] if k >= 0 else b.size for k in kids_g)
-            elif b.kind == UNION:
-                value = sum(row[k] if k >= 0 else a.size for k in kids_h[j])
+        for best, (is_union, kids, leaves_b) in zip(gbest, shape_h):
+            if is_union:
+                value = leaves_b * n
+                for k in kids:
+                    value += row[k]
             else:
-                value = -1
-                for pos, k in enumerate(kids_g):
-                    v = values[k + j] if k >= 0 else b.size
-                    if v > value:
-                        value, best = v, pos
-                for pos, k in enumerate(kids_h[j], len(kids_g)):
-                    v = row[k] if k >= 0 else a.size
-                    if v > value:
-                        value, best = v, pos
-                choice[i * cols + j] = best
+                value = n if leaves_b and n > best else best
+                for k in kids:
+                    if row[k] > value:
+                        value = row[k]
             row.append(value)
-        values.extend(row)
+        rows.append(row)
 
     hn = th.size
     witness = set()
@@ -85,18 +89,25 @@ def alpha_product_cographs(tg: Cotree, th: Cotree):
     while stack:
         a, b = stack.pop()
         if a.kind == LEAF or b.kind == LEAF:
-            witness.update(_product_id(hn, g, h) for g in a.leaves for h in b.leaves)
+            hs = mask_to_set(b.mask)
+            witness.update(g * hn + h for g in mask_to_set(a.mask) for h in hs)
         elif a.kind == UNION:
             stack.extend((c, b) for c in a.children)
         elif b.kind == UNION:
             stack.extend((a, c) for c in b.children)
         else:
-            pos = choice[row_g[id(a)] * cols + col_h[id(b)]]
-            if pos < len(a.children):
-                stack.append((a.children[pos], b))
-            else:
-                stack.append((a, b.children[pos - len(a.children)]))
-    return (values[-1] if values else tg.size * th.size), witness
+            row, j = rows[row_g[id(a)]], col_h[id(b)]
+            value = -1
+            for c in a.children:
+                v = rows[row_g[id(c)]][j] if c.kind != LEAF else b.size
+                if v > value:
+                    value, block = v, (c, b)
+            for c in b.children:
+                v = row[col_h[id(c)]] if c.kind != LEAF else a.size
+                if v > value:
+                    value, block = v, (a, c)
+            stack.append(block)
+    return (rows[-1][-1] if nodes_g and nodes_h else tg.size * th.size), witness
 
 
 def _internal_nodes(t: Cotree):

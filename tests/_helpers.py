@@ -12,6 +12,7 @@ catalog is read from a committed cache written by tools/gen_graphs8.py.
 from __future__ import annotations
 
 import os
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -28,12 +29,11 @@ from indeplib.errors import (
 )
 from indeplib.graph import (
     Graph,
-    categorical_product,
     mask_to_set,
     neighborhood,
     set_to_mask,
 )
-from indeplib.product_alpha import _product_id, _SplitProductMIS, bipartite_mis
+from indeplib.product_alpha import _SplitProductMIS, bipartite_mis
 from indeplib.treedecomp import (
     FORGET,
     INTRODUCE,
@@ -45,6 +45,20 @@ from indeplib.treedecomp import (
 GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GRAPHS8_CACHE = os.path.join(DATA_DIR, "graphs8.txt")
+
+
+# ---------------------------------------------------------------------------
+# the interpreter stack, for tests that run under a lowered recursion limit
+
+
+def frame_depth():
+    """The number of frames on the interpreter stack at the call."""
+    frame = sys._getframe()
+    depth = 0
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +457,26 @@ def threshold_cotree_text(n):
 
 
 def verify_product_witness(g: Graph, h: Graph, witness, size):
-    """Checks on the explicit product that witness is an independent set of
-    G x H with size vertices."""
-    if len(witness) != size:
-        raise VerificationError(f"product witness has {len(witness)} vertices, not {size}")
-    if not categorical_product(g, h).is_independent(witness):
-        raise VerificationError("product witness is not independent in G x H")
+    """Checks that witness is an independent set of G x H with size
+    vertices, by the product's definition on the factors' rows rather than
+    on the explicit product, which for two 600-vertex factors would need
+    360,000 rows of 360,000 bits: (a, b) and (a2, b2) are adjacent exactly
+    when a ~ a2 in G and b ~ b2 in H."""
+    ids = set(witness)
+    if len(ids) != len(witness) or len(ids) != size:
+        raise VerificationError(f"product witness has {len(ids)} distinct vertices, not {size}")
+    if not all(0 <= pid < g.n * h.n for pid in ids):
+        raise VerificationError("product witness has an id outside G x H")
+    rows = [0] * g.n  # rows[a]: the H-coordinates b of the ids (a, b)
+    for pid in ids:
+        a, b = divmod(pid, h.n)
+        rows[a] |= 1 << b
+    for a, row in enumerate(rows):
+        reach = 0  # H-neighbours of row
+        for b in mask_to_set(row):
+            reach |= h.adj[b]
+        if any(rows[a2] & reach for a2 in mask_to_set(g.adj[a])):
+            raise VerificationError("product witness is not independent in G x H")
 
 
 # ---------------------------------------------------------------------------
@@ -985,6 +1013,11 @@ def general_reference(g: Graph):
             if ratio < nu:
                 witness, nu = subset, ratio
     return 1 / (1 + nu), frozenset(witness)
+
+
+def _product_id(hn, a, b):
+    """Row-major id of the product vertex (a, b) when H has hn vertices."""
+    return a * hn + b
 
 
 def multipartite_product_witness(sizes_g, sizes_h):

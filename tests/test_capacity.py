@@ -482,6 +482,21 @@ def test_treewidth_refuses_a_decomposition_of_another_graph():
     assert a_treewidth(Graph(4, [(0, 1), (0, 2), (0, 3)]), d).a == Fraction(3, 4)
 
 
+def test_tensor_capacity_takes_the_graph_from_the_decomposition():
+    # a decomposition carries its graph, so it needs no other; given one
+    # too, the two must match
+    rng = random.Random(67)
+    for g in (star_graph(3), path_graph(5), random_graph(9, 0.3, rng)):
+        d = _nice_tw(g)
+        res = tensor_capacity(decomposition=d)
+        assert res.engine == Engine.TREEWIDTH
+        assert (res.a, res.witness) == (a_treewidth(g, d).a, a_treewidth(g, d).witness)
+        assert res == tensor_capacity(g, decomposition=d)
+        assert res.a == a_bruteforce(g)[0]
+        with pytest.raises(ValueError, match="does not match the supplied graph"):
+            tensor_capacity(disjoint_union(g, Graph(1)), decomposition=d)
+
+
 def test_dinkelbach_checks_each_improving_witness():
     g = path_graph(3)
     with pytest.raises(VerificationError, match="outside the graph"):

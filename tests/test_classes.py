@@ -9,6 +9,7 @@ import pytest
 from _helpers import (
     cograph_recognize_reference,
     find_obstruction_reference,
+    graph_catalog,
     graph_catalog_upto,
     has_edge,
     random_cotree,
@@ -141,6 +142,22 @@ def test_cograph_recognition_round_trip():
             with pytest.raises(NotACograph) as err:
                 cograph_recognize(g, witness=False)
             assert err.value.witness == () and str(err.value) == "graph is not a cograph"
+
+
+def test_cograph_recognition_builds_canonical_trees():
+    # recognition builds each node from its parts as they come, without
+    # flattening or sorting them: on every cograph of the 8-vertex catalog
+    # its tree is the one parsing its own text builds, and realizes g
+    cographs = 0
+    for g in graph_catalog(8):
+        try:
+            t = cograph_recognize(g, witness=False)
+        except NotACograph:
+            continue
+        assert t == parse_cotree(format_cotree(t))
+        assert realize(t).adj == g.adj
+        cographs += 1
+    assert cographs == 522  # unlabeled cographs on 8 vertices
 
 
 def test_find_p4():

@@ -212,6 +212,29 @@ def test_alpha_oracle_limit_is_per_component(capsys, tmp_path, monkeypatch):
     assert err == "error: product needs 1002000 vertices, limit is 1000000\n"
 
 
+def test_product_and_alpha_refuse_factors_past_the_vertex_ceiling(capsys, tmp_path, monkeypatch):
+    # two edgeless factors of 1,001 and 1,000 vertices: refused before any
+    # recognition, engine or product build, in every alpha mode
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran past the vertex ceiling")
+
+    for name in ("cograph_recognize", "split_partition", "categorical_product"):
+        monkeypatch.setattr(cli, name, refuse)
+    a, b = tmp_path / "a.g", tmp_path / "b.g"
+    a.write_text(format_graph(Graph(1001)))
+    b.write_text(format_graph(Graph(1000)))
+    for argv in (
+        ("product", str(a), str(b)),
+        ("alpha", str(a), str(b)),
+        ("alpha", "--cotree", str(a), str(b)),
+        ("alpha", "--split", str(a), str(b)),
+        ("alpha", "--oracle", str(b), str(a)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_LIMIT, ""), argv
+        assert err == "error: product needs 1001000 vertices, limit is 1000000\n"
+
+
 def test_alpha_oracle_never_builds_the_whole_product(capsys, tmp_path, monkeypatch):
     # 200 disjoint C5 squared: 10^6 product vertices, at the vertex ceiling,
     # whose bitset rows would take tens of GB.  Only C5 x C5 is built, and

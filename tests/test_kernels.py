@@ -8,6 +8,7 @@ import pytest
 from _helpers import (
     clique_cover_bound,
     count_maximal_independent_sets,
+    frame_depth,
     max_independent_set_reference,
     random_graph,
     random_max_degree,
@@ -219,22 +220,13 @@ def test_max_independent_set_matches_recursive_reference():
     assert checked >= 1000
 
 
-def _frame_depth():
-    frame = sys._getframe()
-    depth = 0
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    return depth
-
-
 def test_max_independent_set_deeper_than_recursion_limit():
     # 200 disjoint triangles branch 200 deep; under a recursion limit 100
     # frames above this test the recursive reference fails, the kernel not
     n = 600
     g = Graph(n, [e for i in range(0, n, 3) for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))])
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_frame_depth() + 100)
+    sys.setrecursionlimit(frame_depth() + 100)
     try:
         with pytest.raises(RecursionError):
             max_independent_set_reference(g.adj, (1 << n) - 1)

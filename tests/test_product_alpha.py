@@ -12,6 +12,7 @@ import pytest
 import indeplib
 from _helpers import (
     cograph_product_reference,
+    frame_depth,
     is_bipartite,
     multipartite_product_witness,
     neighbors,
@@ -23,7 +24,7 @@ from _helpers import (
     verify_product_witness,
 )
 from indeplib import product_alpha
-from indeplib.cotree import cograph_recognize, join, leaf, parse_cotree, realize
+from indeplib.cotree import JOIN, cograph_recognize, join, leaf, parse_cotree, realize
 from indeplib.errors import VerificationError
 from indeplib.graph import (
     Graph,
@@ -100,6 +101,67 @@ def test_cograph_product_matches_set_memo_reference():
         tg = random_cotree(rng.randint(1, 40), rng)
         th = tg if i % 10 == 0 else random_cotree(rng.randint(1, 40), rng)
         assert alpha_product_cographs(tg, th) == cograph_product_reference(tg, th)
+
+
+def test_cograph_product_leaf_factors_match_reference():
+    # a single-vertex factor makes the product edgeless: the value is the
+    # other factor's size and the witness is every vertex of the product
+    rng = random.Random(53)
+    k1 = leaf(0)
+    assert alpha_product_cographs(k1, k1) == (1, {0}) == cograph_product_reference(k1, k1)
+    for _ in range(40):
+        t = random_cotree(rng.randint(2, 12), rng, max_arity=4)
+        for tg, th in ((k1, t), (t, k1)):
+            result = alpha_product_cographs(tg, th)
+            assert result == cograph_product_reference(tg, th)
+            assert result == (t.size, set(range(t.size)))
+
+
+def test_cograph_product_tied_joins_match_reference():
+    # two joins whose best one-sided blocks tie: the witness comes from the
+    # first best block, G's children before H's, as in the reference
+    texts = (
+        "(* 0 1)",
+        "(* 0 1 2)",
+        "(* (+ 0 1) (+ 2 3))",
+        "(* (+ 0 1) 2 (+ 3 4))",
+        "(* (+ 0 (* 1 2)) (+ 3 (* 4 5)))",
+    )
+    trees = [parse_cotree(text) for text in texts]
+    rng = random.Random(59)
+    while len(trees) < 30:
+        t = random_cotree(rng.randint(4, 10), rng, max_arity=4)
+        if t.kind == JOIN:
+            trees.append(t)
+    tied = 0
+    for tg in trees:
+        for th in trees:
+            value, witness = alpha_product_cographs(tg, th)
+            assert (value, witness) == cograph_product_reference(tg, th)
+            blocks = [cograph_product_reference(c, th)[0] for c in tg.children]
+            blocks += [cograph_product_reference(tg, c)[0] for c in th.children]
+            assert max(blocks) == value
+            tied += blocks.count(value) > 1
+    # 274 of the 900 pairs tie, every pair of the hand-picked trees among them
+    assert tied >= 250
+
+
+def test_cograph_product_two_deep_cotrees():
+    # a 600-leaf cotree nested 599 deep, squared, under a recursion limit
+    # 100 frames above this test: the recursive reference fails, the engine
+    # not; alpha(G) = 300 (the even vertices), so alpha(G x G) >= 300 * 600
+    t = parse_cotree(threshold_cotree_text(600))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frame_depth() + 100)
+    try:
+        with pytest.raises(RecursionError):
+            cograph_product_reference(t, t)
+        value, witness = alpha_product_cographs(t, t)
+    finally:
+        sys.setrecursionlimit(limit)
+    g = realize(t)
+    verify_product_witness(g, g, witness, value)
+    assert value >= 300 * 600
 
 
 def test_cograph_product_deep_cotree():
