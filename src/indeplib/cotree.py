@@ -103,14 +103,6 @@ def _merge(kind, parts):
     return Cotree(kind, children=flat)
 
 
-def union(*parts):
-    return _merge(UNION, parts)
-
-
-def join(*parts):
-    return _merge(JOIN, parts)
-
-
 def realize(t: Cotree) -> Graph:
     """The labeled graph of a cotree whose leaves are exactly 0..n-1.
 

@@ -52,14 +52,15 @@ def ultimate_independent_domination_multipartite(sizes) -> Fraction:
 
 def ri_power_exact(g: Graph, k: int, limit=DEFAULT_BRUTEFORCE_LIMIT) -> Fraction:
     """Brute-force r_i(G^k) = i(G^k) / |V(G)|^k (oracle bound on |V|^k)."""
-    from .graph import graph_power
+    from .graph import graph_power, power_size
     from .oracles import independent_domination_exact
 
     if k < 1:
         raise ValueError("k must be positive")
-    if g.n**k > limit:
+    size = power_size(g.n, k, limit)
+    if size > limit:
         raise LimitExceeded(
-            f"r_i oracle limited to {limit} vertices, got {g.n ** k}", required=g.n**k
+            f"r_i oracle limited to {limit} vertices, got {g.n}^{k}", required=size
         )
     power = graph_power(g, k)
     return Fraction(independent_domination_exact(power, limit=limit), power.n)

@@ -35,27 +35,9 @@ class Graph:
         self.adj = tuple(adj)
 
     @classmethod
-    def from_adj(cls, adj):
-        g = cls._from_symmetric(adj)
-        full = (1 << g.n) - 1
-        for v, mask in enumerate(g.adj):
-            if mask & (1 << v):
-                raise ValueError(f"self-loop at vertex {v}")
-            if mask & ~full:
-                raise ValueError(f"adjacency of vertex {v} out of range")
-        for v, mask in enumerate(g.adj):
-            w = mask
-            while w:
-                u = (w & -w).bit_length() - 1
-                if not g.adj[u] & (1 << v):
-                    raise ValueError(f"adjacency not symmetric at ({v},{u})")
-                w &= w - 1
-        return g
-
-    @classmethod
     def _from_symmetric(cls, adj):
         """A graph on adjacency masks that are loop-free and symmetric by
-        construction; unlike from_adj, nothing is checked again."""
+        construction; nothing is checked again."""
         g = cls.__new__(cls)
         g.n = len(adj)
         g.adj = tuple(adj)
@@ -206,16 +188,28 @@ def is_product_independent(g: Graph, h: Graph, ids) -> bool:
     return True
 
 
+def power_size(n, k, limit):
+    """n**k for k >= 1, or the first partial power n**j past limit: for
+    n >= 2 that takes at most about log2(limit) products, whatever k is."""
+    size = n
+    for _ in range(k - 1):
+        if size > limit or size <= 1:
+            break
+        size *= n
+    return size
+
+
 def graph_power(g: Graph, k: int, limit=DEFAULT_POWER_LIMIT) -> Graph:
-    """k-fold categorical product G x ... x G, left-associated."""
+    """k-fold categorical product G x ... x G, left-associated.  K1 is its
+    own power."""
     if k < 1:
         raise ValueError("power must be >= 1")
-    size = g.n**k
+    size = power_size(g.n, k, limit)
     if size > limit:
         raise LimitExceeded(
-            f"graph power needs {size} vertices, limit is {limit}", required=size
+            f"graph power needs {g.n}^{k} vertices, limit is {limit}", required=size
         )
-    if k == 1:
+    if k == 1 or g.n == 1:
         return g  # graphs are immutable
     out = g
     for _ in range(k - 1):

@@ -16,7 +16,6 @@ JOIN = "join"
 
 class NiceNode(NamedTuple):
     kind: str
-    bag: frozenset
     vertex: int | None  # the introduced/forgotten vertex
     children: tuple  # node indices
 
@@ -25,8 +24,9 @@ class NiceTreeDecomposition:
     """A nice tree decomposition of graph, checked when it is built.
 
     Nodes are stored in postorder (children before parents); the root is
-    the last node and has an empty bag.  masks holds each node's bag as a
-    vertex mask, and width is the size of the largest bag less one.
+    the last node and has an empty bag.  A node's bag follows from its kind,
+    vertex and children; masks holds each node's bag as a vertex mask, the
+    only copy of the bags, and width is the size of the largest bag less one.
     """
 
     def __init__(self, graph: Graph, nodes):
@@ -41,17 +41,19 @@ class NiceTreeDecomposition:
 
 
 def validate_and_nicify(g: Graph, bags, tree_edges) -> NiceTreeDecomposition:
-    """Checks that the bags form a tree, then expands them to the nice form
-    of g, which its constructor checks.
+    """Checks that the bags form a tree and hold only vertices of g, before
+    any becomes a mask, then expands them to the nice form of g, which its
+    constructor checks.
 
-    Standard expansion: empty START leaves, INTRODUCE/FORGET chains between
-    adjacent bags, binary JOINs, FORGET chain to an empty root bag.  Every
-    bag appears in the nice form and every nice bag lies inside a bag, so
-    the width is preserved and the nice form covers what the bags cover; a
-    vertex whose bags are disconnected is forgotten once per part.  So the
-    nice-form check settles the coverage and connectivity axioms.
+    Standard expansion: START leaves, INTRODUCE/FORGET chains between
+    adjacent bags in increasing vertex order, binary JOINs, FORGET chain to
+    an empty root bag.  Every bag appears in the nice form and every nice
+    bag lies inside a bag, so the width is preserved and the nice form
+    covers what the bags cover; a vertex whose bags are disconnected is
+    forgotten once per part.  So the nice-form check settles the coverage
+    and connectivity axioms.
     """
-    bags = [frozenset(b) for b in bags]
+    bags = list(bags)
     nb = len(bags)
     if nb == 0:
         raise InvalidDecomposition("tree", "decomposition has no bags")
@@ -73,30 +75,25 @@ def validate_and_nicify(g: Graph, bags, tree_edges) -> NiceTreeDecomposition:
                 stack.append(v)
     if len(seen) != nb:
         raise InvalidDecomposition("tree", "bag tree is disconnected")
+    for bag in bags:
+        for v in bag:
+            if not 0 <= v < g.n:
+                raise InvalidDecomposition("nice-form", f"vertex {v} is not a vertex of the graph")
+    bags = [set_to_mask(bag) for bag in bags]
 
     nodes = []
 
-    def emit(kind, bag, vertex=None, children=()):
-        nodes.append(NiceNode(kind, bag, vertex, children))
+    def emit(kind, vertex=None, children=()):
+        nodes.append(NiceNode(kind, vertex, children))
         return len(nodes) - 1
 
-    def chain_from_empty(target):
-        bag = frozenset()
-        idx = emit(START, bag)
-        for v in sorted(target):
-            bag = bag | {v}
-            idx = emit(INTRODUCE, bag, v, (idx,))
-        return idx
-
     def transform(idx, src, dst):
-        """FORGET src\\dst then INTRODUCE dst\\src, one vertex per node."""
-        bag = src
-        for v in sorted(src - dst):
-            bag = bag - {v}
-            idx = emit(FORGET, bag, v, (idx,))
-        for v in sorted(dst - src):
-            bag = bag | {v}
-            idx = emit(INTRODUCE, bag, v, (idx,))
+        """FORGET src\\dst then INTRODUCE dst\\src, one vertex per node in
+        increasing order."""
+        for kind, w in ((FORGET, src & ~dst), (INTRODUCE, dst & ~src)):
+            while w:
+                idx = emit(kind, (w & -w).bit_length() - 1, (idx,))
+                w &= w - 1
         return idx
 
     # Depth-first from bag 0 on an explicit stack of (bag, parent, unvisited
@@ -110,29 +107,30 @@ def validate_and_nicify(g: Graph, bags, tree_edges) -> NiceTreeDecomposition:
             frames.append((c, b, iter(adj[c]), []))
             continue
         frames.pop()
-        idx = tops[0] if tops else chain_from_empty(bags[b])
+        idx = tops[0] if tops else transform(emit(START), 0, bags[b])
         for other in tops[1:]:
-            idx = emit(JOIN, bags[b], None, (idx, other))
+            idx = emit(JOIN, None, (idx, other))
         if frames:
             frames[-1][3].append(transform(idx, bags[b], bags[frames[-1][0]]))
-    transform(idx, bags[0], frozenset())
+    transform(idx, bags[0], 0)
     return NiceTreeDecomposition(g, nodes)
 
 
 def _check(g: Graph, nodes):
     """Checks a nice form of g in one pass over its nodes and returns their
-    bag masks.
+    bag masks, each derived from its node's kind, vertex and children.
 
     Every child index is below its parent's and every node but the root is
-    exactly one node's child, so the nodes form a tree in postorder.  Every
-    bag vertex is a vertex of g.  START bags are empty, an INTRODUCE or
-    FORGET bag is its child's plus or minus its vertex, a JOIN bag equals
-    both children's, and the root bag is empty; so the bags holding a
-    vertex are connected exactly when it is forgotten once.  When v is
-    forgotten, each neighbour of v not yet forgotten must be in the child's
-    bag, so every edge meets a bag at the first FORGET of its two ends.
-    That holds only once every vertex is forgotten exactly once, so a
-    missed edge is refused after the pass, after any vertex in no bag.
+    exactly one node's child, so the nodes form a tree in postorder.  A
+    START bag is empty; an INTRODUCE or FORGET vertex is a vertex of g,
+    absent from or present in its child's bag, and the node's bag is the
+    child's plus or minus it; a JOIN's two children have equal bags, which
+    are its bag; and the root bag is empty.  So the bags holding a vertex
+    are connected exactly when it is forgotten once.  When v is forgotten,
+    each neighbour of v not yet forgotten must be in the child's bag, so
+    every edge meets a bag at the first FORGET of its two ends.  That holds
+    only once every vertex is forgotten exactly once, so a missed edge is
+    refused after the pass, after any vertex in no bag.
     """
     if not nodes:
         raise InvalidDecomposition("tree", "decomposition has no nodes")
@@ -149,21 +147,20 @@ def _check(g: Graph, nodes):
                 raise InvalidDecomposition("tree", f"node {i} cannot have child {c}")
             used |= 1 << c
         kids = [masks[c] for c in children]
-        for u in node.bag:
-            if not 0 <= u < n:
-                raise InvalidDecomposition("nice-form", f"vertex {u} is not a vertex of the graph")
-        bag = set_to_mask(node.bag)
         kind = node.kind
         v = node.vertex
         if kind == START:
-            ok = not kids and not bag
+            ok = not kids
+            bag = 0
         elif kind == INTRODUCE or kind == FORGET:
             if not 0 <= v < n:
                 raise InvalidDecomposition("nice-form", f"vertex {v} is not a vertex of the graph")
             bit = 1 << v
-            ok = len(kids) == 1 and bag == kids[0] ^ bit and bool(kids[0] & bit) == (kind == FORGET)
+            ok = len(kids) == 1 and bool(kids[0] & bit) == (kind == FORGET)
+            bag = kids[0] ^ bit if ok else None
         elif kind == JOIN:
-            ok = len(kids) == 2 and kids[0] == bag == kids[1]
+            ok = len(kids) == 2 and kids[0] == kids[1]
+            bag = kids[0] if ok else None
         else:
             raise InvalidDecomposition("nice-form", f"unknown node kind {kind!r}")
         if not ok:

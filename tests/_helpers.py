@@ -17,9 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from indeplib import kernels
+from indeplib import cotree, kernels
 from indeplib.capacity import NeighborhoodProfile
-from indeplib.cotree import LEAF, UNION, Cotree, join, leaf, union
+from indeplib.cotree import LEAF, UNION, Cotree, _merge, leaf
 from indeplib.errors import (
     InvalidDecomposition,
     InvalidModel,
@@ -45,6 +45,41 @@ from indeplib.treedecomp import (
 GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GRAPHS8_CACHE = os.path.join(DATA_DIR, "graphs8.txt")
+
+
+# ---------------------------------------------------------------------------
+# graphs and cotrees built from their parts, which the library never needs
+
+
+def from_adj(adj):
+    """The graph on adjacency masks adj, checked: no self-loop, no bit past
+    the last vertex, and symmetric."""
+    g = Graph._from_symmetric(adj)
+    full = (1 << g.n) - 1
+    for v, mask in enumerate(g.adj):
+        if mask & (1 << v):
+            raise ValueError(f"self-loop at vertex {v}")
+        if mask & ~full:
+            raise ValueError(f"adjacency of vertex {v} out of range")
+    for v, mask in enumerate(g.adj):
+        w = mask
+        while w:
+            u = (w & -w).bit_length() - 1
+            if not g.adj[u] & (1 << v):
+                raise ValueError(f"adjacency not symmetric at ({v},{u})")
+            w &= w - 1
+    return g
+
+
+def union(*parts):
+    """The canonical cotree union of parts: same-label children flattened,
+    children sorted by least leaf."""
+    return _merge(UNION, parts)
+
+
+def join(*parts):
+    """The canonical cotree join of parts, as union builds a union."""
+    return _merge(cotree.JOIN, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -349,52 +384,53 @@ def treewidth_decomposition(g: Graph):
     if n == 0:
         raise ValueError("empty graph")
     full = (1 << n) - 1
+    adj = g.adj
 
-    def cost(v, elim):
-        """Neighbors of v outside elim, reachable through elim u {v}."""
-        seen = (1 << v) | (elim & _reach(v, elim))
-        out = 0
-        for u in range(n):
-            if u != v and not (elim >> u) & 1:
-                if g.adj[u] & seen:
-                    out |= 1 << u
-        return out
-
-    def _reach(v, elim):
-        grow = g.adj[v] & elim
-        while True:
-            nxt = grow
-            m = grow
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                nxt |= g.adj[u] & elim
-            if nxt == grow:
-                return grow
-            grow = nxt
-
-    from functools import lru_cache as _lru
-
-    @_lru(maxsize=None)
-    def best(elim):
-        if elim == full:
-            return -1, None
-        result = None
-        for v in range(n):
-            if (elim >> v) & 1:
-                continue
-            width_here = bin(cost(v, elim)).count("1")
-            sub, _ = best(elim | (1 << v))
-            cand = max(width_here, sub)
-            if result is None or cand < result[0]:
+    # parts[elim]: the components of G[elim] with their neighbors, each
+    # from the parts of elim less its top vertex h: those next to h merge
+    # with h
+    parts = [()]
+    for elim in range(1, full + 1):
+        h = elim.bit_length() - 1
+        comp, nbrs = 1 << h, adj[h]
+        kept = []
+        for part in parts[elim ^ comp]:
+            if part[0] & adj[h]:
+                comp |= part[0]
+                nbrs |= part[1]
+            else:
+                kept.append(part)
+        kept.append((comp, nbrs))
+        parts.append(kept)
+    # best[elim] = (width, v): the least width of eliminating the rest
+    # after elim, with the first v that reaches it.  Eliminating v costs its
+    # neighbors outside elim reachable through elim, which are those of v
+    # and of each component of G[elim] next to v.
+    best = [None] * full + [(-1, None)]
+    for elim in range(full - 1, -1, -1):
+        result = (n, None)
+        free = full & ~elim
+        while free:
+            bit = free & -free
+            free ^= bit
+            sub = best[elim | bit][0]
+            if sub >= result[0]:
+                continue  # v cannot beat the first best strictly
+            v = bit.bit_length() - 1
+            out = adj[v]
+            for comp, nbrs in parts[elim]:
+                if comp & adj[v]:
+                    out |= nbrs
+            cand = max((out & ~elim & ~bit).bit_count(), sub)
+            if cand < result[0]:
                 result = (cand, v)
-        return result
+        best[elim] = result
 
     order = []
     elim = 0
-    width, _ = best(0)
+    width, _ = best[0]
     while elim != full:
-        _, v = best(elim)
+        _, v = best[elim]
         order.append(v)
         elim |= 1 << v
 
@@ -510,7 +546,7 @@ def connected_components(g: Graph):
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph.from_adj([full & ~m & ~(1 << v) for v, m in enumerate(g.adj)])
+    return from_adj([full & ~m & ~(1 << v) for v, m in enumerate(g.adj)])
 
 
 def component_count(g: Graph) -> int:
@@ -818,11 +854,8 @@ def treewidth_profile_reference(g: Graph, d: NiceTreeDecomposition) -> Neighborh
     the current subtree.
     """
     tables = []
-    for node in d.nodes:
-        bag = node.bag
+    for node, bag in zip(d.nodes, d.masks):
         if node.kind == START:
-            if bag:
-                raise InvalidDecomposition("nice-form", "start bags must be empty")
             tab = {(0, 0, 0): (0, 0)}
         elif node.kind == INTRODUCE:
             bit = 1 << node.vertex
@@ -833,7 +866,7 @@ def treewidth_profile_reference(g: Graph, d: NiceTreeDecomposition) -> Neighborh
                 if key not in tab or m < tab[key][0]:
                     tab[key] = (m, wit)
 
-            xnbrs = g.adj[node.vertex] & set_to_mask(bag)
+            xnbrs = g.adj[node.vertex] & bag
             for (inb, nbrb, k), (m, wit) in child.items():
                 if not xnbrs & inb:
                     # x joins I: free bag neighbors of x become NBR
@@ -942,18 +975,26 @@ def validate_decomposition(g: Graph, bags, tree_edges):
 
 def recheck_reference(g: Graph, nodes):
     """The check of a nice form's nodes that the library ran before its
-    one-pass check: equal JOIN bags, then the three axioms on all the nice
-    bags."""
-    nice_bags = [set(n.bag) for n in nodes]
+    one-pass check, on bags derived as sets: equal JOIN bags, then the
+    three axioms on all the nice bags.  Returns the bags."""
+    nice_bags = []
     edges = []
     for i, n in enumerate(nodes):
-        for c in n.children:
-            edges.append((i, c))
-        if n.kind == JOIN:
-            for c in n.children:
-                if n.bag != nodes[c].bag:
-                    raise InvalidDecomposition("nice-form", "join child bag differs")
+        kids = [nice_bags[c] for c in n.children]
+        edges += [(i, c) for c in n.children]
+        if n.kind == START:
+            bag = set()
+        elif n.kind == INTRODUCE:
+            bag = kids[0] | {n.vertex}
+        elif n.kind == FORGET:
+            bag = kids[0] - {n.vertex}
+        elif kids[0] != kids[1]:
+            raise InvalidDecomposition("nice-form", "join child bag differs")
+        else:
+            bag = kids[0]
+        nice_bags.append(bag)
     validate_decomposition(g, nice_bags, edges)
+    return nice_bags
 
 
 def profile_exhaustive(g: Graph, limit=20) -> NeighborhoodProfile:

@@ -359,52 +359,44 @@ def test_treewidth_profile_reference_matches_exhaustive():
 def test_treewidth_profile_rejects_malformed_nice_form():
     # hand-built nodes that validate_and_nicify never emits are refused when
     # the decomposition is built, before any step can run
-    start = NiceNode(START, frozenset(), None, ())
+    start = NiceNode(START, None, ())
     g = path_graph(1)
     bad = [
-        ([NiceNode(START, frozenset({0}), None, ())], "start node 0 does not match"),
-        ([NiceNode("leaf", frozenset(), None, ())], "unknown node kind 'leaf'"),
-        ([start, NiceNode(INTRODUCE, frozenset({0}), 0, (0,))], "the root bag must be empty"),
-        ([start, NiceNode(INTRODUCE, frozenset({1}), 1, (0,))], "1 is not a vertex of the graph"),
+        ([start, NiceNode(START, None, (0,))], "start node 1 does not match"),
+        ([NiceNode("leaf", None, ())], "unknown node kind 'leaf'"),
+        ([start, NiceNode(INTRODUCE, 0, (0,))], "the root bag must be empty"),
+        ([start, NiceNode(INTRODUCE, 1, (0,))], "1 is not a vertex of the graph"),
     ]
     for nodes, match in bad:
         with pytest.raises(InvalidDecomposition, match=match) as info:
             NiceTreeDecomposition(g, nodes)
         assert info.value.axiom == "nice-form"
-    # an INTRODUCE vertex already in its child's bag, or introduced below
-    # and not yet forgotten, and a FORGET vertex missing from its child's
+    # an INTRODUCE vertex already in its child's bag, just introduced or
+    # introduced further down, and a FORGET vertex missing from its child's
     # bag: the step stores the keys where the introduced vertex stays free
     # at once, which is right only when no child key holds it
     g = path_graph(2)
     twice = [
         start,
-        NiceNode(INTRODUCE, frozenset({0}), 0, (0,)),
-        NiceNode(INTRODUCE, frozenset({0}), 0, (1,)),
-        NiceNode(FORGET, frozenset(), 0, (2,)),
-    ]
-    lying = [
-        start,
-        NiceNode(INTRODUCE, frozenset({0, 1}), 1, (0,)),
-        NiceNode(INTRODUCE, frozenset({0, 1}), 0, (1,)),
-        NiceNode(FORGET, frozenset({1}), 0, (2,)),
-        NiceNode(FORGET, frozenset(), 1, (3,)),
+        NiceNode(INTRODUCE, 0, (0,)),
+        NiceNode(INTRODUCE, 0, (1,)),
+        NiceNode(FORGET, 0, (2,)),
     ]
     again = [
         start,
-        NiceNode(INTRODUCE, frozenset({0}), 0, (0,)),
-        NiceNode(INTRODUCE, frozenset({1}), 1, (1,)),
-        NiceNode(INTRODUCE, frozenset({0, 1}), 0, (2,)),
+        NiceNode(INTRODUCE, 0, (0,)),
+        NiceNode(INTRODUCE, 1, (1,)),
+        NiceNode(INTRODUCE, 0, (2,)),
     ]
     absent = [
         start,
-        NiceNode(INTRODUCE, frozenset({0}), 0, (0,)),
-        NiceNode(FORGET, frozenset({0}), 1, (1,)),
-        NiceNode(FORGET, frozenset(), 0, (2,)),
+        NiceNode(INTRODUCE, 0, (0,)),
+        NiceNode(FORGET, 1, (1,)),
+        NiceNode(FORGET, 0, (2,)),
     ]
     for nodes, match in (
         (twice, "introduce node 2 does not match its children"),
-        (lying, "introduce node 1 does not match its children"),
-        (again, "introduce node 2 does not match its children"),
+        (again, "introduce node 3 does not match its children"),
         (absent, "forget node 2 does not match its children"),
     ):
         with pytest.raises(InvalidDecomposition, match=match) as info:
@@ -412,38 +404,25 @@ def test_treewidth_profile_rejects_malformed_nice_form():
         assert info.value.axiom == "nice-form"
 
 
-def test_treewidth_refuses_bags_that_lie_about_live_vertices():
-    # hand-built paths of INTRODUCE then FORGET nodes whose bags are not
-    # their child's plus or minus the vertex; a step that read neighbours
-    # from such bags would get a wrong a, so the forms are refused when built
-    def path_nodes(intro_bags, forget_bags):
-        nodes = [NiceNode(START, frozenset(), None, ())]
-        for kind, bags in ((INTRODUCE, intro_bags), (FORGET, forget_bags)):
-            for v, bag in enumerate(bags):
-                nodes.append(NiceNode(kind, frozenset(bag), v, (len(nodes) - 1,)))
+def test_treewidth_on_paths_that_once_took_lying_bags():
+    # two hand-built paths of INTRODUCE then FORGET nodes; given with stored
+    # bags that were not their child's plus or minus the vertex, a step that
+    # read neighbours from the bags got a wrong a.  Bags now follow from the
+    # nodes, so the paths give the true a
+    def path_nodes(n):
+        nodes = [NiceNode(START, None, ())]
+        for kind in (INTRODUCE, FORGET):
+            for v in range(n):
+                nodes.append(NiceNode(kind, v, (len(nodes) - 1,)))
         return nodes
 
-    # introducing 1 in bag {1, 4} drops the live 0 and names 4 early: read
-    # from the bag, the edge 0-1 would be missed and a would come out 1/3
-    # against the true 2/5
+    # a bag that dropped the live 0 when 1 was introduced gave 1/3
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)])
-    nodes = path_nodes(
-        [{0}, {1, 4}, {0, 1, 2}, {0, 1, 2, 3}, {0, 1, 2, 3, 4}],
-        [{1, 2, 3, 4}, {2, 3, 4}, {3, 4}, {4}, set()],
-    )
-    with pytest.raises(InvalidDecomposition, match="introduce node 2 does not match"):
-        NiceTreeDecomposition(g, nodes)
-    # introducing 0 in bag {0, 2} names 2 before its INTRODUCE: read from
-    # the bag, keys would hold 2 when it is introduced, and the stores that
-    # take no child key to hold it would lose the optimum (a = 3/5 against
-    # the true 2/3)
-    g = Graph(5, [(0, 2), (1, 4), (2, 3)])
-    nodes = path_nodes(
-        [{0, 2}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}, {0, 1, 2, 3, 4}],
-        [{1, 2, 3, 4}, {2, 4}, {3, 4}, {4}, set()],
-    )
-    with pytest.raises(InvalidDecomposition, match="introduce node 1 does not match"):
-        NiceTreeDecomposition(g, nodes)
+    # a bag that named 2 before its INTRODUCE gave 3/5
+    h = Graph(5, [(0, 2), (1, 4), (2, 3)])
+    for graph, want in ((g, Fraction(2, 5)), (h, Fraction(2, 3))):
+        assert a_bruteforce(graph)[0] == want
+        assert a_treewidth(graph, NiceTreeDecomposition(graph, path_nodes(5))).a == want
 
 
 def test_treewidth_rejects_a_nice_form_that_misses_an_edge():
@@ -451,11 +430,11 @@ def test_treewidth_rejects_a_nice_form_that_misses_an_edge():
     # independent, so the form is refused when built
     g = path_graph(2)
     nodes = [
-        NiceNode(START, frozenset(), None, ()),
-        NiceNode(INTRODUCE, frozenset({0}), 0, (0,)),
-        NiceNode(FORGET, frozenset(), 0, (1,)),
-        NiceNode(INTRODUCE, frozenset({1}), 1, (2,)),
-        NiceNode(FORGET, frozenset(), 1, (3,)),
+        NiceNode(START, None, ()),
+        NiceNode(INTRODUCE, 0, (0,)),
+        NiceNode(FORGET, 0, (1,)),
+        NiceNode(INTRODUCE, 1, (2,)),
+        NiceNode(FORGET, 1, (3,)),
     ]
     with pytest.raises(InvalidDecomposition, match=r"edge \(0,1\) is in no bag") as info:
         NiceTreeDecomposition(g, nodes)

@@ -9,9 +9,11 @@ import pytest
 from _helpers import (
     cograph_recognize_reference,
     find_obstruction_reference,
+    from_adj,
     graph_catalog,
     graph_catalog_upto,
     has_edge,
+    join,
     random_cotree,
     random_graph,
     recheck_reference,
@@ -19,6 +21,7 @@ from _helpers import (
     threshold_cotree_text,
     treewidth_decomposition,
     trivial_decomposition,
+    union,
     validate_decomposition,
 )
 from indeplib.cotree import (
@@ -26,11 +29,9 @@ from indeplib.cotree import (
     find_p4,
     format_cotree,
     is_cograph,
-    join,
     leaf,
     parse_cotree,
     realize,
-    union,
 )
 from indeplib.errors import (
     InvalidDecomposition,
@@ -207,7 +208,7 @@ def test_recognition_matches_references_on_relabelled_cographs():
             u, v = rng.sample(range(n), 2)
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
-        g = Graph.from_adj(adj)
+        g = from_adj(adj)
         edges = list(g.edges())
         assert _cotree_or_p4(cograph_recognize, g) == _cotree_or_p4(
             cograph_recognize_reference, g
@@ -522,7 +523,7 @@ def test_nicify_preserves_width_and_validates():
         bags, edges = trivial_decomposition(g)
         nice = validate_and_nicify(g, bags, edges)
         assert nice.width == g.n - 1
-        assert not nice.nodes[nice.root].bag
+        assert nice.masks[nice.root] == 0
     g = path_graph(5)
     nice = validate_and_nicify(g, [{0, 1}, {1, 2}, {2, 3}, {3, 4}], [(0, 1), (1, 2), (2, 3)])
     assert nice.width == 1
@@ -537,15 +538,45 @@ def test_nicify_node_order_with_join():
     assert kinds == [
         "S", "I2", "I4", "F4", "I0", "F2", "I1", "S", "I0", "I3", "F3", "I1", "J", "F0", "F1"
     ]
-    assert nice.nodes[12].children == (6, 11) and nice.nodes[12].bag == {0, 1}
+    assert nice.nodes[12].children == (6, 11) and nice.masks[12] == 0b11
+
+
+def test_nicify_bags_are_nice_bags_and_hold_them():
+    # every input bag's mask is a nice bag and every nice bag lies inside an
+    # input bag, so the nice-form check settles coverage for the input bags
+    def check(g, bags, edges):
+        d = validate_and_nicify(g, bags, edges)
+        masks = [set_to_mask(b) for b in bags]
+        assert set(masks) <= set(d.masks), (list(g.edges()), bags)
+        assert all(any(m & ~b == 0 for b in masks) for m in d.masks), (list(g.edges()), bags)
+
+    for g in graph_catalog(8):
+        check(g, *treewidth_decomposition(g)[1:])
+    # random bag trees: each bag keeps a random part of its parent's and
+    # adds vertices never seen before, so each vertex's bags stay connected;
+    # the graph has a random part of the pairs that share a bag
+    rng = random.Random(25)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        bags, edges = [set(range(n))], []
+        for i in range(1, rng.randint(1, 12)):
+            parent = rng.randrange(i)
+            kept = {v for v in bags[parent] if rng.random() < 0.6}
+            fresh = set(range(n, n + rng.randint(0, 3)))
+            n += len(fresh)
+            bags.append(kept | fresh)
+            edges.append((parent, i))
+        pairs = {(u, v) for b in bags for u in b for v in b if u < v}
+        g = Graph(n, [e for e in sorted(pairs) if rng.random() < 0.5])
+        check(g, bags, edges)
 
 
 def _nodes(*spec):
-    """Nice nodes from (kind, bag, vertex, children) tuples."""
-    return [NiceNode(kind, frozenset(bag), v, children) for kind, bag, v, children in spec]
+    """Nice nodes from (kind, vertex, children) tuples."""
+    return [NiceNode(*node) for node in spec]
 
 
-S = (START, (), None, ())
+S = (START, None, ())
 
 
 def test_nicify_refuses_bag_vertices_outside_the_graph():
@@ -558,9 +589,7 @@ def test_nicify_refuses_bag_vertices_outside_the_graph():
             with pytest.raises(InvalidDecomposition, match=f"vertex {v} is not a vertex"):
                 validate_and_nicify(g, [{0, 1}, {v}], [(0, 1)])
             with pytest.raises(InvalidDecomposition, match=f"vertex {v} is not a vertex"):
-                NiceTreeDecomposition(g, _nodes(S, (INTRODUCE, {v}, v, (0,))))
-            with pytest.raises(InvalidDecomposition, match=f"vertex {v} is not a vertex"):
-                NiceTreeDecomposition(g, _nodes(S, (INTRODUCE, {0}, v, (0,))))
+                NiceTreeDecomposition(g, _nodes(S, (INTRODUCE, v, (0,))))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -574,30 +603,27 @@ def test_nice_form_check_rejects_corrupt_forms():
     corrupt = {
         ("subtree-connectivity", "forgotten twice"): (  # vertex 0 introduced again after its forget
             path_graph(1),
-            _nodes(S, (INTRODUCE, {0}, 0, (0,)), (FORGET, (), 0, (1,)),
-                   (INTRODUCE, {0}, 0, (2,)), (FORGET, (), 0, (3,))),
+            _nodes(S, (INTRODUCE, 0, (0,)), (FORGET, 0, (1,)), (INTRODUCE, 0, (2,)),
+                   (FORGET, 0, (3,))),
         ),
         ("edge-coverage", r"edge \(0,1\)"): (  # 0 and 1 never share a bag
             p2,
-            _nodes(S, (INTRODUCE, {0}, 0, (0,)), (FORGET, (), 0, (1,)),
-                   (INTRODUCE, {1}, 1, (2,)), (FORGET, (), 1, (3,))),
+            _nodes(S, (INTRODUCE, 0, (0,)), (FORGET, 0, (1,)), (INTRODUCE, 1, (2,)),
+                   (FORGET, 1, (3,))),
         ),
-        ("nice-form", "join node 5"): (  # the join's bag is not its children's
+        ("nice-form", "join node 5"): (  # the join's children have different bags
             p2,
-            _nodes(S, (INTRODUCE, {0}, 0, (0,)), (INTRODUCE, {0, 1}, 1, (1,)),
-                   S, (INTRODUCE, {0}, 0, (3,)), (JOIN, {0, 1}, None, (2, 4)),
-                   (FORGET, {1}, 0, (5,)), (FORGET, (), 1, (6,))),
+            _nodes(S, (INTRODUCE, 0, (0,)), (INTRODUCE, 1, (1,)), S, (INTRODUCE, 0, (3,)),
+                   (JOIN, None, (2, 4)), (FORGET, 0, (5,)), (FORGET, 1, (6,))),
         ),
-        ("tree", "node 3 cannot have child 2"): (  # node 1 is the child of two nodes
+        ("tree", "node 3 cannot have child 2"): (  # node 2 is the child of two nodes
             p2,
-            _nodes(S, (INTRODUCE, {0}, 0, (0,)), (INTRODUCE, {0, 1}, 1, (1,)),
-                   (JOIN, {0, 1}, None, (2, 2)), (FORGET, {1}, 0, (3,)),
-                   (FORGET, (), 1, (4,))),
+            _nodes(S, (INTRODUCE, 0, (0,)), (INTRODUCE, 1, (1,)), (JOIN, None, (2, 2)),
+                   (FORGET, 0, (3,)), (FORGET, 1, (4,))),
         ),
         ("nice-form", "root bag must be empty"): (  # vertex 0 is forgotten and then stays in the root
             path_graph(1),
-            _nodes(S, (INTRODUCE, {0}, 0, (0,)), (FORGET, (), 0, (1,)),
-                   (INTRODUCE, {0}, 0, (2,))),
+            _nodes(S, (INTRODUCE, 0, (0,)), (FORGET, 0, (1,)), (INTRODUCE, 0, (2,))),
         ),
     }
     for (axiom, text), (g, nodes) in corrupt.items():
@@ -608,7 +634,7 @@ def test_nice_form_check_rejects_corrupt_forms():
             recheck_reference(g, nodes)
     # a nice form cut short of its root is still a decomposition, so only
     # the one-pass check refuses its nonempty root
-    nodes = _nodes(S, (INTRODUCE, {0}, 0, (0,)))
+    nodes = _nodes(S, (INTRODUCE, 0, (0,)))
     recheck_reference(path_graph(1), nodes)
     with pytest.raises(InvalidDecomposition, match="root bag must be empty"):
         NiceTreeDecomposition(path_graph(1), nodes)
@@ -623,14 +649,14 @@ def test_nice_form_check_accepts_valid_forms():
         for _, bags, edges in [treewidth_decomposition(g), (None, *trivial_decomposition(g))]:
             nice = validate_and_nicify(g, bags, edges)
             rebuilt = NiceTreeDecomposition(g, nice.nodes)
-            assert rebuilt.masks == [set_to_mask(node.bag) for node in nice.nodes]
+            derived = recheck_reference(g, nice.nodes)
+            assert rebuilt.masks == [set_to_mask(b) for b in derived]
             assert rebuilt.width == max(len(b) for b in bags) - 1
-            recheck_reference(g, nice.nodes)
     # the width is read off the largest bag
     nice = NiceTreeDecomposition(
         path_graph(2),
-        _nodes(S, (INTRODUCE, {0}, 0, (0,)), (INTRODUCE, {0, 1}, 1, (1,)),
-               (FORGET, {1}, 0, (2,)), (FORGET, (), 1, (3,))),
+        _nodes(S, (INTRODUCE, 0, (0,)), (INTRODUCE, 1, (1,)), (FORGET, 0, (2,)),
+               (FORGET, 1, (3,))),
     )
     assert nice.width == 1 and nice.masks == [0, 0b01, 0b11, 0b10, 0]
 

@@ -6,12 +6,13 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
 import indeplib
 from _helpers import random_graph, threshold_cotree_text
-from indeplib import capacity, cli, cotree, splitgraph
+from indeplib import capacity, cli, cotree, graph, splitgraph
 from indeplib.capacity import a_split
 from indeplib.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, EXIT_VIOLATION, main
 from indeplib.config import DEFAULT_POWER_LIMIT, DOMINATION_KMAX_LIMIT
@@ -83,6 +84,24 @@ def test_product_errors(capsys, files):
 # ---------------------------------------------------------------------------
 # alpha
 
+
+def test_product_power_checks_the_ceiling_before_the_power(capsys, files, monkeypatch, tmp_path):
+    # |V|^k is compared with the ceiling one partial power at a time, so a
+    # huge k neither formats a 477,000-digit count (exit 2) nor runs for
+    # minutes; K1 is its own power, with no product built
+    for k in (10**6, 10**8):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "product", "--power", str(k), files["p3"])
+        assert code == EXIT_LIMIT and time.perf_counter() - start < 1, (k, err)
+
+    def refuse(*_):
+        raise AssertionError("K1 needs no product")
+
+    monkeypatch.setattr(graph, "categorical_product", refuse)
+    k1 = tmp_path / "k1.g"
+    k1.write_text(format_graph(Graph(1)))
+    code, out, _ = run(capsys, "product", "--power", str(10**9), str(k1))
+    assert code == EXIT_OK and parse_graph(out) == Graph(1)
 
 def test_alpha_cograph_pair(capsys, files):
     code, out, _ = run(capsys, "alpha", files["p3"], files["p3"])

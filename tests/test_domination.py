@@ -85,6 +85,15 @@ def test_ri_power_exact_examples():
         ri_power_exact(complete_graph(2), 0)
 
 
+def test_ri_power_exact_bounds_the_power_before_forming_it():
+    # the oracle bound is checked one partial power at a time, and K1 is
+    # its own power, so neither k below forms |V|^k or runs k - 1 products
+    with pytest.raises(LimitExceeded, match=r"got 3\^100000000") as info:
+        ri_power_exact(complete_graph(3), 10**8)
+    assert info.value.required == 27
+    assert ri_power_exact(complete_graph(1), 10**9) == 1
+
+
 def _no_isolated(g):
     return all(g.degree(v) > 0 for v in range(g.n))
 

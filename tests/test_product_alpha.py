@@ -14,6 +14,7 @@ from _helpers import (
     cograph_product_reference,
     frame_depth,
     is_bipartite,
+    join,
     multipartite_product_witness,
     neighbors,
     random_cotree,
@@ -24,7 +25,7 @@ from _helpers import (
     verify_product_witness,
 )
 from indeplib import product_alpha
-from indeplib.cotree import JOIN, cograph_recognize, join, leaf, parse_cotree, realize
+from indeplib.cotree import JOIN, cograph_recognize, leaf, parse_cotree, realize
 from indeplib.errors import VerificationError
 from indeplib.graph import (
     Graph,
