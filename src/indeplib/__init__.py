@@ -31,7 +31,7 @@ _EXPORTS = {
         "has_fractional_perfect_matching",
         "tensor_capacity",
     ),
-    "cotree": ("Cotree", "cograph_recognize", "is_cograph", "parse_cotree", "realize"),
+    "cotree": ("Cotree", "cograph_recognize", "parse_cotree", "realize"),
     "domination": (
         "ri_complete_bipartite_power",
         "ri_power_exact",
@@ -67,12 +67,11 @@ _EXPORTS = {
     "oracles": ("a_bruteforce", "alpha_exact", "independent_domination_exact"),
     "product_alpha": (
         "alpha_product_cographs",
-        "alpha_product_multipartite",
         "alpha_product_split",
         "extract_is_from_k4_product",
     ),
     "ratio": ("ratio_str",),
-    "splitgraph": ("SplitPartition", "is_splitgraph", "split_partition"),
+    "splitgraph": ("SplitPartition", "split_partition"),
     "treedecomp": ("NiceTreeDecomposition", "validate_and_nicify"),
 }
 

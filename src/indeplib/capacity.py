@@ -5,11 +5,13 @@ rounds values above 1/2 up to 1.  All six engines run one Dinkelbach loop,
 _dinkelbach.  Its step is a pass over the cotree, a chain DP (interval and
 permutation graphs), a tree-decomposition DP, or, for split and general
 graphs, one ratio cut on a fixed independent set (min_ratio_subset).  The
-split engine solves the independent side; the general engine scans each
-component's maximal independent sets and solves the sets that strictly
-beat the best a so far, dropping each branch of the scan whose sets cannot.
-Every engine hands its witness to _finish as a vertex mask, checked by the
-same routine as each Dinkelbach step's.  All values are exact Fractions.
+split engine solves the independent side.  The general engine solves one
+greedy set, then runs a branch and bound over each component's independent
+sets that records the sets strictly beating the best a so far: a node is
+dropped unless flow.gain_above finds that some extension of its chosen set
+may beat it, and a node whose candidates are independent is finished by
+ratio cuts.  Every engine hands its witness to _finish as a vertex mask,
+checked by the same routine as each Dinkelbach step's.  All values are exact Fractions.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import _lazy_getattr, flow, kernels
+from . import _lazy_getattr, flow
 from .config import DEFAULT_ALPHA_LIMIT
 from .errors import LimitExceeded, VerificationError
-from .flow import ratio_at_least
 from .graph import Graph, components, mask_to_set, neighborhood, set_to_mask
 from .kernels import bipartite_matching
 
@@ -478,27 +479,21 @@ def a_treewidth(g: Graph, d: NiceTreeDecomposition) -> CapacityResult:
 
 
 def a_general_exact(g: Graph, limit=None) -> CapacityResult:
-    """Scan maximal independent sets; per set I, min_ratio_subset gives the
-    largest |S|/(|S| + |N(S)|) over nonempty S inside I.
+    """a(G) by a branch and bound over the independent sets of each
+    connected component, with one price, the best a so far, across them.
 
-    a of a disjoint union is the largest a of its parts, so the scan runs
-    on each connected component's mask in turn, in order of least vertex,
-    and limit bounds each component; all are checked before any scan.
+    a of a disjoint union is the largest a of its parts, so the search runs
+    on each component's mask in turn, in order of least vertex, and limit
+    bounds each component; all are checked before any search.
 
-    The scan looks only for sets that strictly beat the best a so far, in
+    The search looks only for sets that strictly beat the best a so far, in
     any component, and the witness is the last strict improvement.  Both
-    start from one greedy maximal independent set, solved before the scan:
-    from the least vertex of minimum degree, it adds the candidate with the
-    fewest candidate neighbours, least first on ties.  Its maximal
-    maximizer is the first witness and its a the first price.  The scan
-    then prunes by one test, ratio_at_least at nu = 1/a - 1: true when no
-    nonempty S inside a mask, independent or not, has |N(S)|/|S| below nu.
-    A node (R, P) whose R | P passes is dropped, for no set below it can
-    beat the price; so is each maximal set that passes, for it can only tie
-    or do worse.  Every other set strictly beats the price and is solved:
-    its maximal maximizer is the new witness, in scan order (components by
-    least vertex, then Bron-Kerbosch order).  An isolated vertex attains
-    a = 1, which no set beats, so a graph with one runs no scan."""
+    start from one greedy maximal independent set, solved before the
+    search: from the least vertex of minimum degree, it adds the candidate
+    with the fewest candidate neighbours, least first on ties.  Its maximal
+    maximizer (min_ratio_subset) is the first witness and its a the first
+    price.  An isolated vertex attains a = 1, which no set beats, so a graph
+    with one runs no search; otherwise _search walks each component."""
     if limit is None:
         limit = DEFAULT_ALPHA_LIMIT
     if g.n == 0:
@@ -521,23 +516,91 @@ def a_general_exact(g: Graph, limit=None) -> CapacityResult:
             greedy |= 1 << v
             cand &= ~adj[v] & ~(1 << v)
     a, witness = min_ratio_subset(g, greedy)
-
-    def prune(mask):
-        return ratio_at_least(mask, adj, a.denominator - a.numerator, a.numerator)
-
     if a != 1:  # else an isolated vertex attains a = 1, which no set beats
         for part in parts:
-            for mask in kernels.maximal_independent_sets(adj, part, prune=prune):
-                if prune(mask):
-                    continue
-                found, subset = min_ratio_subset(g, mask)
-                if found <= a:
-                    raise VerificationError(
-                        f"maximal set {sorted(mask_to_set(mask))} beats the price "
-                        f"a = {a}, but its minimization gives {found}"
-                    )
-                a, witness = found, subset
+            a, witness = _search(g, part, a, witness)
     return _finish(g, a, witness, Engine.GENERAL)
+
+
+def _search(g: Graph, part, a, witness):
+    """(a, witness mask) after the general engine's search of the vertex
+    mask part, from the price a that the witness attains.
+
+    A depth-first include/exclude search on an explicit stack.  A node is
+    (I, N(I), C): C holds the candidates outside I | N(I) that no branch
+    above has excluded.  At each node the candidates with no neighbour
+    outside N(I) join I at once, as they only raise its ratio.  If I then
+    strictly beats the price a = p/q, it is recorded and raises the price.
+    A node whose candidates are pairwise non-adjacent is a leaf: every
+    I | T with T inside C is independent, and _extend's cut finds the best,
+    re-run at each raised price by _dinkelbach until it finds nothing.  Any
+    other node is dropped unless flow.gain_above finds some T inside C,
+    independent or not, with (q-p)*|T| - p*|N(T) \\ N(I)| above p*|N(I)| -
+    (q-p)*|I|: only then can a set below it beat the price.  A kept node
+    branches on its candidate with the most candidate neighbours, least id
+    on ties, and searches the branch that takes it first.  That vertex has
+    a candidate neighbour, so the search tree has O*(1.4656^n) nodes, from
+    T(n) <= T(n-1) + T(n-3).  The price only rises, so a dropped node hides
+    no set that the search would record."""
+    adj = g.adj
+    p, q = a.numerator, a.denominator
+    stack = [(0, 0, part)]  # (I, N(I), C) as vertex masks
+    while stack:
+        inset, nbrs, cand = stack.pop()
+        # one pass: the free candidates join, and the branch vertex is found
+        top = branch = 0
+        m = cand
+        while m:
+            low = m & -m
+            m ^= low
+            av = adj[low.bit_length() - 1]
+            if not av & ~nbrs:
+                inset |= low
+                cand ^= low
+                continue
+            d = (av & cand).bit_count()
+            if d > top:
+                top, branch = d, low
+        size, count = inset.bit_count(), nbrs.bit_count()
+        if size and size * q > p * (size + count):
+            if _witness_counts(g, inset, Engine.GENERAL.value) != (size, count):
+                raise VerificationError("the general search lost track of a set's neighbours")
+            a, witness = Fraction(size, size + count), inset
+            p, q = a.numerator, a.denominator
+        if not cand:
+            continue
+        if not branch:
+            a, witness = _dinkelbach(g, partial(_extend, adj, inset, nbrs, cand), witness)
+            p, q = a.numerator, a.denominator
+            continue
+        if not flow.gain_above(cand, adj, nbrs, q - p, p, p * count - (q - p) * size):
+            continue
+        v = branch.bit_length() - 1
+        stack.append((inset, nbrs, cand ^ branch))
+        stack.append((inset | branch, nbrs | adj[v], cand & ~adj[v] & ~branch))
+    return a, witness
+
+
+def _extend(adj, inset, nbrs, cand, gain, pen):
+    """One Dinkelbach step at a leaf of the general search: (the maximum of
+    gain*|J| - pen*|N(J)| over J = I | T, T inside the independent mask
+    cand, with the largest such J), or (0, 0) when flow.gain_above shows that
+    no J beats the price.  The J comes from one _ratio_cut of cand against
+    its neighbours outside N(I), the mask nbrs."""
+    size, count = inset.bit_count(), nbrs.bit_count()
+    if not flow.gain_above(cand, adj, nbrs, gain, pen, pen * count - gain * size):
+        return 0, 0
+    svars = sorted(mask_to_set(cand))
+    local = {v: adj[v] & ~nbrs for v in svars}
+    ground = 0
+    for v in svars:
+        ground |= local[v]
+    side = flow._ratio_cut(svars, local, ground, gain, pen)
+    grown = 0
+    for v in side:
+        grown |= local[v]
+    value = gain * (size + len(side)) - pen * (count + grown.bit_count())
+    return value, inset | set_to_mask(side)
 
 
 def has_fractional_perfect_matching(g: Graph) -> bool:

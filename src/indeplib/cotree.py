@@ -184,14 +184,6 @@ def cograph_recognize(g: Graph, witness=True) -> Cotree:
     return built[0]
 
 
-def is_cograph(g: Graph) -> bool:
-    try:
-        cograph_recognize(g, witness=False)
-        return True
-    except NotACograph:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # s-expression text format, e.g. "(* (+ 0 1) 2)" for P3
 

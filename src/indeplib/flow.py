@@ -1,10 +1,10 @@
 """Neighborhood-ratio cuts, and a general max-flow / min-cut.
 
 _ratio_cut is the maximal minimum cut of one bipartite network shape: the
-step of the split and general engines' Dinkelbach loop in capacity.
-ratio_at_least tests every subset of a mask against one ratio with it, the
-general engine's branch test.  All capacities are integers and every cut
-decision is exact.
+step of the split and general engines' Dinkelbach loops in capacity.
+gain_above asks with it whether some subset of a mask, independent or
+not, gains more than a threshold at one ratio: the general engine's
+bound.  All capacities are integers and every cut decision is exact.
 """
 
 from __future__ import annotations
@@ -337,45 +337,52 @@ def _ratio_cut(svars, nbr, ground, p, q):
     return rest
 
 
-def ratio_at_least(mask, nbr, p, q):
-    """True iff no nonempty S inside the vertex mask has q*|N(S)| < p*|S|,
-    N(S) the union of the neighbour masks nbr[v]: every such S ties or is
-    above the ratio p/q.  S need not be independent, so N(S) may meet the
-    mask.
+def gain_above(mask, nbr, covered, p, q, threshold):
+    """True iff some S inside the vertex mask has p*|S| - q*|N(S) \\ covered|
+    above threshold, N(S) the union of the neighbour masks nbr[v].  S need
+    not be independent, so N(S) may meet the mask; the empty set counts, so
+    every negative threshold is beaten.  The general engine asks this of a
+    node's candidates C, with covered = N(I) for its chosen set I.
 
-    Two necessary tests come first, each on a subset that would beat p/q:
-    every single vertex (q*|nbr[v]| < p) and the whole mask (q*|N(mask)| <
-    p*|mask|).  Then comes a flow on the bipartite double cover: the mask's
-    vertices on the left and N(mask) on the right, which _ratio_cut keeps
-    apart (ints against one-bit masks) even where they overlap, with s -> v
-    of capacity p and c -> t of capacity q.  _ratio_cut's greedy start runs
-    first, alone and on the sink residuals only: if it places all p units
-    of every vertex, the flow saturates the source arcs, which by Gale's
-    supply-demand theorem (1957) shows that no S has q*|N(S)| < p*|S|.
-    Only when it strands flow is the cut run.  Its maximal min-cut source
-    side T maximizes p*|S| - q*|N(S)| over all S, the empty set included,
-    so the answer is true iff T is empty or only ties: q*|N(T)| >= p*|T|.
+    Two sufficient tests come first: each single vertex, and the whole
+    mask, is checked against the threshold.  Then comes a flow on the
+    bipartite double cover: the mask's vertices on the left and N(mask) \\
+    covered on the right, which _ratio_cut keeps apart (ints against
+    one-bit masks) even where they overlap, with s -> v of capacity p and
+    c -> t of capacity q.  The largest p*|S| - q*|N(S) \\ covered| is p*|mask|
+    less the maximum flow (Gale's supply-demand theorem, 1957), so it is at
+    most the supply that any feasible flow strands.  _ratio_cut's greedy
+    start runs first, alone and on the sink residuals only, and stops once
+    it has stranded more than the threshold: if it ends sooner, the answer
+    is false.  Only then is the cut run.  Its maximal min-cut source side T
+    maximizes p*|S| - q*|N(S) \\ covered| over all S, so the answer is
+    whether T's value is above the threshold.
     """
+    if threshold < 0:
+        return True
     svars = []
+    local = {}  # v -> its neighbours outside covered
     ground = 0
     m = mask
     while m:
         low = m & -m
         v = low.bit_length() - 1
         m ^= low
-        nv = nbr[v]
-        if q * nv.bit_count() < p:
-            return False
+        nv = nbr[v] & ~covered
+        if p - q * nv.bit_count() > threshold:
+            return True
+        local[v] = nv
         ground |= nv
         svars.append(v)
-    if svars and q * ground.bit_count() < p * len(svars):
-        return False
+    if p * len(svars) - q * ground.bit_count() > threshold:
+        return True
     # _ratio_cut's greedy start with only the sink residuals kept
     rt = {}
     open_t = ground
-    for v in _fewest_arcs_first(svars, nbr):
+    stranded = 0
+    for v in _fewest_arcs_first(svars, local):
         r = p
-        m = nbr[v] & open_t
+        m = local[v] & open_t
         while r and m:
             low = m & -m
             m ^= low
@@ -386,12 +393,13 @@ def ratio_at_least(mask, nbr, p, q):
             else:
                 r -= left
                 open_t ^= low
-        if r:
+        stranded += r
+        if stranded > threshold:
             break
     else:
-        return True
-    side = _ratio_cut(svars, nbr, ground, p, q)
+        return False
+    side = _ratio_cut(svars, local, ground, p, q)
     nbrs = 0
     for v in side:
-        nbrs |= nbr[v]
-    return q * nbrs.bit_count() >= p * len(side)
+        nbrs |= local[v]
+    return p * len(side) - q * nbrs.bit_count() > threshold

@@ -92,7 +92,7 @@ def max_independent_set(adj, mask):
         p, cur_mask, cur_size = stack.pop()
 
 
-def maximal_independent_sets(adj, mask, prune=None):
+def maximal_independent_sets(adj, mask):
     """Yields every maximal independent set of the subgraph induced on the
     vertex mask exactly once, as masks.
 
@@ -102,12 +102,6 @@ def maximal_independent_sets(adj, mask, prune=None):
     in increasing id, so the stream order is deterministic, and the
     subgraph built on sorted(mask) yields the same sets, relabelled, in the
     same order.
-
-    prune is a predicate on vertex masks.  At a node whose R and P are both
-    nonempty, prune(R | P) true drops the node with everything below it;
-    every set below lies inside R | P, so a predicate that is true only
-    when no subset of that mask can matter loses nothing.  The sets that
-    remain come in the same order as without it; prune=None yields them all.
     """
     comp = {v: mask & ~adj[v] & ~(1 << v) for v in mask_to_set(mask)}
 
@@ -119,9 +113,6 @@ def maximal_independent_sets(adj, mask, prune=None):
         if cand is None:
             if not p and not x:
                 yield r
-                stack.pop()
-                continue
-            if prune is not None and r and p and prune(r | p):
                 stack.pop()
                 continue
             pivot = -1

@@ -122,17 +122,6 @@ def _internal_nodes(t: Cotree):
     return order
 
 
-def alpha_product_multipartite(sizes_g, sizes_h):
-    """alpha(G x H) for complete multipartite factors: every maximal
-    independent set is a generalized row or column, so the answer is
-    max(alpha(G) * |V(H)|, alpha(H) * |V(G)|)."""
-    sizes_g = list(sizes_g)
-    sizes_h = list(sizes_h)
-    if not sizes_g or not sizes_h:
-        raise ValueError("size lists must be nonempty")
-    return max(max(sizes_g) * sum(sizes_h), max(sizes_h) * sum(sizes_g))
-
-
 # ---------------------------------------------------------------------------
 # splitgraph products
 

@@ -85,11 +85,3 @@ def split_partition(g: Graph, obstruction=True) -> SplitPartition:
             best = swap
     clique = frozenset(mask_to_set(best))
     return SplitPartition(clique, frozenset(range(n)) - clique)
-
-
-def is_splitgraph(g: Graph) -> bool:
-    try:
-        split_partition(g, obstruction=False)
-        return True
-    except NotASplitgraph:
-        return False

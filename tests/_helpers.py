@@ -25,6 +25,7 @@ from indeplib.errors import (
     InvalidModel,
     LimitExceeded,
     NotACograph,
+    NotASplitgraph,
     VerificationError,
 )
 from indeplib.graph import (
@@ -34,6 +35,7 @@ from indeplib.graph import (
     set_to_mask,
 )
 from indeplib.product_alpha import _SplitProductMIS, bipartite_mis
+from indeplib.splitgraph import split_partition
 from indeplib.treedecomp import (
     FORGET,
     INTRODUCE,
@@ -106,6 +108,37 @@ def neighbors(g: Graph, v):
 
 def has_edge(g: Graph, u, v):
     return bool(g.adj[u] >> v & 1)
+
+
+# ---------------------------------------------------------------------------
+# class membership and a closed form that only tests use
+
+
+def is_cograph(g: Graph) -> bool:
+    try:
+        cotree.cograph_recognize(g, witness=False)
+        return True
+    except NotACograph:
+        return False
+
+
+def is_splitgraph(g: Graph) -> bool:
+    try:
+        split_partition(g, obstruction=False)
+        return True
+    except NotASplitgraph:
+        return False
+
+
+def alpha_product_multipartite(sizes_g, sizes_h):
+    """alpha(G x H) for complete multipartite factors: every maximal
+    independent set is a generalized row or column, so the answer is
+    max(alpha(G) * |V(H)|, alpha(H) * |V(G)|)."""
+    sizes_g = list(sizes_g)
+    sizes_h = list(sizes_h)
+    if not sizes_g or not sizes_h:
+        raise ValueError("size lists must be nonempty")
+    return max(max(sizes_g) * sum(sizes_h), max(sizes_h) * sum(sizes_g))
 
 
 # ---------------------------------------------------------------------------
@@ -1031,14 +1064,23 @@ def min_ratio_subset_exhaustive(svars, nbr):
 
 def general_reference(g: Graph):
     """(a, witness) of the general engine by its documented rule, with no
-    pruning and no price: the greedy maximal independent set (from the
-    least vertex of minimum degree, add the candidate with the fewest
-    candidate neighbours, least first on ties) gives the first witness, its
-    maximal ratio minimizer; then every maximal independent set of every
-    component, components by least vertex and each in the kernel's
-    Bron-Kerbosch order, replaces it with its own maximal minimizer when
-    its ratio is strictly smaller.  Minimizers come from the subset scan."""
+    pruning: the greedy maximal independent set (from the least vertex of
+    minimum degree, add the candidate with the fewest candidate neighbours,
+    least first on ties) gives the first witness, its maximal ratio
+    minimizer, and the first price.  Unless that price is 1, each
+    component, by least vertex, is walked on a stack of nodes (I, N(I), C):
+    the candidates whose neighbours all lie in N(I) join I, and I replaces
+    the witness when its ratio strictly beats the price.  If C is then
+    independent, the best ratio of I | T over subsets T of C, when it
+    strictly beats the price, is recorded with the union of the T that
+    attain it.  Otherwise the walk branches on the candidate with the most
+    candidate neighbours, least first on ties, and takes the branch that
+    adds it first.  Ratios come from subset scans, on sets of vertices."""
     nbr = [neighbors(g, v) for v in range(g.n)]
+
+    def ratio(vs):
+        return Fraction(len(vs), len(vs) + len(set().union(*(nbr[v] for v in vs))))
+
     cand = set(range(g.n))
     greedy = []
     while cand:
@@ -1046,14 +1088,35 @@ def general_reference(g: Graph):
         greedy.append(v)
         cand -= nbr[v] | {v}
     witness, nu = min_ratio_subset_exhaustive(greedy, nbr)
+    price = 1 / (1 + nu)
     comp = connected_components(g)
-    for c in range(max(comp) + 1):
-        part = set_to_mask(v for v in range(g.n) if comp[v] == c)
-        for mask in kernels.maximal_independent_sets(g.adj, part):
-            subset, ratio = min_ratio_subset_exhaustive(mask_to_set(mask), nbr)
-            if ratio < nu:
-                witness, nu = subset, ratio
-    return 1 / (1 + nu), frozenset(witness)
+    for c in range(max(comp) + 1 if price != 1 else 0):
+        stack = [(frozenset(), frozenset(), frozenset(v for v in range(g.n) if comp[v] == c))]
+        while stack:
+            inset, covered, cand = stack.pop()
+            free = {v for v in cand if nbr[v] <= covered}
+            inset, cand = inset | free, cand - free
+            if inset and ratio(inset) > price:
+                witness, price = inset, ratio(inset)
+            if not cand:
+                continue
+            degree = {v: len(nbr[v] & cand) for v in cand}
+            top = max(degree.values())
+            if top:
+                v = min(u for u in cand if degree[u] == top)
+                stack.append((inset, covered, cand - {v}))
+                stack.append((inset | {v}, covered | nbr[v], cand - nbr[v] - {v}))
+                continue
+            verts = sorted(cand)
+            sets = [inset | {verts[i] for i in range(len(verts)) if sub >> i & 1}
+                    for sub in range(1 << len(verts))]
+            values = {grown: ratio(grown) for grown in sets if grown}
+            best = max(values.values())
+            if best > price:
+                union = frozenset().union(*(t for t, r in values.items() if r == best))
+                assert ratio(union) == best
+                witness, price = union, best
+    return price, frozenset(witness)
 
 
 def _product_id(hn, a, b):

@@ -12,9 +12,11 @@ from fractions import Fraction
 from math import ceil
 
 from _helpers import (
+    alpha_product_multipartite,
     cotree_catalog,
     enumerate_maximal_independent_sets,
     graph_catalog_upto,
+    is_splitgraph,
     multipartite_product_witness,
     random_cotree,
     random_graph,
@@ -55,11 +57,10 @@ from indeplib.domination import (
 )
 from indeplib.product_alpha import (
     alpha_product_cographs,
-    alpha_product_multipartite,
     alpha_product_split,
     extract_is_from_k4_product,
 )
-from indeplib.splitgraph import is_splitgraph, split_partition
+from indeplib.splitgraph import split_partition
 from indeplib.treedecomp import validate_and_nicify
 
 

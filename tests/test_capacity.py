@@ -17,6 +17,8 @@ from _helpers import (
     chain_dp_reference,
     cograph_profile_reference,
     general_reference,
+    is_cograph,
+    is_splitgraph,
     profile_exhaustive,
     random_cotree,
     random_graph,
@@ -25,7 +27,7 @@ from _helpers import (
     treewidth_profile_reference,
     trivial_decomposition,
 )
-from indeplib import capacity, cli
+from indeplib import capacity, cli, flow
 from indeplib.capacity import (
     CapacityResult,
     Engine,
@@ -41,7 +43,7 @@ from indeplib.capacity import (
     tensor_capacity,
     treewidth_profile,
 )
-from indeplib.cotree import cograph_recognize, is_cograph, parse_cotree, realize
+from indeplib.cotree import cograph_recognize, parse_cotree, realize
 from indeplib.errors import InvalidDecomposition, LimitExceeded, VerificationError
 from indeplib.graph import (
     Graph,
@@ -60,7 +62,8 @@ from indeplib.graph import (
 from indeplib.intersection import IntervalModel, PermutationModel
 from indeplib.io import format_graph
 from indeplib.oracles import a_bruteforce, alpha_exact
-from indeplib.splitgraph import is_splitgraph, split_partition
+from indeplib.ratio import ratio_str
+from indeplib.splitgraph import split_partition
 from indeplib.treedecomp import (
     FORGET,
     INTRODUCE,
@@ -544,12 +547,12 @@ def test_a_general_limit_is_per_component(monkeypatch):
         a_general_exact(g, limit=29)
     assert exc.value.required == 30
 
-    # every component is checked before any scan, and the first one over
-    # the limit is reported
+    # every component is checked before any search, and the first one over
+    # the limit is reported; unchecked, C5's search would ask the bound
     def refuse(*args, **kwargs):
-        raise AssertionError("scan started before the limit check")
+        raise AssertionError("search started before the limit check")
 
-    monkeypatch.setattr(indeplib.kernels, "maximal_independent_sets", refuse)
+    monkeypatch.setattr(flow, "gain_above", refuse)
     g = disjoint_union(disjoint_union(cycle_graph(5), complete_graph(8)), complete_graph(9))
     with pytest.raises(LimitExceeded, match="limited to 7 vertices, got 8$") as exc:
         tensor_capacity(g, limit=7)
@@ -790,53 +793,136 @@ def test_general_component_below_the_seed_records_nothing(monkeypatch):
 
 
 def test_general_sets_that_only_tie_are_not_solved(monkeypatch):
-    # every maximal set of C12, K6,6, Q5 and P20 reaches at best a = 1/2,
-    # the greedy set's value, so the branch cuts drop the whole scan and
-    # the greedy set's is the only ratio minimization
+    # every independent set of C12, K6,6, Q5 and P20 reaches at best
+    # a = 1/2, the greedy set's value, so the search records no set: the
+    # witness is the greedy set's maximal minimizer, from the only ratio
+    # minimization
     q5 = Graph(32, [(u, u ^ 1 << i) for u in range(32) for i in range(5) if u < u ^ 1 << i])
     calls = _record_ratio_calls(monkeypatch)
     for g in (cycle_graph(12), complete_bipartite(6, 6), q5, path_graph(20)):
         calls.clear()
         res = a_general_exact(g)
         assert res.a == Fraction(1, 2) and len(calls) == 1, (g.n, calls)
+        assert res.witness == calls[0][1][1]
+
+
+def _count_bounds(monkeypatch):
+    """Record the answer of each flow.gain_above call the search makes."""
+    answers = []
+    real = flow.gain_above
+
+    def counted(*args):
+        answers.append(real(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(flow, "gain_above", counted)
+    return answers
 
 
 def test_general_isolated_vertex_runs_no_scan(monkeypatch):
-    # a = 1 already, which no set beats; the witness is the greedy set's
-    # maximal maximizer, every isolated vertex
-    scans = []
-    real = indeplib.kernels.maximal_independent_sets
-
-    def counted(*args, **kwargs):
-        scans.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(indeplib.kernels, "maximal_independent_sets", counted)
+    # a = 1 already, which no set beats, so the search never asks the
+    # bound; the witness is the greedy set's maximal maximizer, every
+    # isolated vertex.  C5 alone does reach the bound
+    bounds = _count_bounds(monkeypatch)
     for g, want in (
         (Graph(6, [(0, 1), (1, 2), (0, 2), (4, 5)]), {3}),
         (disjoint_union(cycle_graph(5), Graph(2)), {5, 6}),
     ):
         res = a_general_exact(g)
-        assert scans == [] and (res.a, res.witness) == (Fraction(1), want)
+        assert bounds == [] and (res.a, res.witness) == (Fraction(1), want)
         assert general_reference(g) == (Fraction(1), want)
-        scans.clear()
+    assert a_general_exact(cycle_graph(5)).a == Fraction(2, 5) and bounds
 
 
-def test_general_solves_only_sets_that_beat_the_price(monkeypatch):
-    # a maximal set that fails the price test strictly beats the price, so
-    # after the greedy set's (a = 7/30) each minimization improves on the
-    # one before; on this G(30, 0.35) three do
-    g = random_graph(30, 0.35, random.Random(14))
-    calls = _record_ratio_calls(monkeypatch)
+def test_general_free_candidates_join_at_once(monkeypatch):
+    # the greedy set {0, 2} reaches a = 1/3.  The search's root branches on
+    # 0 (four candidate neighbours), then 1; taking 1 leaves 3 and 4, whose
+    # neighbours all lie in N({1}) = {0, 2, 5}, so they join at once and
+    # the node records {1, 3, 4} (a = 1/2) itself, with one check, instead
+    # of leaving the set to a leaf's cut
+    g = Graph(6, [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (2, 4), (3, 5)])
+    checked = []
+    real = capacity._witness_counts
+
+    def logged(g, mask, what):
+        checked.append((what, mask_to_set(mask)))
+        return real(g, mask, what)
+
+    monkeypatch.setattr(capacity, "_witness_counts", logged)
     res = a_general_exact(g)
-    values = [found[0] for _, found in calls]
-    assert values == [Fraction(7, 30), Fraction(4, 15), Fraction(7, 26), Fraction(3, 10)]
-    assert (res.a, res.witness) == general_reference(g)
-    # with a price test that every mask fails, C6's sets reach the solver,
-    # though they only tie the greedy set's a = 1/2 or lose to it
-    monkeypatch.setattr(capacity, "ratio_at_least", lambda *args: False)
-    with pytest.raises(VerificationError, match="beats the price"):
-        a_general_exact(cycle_graph(6))
+    assert (res.a, res.witness) == (Fraction(1, 2), {1, 3, 4}) == general_reference(g)
+    assert [mask for what, mask in checked if what == "general"] == [{1, 3, 4}] * 2
+
+
+def test_general_bound_drops_no_improvement(monkeypatch):
+    # the bound drops a node only when no set below it beats the price, and
+    # the price only rises, so a bound that always answers "may beat" makes
+    # the search record the same sets: the same a and witness, which are
+    # the reference walk's.  On these graphs the real bound drops nodes,
+    # and the search improves on the greedy set's a
+    rng = random.Random(14)
+    graphs = [random_graph(rng.randint(8, 16), rng.uniform(0.15, 0.5), rng) for _ in range(150)]
+    graphs += [cycle_graph(5), Graph(6, SLOW_GREEDY), random_graph(30, 0.35, random.Random(14))]
+    calls = _record_ratio_calls(monkeypatch)
+    bounds = _count_bounds(monkeypatch)
+    bounded, improved = [], 0
+    for g in graphs:
+        calls.clear()
+        bounded.append(a_general_exact(g))
+        improved += bounded[-1].a > calls[0][1][0]
+    assert False in bounds and improved >= 5, improved
+    monkeypatch.setattr(flow, "gain_above", lambda *args: True)
+    for g, res in zip(graphs, bounded):
+        unbounded = a_general_exact(g)
+        assert (unbounded.a, unbounded.witness) == (res.a, res.witness), g.adj
+        if g.n <= 16:
+            assert (res.a, res.witness) == general_reference(g), g.adj
+
+
+def _circulant(n, steps):
+    return Graph(n, {tuple(sorted((v, (v + s) % n))) for v in range(n) for s in steps})
+
+
+def _random_cubic_line_graph(n, rng):
+    """The line graph of a random simple cubic graph on n vertices, drawn
+    by pairing 3n points until no pair is a loop or a repeat."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i : i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            break
+    edges = sorted(edges)
+    return Graph(
+        len(edges),
+        [(i, j) for i in range(len(edges)) for j in range(i) if set(edges[i]) & set(edges[j])],
+    )
+
+
+@pytest.mark.parametrize("name", ["C40(1,2)", "cubic_line"])
+def test_general_hard_40_vertex_graphs_through_the_cli(name, monkeypatch, capsys, tmp_path):
+    # 4-regular graphs, where many maximal sets come close to the optimum.
+    # In C40(1,2) and in the line graph of a cubic graph, a vertex outside
+    # an independent set I sees at most two of its members, and each member
+    # has four neighbours, so |N(I)| >= 2|I| and a <= 1/3.  C40(1,2)
+    # reaches 13/40 (every third vertex; 40 is not a multiple of 3), and
+    # the line graph of this cubic graph on 26 vertices (39 edges) 1/3.
+    # The search asks the bound 12,643 and 5,939 times; a bound that did
+    # not count what I already pays (threshold 0) asked 167,943 and 136,034
+    if name == "C40(1,2)":
+        g, a = _circulant(40, (1, 2)), "13/40"
+    else:
+        g, a = _random_cubic_line_graph(26, random.Random(0)), "1/3"
+    assert {g.degree(v) for v in range(g.n)} == {4} and g.n in (39, 40)
+    path = tmp_path / "g.g"
+    path.write_text(format_graph(g))
+    bounds = _count_bounds(monkeypatch)
+    assert cli.main(["--json", "capacity", "--witness", str(path)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    witness = record["witness"]
+    assert record["a"] == a and 0 < len(bounds) < 25_000
+    assert g.is_independent(witness)
+    assert ratio_str(Fraction(len(witness), len(witness) + len(neighborhood(g, witness)))) == a
 
 
 @pytest.mark.parametrize("name", ["P40", "tree40"])

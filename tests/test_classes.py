@@ -13,6 +13,8 @@ from _helpers import (
     graph_catalog,
     graph_catalog_upto,
     has_edge,
+    is_cograph,
+    is_splitgraph,
     join,
     random_cotree,
     random_graph,
@@ -28,7 +30,6 @@ from indeplib.cotree import (
     cograph_recognize,
     find_p4,
     format_cotree,
-    is_cograph,
     leaf,
     parse_cotree,
     realize,
@@ -63,7 +64,6 @@ from indeplib.io import (
 from indeplib.splitgraph import (
     SplitPartition,
     _find_obstruction,
-    is_splitgraph,
     split_partition,
 )
 from indeplib.treedecomp import (

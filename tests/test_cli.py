@@ -11,7 +11,7 @@ import time
 import pytest
 
 import indeplib
-from _helpers import random_graph, threshold_cotree_text
+from _helpers import is_cograph, is_splitgraph, random_graph, threshold_cotree_text
 from indeplib import capacity, cli, cotree, graph, splitgraph
 from indeplib.capacity import a_split
 from indeplib.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, EXIT_VIOLATION, main
@@ -677,9 +677,9 @@ def test_check_skips_recognition_witnesses(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(splitgraph, "_find_obstruction", refuse)
     for name, p in paths.items():
         assert run(capsys, "check", str(p)) == expected[name], name
-    assert not cotree.is_cograph(graphs["late_p4"])
-    assert not splitgraph.is_splitgraph(graphs["c5_isolated"])
-    assert splitgraph.is_splitgraph(graphs["late_p4"]) and cotree.is_cograph(graphs["k3"])
+    assert not is_cograph(graphs["late_p4"])
+    assert not is_splitgraph(graphs["c5_isolated"])
+    assert is_splitgraph(graphs["late_p4"]) and is_cograph(graphs["k3"])
 
 
 def test_split_recognition_disagreement_exits_1(capsys, files, monkeypatch):

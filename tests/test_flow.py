@@ -9,7 +9,7 @@ from _helpers import min_ratio_subset_exhaustive, random_graph
 from indeplib import flow
 from indeplib.capacity import min_ratio_subset
 from indeplib.errors import VerificationError
-from indeplib.flow import INF, FlowNetwork, max_flow, ratio_at_least
+from indeplib.flow import INF, FlowNetwork, gain_above, max_flow
 from indeplib.graph import Graph, set_to_mask
 
 
@@ -119,14 +119,8 @@ def test_min_ratio_returns_maximal_minimizer():
     assert min_ratio_subset(g, 0b111) == (Fraction(1, 2), 0b11)
 
 
-def test_ratio_at_least_vs_exhaustive(monkeypatch):
-    # graphs (so N(S) meets the mask and S need not be independent) and
-    # arbitrary neighbour masks, priced at each subset ratio that occurs
-    # (ties), just below and just above it, and at 0 and a random price.
-    # Two subset ratios differ by at least 1/90, so 1/97 either side of a
-    # ratio passes no other; the answer is true iff no subset's ratio is
-    # below the price.  Both ways to a flow answer are taken: a true answer
-    # with no cut is the greedy fill's, and some answers need the cut
+def _count_cuts(monkeypatch):
+    """Record the arguments of each _ratio_cut call."""
     cuts = []
     real = flow._ratio_cut
 
@@ -135,9 +129,22 @@ def test_ratio_at_least_vs_exhaustive(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(flow, "_ratio_cut", counted)
+    return cuts
+
+
+def test_gain_above_vs_exhaustive(monkeypatch):
+    # graphs (so N(S) meets the mask and S need not be independent) and
+    # arbitrary neighbour masks, with a covered mask (N(I) of the general
+    # engine's node) empty in a third of the cases.  Prices are each ratio
+    # |N(S) \ covered|/|S| that occurs, and one at random; thresholds are
+    # the best gain (a tie: false), one below it (true), one above, 0 and
+    # -1.  The answer is true iff some subset S, the empty one included,
+    # has p*|S| - q*|N(S) \ covered| above the threshold.  Every way to an
+    # answer is taken: a single vertex, the whole mask, a false answer from
+    # the greedy fill with no cut, and the cut's, true and false
+    cuts = _count_cuts(monkeypatch)
     rng = random.Random(23)
-    eps = Fraction(1, 97)
-    settled = reached = 0
+    ways = {"vertex": 0, "whole": 0, "fill": 0, True: 0, False: 0}
     for case in range(400):
         n = rng.randint(1, 10)
         if case % 2:
@@ -145,63 +152,76 @@ def test_ratio_at_least_vs_exhaustive(monkeypatch):
         else:
             nbr = [rng.getrandbits(n) for _ in range(n)]
         mask = rng.getrandbits(n)
+        covered = rng.getrandbits(n) if case % 3 else 0
         verts = [v for v in range(n) if (mask >> v) & 1]
-        ratios = set()
-        for sub in range(1, 1 << len(verts)):
+        subsets = []
+        for sub in range(1 << len(verts)):
             picked = [v for i, v in enumerate(verts) if (sub >> i) & 1]
             nbrs = 0
             for v in picked:
                 nbrs |= nbr[v]
-            ratios.add(Fraction(nbrs.bit_count(), len(picked)))
-        prices = {Fraction(0), Fraction(rng.randint(0, 12), rng.randint(1, 5))}
-        for r in ratios:
-            prices |= {r, r + eps}
-            if r:
-                prices.add(r - eps)
+            subsets.append((len(picked), (nbrs & ~covered).bit_count()))
+        prices = {Fraction(rng.randint(0, 12), rng.randint(1, 5))}
+        prices |= {Fraction(c, k) for k, c in subsets if k}
         for price in prices:
             p, q = price.numerator, price.denominator
-            want = all(r >= price for r in ratios)
-            before = len(cuts)
-            got = ratio_at_least(mask, nbr, p, q)
-            assert got == want, (nbr, mask, price)
-            if len(cuts) > before:
-                reached += 1
-            elif got:
-                settled += 1
-    assert settled and reached, (settled, reached)
+            gains = [p * k - q * c for k, c in subsets]
+            top = max(gains)
+            whole = gains[-1]
+            single = max([gains[1 << i] for i in range(len(verts))], default=-1)
+            for threshold in {top - 1, top, top + 1, 0, -1}:
+                want = top > threshold
+                before = len(cuts)
+                got = gain_above(mask, nbr, covered, p, q, threshold)
+                assert got == want, (nbr, mask, covered, p, q, threshold)
+                if len(cuts) > before:
+                    ways[got] += 1
+                elif not got:
+                    ways["fill"] += 1
+                elif threshold >= 0 and single > threshold:
+                    ways["vertex"] += 1
+                elif threshold >= 0:
+                    assert whole > threshold
+                    ways["whole"] += 1
+    assert all(ways.values()), ways
 
 
-def test_ratio_at_least_spends_no_cut_on_a_failed_necessary_test(monkeypatch):
-    cuts = []
-    real = flow._ratio_cut
-
-    def counted(*args):
-        cuts.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(flow, "_ratio_cut", counted)
-    # K_{3,3} side {0, 1, 2}: each vertex alone has ratio 3, the side has 1
+def test_gain_above_spends_no_cut_on_a_passed_sufficient_test(monkeypatch):
+    cuts = _count_cuts(monkeypatch)
+    # K_{3,3} side {0, 1, 2}: at ratio p/q each vertex alone gains p - 3q,
+    # the side 3p - 3q
     nbr = [0b111000] * 3 + [0b000111] * 3
-    assert not ratio_at_least(0b111, nbr, 2, 1)  # the whole set beats 2
-    assert not ratio_at_least(0b1001, nbr, 4, 1)  # a single vertex beats 4
-    # a tie passes both tests, and the greedy fill places all of the flow
-    assert ratio_at_least(0b111, nbr, 1, 1)  # the whole set ties 1
-    assert ratio_at_least(0b1001, nbr, 3, 1)  # every subset ties 3
+    assert gain_above(0b111, nbr, 0, 2, 1, 0)  # the whole set beats 2
+    assert gain_above(0b1001, nbr, 0, 4, 1, 0)  # a single vertex beats 4
+    # a tie passes neither test, and the greedy fill places all of the flow
+    assert not gain_above(0b111, nbr, 0, 1, 1, 0)  # the whole set ties 1
+    assert not gain_above(0b1001, nbr, 0, 3, 1, 0)  # every subset ties 3
+    # with vertex 3 covered the side gains 1 at ratio 1: above 0, not above
+    # 1, where the fill strands one unit, which that threshold allows
+    assert gain_above(0b111, nbr, 0b1000, 1, 1, 0)
+    assert not gain_above(0b111, nbr, 0b1000, 1, 1, 1)
+    # covered vertices cost nothing: {0} gains 3 - 1 at ratio 3 with 4 and
+    # 5 covered, and 3 with 3, 4 and 5 covered, which only ties 3
+    assert gain_above(0b1, nbr, 0b110000, 3, 1, 1)
+    assert not gain_above(0b1, nbr, 0b111000, 3, 1, 3)
     assert cuts == []
     # 0 and 1 take their least neighbours, 3 and 4, which strands 2 (arcs
     # to 3 and 4) though 0 -> 5, 1 -> 6, 2 -> 3 places it all: only the cut
     # sees that no subset beats 1, and that the whole mask only ties 4/3
     nbr = [0b101000, 0b1010000, 0b11000, 0, 0, 0, 0]
-    assert ratio_at_least(0b111, nbr, 1, 1) and len(cuts) == 1
-    assert ratio_at_least(0b111, nbr, 4, 3) and len(cuts) == 2
+    assert not gain_above(0b111, nbr, 0, 1, 1, 0) and len(cuts) == 1
+    assert not gain_above(0b111, nbr, 0, 4, 3, 0) and len(cuts) == 2
+    # with 5 covered, 0 sees only 3 and the fill strands 2's unit again;
+    # {0}, {0, 2} and the whole mask only tie 1, as the cut shows
+    assert not gain_above(0b111, nbr, 0b100000, 1, 1, 0) and len(cuts) == 3
     # 0 and 1 share their two neighbours, so {0, 1} has ratio 1 while each
     # single vertex has 2 or 4 and the whole mask 10/4: the greedy fill
     # strands 1's flow, and only the cut sees that {0, 1} beats 3/2; at 1
     # and 1/2 the greedy fill places it all
     nbr = [0b11 << 5, 0b11 << 5, 0, 0b1111 << 7, 0b1111 << 11]
-    assert not ratio_at_least(0b11011, nbr, 3, 2) and len(cuts) == 3
-    assert ratio_at_least(0b11011, nbr, 1, 1) and len(cuts) == 3
-    assert ratio_at_least(0b11011, nbr, 1, 2) and len(cuts) == 3
+    assert gain_above(0b11011, nbr, 0, 3, 2, 0) and len(cuts) == 4
+    assert not gain_above(0b11011, nbr, 0, 1, 1, 0) and len(cuts) == 4
+    assert not gain_above(0b11011, nbr, 0, 1, 2, 0) and len(cuts) == 4
 
 
 def _cut_exhaustive(svars, nbr, p, q):
@@ -224,7 +244,7 @@ def _cut_exhaustive(svars, nbr, p, q):
 
 
 def test_ratio_cut_vs_exhaustive():
-    # graphs (so the sides of the double cover overlap, as ratio_at_least
+    # graphs (so the sides of the double cover overlap, as gain_above
     # builds them) and arbitrary neighbour masks, up to 10 vertices; the
     # ground may hold vertices no S-vertex sees, which never take flow;
     # prices tie a subset's ratio (q > 1 included), or are random

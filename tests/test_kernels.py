@@ -85,31 +85,6 @@ def test_maximal_sets_triangle():
     assert count_maximal_independent_sets(adj) == 3
 
 
-def test_maximal_sets_prune():
-    # a predicate that never fires leaves the stream as it was, order
-    # included; one that drops the nodes whose R | P misses the set T keeps
-    # every set meeting T and may keep others, in the same order
-    rng = random.Random(22)
-    for _ in range(150):
-        n = rng.randint(1, 14)
-        adj = _random_adj(n, rng.random(), rng)
-        every = (1 << n) - 1
-        full = list(maximal_independent_sets(adj, every))
-        assert list(maximal_independent_sets(adj, every, prune=lambda m: False)) == full
-        target = rng.getrandbits(n)
-        seen = []
-
-        def misses_target(mask):
-            seen.append(mask)
-            return not mask & target
-
-        kept = list(maximal_independent_sets(adj, every, prune=misses_target))
-        assert [m for m in full if m & target] == [m for m in kept if m & target]
-        it = iter(full)
-        assert all(m in it for m in kept)  # a subsequence of the full stream
-        assert all(m & (m - 1) for m in seen)  # R and P are both nonempty
-
-
 def _relabel(mask, verts):
     """The mask over positions in verts, as a mask over verts' ids."""
     return set_to_mask(verts[i] for i in mask_to_set(mask))

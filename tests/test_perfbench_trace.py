@@ -60,15 +60,18 @@ def test_trace_wrappers_install_and_count():
         assert calls["capacity._chain_dp"] >= 2
         assert calls["capacity.treewidth_profile"] == 2  # one improving step, one final
         assert calls["capacity.cograph_profile"] == 2  # one improving step, one final
-        # the general engine reaches the ratio minimizer and the maximal-set
-        # scan through the names the tracer wraps
+        # the general engine reaches the ratio minimizer through the name the
+        # tracer wraps, once on C5: for the greedy set, as its search solves
+        # no set with it; the independent domination oracle reaches the
+        # maximal-set enumeration, which counts C5's five sets
         item = tracer.begin_item(2)
         lib.capacity.tensor_capacity(cycle_graph(5))
+        assert lib.oracles.independent_domination_exact(cycle_graph(5)) == 2
         tracer.finish(item)
         after = {name: c for name, (c, _, _) in tracer.aggregate().items()}
-        assert after["flow.min_ratio_subset"] > calls["flow.min_ratio_subset"]  # a_split ran one
-        assert after["kernels.maximal_independent_sets"] >= 2
-        assert tracer.counts["kernels.maximal_independent_sets.sets"] >= 1
+        assert after["flow.min_ratio_subset"] - calls["flow.min_ratio_subset"] == 1
+        assert after["kernels.maximal_independent_sets"] >= 1
+        assert tracer.counts["kernels.maximal_independent_sets.sets"] == 5
         # a disconnected graph is one engine call with one witness check and
         # one matching test, however many components it has
         item = tracer.begin_item(3)

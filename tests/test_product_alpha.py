@@ -11,6 +11,7 @@ import pytest
 
 import indeplib
 from _helpers import (
+    alpha_product_multipartite,
     cograph_product_reference,
     frame_depth,
     is_bipartite,
@@ -42,7 +43,6 @@ from indeplib.graph import (
 from indeplib.oracles import alpha_exact
 from indeplib.product_alpha import (
     alpha_product_cographs,
-    alpha_product_multipartite,
     alpha_product_split,
     bipartite_mis,
     extract_is_from_k4_product,
