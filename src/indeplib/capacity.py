@@ -4,14 +4,16 @@ a(G) maximizes |I| / (|I| + |N(I)|) over nonempty independent sets I; a*
 rounds values above 1/2 up to 1.  All six engines run one Dinkelbach loop,
 _dinkelbach.  Its step is a pass over the cotree, a chain DP (interval and
 permutation graphs), a tree-decomposition DP, or, for split and general
-graphs, one ratio cut on a fixed independent set (min_ratio_subset).  The
+graphs, one flow.max_gain on an independent set (min_ratio_subset).  The
 split engine solves the independent side.  The general engine solves one
 greedy set, then runs a branch and bound over each component's independent
 sets that records the sets strictly beating the best a so far: a node is
-dropped unless flow.gain_above finds that some extension of its chosen set
-may beat it, and a node whose candidates are independent is finished by
-ratio cuts.  Every engine hands its witness to _finish as a vertex mask,
-checked by the same routine as each Dinkelbach step's.  All values are exact Fractions.
+dropped unless some extension of its chosen set may beat it, and a node
+whose candidates are independent is finished by Dinkelbach steps.
+flow.max_gain is the one flow question of both engines: every step on an
+independent set, and the bound when the whole candidate set fails it.
+Every engine hands its witness to _finish as a vertex mask, checked by the
+same routine as each Dinkelbach step's.  All values are exact Fractions.
 """
 
 from __future__ import annotations
@@ -220,26 +222,14 @@ def min_ratio_subset(g: Graph, mask):
     """(a, witness mask): the largest |S|/(|S| + |N(S)|) over nonempty S
     inside the independent vertex mask, and the largest S attaining it.
 
-    The Dinkelbach loop starts at the whole mask, and each step is one
-    _ratio_cut of the mask against N(mask).  Cut sides nest as the price
-    falls, so the last improving cut's side (or the whole mask) is that
-    largest S.  The split and general engines call this through the module
-    global, under the name the benchmark's tracer wraps.
+    The Dinkelbach loop starts at the whole mask, and each step is the
+    general search's leaf step from the empty set, one flow.max_gain of the
+    mask against N(mask).  Cut sides nest as the price falls, so the last
+    improving cut's side (or the whole mask) is that largest S.  The split
+    and general engines call this through the module global, under the
+    name the benchmark's tracer wraps.
     """
-    adj = g.adj
-    svars = sorted(mask_to_set(mask))
-    ground = 0
-    for v in svars:
-        ground |= adj[v]
-
-    def step(gain, pen):
-        side = flow._ratio_cut(svars, adj, ground, gain, pen)
-        nbrs = 0
-        for v in side:
-            nbrs |= adj[v]
-        return gain * len(side) - pen * nbrs.bit_count(), set_to_mask(side)
-
-    return _dinkelbach(g, step, mask)
+    return _dinkelbach(g, partial(_extend, g.adj, 0, 0, mask), mask)
 
 
 # ---------------------------------------------------------------------------
@@ -532,23 +522,25 @@ def _search(g: Graph, part, a, witness):
     outside N(I) join I at once, as they only raise its ratio.  If I then
     strictly beats the price a = p/q, it is recorded and raises the price.
     A node whose candidates are pairwise non-adjacent is a leaf: every
-    I | T with T inside C is independent, and _extend's cut finds the best,
+    I | T with T inside C is independent, and _extend finds the best,
     re-run at each raised price by _dinkelbach until it finds nothing.  Any
-    other node is dropped unless flow.gain_above finds some T inside C,
-    independent or not, with (q-p)*|T| - p*|N(T) \\ N(I)| above p*|N(I)| -
-    (q-p)*|I|: only then can a set below it beat the price.  A kept node
-    branches on its candidate with the most candidate neighbours, least id
-    on ties, and searches the branch that takes it first.  That vertex has
-    a candidate neighbour, so the search tree has O*(1.4656^n) nodes, from
-    T(n) <= T(n-1) + T(n-3).  The price only rises, so a dropped node hides
+    other node is dropped unless some T inside C, independent or not, has
+    (q-p)*|T| - p*|N(T) \\ N(I)| above p*|N(I)| - (q-p)*|I|: only then can a
+    set below it beat the price.  The pass over C also ORs the candidates'
+    neighbour masks, so T = C is tested there, and flow.max_gain decides
+    only when it fails.  A kept node branches on its candidate with the
+    most candidate neighbours, least id on ties, and searches the branch
+    that takes it first.  That vertex has a candidate neighbour, so the
+    search tree has O*(1.4656^n) nodes, from T(n) <= T(n-1) + T(n-3).  The price only rises, so a dropped node hides
     no set that the search would record."""
     adj = g.adj
     p, q = a.numerator, a.denominator
     stack = [(0, 0, part)]  # (I, N(I), C) as vertex masks
     while stack:
         inset, nbrs, cand = stack.pop()
-        # one pass: the free candidates join, and the branch vertex is found
-        top = branch = 0
+        # one pass: the free candidates join, the others' neighbours are ORed,
+        # and the branch vertex is found
+        top = branch = reach = 0
         m = cand
         while m:
             low = m & -m
@@ -558,6 +550,7 @@ def _search(g: Graph, part, a, witness):
                 inset |= low
                 cand ^= low
                 continue
+            reach |= av
             d = (av & cand).bit_count()
             if d > top:
                 top, branch = d, low
@@ -573,7 +566,9 @@ def _search(g: Graph, part, a, witness):
             a, witness = _dinkelbach(g, partial(_extend, adj, inset, nbrs, cand), witness)
             p, q = a.numerator, a.denominator
             continue
-        if not flow.gain_above(cand, adj, nbrs, q - p, p, p * count - (q - p) * size):
+        threshold = p * count - (q - p) * size
+        whole = (q - p) * cand.bit_count() - p * (reach & ~nbrs).bit_count()
+        if whole <= threshold and flow.max_gain(cand, adj, nbrs, q - p, p, threshold) is None:
             continue
         v = branch.bit_length() - 1
         stack.append((inset, nbrs, cand ^ branch))
@@ -584,23 +579,14 @@ def _search(g: Graph, part, a, witness):
 def _extend(adj, inset, nbrs, cand, gain, pen):
     """One Dinkelbach step at a leaf of the general search: (the maximum of
     gain*|J| - pen*|N(J)| over J = I | T, T inside the independent mask
-    cand, with the largest such J), or (0, 0) when flow.gain_above shows that
-    no J beats the price.  The J comes from one _ratio_cut of cand against
-    its neighbours outside N(I), the mask nbrs."""
-    size, count = inset.bit_count(), nbrs.bit_count()
-    if not flow.gain_above(cand, adj, nbrs, gain, pen, pen * count - gain * size):
+    cand, with the largest such J), or (0, 0) when no J beats the price.
+    One flow.max_gain of cand against its neighbours outside N(I), the
+    mask nbrs, finds T."""
+    threshold = pen * nbrs.bit_count() - gain * inset.bit_count()
+    found = flow.max_gain(cand, adj, nbrs, gain, pen, threshold)
+    if found is None:
         return 0, 0
-    svars = sorted(mask_to_set(cand))
-    local = {v: adj[v] & ~nbrs for v in svars}
-    ground = 0
-    for v in svars:
-        ground |= local[v]
-    side = flow._ratio_cut(svars, local, ground, gain, pen)
-    grown = 0
-    for v in side:
-        grown |= local[v]
-    value = gain * (size + len(side)) - pen * (count + grown.bit_count())
-    return value, inset | set_to_mask(side)
+    return found[0] - threshold, inset | found[1]
 
 
 def has_fractional_perfect_matching(g: Graph) -> bool:

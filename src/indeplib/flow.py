@@ -1,10 +1,12 @@
 """Neighborhood-ratio cuts, and a general max-flow / min-cut.
 
 _ratio_cut is the maximal minimum cut of one bipartite network shape: the
-step of the split and general engines' Dinkelbach loops in capacity.
-gain_above asks with it whether some subset of a mask, independent or
-not, gains more than a threshold at one ratio: the general engine's
-bound.  All capacities are integers and every cut decision is exact.
+step of max_gain, which finds the largest subset of a mask, independent
+or not, that gains most at one ratio, when its gain is above a threshold.
+max_gain is the one flow question of the split and general engines in
+capacity: each Dinkelbach step on an independent mask, and the general
+engine's bound.  All capacities are integers and every cut decision is
+exact.
 """
 
 from __future__ import annotations
@@ -337,29 +339,27 @@ def _ratio_cut(svars, nbr, ground, p, q):
     return rest
 
 
-def gain_above(mask, nbr, covered, p, q, threshold):
-    """True iff some S inside the vertex mask has p*|S| - q*|N(S) \\ covered|
-    above threshold, N(S) the union of the neighbour masks nbr[v].  S need
+def max_gain(mask, nbr, covered, p, q, threshold):
+    """(value, side mask) of the largest subset S of the vertex mask that
+    maximizes p*|S| - q*|N(S) \\ covered|, N(S) the union of the neighbour
+    masks nbr[v], if that value is above threshold; None otherwise.  S need
     not be independent, so N(S) may meet the mask; the empty set counts, so
     every negative threshold is beaten.  The general engine asks this of a
-    node's candidates C, with covered = N(I) for its chosen set I.
+    node's candidates C, with covered = N(I) for its chosen set I, for its
+    bound, and of an independent mask for each Dinkelbach step of a leaf,
+    the split side and the greedy set.
 
-    Two sufficient tests come first: each single vertex, and the whole
-    mask, is checked against the threshold.  Then comes a flow on the
-    bipartite double cover: the mask's vertices on the left and N(mask) \\
-    covered on the right, which _ratio_cut keeps apart (ints against
-    one-bit masks) even where they overlap, with s -> v of capacity p and
-    c -> t of capacity q.  The largest p*|S| - q*|N(S) \\ covered| is p*|mask|
-    less the maximum flow (Gale's supply-demand theorem, 1957), so it is at
-    most the supply that any feasible flow strands.  _ratio_cut's greedy
-    start runs first, alone and on the sink residuals only, and stops once
-    it has stranded more than the threshold: if it ends sooner, the answer
-    is false.  Only then is the cut run.  Its maximal min-cut source side T
-    maximizes p*|S| - q*|N(S) \\ covered| over all S, so the answer is
-    whether T's value is above the threshold.
+    The flow runs on the bipartite double cover: the mask's vertices on
+    the left and N(mask) \\ covered on the right, which _ratio_cut keeps
+    apart (ints against one-bit masks) even where they overlap, with
+    s -> v of capacity p and c -> t of capacity q.  The largest value is
+    p*|mask| less the maximum flow (Gale's supply-demand theorem, 1957), so
+    it is at most the supply that any feasible flow strands.  _ratio_cut's
+    greedy start runs first, alone and on the sink residuals only, and
+    stops once it has stranded more than the threshold: if it ends sooner,
+    the answer is None.  Only then is the cut run, once; its maximal
+    min-cut source side is the largest maximizer.
     """
-    if threshold < 0:
-        return True
     svars = []
     local = {}  # v -> its neighbours outside covered
     ground = 0
@@ -368,14 +368,9 @@ def gain_above(mask, nbr, covered, p, q, threshold):
         low = m & -m
         v = low.bit_length() - 1
         m ^= low
-        nv = nbr[v] & ~covered
-        if p - q * nv.bit_count() > threshold:
-            return True
-        local[v] = nv
+        local[v] = nv = nbr[v] & ~covered
         ground |= nv
         svars.append(v)
-    if p * len(svars) - q * ground.bit_count() > threshold:
-        return True
     # _ratio_cut's greedy start with only the sink residuals kept
     rt = {}
     open_t = ground
@@ -396,10 +391,11 @@ def gain_above(mask, nbr, covered, p, q, threshold):
         stranded += r
         if stranded > threshold:
             break
-    else:
-        return False
-    side = _ratio_cut(svars, local, ground, p, q)
-    nbrs = 0
-    for v in side:
+    if stranded <= threshold:
+        return None
+    side = nbrs = 0
+    for v in _ratio_cut(svars, local, ground, p, q):
+        side |= 1 << v
         nbrs |= local[v]
-    return p * len(side) - q * nbrs.bit_count() > threshold
+    value = p * side.bit_count() - q * nbrs.bit_count()
+    return (value, side) if value > threshold else None

@@ -293,18 +293,3 @@ def complete_multipartite(sizes) -> Graph:
                     edges.append((u, v))
     return Graph(bounds[-1], edges)
 
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    return Graph._from_symmetric(list(g.adj) + [m << g.n for m in h.adj])
-
-
-def join(g: Graph, h: Graph) -> Graph:
-    u = disjoint_union(g, h)
-    gmask = (1 << g.n) - 1
-    hmask = ((1 << h.n) - 1) << g.n
-    adj = list(u.adj)
-    for v in range(g.n):
-        adj[v] |= hmask
-    for v in range(g.n, g.n + h.n):
-        adj[v] |= gmask
-    return Graph._from_symmetric(adj)

@@ -52,8 +52,12 @@ class PermutationModel(NamedTuple("PermutationModel", [("perm", tuple)])):
 
     def __new__(cls, perm):
         p = tuple(int(x) for x in perm)
-        if sorted(p) != list(range(len(p))):
-            raise InvalidModel(f"not a permutation of 0..{len(p) - 1}: {p}")
+        seen = set()
+        for x in p:
+            if x in seen or not 0 <= x < len(p):
+                why = "repeats" if x in seen else "is out of range"
+                raise InvalidModel(f"not a permutation of 0..{len(p) - 1}: {x} {why}")
+            seen.add(x)
         return super().__new__(cls, p)
 
     @classmethod

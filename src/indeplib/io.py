@@ -37,7 +37,12 @@ def _ints(parts, ln):
     try:
         return [int(p) for p in parts]
     except ValueError:
-        raise ParseError(f"expected integers, got {parts!r}", line=ln) from None
+        pass
+    for p in parts:  # name the first token that is not an integer
+        try:
+            int(p)
+        except ValueError:
+            raise ParseError(f"expected integers, got {p!r}", line=ln) from None
 
 
 def parse_graph(text: str) -> Graph:
@@ -91,12 +96,15 @@ def parse_interval_model(text: str) -> IntervalModel:
             raise ParseError(f"duplicate interval id {vid}", line=ln)
         if left > right:
             raise ParseError(f"interval {vid} has left {left} > right {right}", line=ln)
-        rows[vid] = (left, right)
+        rows[vid] = (ln, left, right)
     if not rows:
         raise ParseError("empty interval file")
-    if sorted(rows) != list(range(len(rows))):
-        raise ParseError(f"interval ids must be 0..{len(rows) - 1}, got {sorted(rows)}")
-    return IntervalModel(tuple(rows[i] for i in range(len(rows))))
+    # the ids are distinct, so they are 0..k-1 unless one lies outside
+    k = len(rows)
+    for vid, (ln, _, _) in rows.items():
+        if not 0 <= vid < k:
+            raise ParseError(f"interval ids must be 0..{k - 1}, got {vid}", line=ln)
+    return IntervalModel(tuple(rows[i][1:] for i in range(k)))
 
 
 def parse_permutation_model(text: str) -> PermutationModel:
@@ -106,14 +114,21 @@ def parse_permutation_model(text: str) -> PermutationModel:
     if not lines:
         raise ParseError("empty permutation file")
     ln, first = lines[0]
-    (n,) = _ints(first.split(), ln)
+    header = _ints(first.split(), ln)
+    if len(header) != 1:
+        raise ParseError(f"expected one vertex count '<n>', got {len(header)} values", line=ln)
+    n = header[0]
     values = []
     for ln, line in lines[1:]:
         values.extend(_ints(line.split(), ln))
     if len(values) != n:
         raise ParseError(f"expected {n} permutation values, got {len(values)}")
-    if sorted(values) != list(range(1, n + 1)):
-        raise ParseError(f"values must be a permutation of 1..{n}, got {values}")
+    seen = set()
+    for v in values:
+        if v in seen or not 1 <= v <= n:
+            why = "repeats" if v in seen else "is out of range"
+            raise ParseError(f"values must be a permutation of 1..{n}: {v} {why}")
+        seen.add(v)
     return PermutationModel(tuple(v - 1 for v in values))
 
 
@@ -154,9 +169,8 @@ def parse_tree_decomposition(text: str):
             if not (1 <= a <= nbags and 1 <= b <= nbags):
                 raise ParseError(f"tree edge ({a},{b}) out of range", line=ln)
             tree_edges.append((a - 1, b - 1))
-    missing = [i + 1 for i, b in enumerate(bags) if b is None]
-    if missing:
-        raise ParseError(f"missing bag lines for ids {missing}")
+    if None in bags:
+        raise ParseError(f"missing the bag line for id {bags.index(None) + 1}")
     return bags, tree_edges, n
 
 

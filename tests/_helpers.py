@@ -84,6 +84,19 @@ def join(*parts):
     return _merge(cotree.JOIN, parts)
 
 
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    """g and h side by side, h's vertices numbered after g's."""
+    return Graph._from_symmetric(list(g.adj) + [m << g.n for m in h.adj])
+
+
+def graph_join(g: Graph, h: Graph) -> Graph:
+    """disjoint_union(g, h) with every vertex of g adjacent to every vertex
+    of h."""
+    gmask = (1 << g.n) - 1
+    hmask = ((1 << h.n) - 1) << g.n
+    return Graph._from_symmetric([m | hmask for m in g.adj] + [m << g.n | gmask for m in h.adj])
+
+
 # ---------------------------------------------------------------------------
 # the interpreter stack, for tests that run under a lowered recursion limit
 

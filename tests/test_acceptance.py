@@ -14,6 +14,7 @@ from math import ceil
 from _helpers import (
     alpha_product_multipartite,
     cotree_catalog,
+    disjoint_union,
     enumerate_maximal_independent_sets,
     graph_catalog_upto,
     is_splitgraph,
@@ -40,7 +41,6 @@ from indeplib.graph import (
     complete_bipartite,
     complete_graph,
     complete_multipartite,
-    disjoint_union,
     graph_power,
 )
 from indeplib.intersection import (

@@ -16,6 +16,7 @@ import indeplib
 from _helpers import (
     chain_dp_reference,
     cograph_profile_reference,
+    disjoint_union,
     general_reference,
     is_cograph,
     is_splitgraph,
@@ -52,7 +53,6 @@ from indeplib.graph import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
-    disjoint_union,
     graph_power,
     mask_to_set,
     neighborhood,
@@ -548,11 +548,11 @@ def test_a_general_limit_is_per_component(monkeypatch):
     assert exc.value.required == 30
 
     # every component is checked before any search, and the first one over
-    # the limit is reported; unchecked, C5's search would ask the bound
+    # the limit is reported; unchecked, C5's greedy set would ask the flow
     def refuse(*args, **kwargs):
         raise AssertionError("search started before the limit check")
 
-    monkeypatch.setattr(flow, "gain_above", refuse)
+    monkeypatch.setattr(flow, "max_gain", refuse)
     g = disjoint_union(disjoint_union(cycle_graph(5), complete_graph(8)), complete_graph(9))
     with pytest.raises(LimitExceeded, match="limited to 7 vertices, got 8$") as exc:
         tensor_capacity(g, limit=7)
@@ -806,32 +806,48 @@ def test_general_sets_that_only_tie_are_not_solved(monkeypatch):
         assert res.witness == calls[0][1][1]
 
 
+def _asks_a_bound(mask, nbr):
+    """Whether a flow.max_gain call is the search's bound: a bound's mask,
+    unlike a Dinkelbach step's, is not independent."""
+    return any(nbr[v] & mask for v in mask_to_set(mask))
+
+
 def _count_bounds(monkeypatch):
-    """Record the answer of each flow.gain_above call the search makes."""
+    """Record, as "may beat" or not, the answer of each bound the search
+    asks flow.max_gain."""
     answers = []
-    real = flow.gain_above
+    real = flow.max_gain
 
-    def counted(*args):
-        answers.append(real(*args))
-        return answers[-1]
+    def counted(mask, nbr, *rest):
+        found = real(mask, nbr, *rest)
+        if _asks_a_bound(mask, nbr):
+            answers.append(found is not None)
+        return found
 
-    monkeypatch.setattr(flow, "gain_above", counted)
+    monkeypatch.setattr(flow, "max_gain", counted)
     return answers
 
 
 def test_general_isolated_vertex_runs_no_scan(monkeypatch):
-    # a = 1 already, which no set beats, so the search never asks the
-    # bound; the witness is the greedy set's maximal maximizer, every
-    # isolated vertex.  C5 alone does reach the bound
-    bounds = _count_bounds(monkeypatch)
+    # a = 1 already, which no set beats, so no component is searched; the
+    # witness is the greedy set's maximal maximizer, every isolated vertex.
+    # C5 alone is searched
+    searched = []
+    real = capacity._search
+
+    def logged(g, part, a, witness):
+        searched.append(part)
+        return real(g, part, a, witness)
+
+    monkeypatch.setattr(capacity, "_search", logged)
     for g, want in (
         (Graph(6, [(0, 1), (1, 2), (0, 2), (4, 5)]), {3}),
         (disjoint_union(cycle_graph(5), Graph(2)), {5, 6}),
     ):
         res = a_general_exact(g)
-        assert bounds == [] and (res.a, res.witness) == (Fraction(1), want)
+        assert searched == [] and (res.a, res.witness) == (Fraction(1), want)
         assert general_reference(g) == (Fraction(1), want)
-    assert a_general_exact(cycle_graph(5)).a == Fraction(2, 5) and bounds
+    assert a_general_exact(cycle_graph(5)).a == Fraction(2, 5) and searched == [0b11111]
 
 
 def test_general_free_candidates_join_at_once(monkeypatch):
@@ -858,8 +874,10 @@ def test_general_bound_drops_no_improvement(monkeypatch):
     # the bound drops a node only when no set below it beats the price, and
     # the price only rises, so a bound that always answers "may beat" makes
     # the search record the same sets: the same a and witness, which are
-    # the reference walk's.  On these graphs the real bound drops nodes,
-    # and the search improves on the greedy set's a
+    # the reference walk's.  The whole-mask test never drops a node, so the
+    # bound always answers "may beat" when max_gain does on every bound's
+    # mask.  On these graphs the real bound drops nodes, and the search
+    # improves on the greedy set's a
     rng = random.Random(14)
     graphs = [random_graph(rng.randint(8, 16), rng.uniform(0.15, 0.5), rng) for _ in range(150)]
     graphs += [cycle_graph(5), Graph(6, SLOW_GREEDY), random_graph(30, 0.35, random.Random(14))]
@@ -871,7 +889,12 @@ def test_general_bound_drops_no_improvement(monkeypatch):
         bounded.append(a_general_exact(g))
         improved += bounded[-1].a > calls[0][1][0]
     assert False in bounds and improved >= 5, improved
-    monkeypatch.setattr(flow, "gain_above", lambda *args: True)
+    real = flow.max_gain
+
+    def may_beat(mask, nbr, *rest):
+        return True if _asks_a_bound(mask, nbr) else real(mask, nbr, *rest)
+
+    monkeypatch.setattr(flow, "max_gain", may_beat)
     for g, res in zip(graphs, bounded):
         unbounded = a_general_exact(g)
         assert (unbounded.a, unbounded.witness) == (res.a, res.witness), g.adj
@@ -907,8 +930,10 @@ def test_general_hard_40_vertex_graphs_through_the_cli(name, monkeypatch, capsys
     # has four neighbours, so |N(I)| >= 2|I| and a <= 1/3.  C40(1,2)
     # reaches 13/40 (every third vertex; 40 is not a multiple of 3), and
     # the line graph of this cubic graph on 26 vertices (39 edges) 1/3.
-    # The search asks the bound 12,643 and 5,939 times; a bound that did
-    # not count what I already pays (threshold 0) asked 167,943 and 136,034
+    # The search reaches the bound at 12,554 and 5,928 nodes: the whole
+    # candidate set keeps 6,321 and 2,969 of them, and flow.max_gain drops
+    # the other 6,233 and 2,959.  A bound that did not count what I already
+    # pays (threshold 0) was asked 167,943 and 136,034 times
     if name == "C40(1,2)":
         g, a = _circulant(40, (1, 2)), "13/40"
     else:
@@ -920,7 +945,7 @@ def test_general_hard_40_vertex_graphs_through_the_cli(name, monkeypatch, capsys
     assert cli.main(["--json", "capacity", "--witness", str(path)]) == 0
     record = json.loads(capsys.readouterr().out)
     witness = record["witness"]
-    assert record["a"] == a and 0 < len(bounds) < 25_000
+    assert record["a"] == a and 0 < len(bounds) < 12_500
     assert g.is_independent(witness)
     assert ratio_str(Fraction(len(witness), len(witness) + len(neighborhood(g, witness)))) == a
 

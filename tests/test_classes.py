@@ -8,6 +8,7 @@ import pytest
 
 from _helpers import (
     cograph_recognize_reference,
+    disjoint_union,
     find_obstruction_reference,
     from_adj,
     graph_catalog,
@@ -45,7 +46,6 @@ from indeplib.graph import (
     Graph,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     path_graph,
     set_to_mask,
     star_graph,
@@ -356,8 +356,11 @@ def test_permutation_models():
     assert realize_permutation(PermutationModel((2, 1, 0))).adj == complete_graph(3).adj
     g = realize_permutation(PermutationModel((1, 0, 3, 2)))
     assert sorted(g.edges()) == [(0, 1), (2, 3)]
-    with pytest.raises(InvalidModel):
+    with pytest.raises(InvalidModel, match=r"^not a permutation of 0\.\.1: 2 is out of range$"):
         PermutationModel((0, 2))
+    # the message names the first offending value, not the whole model
+    with pytest.raises(InvalidModel, match=r"^not a permutation of 0\.\.99999: 5 repeats$"):
+        PermutationModel([*range(99_999), 5])
     m = PermutationModel((1, 0, 2))
     assert m.left_of(0, 2) and not m.left_of(0, 1) and not m.left_of(2, 0)
 
@@ -665,7 +668,10 @@ def test_parse_tree_decomposition():
     text = "s td 2 2 3\nb 1 0 1\nb 2 1 2\n1 2\n"
     bags, edges, n = parse_tree_decomposition(text)
     assert bags == [{0, 1}, {1, 2}] and edges == [(0, 1)] and n == 3
-    with pytest.raises(ParseError):
-        parse_tree_decomposition("s td 2 2 3\nb 1 0 1\n1 2\n")  # missing bag
+    with pytest.raises(ParseError, match="^missing the bag line for id 2$"):
+        parse_tree_decomposition("s td 2 2 3\nb 1 0 1\n1 2\n")
+    # the message names the first missing id, not every one
+    with pytest.raises(ParseError, match="^missing the bag line for id 1$"):
+        parse_tree_decomposition("s td 100000 2 1\n" + "1 2\n" * 100_000)
     with pytest.raises(ParseError):
         parse_tree_decomposition("s td 1 1 2\nb 1 0 1\n")  # bag too large

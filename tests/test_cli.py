@@ -11,7 +11,7 @@ import time
 import pytest
 
 import indeplib
-from _helpers import is_cograph, is_splitgraph, random_graph, threshold_cotree_text
+from _helpers import disjoint_union, is_cograph, is_splitgraph, random_graph, threshold_cotree_text
 from indeplib import capacity, cli, cotree, graph, splitgraph
 from indeplib.capacity import a_split
 from indeplib.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, EXIT_VIOLATION, main
@@ -22,7 +22,6 @@ from indeplib.graph import (
     Graph,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     path_graph,
     star_graph,
 )
@@ -535,6 +534,37 @@ def test_declared_bag_count_checked_at_parse(capsys, files, tmp_path):
     path.write_text("s td 4 2 4\nb 1 0 1\nb 2 1 2\nb 3 2 3\n")
     code, out, err = run(capsys, "capacity", "--td", str(path), files["p4"])
     assert code == EXIT_INPUT and "declares 4 bags, 3 lines follow" in err
+
+
+def test_permutation_header_with_two_values_is_a_parse_error(capsys, tmp_path):
+    # the header is one vertex count; "3 1" used to fail unpacking it
+    path = tmp_path / "p.pm"
+    path.write_text("# two values\n3 1\n1 2 3\n")
+    code, out, err = run(capsys, "capacity", "--permutation", str(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: line 2: expected one vertex count '<n>', got 2 values\n"
+
+
+@pytest.mark.parametrize(
+    "flag,text,err",
+    [
+        ("--interval", "".join(f"{v + 1} {v} {v}\n" for v in range(100_000)),
+         "error: line 100000: interval ids must be 0..99999, got 100000\n"),
+        ("--permutation", "100000\n" + " ".join(map(str, range(2, 100_001))) + " 100001\n",
+         "error: values must be a permutation of 1..100000: 100001 is out of range\n"),
+        ("--permutation", "100000\n" + " ".join(map(str, range(1, 100_000))) + " 7\n",
+         "error: values must be a permutation of 1..100000: 7 repeats\n"),
+        ("--permutation", "100000\n" + " ".join(map(str, range(1, 100_000))) + " x\n",
+         "error: line 2: expected integers, got 'x'\n"),
+    ],
+    ids=["interval-id", "permutation-range", "permutation-repeat", "permutation-token"],
+)
+def test_a_bad_value_in_a_large_model_file_gives_a_short_message(capsys, tmp_path, flag, text, err):
+    # the message names the first offending id or value, not every value
+    # of the file
+    path = tmp_path / "big.model"
+    path.write_text(text)
+    assert run(capsys, "capacity", flag, str(path)) == (EXIT_INPUT, "", err)
 
 
 @pytest.mark.parametrize(

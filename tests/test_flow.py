@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from _helpers import min_ratio_subset_exhaustive, random_graph
-from indeplib import flow
+from indeplib import capacity, flow
 from indeplib.capacity import min_ratio_subset
 from indeplib.errors import VerificationError
-from indeplib.flow import INF, FlowNetwork, gain_above, max_flow
+from indeplib.flow import INF, FlowNetwork, max_flow, max_gain
 from indeplib.graph import Graph, set_to_mask
 
 
@@ -132,19 +132,20 @@ def _count_cuts(monkeypatch):
     return cuts
 
 
-def test_gain_above_vs_exhaustive(monkeypatch):
+def test_max_gain_vs_exhaustive(monkeypatch):
     # graphs (so N(S) meets the mask and S need not be independent) and
     # arbitrary neighbour masks, with a covered mask (N(I) of the general
     # engine's node) empty in a third of the cases.  Prices are each ratio
-    # |N(S) \ covered|/|S| that occurs, and one at random; thresholds are
-    # the best gain (a tie: false), one below it (true), one above, 0 and
-    # -1.  The answer is true iff some subset S, the empty one included,
-    # has p*|S| - q*|N(S) \ covered| above the threshold.  Every way to an
-    # answer is taken: a single vertex, the whole mask, a false answer from
-    # the greedy fill with no cut, and the cut's, true and false
+    # |N(S) \\ covered|/|S| that occurs, and one at random; thresholds are
+    # the best gain (a tie: None), one below it, one above, 0 and -1.  The
+    # answer is the best p*|S| - q*|N(S) \\ covered| over all subsets S, the
+    # empty one included, with the union of its maximizers (the largest
+    # one, as maximizers are closed under union), if it is above the
+    # threshold.  Every way to an answer is taken: None from the greedy
+    # fill with no cut, and the cut's None and value
     cuts = _count_cuts(monkeypatch)
     rng = random.Random(23)
-    ways = {"vertex": 0, "whole": 0, "fill": 0, True: 0, False: 0}
+    ways = {"fill": 0, "cut None": 0, "cut value": 0}
     for case in range(400):
         n = rng.randint(1, 10)
         if case % 2:
@@ -160,68 +161,89 @@ def test_gain_above_vs_exhaustive(monkeypatch):
             nbrs = 0
             for v in picked:
                 nbrs |= nbr[v]
-            subsets.append((len(picked), (nbrs & ~covered).bit_count()))
+            subsets.append((set_to_mask(picked), len(picked), (nbrs & ~covered).bit_count()))
         prices = {Fraction(rng.randint(0, 12), rng.randint(1, 5))}
-        prices |= {Fraction(c, k) for k, c in subsets if k}
+        prices |= {Fraction(c, k) for _, k, c in subsets if k}
         for price in prices:
             p, q = price.numerator, price.denominator
-            gains = [p * k - q * c for k, c in subsets]
+            gains = [p * k - q * c for _, k, c in subsets]
             top = max(gains)
-            whole = gains[-1]
-            single = max([gains[1 << i] for i in range(len(verts))], default=-1)
+            largest = 0
+            for (side, _, _), value in zip(subsets, gains):
+                if value == top:
+                    largest |= side
             for threshold in {top - 1, top, top + 1, 0, -1}:
-                want = top > threshold
+                want = (top, largest) if top > threshold else None
                 before = len(cuts)
-                got = gain_above(mask, nbr, covered, p, q, threshold)
+                got = max_gain(mask, nbr, covered, p, q, threshold)
                 assert got == want, (nbr, mask, covered, p, q, threshold)
-                if len(cuts) > before:
-                    ways[got] += 1
-                elif not got:
+                if len(cuts) == before:
+                    assert got is None
                     ways["fill"] += 1
-                elif threshold >= 0 and single > threshold:
-                    ways["vertex"] += 1
-                elif threshold >= 0:
-                    assert whole > threshold
-                    ways["whole"] += 1
+                else:
+                    assert len(cuts) == before + 1
+                    ways["cut None" if got is None else "cut value"] += 1
     assert all(ways.values()), ways
 
 
-def test_gain_above_spends_no_cut_on_a_passed_sufficient_test(monkeypatch):
+def test_max_gain_spends_no_cut_when_the_fill_strands_no_more_than_the_threshold(
+    monkeypatch,
+):
     cuts = _count_cuts(monkeypatch)
     # K_{3,3} side {0, 1, 2}: at ratio p/q each vertex alone gains p - 3q,
-    # the side 3p - 3q
+    # the side 3p - 3q.  A tie places all of the flow in the greedy fill
     nbr = [0b111000] * 3 + [0b000111] * 3
-    assert gain_above(0b111, nbr, 0, 2, 1, 0)  # the whole set beats 2
-    assert gain_above(0b1001, nbr, 0, 4, 1, 0)  # a single vertex beats 4
-    # a tie passes neither test, and the greedy fill places all of the flow
-    assert not gain_above(0b111, nbr, 0, 1, 1, 0)  # the whole set ties 1
-    assert not gain_above(0b1001, nbr, 0, 3, 1, 0)  # every subset ties 3
-    # with vertex 3 covered the side gains 1 at ratio 1: above 0, not above
-    # 1, where the fill strands one unit, which that threshold allows
-    assert gain_above(0b111, nbr, 0b1000, 1, 1, 0)
-    assert not gain_above(0b111, nbr, 0b1000, 1, 1, 1)
-    # covered vertices cost nothing: {0} gains 3 - 1 at ratio 3 with 4 and
-    # 5 covered, and 3 with 3, 4 and 5 covered, which only ties 3
-    assert gain_above(0b1, nbr, 0b110000, 3, 1, 1)
-    assert not gain_above(0b1, nbr, 0b111000, 3, 1, 3)
+    assert max_gain(0b111, nbr, 0, 1, 1, 0) is None  # the whole set ties 1
+    assert max_gain(0b1001, nbr, 0, 3, 1, 0) is None  # every subset ties 3
+    # with vertex 3 covered the side gains 1 at ratio 1, where the fill
+    # strands one unit, which a threshold of 1 allows
+    assert max_gain(0b111, nbr, 0b1000, 1, 1, 1) is None
+    # covered vertices cost nothing: {0} gains 3 at ratio 3 with 3, 4 and
+    # 5 covered, all of it stranded, which only ties a threshold of 3
+    assert max_gain(0b1, nbr, 0b111000, 3, 1, 3) is None
     assert cuts == []
+    # a value above the threshold always takes one cut, which finds the
+    # largest maximizer
+    assert max_gain(0b111, nbr, 0b1000, 1, 1, 0) == (1, 0b111) and len(cuts) == 1
+    assert max_gain(0b111, nbr, 0, 2, 1, 0) == (3, 0b111) and len(cuts) == 2
+    assert max_gain(0b1, nbr, 0b110000, 3, 1, 1) == (2, 0b1) and len(cuts) == 3
     # 0 and 1 take their least neighbours, 3 and 4, which strands 2 (arcs
     # to 3 and 4) though 0 -> 5, 1 -> 6, 2 -> 3 places it all: only the cut
     # sees that no subset beats 1, and that the whole mask only ties 4/3
+    del cuts[:]
     nbr = [0b101000, 0b1010000, 0b11000, 0, 0, 0, 0]
-    assert not gain_above(0b111, nbr, 0, 1, 1, 0) and len(cuts) == 1
-    assert not gain_above(0b111, nbr, 0, 4, 3, 0) and len(cuts) == 2
+    assert max_gain(0b111, nbr, 0, 1, 1, 0) is None and len(cuts) == 1
+    assert max_gain(0b111, nbr, 0, 4, 3, 0) is None and len(cuts) == 2
     # with 5 covered, 0 sees only 3 and the fill strands 2's unit again;
     # {0}, {0, 2} and the whole mask only tie 1, as the cut shows
-    assert not gain_above(0b111, nbr, 0b100000, 1, 1, 0) and len(cuts) == 3
+    assert max_gain(0b111, nbr, 0b100000, 1, 1, 0) is None and len(cuts) == 3
     # 0 and 1 share their two neighbours, so {0, 1} has ratio 1 while each
     # single vertex has 2 or 4 and the whole mask 10/4: the greedy fill
     # strands 1's flow, and only the cut sees that {0, 1} beats 3/2; at 1
     # and 1/2 the greedy fill places it all
     nbr = [0b11 << 5, 0b11 << 5, 0, 0b1111 << 7, 0b1111 << 11]
-    assert gain_above(0b11011, nbr, 0, 3, 2, 0) and len(cuts) == 4
-    assert not gain_above(0b11011, nbr, 0, 1, 1, 0) and len(cuts) == 4
-    assert not gain_above(0b11011, nbr, 0, 1, 2, 0) and len(cuts) == 4
+    assert max_gain(0b11011, nbr, 0, 3, 2, 0) == (2, 0b11) and len(cuts) == 4
+    assert max_gain(0b11011, nbr, 0, 1, 1, 0) is None and len(cuts) == 4
+    assert max_gain(0b11011, nbr, 0, 1, 2, 0) is None and len(cuts) == 4
+
+
+def test_an_improving_leaf_step_runs_one_cut(monkeypatch):
+    # candidates 0 and 1 share the neighbours 4 and 5, while 2 and 3 see
+    # four each, and 14 (in the chosen set I) sees 5.  From I = {} at
+    # 2/5 (gain 3, pen 2), or from I = {14} at its own 1/2 (gain 1, pen 1),
+    # only {0, 1} beats the price, and the greedy fill strands its flow, so
+    # a cut must decide; the step runs that one cut and takes its side
+    edges = [(0, 4), (0, 5), (1, 4), (1, 5), (14, 5)]
+    edges += [(2, c) for c in range(6, 10)] + [(3, c) for c in range(10, 14)]
+    adj = Graph(15, edges).adj
+    cuts = _count_cuts(monkeypatch)
+    for inset, nbrs, gain, pen, want in (
+        (0, 0, 3, 2, (2, 0b11)),
+        (1 << 14, 1 << 5, 1, 1, (1, 0b11 | 1 << 14)),
+    ):
+        del cuts[:]
+        assert capacity._extend(adj, inset, nbrs, 0b1111, gain, pen) == want
+        assert len(cuts) == 1
 
 
 def _cut_exhaustive(svars, nbr, p, q):
@@ -244,7 +266,7 @@ def _cut_exhaustive(svars, nbr, p, q):
 
 
 def test_ratio_cut_vs_exhaustive():
-    # graphs (so the sides of the double cover overlap, as gain_above
+    # graphs (so the sides of the double cover overlap, as max_gain
     # builds them) and arbitrary neighbour masks, up to 10 vertices; the
     # ground may hold vertices no S-vertex sees, which never take flow;
     # prices tie a subset's ratio (q > 1 included), or are random

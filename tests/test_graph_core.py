@@ -11,7 +11,9 @@ from _helpers import (
     complement_rook,
     component_count,
     connected_components,
+    disjoint_union,
     from_adj,
+    graph_join,
     has_edge,
     is_bipartite,
     is_connected,
@@ -27,11 +29,9 @@ from indeplib.graph import (
     complete_multipartite,
     components,
     cycle_graph,
-    disjoint_union,
     empty_graph,
     graph_power,
     is_product_independent,
-    join,
     mask_to_set,
     neighborhood,
     path_graph,
@@ -215,7 +215,7 @@ def test_library_built_graphs_pass_from_adj():
             "product": categorical_product(g, h),
             "power": graph_power(g, k),
             "union": disjoint_union(g, h),
-            "join": join(g, h),
+            "join": graph_join(g, h),
         }
         for name, r in results.items():
             assert from_adj(r.adj) == r, name
@@ -288,7 +288,7 @@ def test_generators():
     assert star_graph(3).degree(0) == 3
     assert complete_multipartite([1, 1, 1]).adj == complete_graph(3).adj
     assert complete_multipartite([2, 3]).adj == complete_bipartite(2, 3).adj
-    j = join(complete_graph(1), empty_graph(3))
+    j = graph_join(complete_graph(1), empty_graph(3))
     assert j.adj == star_graph(3).adj
     with pytest.raises(ValueError):
         cycle_graph(2)

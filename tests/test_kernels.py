@@ -8,6 +8,7 @@ import pytest
 from _helpers import (
     clique_cover_bound,
     count_maximal_independent_sets,
+    disjoint_union,
     frame_depth,
     max_independent_set_reference,
     random_graph,
@@ -18,7 +19,6 @@ from indeplib.graph import (
     categorical_product,
     complete_graph,
     components,
-    disjoint_union,
     mask_to_set,
     set_to_mask,
 )
