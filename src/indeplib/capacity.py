@@ -218,6 +218,14 @@ def _greedy_start(g: Graph):
     return start
 
 
+def _by_steps(g: Graph, step, engine) -> CapacityResult:
+    """The DP engines' common tail: _dinkelbach from _greedy_start, then _finish."""
+    if g.n == 0:
+        raise ValueError("capacity of the empty graph is undefined")
+    a, witness = _dinkelbach(g, step, _greedy_start(g))
+    return _finish(g, a, witness, engine)
+
+
 def min_ratio_subset(g: Graph, mask):
     """(a, witness mask): the largest |S|/(|S| + |N(S)|) over nonempty S
     inside the independent vertex mask, and the largest S attaining it.
@@ -292,8 +300,7 @@ def a_cograph(t: Cotree) -> CapacityResult:
 
 def _cograph(g: Graph, t: Cotree) -> CapacityResult:
     """The cograph engine on g, the graph t realizes."""
-    a, witness = _dinkelbach(g, partial(cograph_profile, t), _greedy_start(g))
-    return _finish(g, a, witness, Engine.COGRAPH)
+    return _by_steps(g, partial(cograph_profile, t), Engine.COGRAPH)
 
 
 # ---------------------------------------------------------------------------
@@ -322,37 +329,43 @@ def a_split(g: Graph, part: SplitPartition) -> CapacityResult:
 # interval, permutation and bounded-treewidth graphs
 
 
-def _chain_dp(g: Graph, order, chain_ok, gain, pen):
+def _chain_dp(g: Graph, order, ends, gain, pen):
     """One Dinkelbach step on an interval or permutation graph, O(n^2).
 
     Returns (max of gain*|C| - pen*|N(C)| over independent chains C, a
     witness mask); the empty chain gives (0, 0).  order lists the vertices
-    in processing order; chain_ok(y, x) says that y may precede x in an
-    independent chain (strictly left, no intersection).  Requires the class
-    property that a common neighbor of two chain members is also a neighbor
-    of everything between them, which makes |N(x) \\ N(y)| the exact
-    increment.  Each vertex keeps one (value, witness mask) for the best
-    chain ending in it; a row and the result keep their first strict
-    maximizer in processing order.  The engines call this through the
-    module global, so a wrapper installed on the name (the benchmark's
-    tracer) sees every step.
+    in processing order; with ends[v] = (lo, hi), an earlier y may precede
+    x in an independent chain exactly when ends[y][1] < ends[x][0].
+    Requires the class property that a common neighbor of two chain members
+    is also a neighbor of everything between them, which makes
+    |N(x) \\ N(y)| the exact increment.  A row holds the value of the best
+    chain ending in its vertex and its predecessor's row; a row and the
+    result keep their first strict maximizer in processing order, and one
+    walk back from the best row builds the witness.  The engines call this
+    through the module global, so a wrapper installed on the name (the
+    benchmark's tracer) sees every step.
     """
     adj = g.adj
-    rows = []  # (y, value, witness mask) of the best chain ending in y
-    best = (0, 0)
+    rows = []  # (hi, adj[y], value, predecessor row or None, y) per vertex y
+    top, best = 0, None
     for x in order:
+        lo, hi = ends[x]
         ax = adj[x]
-        value, wit = -pen * ax.bit_count(), 0
-        for y, vy, wy in rows:
-            if chain_ok(y, x):
-                v = vy - pen * (ax & ~adj[y]).bit_count()
+        value, prev = -pen * ax.bit_count(), None
+        for row in rows:
+            if row[0] < lo:
+                v = row[2] - pen * (ax & ~row[1]).bit_count()
                 if v > value:
-                    value, wit = v, wy
-        row = (x, value + gain, wit | 1 << x)
+                    value, prev = v, row
+        row = (hi, ax, value + gain, prev, x)
         rows.append(row)
-        if row[1] > best[0]:
-            best = row[1:]
-    return best
+        if row[2] > top:
+            top, best = row[2], row
+    mask = 0
+    while best is not None:
+        mask |= 1 << best[4]
+        best = best[3]
+    return top, mask
 
 
 def a_interval(model: IntervalModel) -> CapacityResult:
@@ -361,16 +374,9 @@ def a_interval(model: IntervalModel) -> CapacityResult:
 
 def _interval(g: Graph, model: IntervalModel) -> CapacityResult:
     """The interval engine on g, the graph model realizes."""
-    if g.n == 0:
-        raise ValueError("capacity of the empty graph is undefined")
     ivs = model.intervals
     order = sorted(range(model.n), key=lambda v: (ivs[v][1], ivs[v][0], v))
-
-    def chain_ok(y, x):
-        return ivs[y][1] < ivs[x][0]
-
-    a, witness = _dinkelbach(g, partial(_chain_dp, g, order, chain_ok), _greedy_start(g))
-    return _finish(g, a, witness, Engine.INTERVAL)
+    return _by_steps(g, partial(_chain_dp, g, order, ivs), Engine.INTERVAL)
 
 
 def a_permutation(model: PermutationModel) -> CapacityResult:
@@ -379,11 +385,8 @@ def a_permutation(model: PermutationModel) -> CapacityResult:
 
 def _permutation(g: Graph, model: PermutationModel) -> CapacityResult:
     """The permutation engine on g, the graph model realizes."""
-    if g.n == 0:
-        raise ValueError("capacity of the empty graph is undefined")
-    order = list(range(model.n))
-    a, witness = _dinkelbach(g, partial(_chain_dp, g, order, model.left_of), _greedy_start(g))
-    return _finish(g, a, witness, Engine.PERMUTATION)
+    ends = [(p, p) for p in model.perm]
+    return _by_steps(g, partial(_chain_dp, g, range(model.n), ends), Engine.PERMUTATION)
 
 
 def treewidth_profile(g: Graph, d: NiceTreeDecomposition, gain, pen):
@@ -456,12 +459,9 @@ def treewidth_profile(g: Graph, d: NiceTreeDecomposition, gain, pen):
 
 
 def a_treewidth(g: Graph, d: NiceTreeDecomposition) -> CapacityResult:
-    if g.n == 0:
-        raise ValueError("capacity of the empty graph is undefined")
     if d.graph != g:
         raise ValueError("decomposition does not match the supplied graph")
-    a, witness = _dinkelbach(g, partial(treewidth_profile, g, d), _greedy_start(g))
-    return _finish(g, a, witness, Engine.TREEWIDTH)
+    return _by_steps(g, partial(treewidth_profile, g, d), Engine.TREEWIDTH)
 
 
 # ---------------------------------------------------------------------------

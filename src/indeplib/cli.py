@@ -254,6 +254,8 @@ def cmd_domination(args):
     )
 
     if args.bipartite:
+        if args.kmax < 1:
+            raise ValueError(f"domination --kmax must be at least 1, got {args.kmax}")
         if args.kmax > DOMINATION_KMAX_LIMIT:
             msg = f"domination --kmax limited to {DOMINATION_KMAX_LIMIT}, got {args.kmax}"
             raise LimitExceeded(msg, required=args.kmax)

@@ -176,12 +176,6 @@ def _ratio_network(svars, ground, nbr, p, q):
     return net, sidx, cidx
 
 
-def _fewest_arcs_first(svars, nbr):
-    """The order of both greedy fills: S-vertices with fewer arcs first,
-    in svars order (increasing id) on ties."""
-    return sorted(svars, key=lambda v: nbr[v].bit_count())
-
-
 def _ratio_cut(svars, nbr, ground, p, q):
     """Maximal minimum cut of s -> v (capacity p) for v in S, v -> c
     (unbounded) for c in nbr[v], c -> t (capacity q) for c in the mask
@@ -194,8 +188,9 @@ def _ratio_cut(svars, nbr, ground, p, q):
     flow to c (the residual back arcs c -> v).  rt and back are filled only
     where the flow goes: a ground vertex it has not reached reads as
     residual q with no back arcs.  The greedy start takes the S-vertices
-    with fewer arcs first, which leaves fewer augmenting paths; the maximal
-    min-cut source side is unique, so the order does not change it.
+    in svars order; max_gain sorts them fewer arcs first, which leaves
+    fewer augmenting paths.  The maximal min-cut source side is unique, so
+    the order does not change it.
     Raises VerificationError unless the cut is certified minimum: the flow
     runs on arcs only and the ground receives all of it, the cut's capacity
     equals the flow value and no unbounded arc crosses the cut.
@@ -209,7 +204,7 @@ def _ratio_cut(svars, nbr, ground, p, q):
     open_s = 0  # S-vertices with residual capacity from s
 
     # greedy start along the direct paths s -> v -> c -> t
-    for v in _fewest_arcs_first(svars, nbr):
+    for v in svars:
         r = p
         sent = 0
         m = nbr[v] & open_t
@@ -360,8 +355,7 @@ def max_gain(mask, nbr, covered, p, q, threshold):
     the answer is None.  Only then is the cut run, once; its maximal
     min-cut source side is the largest maximizer.
     """
-    svars = []
-    local = {}  # v -> its neighbours outside covered
+    local = {}  # v -> its neighbours outside covered, in increasing v
     ground = 0
     m = mask
     while m:
@@ -370,12 +364,13 @@ def max_gain(mask, nbr, covered, p, q, threshold):
         m ^= low
         local[v] = nv = nbr[v] & ~covered
         ground |= nv
-        svars.append(v)
+    # both greedy fills take the S-vertices fewer arcs first, least on ties
+    svars = sorted(local, key=lambda v: local[v].bit_count())
     # _ratio_cut's greedy start with only the sink residuals kept
     rt = {}
     open_t = ground
     stranded = 0
-    for v in _fewest_arcs_first(svars, local):
+    for v in svars:
         r = p
         m = local[v] & open_t
         while r and m:

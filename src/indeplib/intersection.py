@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple
 
 from .errors import InvalidModel
@@ -11,12 +12,16 @@ from .graph import Graph
 class IntervalModel(NamedTuple("IntervalModel", [("intervals", tuple)])):
     """Closed intervals with integer endpoints; vertex i = intervals[i].
     Sharing an endpoint counts as intersecting.  Construction, _make and
-    _replace all check the intervals."""
+    _replace all check the intervals.  Ends must be integers
+    (operator.index): int() would truncate 1.9 and parse "2"."""
 
     __slots__ = ()
 
     def __new__(cls, intervals):
-        ivs = tuple((int(l), int(r)) for l, r in intervals)
+        try:
+            ivs = tuple((index(l), index(r)) for l, r in intervals)
+        except TypeError as exc:
+            raise InvalidModel(f"interval ends must be integers: {exc}") from None
         for i, (l, r) in enumerate(ivs):
             if l > r:
                 raise InvalidModel(f"interval {i} has left {l} > right {r}")
@@ -46,12 +51,15 @@ class PermutationModel(NamedTuple("PermutationModel", [("perm", tuple)])):
     """Vertex i is the segment from position i on the top line to position
     perm[i] on the bottom line (0-based internally); i ~ j iff the segments
     cross: (i - j) * (perm[i] - perm[j]) < 0.  Construction, _make and
-    _replace all check the permutation."""
+    _replace all check the permutation, whose values must be integers."""
 
     __slots__ = ()
 
     def __new__(cls, perm):
-        p = tuple(int(x) for x in perm)
+        try:
+            p = tuple(map(index, perm))
+        except TypeError as exc:
+            raise InvalidModel(f"permutation values must be integers: {exc}") from None
         seen = set()
         for x in p:
             if x in seen or not 0 <= x < len(p):
@@ -67,11 +75,6 @@ class PermutationModel(NamedTuple("PermutationModel", [("perm", tuple)])):
     @property
     def n(self):
         return len(self.perm)
-
-    def left_of(self, y, x):
-        """y lies to the left of x: disjoint, non-crossing, both endpoints
-        smaller.  This is the chain order used by the capacity DP."""
-        return y < x and self.perm[y] < self.perm[x]
 
 
 def realize_permutation(model: PermutationModel) -> Graph:

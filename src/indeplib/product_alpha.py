@@ -1,7 +1,6 @@
-"""Maximum independent sets of categorical products for structured factors:
-cographs (cotree recursion), splitgraphs (three bipartite cases), complete
-multipartite graphs (closed form), and the K4-product extraction that
-rebuilds an independent set of the first factor from one of G x K4.
+"""Maximum independent sets of categorical products for structured factors,
+cographs (cotree recursion) and splitgraphs (three bipartite cases), and the
+K4-product extraction that rebuilds an independent set of G from one of G x K4.
 """
 
 from __future__ import annotations

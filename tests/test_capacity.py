@@ -249,7 +249,11 @@ def test_chain_dp_matches_reference():
         rng.shuffle(perm)
         pm = PermutationModel(tuple(perm))
         g = realize_permutation(pm)
-        assert a_permutation(pm).a == chain_dp_reference(g, list(range(n)), pm.left_of)[0]
+
+        def left_of(y, x):
+            return y < x and perm[y] < perm[x]
+
+        assert a_permutation(pm).a == chain_dp_reference(g, list(range(n)), left_of)[0]
 
 
 def test_chain_witness_rule_on_several_optimal_chains():
@@ -277,15 +281,13 @@ def test_chain_witness_rule_on_several_optimal_chains():
     assert r.a == Fraction(2, 3) and r.witness == {2, 4}
     # P6 with gain 2, pen 1: {0,2,4}, {0,2,5}, {0,3,5} and {1,3,5} all score
     # 6 - 3; the first strict maximizer in processing order is kept, so the
-    # chain ending in 4 wins.  A maximum of 0 is the empty chain's.
+    # chain ending in 4 wins.  A maximum of 0 is the empty chain's.  The
+    # intervals [v, v + 1] realize P6: y may precede x when y + 1 < x
     g = path_graph(6)
     order = list(range(6))
-
-    def chain_ok(y, x):
-        return y + 1 < x
-
-    assert capacity._chain_dp(g, order, chain_ok, 2, 1) == (3, 0b10101)
-    assert capacity._chain_dp(g, order, chain_ok, 1, 1) == (0, 0)
+    ends = [(v, v + 1) for v in range(6)]
+    assert capacity._chain_dp(g, order, ends, 2, 1) == (3, 0b10101)
+    assert capacity._chain_dp(g, order, ends, 1, 1) == (0, 0)
 
 
 def _step_ok(g, value, mask, gain, pen):
@@ -311,16 +313,12 @@ def test_chain_step_matches_exhaustive():
             ivs.append((left, left + rng.randint(0, rng.choice([1, 3, n]))))
         g = realize_interval(IntervalModel(tuple(ivs)))
         order = sorted(range(n), key=lambda v: (ivs[v][1], ivs[v][0], v))
-
-        def chain_ok(y, x):
-            return ivs[y][1] < ivs[x][0]
-
-        _step_ok(g, *capacity._chain_dp(g, order, chain_ok, gain, pen), gain, pen)
+        _step_ok(g, *capacity._chain_dp(g, order, ivs, gain, pen), gain, pen)
         perm = list(range(n))
         rng.shuffle(perm)
-        pm = PermutationModel(tuple(perm))
-        g = realize_permutation(pm)
-        _step_ok(g, *capacity._chain_dp(g, list(range(n)), pm.left_of, gain, pen), gain, pen)
+        g = realize_permutation(PermutationModel(tuple(perm)))
+        ends = [(p, p) for p in perm]
+        _step_ok(g, *capacity._chain_dp(g, list(range(n)), ends, gain, pen), gain, pen)
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,20 @@ def test_interval_models():
         IntervalModel(((2, 1),))
 
 
+def test_models_refuse_non_integer_values():
+    # int() would truncate (0, 1.9), (1.95, 3), two disjoint intervals, to
+    # (0, 1), (1, 3), which touch: a K2 with a = 1/2 in place of a = 1
+    with pytest.raises(InvalidModel, match="^interval ends must be integers: 'float' object"):
+        IntervalModel(((0, 1.9), (1.95, 3)))
+    with pytest.raises(InvalidModel, match="^interval ends must be integers: 'str' object"):
+        IntervalModel(((0, 1), ("2", 3)))
+    with pytest.raises(InvalidModel, match="^permutation values must be integers: 'float' object"):
+        PermutationModel((0, 1.0))
+    # integers of any type that says it is one are kept
+    assert IntervalModel(((False, True),)).intervals == ((0, 1),)
+    assert PermutationModel((True, False)).perm == (1, 0)
+
+
 def test_permutation_models():
     assert realize_permutation(PermutationModel((0, 1, 2))).edge_count() == 0
     assert realize_permutation(PermutationModel((2, 1, 0))).adj == complete_graph(3).adj
@@ -361,8 +375,6 @@ def test_permutation_models():
     # the message names the first offending value, not the whole model
     with pytest.raises(InvalidModel, match=r"^not a permutation of 0\.\.99999: 5 repeats$"):
         PermutationModel([*range(99_999), 5])
-    m = PermutationModel((1, 0, 2))
-    assert m.left_of(0, 2) and not m.left_of(0, 1) and not m.left_of(2, 0)
 
 
 def test_certificate_models_are_checked_frozen_values():

@@ -668,6 +668,14 @@ def test_domination_argument_errors(capsys):
     assert code == EXIT_INPUT
 
 
+def test_domination_kmax_below_one_is_refused(capsys):
+    # no row for k = 1..kmax would leave a table with no rows
+    for kmax in ("0", "-3"):
+        code, out, err = run(capsys, "domination", "--bipartite", "2", "3", "--kmax", kmax)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: domination --kmax must be at least 1, got {kmax}\n"
+
+
 # ---------------------------------------------------------------------------
 # check
 
