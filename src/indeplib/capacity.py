@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import _lazy_getattr, flow
 from .config import DEFAULT_ALPHA_LIMIT
 from .errors import LimitExceeded, VerificationError
-from .graph import Graph, components, mask_to_set, neighborhood, set_to_mask
+from .graph import Graph, components, mask_to_set, neighborhood, neighborhood_mask, set_to_mask
 from .kernels import bipartite_matching
 
 if TYPE_CHECKING:
@@ -140,11 +140,7 @@ def _witness_counts(g: Graph, mask, what):
     independent in g; every witness an engine reports passes here."""
     if mask >> g.n:
         raise VerificationError(f"{what} witness has vertices outside the graph")
-    adj, nbrs, m = g.adj, 0, mask
-    while m:
-        low = m & -m
-        nbrs |= adj[low.bit_length() - 1]
-        m ^= low
+    nbrs = neighborhood_mask(g.adj, mask)
     if nbrs & mask:
         raise VerificationError(f"{what} witness is not independent")
     return mask.bit_count(), nbrs.bit_count()

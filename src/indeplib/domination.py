@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import index
 from typing import TYPE_CHECKING
 
 from .config import DEFAULT_BRUTEFORCE_LIMIT
@@ -21,6 +22,15 @@ if TYPE_CHECKING:
     from .graph import Graph
 
 
+def _integer(value, what):
+    """value as an int (operator.index): int() would truncate 2.9 and parse
+    "3"; anything else raises ValueError naming it."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def ri_complete_bipartite_power(m: int, n: int, k: int) -> Fraction:
     """r_i(K(m,n)^k) exactly.
 
@@ -28,6 +38,7 @@ def ri_complete_bipartite_power(m: int, n: int, k: int) -> Fraction:
     components with sides m^(k-l) n^l and m^l n^(k-l); each contributes its
     smaller side to the domination number.
     """
+    m, n, k = _integer(m, "m"), _integer(n, "n"), _integer(k, "k")
     if m < 1 or n < 1 or k < 1:
         raise ValueError("m, n, k must be positive")
     total = sum(
@@ -40,7 +51,7 @@ def ri_complete_bipartite_power(m: int, n: int, k: int) -> Fraction:
 def ultimate_independent_domination_multipartite(sizes) -> Fraction:
     """I(G) for complete multipartite G: 1/2 iff exactly two equal classes,
     otherwise 0.  Requires at least two classes (no isolated vertices)."""
-    sizes = [int(s) for s in sizes]
+    sizes = [_integer(s, "class size") for s in sizes]
     if any(s < 1 for s in sizes):
         raise ValueError("class sizes must be positive")
     if len(sizes) < 2:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import VerificationError
+from .graph import neighborhood_mask, set_to_mask
 
 # The Dinic max-flow below has no caller in the library: the ratio cut
 # replaced it.  It stays because the benchmark's trace wrappers
@@ -233,13 +234,7 @@ def _ratio_cut(svars, nbr, ground, p, q):
         seen_s = front = open_s
         seen_c = hit = 0
         while front:
-            reached = 0
-            m = front
-            while m:
-                low = m & -m
-                m ^= low
-                reached |= nbr[low.bit_length() - 1]
-            reached &= ~seen_c
+            reached = neighborhood_mask(nbr, front) & ~seen_c
             if not reached:
                 break
             seen_c |= reached
@@ -388,9 +383,7 @@ def max_gain(mask, nbr, covered, p, q, threshold):
             break
     if stranded <= threshold:
         return None
-    side = nbrs = 0
-    for v in _ratio_cut(svars, local, ground, p, q):
-        side |= 1 << v
-        nbrs |= local[v]
+    side = set_to_mask(_ratio_cut(svars, local, ground, p, q))
+    nbrs = neighborhood_mask(local, side)
     value = p * side.bit_count() - q * nbrs.bit_count()
     return (value, side) if value > threshold else None

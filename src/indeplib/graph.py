@@ -60,19 +60,23 @@ class Graph:
                 yield (u, v)
                 w &= w - 1
 
-    def is_independent(self, vertices):
-        mask = set_to_mask(vertices)
+    def _mask(self, vertices):
+        """The vertex mask of vertices, read once; an id outside 0..n-1
+        raises ValueError."""
+        mask = 0
         for v in vertices:
-            if self.adj[v] & mask:
-                return False
-        return True
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} not in graph")
+            mask |= 1 << v
+        return mask
+
+    def is_independent(self, vertices):
+        mask = self._mask(vertices)
+        return not neighborhood_mask(self.adj, mask) & mask
 
     def is_clique(self, vertices):
-        mask = set_to_mask(vertices)
-        for v in vertices:
-            if (mask & ~self.adj[v]) != (1 << v):
-                return False
-        return True
+        mask = self._mask(vertices)
+        return all((mask & ~self.adj[v]) == 1 << v for v in mask_to_set(mask))
 
     def subgraph(self, vertices):
         """Induced subgraph; vertex order = sorted(vertices).  Each kept
@@ -180,9 +184,7 @@ def is_product_independent(g: Graph, h: Graph, ids) -> bool:
     for a, row in rows.items():
         near = g.adj[a] & used
         if near:
-            reach = 0
-            for b in mask_to_set(row):
-                reach |= h.adj[b]
+            reach = neighborhood_mask(h.adj, row)
             if any(reach & rows[a2] for a2 in mask_to_set(near)):
                 return False
     return True
@@ -217,14 +219,22 @@ def graph_power(g: Graph, k: int, limit=DEFAULT_POWER_LIMIT) -> Graph:
     return out
 
 
+def neighborhood_mask(adj, mask):
+    """N(S) as a vertex mask: the union of adj[v] over the bits v of the
+    vertex mask S.  adj is anything indexed by vertex id (a graph's
+    ``adj``, or a dict of neighbour masks).  S is independent exactly when
+    ``not neighborhood_mask(adj, S) & S``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def neighborhood(g: Graph, vertices) -> set:
     """Open neighborhood N(S) as a vertex set (may intersect S)."""
-    mask = 0
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} not in graph")
-        mask |= g.adj[v]
-    return mask_to_set(mask)
+    return mask_to_set(neighborhood_mask(g.adj, g._mask(vertices)))
 
 
 def components(adj, mask):
@@ -235,11 +245,7 @@ def components(adj, mask):
     while mask:
         comp = frontier = mask & -mask
         while frontier:
-            reach = 0
-            while frontier:
-                reach |= adj[(frontier & -frontier).bit_length() - 1]
-                frontier &= frontier - 1
-            frontier = reach & mask & ~comp
+            frontier = neighborhood_mask(adj, frontier) & mask & ~comp
             comp |= frontier
         parts.append(comp)
         mask &= ~comp

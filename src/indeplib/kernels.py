@@ -8,7 +8,7 @@ loops of the library.  Everything here is deterministic: given the same
 adjacency, the same sets come out in the same order.
 """
 
-from .graph import mask_to_set
+from .graph import mask_to_set, neighborhood_mask
 
 # Read by the benchmark to label its records; these kernels are the only ones.
 HAVE_COMPILED = False
@@ -208,12 +208,7 @@ def bipartite_matching(adj, left, right, warm=None):
         seen = 0
         front = free
         while front:
-            reach = 0
-            while front:
-                low = front & -front
-                front ^= low
-                reach |= adj[low.bit_length() - 1]
-            reach &= right & ~seen
+            reach = neighborhood_mask(adj, front) & right & ~seen
             if not reach:
                 break
             if reach & open_r:
@@ -221,6 +216,7 @@ def bipartite_matching(adj, left, right, warm=None):
                 break
             layers.append(reach)
             seen |= reach
+            front = 0
             while reach:
                 low = reach & -reach
                 reach ^= low

@@ -15,6 +15,7 @@ from .graph import (
     complete_graph,
     is_product_independent,
     mask_to_set,
+    neighborhood_mask,
     set_to_mask,
 )
 from .kernels import bipartite_matching
@@ -125,15 +126,6 @@ def _internal_nodes(t: Cotree):
 # splitgraph products
 
 
-def _is_independent(adj, mask):
-    while mask:
-        low = mask & -mask
-        if adj[low.bit_length() - 1] & mask:
-            return False
-        mask ^= low
-    return True
-
-
 def _check_matching(adj, left, right, matching):
     """Raises VerificationError unless every pair of the matching state is
     an edge between the two sides, each vertex is used at most once and the
@@ -180,8 +172,8 @@ def bipartite_mis(adj, left, right, base=None):
     if left & right:
         raise VerificationError("bipartite sides overlap")
     checked_l, checked_r, warm = base if base is not None else (0, 0, None)
-    if (left & ~checked_l and not _is_independent(adj, left)) or (
-        right & ~checked_r and not _is_independent(adj, right)
+    if (left & ~checked_l and neighborhood_mask(adj, left) & left) or (
+        right & ~checked_r and neighborhood_mask(adj, right) & right
     ):
         raise VerificationError("bipartite side is not independent")
     matching = bipartite_matching(adj, left, right, warm)
@@ -191,14 +183,10 @@ def bipartite_mis(adj, left, right, base=None):
     zl = front = left & ~ml
     zr = 0
     while front:
-        reached = 0
-        while front:
-            low = front & -front
-            reached |= adj[low.bit_length() - 1]
-            front ^= low
-        reached &= right & ~zr
+        reached = neighborhood_mask(adj, front) & right & ~zr
         zr |= reached
         reached &= mr
+        front = 0
         while reached:
             low = reached & -reached
             front |= 1 << mate_r[low.bit_length() - 1]
@@ -349,7 +337,7 @@ def alpha_product_split(g: Graph, p1: SplitPartition, h: Graph, p2: SplitPartiti
             base, swapped = state, _swap_sides(state)
         if size + n_rook > best:
             best, witness = size + n_rook, cand | rook
-    if witness.bit_count() != best or not _is_independent(adj, witness):
+    if witness.bit_count() != best or neighborhood_mask(adj, witness) & witness:
         raise VerificationError(f"split witness is not an independent set of size {best}")
     return best, mask_to_set(witness)
 

@@ -75,6 +75,16 @@ def test_ultimate_ratio_classification():
         ultimate_independent_domination_multipartite([0, 2])
 
 
+def test_domination_refuses_non_integer_sizes():
+    # int() would read [2.9, 2] as K(2, 2) and parse ["3", "3"]; both answered 1/2
+    for sizes in ([2.9, 2], ["3", "3"], [Fraction(3), 3]):
+        with pytest.raises(ValueError, match="class size must be an integer"):
+            ultimate_independent_domination_multipartite(sizes)
+    for args in ((2.5, 2, 3), (2, "2", 3), (2, 2, 1.0)):
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            ri_complete_bipartite_power(*args)
+
+
 def test_ri_power_exact_examples():
     assert ri_power_exact(complete_graph(2), 1) == Fraction(1, 2)
     assert ri_power_exact(complete_graph(2), 2) == Fraction(1, 2)

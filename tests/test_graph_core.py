@@ -34,6 +34,7 @@ from indeplib.graph import (
     is_product_independent,
     mask_to_set,
     neighborhood,
+    neighborhood_mask,
     path_graph,
     set_to_mask,
     star_graph,
@@ -53,6 +54,16 @@ def test_graph_basics():
     assert g.is_independent({0, 2, 3})
     assert not g.is_independent({0, 1})
     assert g.is_clique({0, 1}) and not g.is_clique({0, 2})
+
+
+def test_is_independent_and_is_clique_read_their_argument_once():
+    g = path_graph(3)
+    assert not g.is_clique(iter([0, 2])) and g.is_clique(iter([0, 1]))
+    assert not g.is_independent(iter([0, 1])) and g.is_independent(iter([0, 2]))
+    for check in (g.is_clique, g.is_independent):
+        for bad in (3, -1):
+            with pytest.raises(ValueError, match=f"vertex {bad} not in graph"):
+                check([0, bad])
 
 
 def test_graph_rejects_bad_edges():
@@ -265,6 +276,20 @@ def test_neighborhood():
     assert neighborhood(g, {0}) == {1, 2, 3}
     assert neighborhood(g, {1}) == {0}
     assert neighborhood(g, {1, 2, 3}) == {0}
+
+
+def test_neighborhood_mask_matches_neighborhood():
+    rng = random.Random(29)
+    for _ in range(60):
+        g = random_graph(rng.randint(1, 12), rng.uniform(0.1, 0.6), rng)
+        local = dict(enumerate(g.adj))
+        masks = [0, (1 << g.n) - 1, rng.getrandbits(g.n)] + [1 << v for v in range(g.n)]
+        for mask in masks:
+            vertices = mask_to_set(mask)
+            want = set_to_mask(neighborhood(g, vertices))
+            assert neighborhood_mask(g.adj, mask) == want
+            assert neighborhood_mask(local, mask) == want
+            assert g.is_independent(vertices) == (not want & mask)
 
 
 def test_components_and_bipartite():

@@ -434,6 +434,21 @@ def test_split_bound_keeps_winning_cases():
         assert value == alpha_exact(categorical_product(g, h))[0]
 
 
+def test_split_witness_check_refuses_an_edge(monkeypatch):
+    # a Koenig routine that returns both whole sides gives case 0 of P4 x P4
+    # a 12-vertex witness, the size it claims, holding product edges; only
+    # the split engine's final independence check can see that
+    def both_sides(adj, left, right, base=None):
+        return (left | right).bit_count(), left | right, (left, right, ({}, {}, 0, 0))
+
+    monkeypatch.setattr(product_alpha, "bipartite_mis", both_sides)
+    g = path_graph(4)
+    p = split_partition(g)
+    msg = "split witness is not an independent set of size 12"
+    with pytest.raises(VerificationError, match=msg):
+        alpha_product_split(g, p, g, p)
+
+
 def test_split_verification_survives_optimize():
     # a Koenig routine that returns both whole sides must still fail the
     # split engine's witness check under python -O

@@ -7,19 +7,25 @@ line holds the workload, the seed, the item's index and kind, and:
 
 - capacity items: a, a*, the sorted witness, the engine and has_fpm;
 - product pairs: alpha, the sorted witness and the engine;
-- K4 items: alpha, the sorted product set and the sorted extracted set.
+- K4 items: alpha, the sorted product set and the sorted extracted set;
+- cli items: the exit code and the standard output of the command.
 
-The cli workload runs child processes and is not supported.
+The cli workload's files are written into a temporary directory with
+Cli.prepare, and each item's argv runs in-process through indeplib.cli.main
+there, as Cli.reference runs it, rather than in a child process.
 
 Usage: python3 tools/answers.py SRC [WORKLOAD ...]
 (default workloads: capacity_general capacity_classes)
 """
 
+import contextlib
 import enum
+import io
 import json
 import os
 import random
 import sys
+import tempfile
 from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
@@ -40,6 +46,31 @@ def _plain(value):
     return value
 
 
+def _run_cli(lib, workdir, argv):
+    """(exit code, standard output) of indeplib.cli.main(argv) run in workdir."""
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = lib.cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue()
+
+
+def _results(lib, wl, pool):
+    """The result of each pool item, in pool order."""
+    if wl.name != "cli":
+        for item in pool:
+            yield wl.run(lib, item)
+        return
+    with tempfile.TemporaryDirectory() as workdir:
+        wl.prepare(lib, pool, workdir)
+        for item in pool:
+            yield _run_cli(lib, workdir, item.data[0])
+
+
 def answers(src, names):
     sys.path.insert(0, os.path.abspath(src))
     lib = load_lib(src)
@@ -47,8 +78,7 @@ def answers(src, names):
         wl = WORKLOADS[name]()
         for seed in SEEDS:
             pool = wl.pool(lib, random.Random(f"{name}:{seed}"), False)
-            for item in pool:
-                result = wl.run(lib, item)
+            for item, result in zip(pool, _results(lib, wl, pool)):
                 line = [name, seed, item.index, item.kind, [_plain(x) for x in result]]
                 yield json.dumps(line)
 
@@ -59,7 +89,7 @@ def main(argv):
         return 2
     names = argv[1:] or ["capacity_general", "capacity_classes"]
     for name in names:
-        if name not in WORKLOADS or name == "cli":
+        if name not in WORKLOADS:
             print(f"no such workload here: {name}", file=sys.stderr)
             return 2
     for line in answers(argv[0], names):
