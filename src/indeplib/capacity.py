@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import _lazy_getattr, flow
 from .config import DEFAULT_ALPHA_LIMIT
 from .errors import LimitExceeded, VerificationError
-from .graph import Graph, components, mask_to_set, neighborhood, neighborhood_mask, set_to_mask
+from .graph import Graph, components, mask_to_set, neighborhood_mask, set_to_mask
 from .kernels import bipartite_matching
 
 if TYPE_CHECKING:
@@ -125,12 +125,11 @@ class NeighborhoodProfile:
 
     def verify(self, g: Graph):
         for k, w in self.witnesses.items():
-            if not g.is_independent(w):
-                raise VerificationError(f"profile witness for k={k} is not independent")
-            if len(neighborhood(g, w)) != self.table[k]:
-                raise VerificationError(
-                    f"profile witness for k={k} does not attain ell(k) = {self.table[k]}"
-                )
+            what = f"profile k={k}"
+            if not all(0 <= v < g.n for v in w):
+                raise VerificationError(f"{what} witness has vertices outside the graph")
+            if _witness_counts(g, set_to_mask(w), what)[1] != self.table[k]:
+                raise VerificationError(f"{what} witness does not attain ell(k) = {self.table[k]}")
 
 
 def _witness_counts(g: Graph, mask, what):
@@ -222,6 +221,14 @@ def _by_steps(g: Graph, step, engine) -> CapacityResult:
     return _finish(g, a, witness, engine)
 
 
+def _realized(g: Graph, realize, model) -> Graph:
+    """The graph the certificate model realizes, which must be g if given."""
+    certified = realize(model)
+    if g is not None and g.adj != certified.adj:
+        raise ValueError("certificate does not match the supplied graph")
+    return certified
+
+
 def min_ratio_subset(g: Graph, mask):
     """(a, witness mask): the largest |S|/(|S| + |N(S)|) over nonempty S
     inside the independent vertex mask, and the largest S attaining it.
@@ -290,12 +297,9 @@ def cograph_profile(t: Cotree, gain, pen):
     return best if best[0] > 0 else (0, 0)
 
 
-def a_cograph(t: Cotree) -> CapacityResult:
-    return _cograph(_lazy.realize(t), t)
-
-
-def _cograph(g: Graph, t: Cotree) -> CapacityResult:
-    """The cograph engine on g, the graph t realizes."""
+def a_cograph(t: Cotree, g: Graph = None) -> CapacityResult:
+    """The cograph engine; g, if given, must be the graph t realizes."""
+    g = _realized(g, _lazy.realize, t)
     return _by_steps(g, partial(cograph_profile, t), Engine.COGRAPH)
 
 
@@ -364,23 +368,17 @@ def _chain_dp(g: Graph, order, ends, gain, pen):
     return top, mask
 
 
-def a_interval(model: IntervalModel) -> CapacityResult:
-    return _interval(_lazy.realize_interval(model), model)
-
-
-def _interval(g: Graph, model: IntervalModel) -> CapacityResult:
-    """The interval engine on g, the graph model realizes."""
+def a_interval(model: IntervalModel, g: Graph = None) -> CapacityResult:
+    """The interval engine; g, if given, must be the graph model realizes."""
+    g = _realized(g, _lazy.realize_interval, model)
     ivs = model.intervals
     order = sorted(range(model.n), key=lambda v: (ivs[v][1], ivs[v][0], v))
     return _by_steps(g, partial(_chain_dp, g, order, ivs), Engine.INTERVAL)
 
 
-def a_permutation(model: PermutationModel) -> CapacityResult:
-    return _permutation(_lazy.realize_permutation(model), model)
-
-
-def _permutation(g: Graph, model: PermutationModel) -> CapacityResult:
-    """The permutation engine on g, the graph model realizes."""
+def a_permutation(model: PermutationModel, g: Graph = None) -> CapacityResult:
+    """The permutation engine; g, if given, must be the graph model realizes."""
+    g = _realized(g, _lazy.realize_permutation, model)
     ends = [(p, p) for p in model.perm]
     return _by_steps(g, partial(_chain_dp, g, range(model.n), ends), Engine.PERMUTATION)
 
@@ -602,14 +600,6 @@ def has_fractional_perfect_matching(g: Graph) -> bool:
 # dispatch
 
 
-def _realized(g: Graph, realize, model) -> Graph:
-    """The graph the certificate model realizes, which must be g if given."""
-    certified = realize(model)
-    if g is not None and g.adj != certified.adj:
-        raise ValueError("certificate does not match the supplied graph")
-    return certified
-
-
 def tensor_capacity(
     g: Graph = None,
     *,
@@ -626,21 +616,22 @@ def tensor_capacity(
     graph goes to the general engine, which solves each connected
     component and combines by max (a and Theta^T of a disjoint union are
     the componentwise maxima); limit bounds each component's vertex count.
-    A cotree, interval or permutation certificate is realized once; with a
-    graph too, the two must match before the engine runs.
+    Each branch is one call of a public engine, with g if given: the
+    cotree, interval and permutation engines realize their certificate once
+    and refuse a g that differs before any step runs.
     """
     if sum(c is not None for c in (cotree, split, interval, permutation, decomposition)) > 1:
         raise ValueError("tensor_capacity takes at most one certificate")
     if cotree is not None:
-        return _cograph(_realized(g, _lazy.realize, cotree), cotree)
+        return a_cograph(cotree, g)
     if split is not None:
         if g is None:
             raise ValueError("a split certificate needs the graph")
         return a_split(g, split)
     if interval is not None:
-        return _interval(_realized(g, _lazy.realize_interval, interval), interval)
+        return a_interval(interval, g)
     if permutation is not None:
-        return _permutation(_realized(g, _lazy.realize_permutation, permutation), permutation)
+        return a_permutation(permutation, g)
     if decomposition is not None:
         return a_treewidth(decomposition.graph if g is None else g, decomposition)
     if g is None:

@@ -22,8 +22,6 @@ from . import _lazy_getattr
 from .config import DEFAULT_POWER_LIMIT, DOMINATION_KMAX_LIMIT, oracle_limit
 from .errors import (
     IndeplibError,
-    InvalidDecomposition,
-    InvalidModel,
     LimitExceeded,
     NotACograph,
     NotASplitgraph,
@@ -404,9 +402,6 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_LIMIT
-    except (ParseError, InvalidModel, InvalidDecomposition, NotACograph, NotASplitgraph) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except VerificationError as exc:
         print(f"error: verification failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -179,8 +179,10 @@ def _ratio_network(svars, ground, nbr, p, q):
 
 def _ratio_cut(svars, nbr, ground, p, q):
     """Maximal minimum cut of s -> v (capacity p) for v in S, v -> c
-    (unbounded) for c in nbr[v], c -> t (capacity q) for c in the mask
-    ground.  Returns the S-vertices on the source side, as a list.
+    (unbounded) for c in nbr[v] & ground, c -> t (capacity q) for c in the
+    mask ground.  Only ground vertices are c-nodes, the ones with an arc to
+    t: the bits of nbr[v] outside ground carry no arc.  Returns the
+    S-vertices on the source side, as a list.
 
     Ground vertices are kept as one-bit masks.  The flow is held as the
     residual s -> v per S-vertex (rs), the residual c -> t per ground
@@ -234,7 +236,7 @@ def _ratio_cut(svars, nbr, ground, p, q):
         seen_s = front = open_s
         seen_c = hit = 0
         while front:
-            reached = neighborhood_mask(nbr, front) & ~seen_c
+            reached = neighborhood_mask(nbr, front) & ground & ~seen_c
             if not reached:
                 break
             seen_c |= reached
@@ -350,24 +352,23 @@ def max_gain(mask, nbr, covered, p, q, threshold):
     the answer is None.  Only then is the cut run, once; its maximal
     min-cut source side is the largest maximizer.
     """
-    local = {}  # v -> its neighbours outside covered, in increasing v
-    ground = 0
+    ground = neighborhood_mask(nbr, mask) & ~covered
+    # both greedy fills take the S-vertices fewer arcs first, least on ties:
+    # listed in increasing id, then a stable sort
+    svars = []
     m = mask
     while m:
         low = m & -m
-        v = low.bit_length() - 1
+        svars.append(low.bit_length() - 1)
         m ^= low
-        local[v] = nv = nbr[v] & ~covered
-        ground |= nv
-    # both greedy fills take the S-vertices fewer arcs first, least on ties
-    svars = sorted(local, key=lambda v: local[v].bit_count())
+    svars.sort(key=lambda v: (nbr[v] & ground).bit_count())
     # _ratio_cut's greedy start with only the sink residuals kept
     rt = {}
     open_t = ground
     stranded = 0
     for v in svars:
         r = p
-        m = local[v] & open_t
+        m = nbr[v] & open_t
         while r and m:
             low = m & -m
             m ^= low
@@ -383,7 +384,7 @@ def max_gain(mask, nbr, covered, p, q, threshold):
             break
     if stranded <= threshold:
         return None
-    side = set_to_mask(_ratio_cut(svars, local, ground, p, q))
-    nbrs = neighborhood_mask(local, side)
+    side = set_to_mask(_ratio_cut(svars, nbr, ground, p, q))
+    nbrs = neighborhood_mask(nbr, side) & ground
     value = p * side.bit_count() - q * nbrs.bit_count()
     return (value, side) if value > threshold else None

@@ -32,6 +32,7 @@ from indeplib import capacity, cli, flow
 from indeplib.capacity import (
     CapacityResult,
     Engine,
+    NeighborhoodProfile,
     a_cograph,
     a_general_exact,
     a_interval,
@@ -1014,14 +1015,16 @@ def test_tensor_capacity_product_theorem_property():
 
 
 def test_tensor_capacity_realizes_a_certificate_once(monkeypatch):
-    # P3 as each certificate: a graph that differs is refused before any
-    # step runs, and a matching one realizes the certificate once
+    # P3 as each certificate: a graph that differs, given to tensor_capacity
+    # or to the engine itself, is refused before any step runs, and a
+    # matching one realizes the certificate once
     p3 = Graph(3, [(0, 1), (0, 2)])
     cases = (
         ("cotree", parse_cotree("(* 0 (+ 1 2))"), "realize", "cograph_profile"),
         ("interval", IntervalModel(((1, 2), (0, 1), (2, 3))), "realize_interval", "_chain_dp"),
         ("permutation", PermutationModel((2, 0, 1)), "realize_permutation", "_chain_dp"),
     )
+    engines = {"cotree": a_cograph, "interval": a_interval, "permutation": a_permutation}
     for key, cert, realize_name, step_name in cases:
         realized, steps = [], []
         real_realize, real_step = getattr(capacity, realize_name), getattr(capacity, step_name)
@@ -1038,6 +1041,10 @@ def test_tensor_capacity_realizes_a_certificate_once(monkeypatch):
         monkeypatch.setattr(capacity, step_name, counted_step)
         with pytest.raises(ValueError, match="does not match"):
             tensor_capacity(path_graph(3), **{key: cert})
+        assert len(realized) == 1 and not steps, key
+        realized.clear()
+        with pytest.raises(ValueError, match="does not match"):
+            engines[key](cert, path_graph(3))
         assert len(realized) == 1 and not steps, key
         realized.clear()
         r = tensor_capacity(p3, **{key: cert})
@@ -1085,3 +1092,17 @@ def test_profile_exhaustive_shape():
     assert a == Fraction(3, 4) and k == 3 and wit == frozenset({1, 2, 3})
     with pytest.raises(LimitExceeded):
         profile_exhaustive(complete_graph(5), limit=4)
+
+
+def test_profile_verify_refuses_bad_witnesses():
+    # on P3, ell(1) = 1 at an end vertex; a witness outside 0..2 is refused
+    # as a failed verification, not as a bad argument
+    g = path_graph(3)
+    NeighborhoodProfile({0: 0, 1: 1}, {0: (), 1: {0}}).verify(g)
+    for v in (7, -1):
+        with pytest.raises(VerificationError, match="outside the graph"):
+            NeighborhoodProfile({0: 0, 1: 1}, {0: (), 1: {v}}).verify(g)
+    with pytest.raises(VerificationError, match="does not attain"):
+        NeighborhoodProfile({0: 0, 1: 1}, {0: (), 1: {1}}).verify(g)
+    with pytest.raises(VerificationError, match="not independent"):
+        NeighborhoodProfile({0: 0, 2: 1}, {0: (), 2: {0, 1}}).verify(g)

@@ -84,6 +84,18 @@ def test_trace_wrappers_install_and_count():
             "capacity.has_fractional_perfect_matching",
         ):
             assert last[name] - after[name] == 1, name
+        # tensor_capacity hands each of these certificates to its public
+        # engine, so each engine's span counts the call
+        item = tracer.begin_item(4)
+        lib.capacity.tensor_capacity(cotree=lib.cotree.parse_cotree("(* 0 (+ 1 2))"))
+        lib.capacity.tensor_capacity(
+            interval=lib.intersection.IntervalModel(((1, 2), (0, 1), (2, 3)))
+        )
+        lib.capacity.tensor_capacity(permutation=lib.intersection.PermutationModel((2, 0, 1)))
+        tracer.finish(item)
+        certified = {name: c for name, (c, _, _) in tracer.aggregate().items()}
+        for name in ("capacity.a_cograph", "capacity.a_interval", "capacity.a_permutation"):
+            assert certified[name] - last[name] == 1, name
     finally:
         sys.path.remove(PERFBENCH)
         for name in _indeplib_modules():

@@ -15,7 +15,7 @@ Cli.prepare, and each item's argv runs in-process through indeplib.cli.main
 there, as Cli.reference runs it, rather than in a child process.
 
 Usage: python3 tools/answers.py SRC [WORKLOAD ...]
-(default workloads: capacity_general capacity_classes)
+(default: every workload, in perfbench/workloads.py order)
 """
 
 import contextlib
@@ -87,7 +87,7 @@ def main(argv):
     if not argv or argv[0].startswith("-"):
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    names = argv[1:] or ["capacity_general", "capacity_classes"]
+    names = argv[1:] or list(WORKLOADS)
     for name in names:
         if name not in WORKLOADS:
             print(f"no such workload here: {name}", file=sys.stderr)
