@@ -12,6 +12,8 @@ dropped unless some extension of its chosen set may beat it, and a node
 whose candidates are independent is finished by Dinkelbach steps.
 flow.max_gain is the one flow question of both engines: every step on an
 independent set, and the bound when the whole candidate set fails it.
+Where the whole set passes, the bound fills a clique cover of the
+candidates with max_gain's own greedy fill, flow.strands_more.
 Every engine hands its witness to _finish as a vertex mask, checked by the
 same routine as each Dinkelbach step's.  All values are exact Fractions.
 """
@@ -240,7 +242,8 @@ def min_ratio_subset(g: Graph, mask):
     and general engines call this through the module global, under the
     name the benchmark's tracer wraps.
     """
-    return _dinkelbach(g, partial(_extend, g.adj, 0, 0, mask), mask)
+    ground = neighborhood_mask(g.adj, mask)
+    return _dinkelbach(g, partial(_extend, g.adj, 0, 0, mask, ground), mask)
 
 
 # ---------------------------------------------------------------------------
@@ -517,16 +520,22 @@ def _search(g: Graph, part, a, witness):
     strictly beats the price a = p/q, it is recorded and raises the price.
     A node whose candidates are pairwise non-adjacent is a leaf: every
     I | T with T inside C is independent, and _extend finds the best,
-    re-run at each raised price by _dinkelbach until it finds nothing.  Any
-    other node is dropped unless some T inside C, independent or not, has
-    (q-p)*|T| - p*|N(T) \\ N(I)| above p*|N(I)| - (q-p)*|I|: only then can a
-    set below it beat the price.  The pass over C also ORs the candidates'
-    neighbour masks, so T = C is tested there, and flow.max_gain decides
-    only when it fails.  A kept node branches on its candidate with the
+    re-run at each raised price by _dinkelbach until it finds nothing; the
+    right side of each step's flow is N(C) \\ N(I), which the pass below
+    has already ORed.  Any other node is dropped unless some independent T
+    inside C may have (q-p)*|T| - p*|N(T) \\ N(I)| above p*|N(I)| -
+    (q-p)*|I|: only then can a set below it beat the price.  Two
+    relaxations answer this.  The pass over C ORs the candidates'
+    neighbour masks, so T = C, independent or not, is tested there.  If
+    T = C does not beat the threshold, flow.max_gain asks the same of every
+    subset of C.  If it does, that relaxation cannot drop the node, and
+    _clique_bound asks it of a clique cover of C instead, which T meets at
+    most once per clique.  A kept node branches on its candidate with the
     most candidate neighbours, least id on ties, and searches the branch
     that takes it first.  That vertex has a candidate neighbour, so the
-    search tree has O*(1.4656^n) nodes, from T(n) <= T(n-1) + T(n-3).  The price only rises, so a dropped node hides
-    no set that the search would record."""
+    search tree has O*(1.4656^n) nodes, from T(n) <= T(n-1) + T(n-3).  The
+    price only rises, so a dropped node hides no set that the search would
+    record."""
     adj = g.adj
     p, q = a.numerator, a.denominator
     stack = [(0, 0, part)]  # (I, N(I), C) as vertex masks
@@ -535,12 +544,13 @@ def _search(g: Graph, part, a, witness):
         # one pass: the free candidates join, the others' neighbours are ORed,
         # and the branch vertex is found
         top = branch = reach = 0
+        outside = ~nbrs
         m = cand
         while m:
             low = m & -m
             m ^= low
             av = adj[low.bit_length() - 1]
-            if not av & ~nbrs:
+            if not av & outside:
                 inset |= low
                 cand ^= low
                 continue
@@ -556,13 +566,18 @@ def _search(g: Graph, part, a, witness):
             p, q = a.numerator, a.denominator
         if not cand:
             continue
+        ground = reach & outside  # N(C) \ N(I)
         if not branch:
-            a, witness = _dinkelbach(g, partial(_extend, adj, inset, nbrs, cand), witness)
+            step = partial(_extend, adj, inset, nbrs, cand, ground)
+            a, witness = _dinkelbach(g, step, witness)
             p, q = a.numerator, a.denominator
             continue
         threshold = p * count - (q - p) * size
-        whole = (q - p) * cand.bit_count() - p * (reach & ~nbrs).bit_count()
-        if whole <= threshold and flow.max_gain(cand, adj, nbrs, q - p, p, threshold) is None:
+        whole = (q - p) * cand.bit_count() - p * ground.bit_count()
+        if whole > threshold:
+            if _clique_bound(adj, cand, ground, q - p, p, threshold):
+                continue
+        elif flow.max_gain(cand, adj, ground, q - p, p, threshold) is None:
             continue
         v = branch.bit_length() - 1
         stack.append((inset, nbrs, cand ^ branch))
@@ -570,14 +585,62 @@ def _search(g: Graph, part, a, witness):
     return a, witness
 
 
-def _extend(adj, inset, nbrs, cand, gain, pen):
+def _clique_bound(adj, cand, ground, gain, pen, threshold):
+    """True if no independent T inside the vertex mask cand has
+    gain*|T| - pen*|N(T) & ground| above threshold, by a greedy clique
+    cover of cand (the colouring bound of maximum-clique branch and bound,
+    Tomita & Seki 2003, on the complement); False if the cover cannot show
+    it.
+
+    Each clique starts at the least vertex not yet covered and adds the
+    least vertex adjacent to all of its members.  T takes at most one
+    vertex of each clique K, and that vertex sees all of common(K), the
+    ground vertices adjacent to every member of K.  So gain*|T| -
+    pen*|N(T) & ground| is at most gain*|X| - pen*|union of common(K)| for
+    the set X of cliques T meets: the flow question of max_gain with one
+    S-vertex per clique, of supply gain, and common(K) as its neighbours.
+    The greedy fill (flow.strands_more) answers it, cliques with fewer
+    common vertices first; no cut runs here.  The cover stops as soon as
+    the fill cannot succeed: once the cliques built so far strand more
+    than threshold on their own, each clique K at least gain -
+    pen*|common(K)|, or when the whole cover does, gain*|cover| less pen
+    per common vertex."""
+    commons = []
+    union = short = 0
+    rest = cand
+    while rest:
+        low = rest & -rest
+        av = adj[low.bit_length() - 1]
+        common = av & ground
+        rest ^= low
+        m = rest & av
+        while m:
+            low = m & -m
+            av = adj[low.bit_length() - 1]
+            common &= av
+            rest ^= low
+            m &= av
+        commons.append(common)
+        union |= common
+        left = gain - pen * common.bit_count()
+        if left > 0:
+            short += left
+            if short > threshold:
+                return False
+    if gain * len(commons) - pen * union.bit_count() > threshold:
+        return False
+    commons.sort(key=int.bit_count)
+    return not flow.strands_more(range(len(commons)), commons, ground, gain, pen, threshold)
+
+
+def _extend(adj, inset, nbrs, cand, ground, gain, pen):
     """One Dinkelbach step at a leaf of the general search: (the maximum of
     gain*|J| - pen*|N(J)| over J = I | T, T inside the independent mask
     cand, with the largest such J), or (0, 0) when no J beats the price.
-    One flow.max_gain of cand against its neighbours outside N(I), the
-    mask nbrs, finds T."""
+    One flow.max_gain of cand against ground, its neighbours outside N(I)
+    (the mask nbrs), finds T."""
     threshold = pen * nbrs.bit_count() - gain * inset.bit_count()
-    found = flow.max_gain(cand, adj, nbrs, gain, pen, threshold)
+    found = flow.max_gain(cand, adj, ground, gain, pen, threshold)
     if found is None:
         return 0, 0
     return found[0] - threshold, inset | found[1]

@@ -70,4 +70,9 @@ class InvalidDecomposition(IndeplibError):
 
 
 class InvalidModel(IndeplibError):
-    """A structured model (interval, permutation, cotree) is malformed."""
+    """A structured model (interval, permutation, cotree) is malformed;
+    value is the offending value, where the check names one."""
+
+    def __init__(self, message, value=None):
+        super().__init__(message)
+        self.value = value

@@ -5,8 +5,10 @@ step of max_gain, which finds the largest subset of a mask, independent
 or not, that gains most at one ratio, when its gain is above a threshold.
 max_gain is the one flow question of the split and general engines in
 capacity: each Dinkelbach step on an independent mask, and the general
-engine's bound.  All capacities are integers and every cut decision is
-exact.
+engine's bound.  Its greedy fill, strands_more, also serves the general
+engine's clique-cover bound.  Both the fill and the cut stop once the
+question is decided.  All capacities are integers and every cut decision
+is exact.
 """
 
 from __future__ import annotations
@@ -177,12 +179,19 @@ def _ratio_network(svars, ground, nbr, p, q):
     return net, sidx, cidx
 
 
-def _ratio_cut(svars, nbr, ground, p, q):
+def _ratio_cut(svars, nbr, ground, p, q, threshold):
     """Maximal minimum cut of s -> v (capacity p) for v in S, v -> c
     (unbounded) for c in nbr[v] & ground, c -> t (capacity q) for c in the
     mask ground.  Only ground vertices are c-nodes, the ones with an arc to
     t: the bits of nbr[v] outside ground carry no arc.  Returns the
-    S-vertices on the source side, as a list.
+    S-vertices on the source side, as a list, or None once the flow
+    strands at most threshold of the supply.
+
+    The cut's value p*|S| - q*|N(S) & ground| on its source side S is the
+    supply a maximum flow strands, and any flow strands at least that, so
+    the question "does some S gain more than threshold" is decided once a
+    flow strands no more: after the greedy start, after each augmentation
+    and when augmentation ends.  Then the residual pass is skipped.
 
     Ground vertices are kept as one-bit masks.  The flow is held as the
     residual s -> v per S-vertex (rs), the residual c -> t per ground
@@ -194,9 +203,10 @@ def _ratio_cut(svars, nbr, ground, p, q):
     in svars order; max_gain sorts them fewer arcs first, which leaves
     fewer augmenting paths.  The maximal min-cut source side is unique, so
     the order does not change it.
-    Raises VerificationError unless the cut is certified minimum: the flow
-    runs on arcs only and the ground receives all of it, the cut's capacity
-    equals the flow value and no unbounded arc crosses the cut.
+    Raises VerificationError unless the flow runs on arcs only and the
+    ground receives all of it, and, when a side is returned, unless the cut
+    is certified minimum: its capacity equals the flow value and no
+    unbounded arc crosses it.
     """
     rs = {}
     rt = {}
@@ -205,6 +215,7 @@ def _ratio_cut(svars, nbr, ground, p, q):
     flow = {}
     open_t = ground  # ground vertices with residual capacity to t
     open_s = 0  # S-vertices with residual capacity from s
+    stranded = 0  # the supply left at s
 
     # greedy start along the direct paths s -> v -> c -> t
     for v in svars:
@@ -227,11 +238,12 @@ def _ratio_cut(svars, nbr, ground, p, q):
         fwd[v] = sent
         if r:
             open_s |= 1 << v
+            stranded += r
 
     # shortest augmenting paths s -> v0 -> c0 -> v1 -> ... -> ck -> t, each
     # c(i-1) -> vi a back arc; the search runs layer by layer on masks and
     # the path is picked out of the layers afterwards
-    while open_s and open_t:
+    while stranded > threshold and open_s and open_t:
         layers = []
         seen_s = front = open_s
         seen_c = hit = 0
@@ -281,6 +293,7 @@ def _ratio_cut(svars, nbr, ground, p, q):
         if not rt[end]:
             open_t ^= end
         rs[v] -= amt
+        stranded -= amt
         if not rs[v]:
             open_s ^= 1 << v
         for j, (v, c) in enumerate(path):
@@ -295,23 +308,6 @@ def _ratio_cut(svars, nbr, ground, p, q):
                 fwd[v] |= c
                 back[c] = back.get(c, 0) | 1 << v
 
-    # the nodes that reach t in the residual graph: c with residual to t,
-    # v with an arc into such a c, and c with a back arc to such a v
-    reach_c = open_t
-    rest = svars
-    while True:
-        kept = []
-        grown = reach_c
-        for v in rest:
-            if nbr[v] & reach_c:
-                grown |= fwd[v]
-            else:
-                kept.append(v)
-        if len(kept) == len(rest):
-            break
-        rest = kept
-        reach_c = grown
-
     # the flow runs on arcs only, and the ground receives what the
     # S-vertices send; the bounds 0 <= rs <= p and 0 <= rt <= q are not
     # checked, as scanning the residuals for them costs more than all the
@@ -320,53 +316,55 @@ def _ratio_cut(svars, nbr, ground, p, q):
         if fwd[v] & ~nbr[v]:
             raise VerificationError(f"the ratio cut's flow leaves {v} on a non-arc")
     value = p * len(rs) - sum(rs.values())
-    capacity = p * (len(svars) - len(rest)) + q * (ground & ~reach_c).bit_count()
-    if capacity != value:
-        raise VerificationError(f"ratio cut capacity {capacity} != flow value {value}")
+    rest = None
+    if stranded > threshold:
+        # the nodes that reach t in the residual graph: c with residual to
+        # t, v with an arc into such a c, and c with a back arc to such a v
+        reach_c = open_t
+        rest = svars
+        while True:
+            kept = []
+            grown = reach_c
+            for v in rest:
+                if nbr[v] & reach_c:
+                    grown |= fwd[v]
+                else:
+                    kept.append(v)
+            if len(kept) == len(rest):
+                break
+            rest = kept
+            reach_c = grown
+        capacity = p * (len(svars) - len(rest)) + q * (ground & ~reach_c).bit_count()
+        if capacity != value:
+            raise VerificationError(f"ratio cut capacity {capacity} != flow value {value}")
     received = q * len(rt) - sum(rt.values())
     if received != value:
         raise VerificationError(f"the ratio cut's ground receives {received}, not {value}")
-    if any(nbr[v] & reach_c for v in rest):
+    if rest is not None and any(nbr[v] & reach_c for v in rest):
         raise VerificationError("an unbounded arc crosses the ratio cut")
     return rest
 
 
-def max_gain(mask, nbr, covered, p, q, threshold):
-    """(value, side mask) of the largest subset S of the vertex mask that
-    maximizes p*|S| - q*|N(S) \\ covered|, N(S) the union of the neighbour
-    masks nbr[v], if that value is above threshold; None otherwise.  S need
-    not be independent, so N(S) may meet the mask; the empty set counts, so
-    every negative threshold is beaten.  The general engine asks this of a
-    node's candidates C, with covered = N(I) for its chosen set I, for its
-    bound, and of an independent mask for each Dinkelbach step of a leaf,
-    the split side and the greedy set.
+def strands_more(svars, nbr, ground, p, q, threshold):
+    """Whether the greedy fill strands more than threshold of the supply:
+    each S-vertex v of svars, in order, sends its supply p to the ground
+    vertices of nbr[v], least first, each of which takes at most q.
 
-    The flow runs on the bipartite double cover: the mask's vertices on
-    the left and N(mask) \\ covered on the right, which _ratio_cut keeps
-    apart (ints against one-bit masks) even where they overlap, with
-    s -> v of capacity p and c -> t of capacity q.  The largest value is
-    p*|mask| less the maximum flow (Gale's supply-demand theorem, 1957), so
-    it is at most the supply that any feasible flow strands.  _ratio_cut's
-    greedy start runs first, alone and on the sink residuals only, and
-    stops once it has stranded more than the threshold: if it ends sooner,
-    the answer is None.  Only then is the cut run, once; its maximal
-    min-cut source side is the largest maximizer.
+    The fill is _ratio_cut's greedy start with only the sink residuals
+    kept.  Each S-vertex strands at most p, so the answer is False as soon
+    as what is stranded plus p per S-vertex not yet placed is at most
+    threshold, and True as soon as what is stranded exceeds it.  False
+    proves that no subset S of svars has p*|S| - q*|N(S) & ground| above
+    threshold: that value is at most what any flow strands.
     """
-    ground = neighborhood_mask(nbr, mask) & ~covered
-    # both greedy fills take the S-vertices fewer arcs first, least on ties:
-    # listed in increasing id, then a stable sort
-    svars = []
-    m = mask
-    while m:
-        low = m & -m
-        svars.append(low.bit_length() - 1)
-        m ^= low
-    svars.sort(key=lambda v: (nbr[v] & ground).bit_count())
-    # _ratio_cut's greedy start with only the sink residuals kept
     rt = {}
     open_t = ground
     stranded = 0
+    room = threshold - p * len(svars)  # threshold less p per S-vertex left
     for v in svars:
+        if stranded <= room:
+            return False
+        room += p
         r = p
         m = nbr[v] & open_t
         while r and m:
@@ -379,12 +377,48 @@ def max_gain(mask, nbr, covered, p, q, threshold):
             else:
                 r -= left
                 open_t ^= low
-        stranded += r
-        if stranded > threshold:
-            break
-    if stranded <= threshold:
+        if r:
+            stranded += r
+            if stranded > threshold:
+                return True
+    return stranded > threshold
+
+
+def max_gain(mask, nbr, ground, p, q, threshold):
+    """(value, side mask) of the largest subset S of the vertex mask that
+    maximizes p*|S| - q*|N(S) & ground|, N(S) the union of the neighbour
+    masks nbr[v], if that value is above threshold; None otherwise.  S need
+    not be independent, so N(S) may meet the mask; the empty set counts, so
+    every negative threshold is beaten.  The general engine asks this of a
+    node's candidates C, with ground = N(C) \\ N(I) for its chosen set I,
+    for its bound, and of an independent mask for each Dinkelbach step of a
+    leaf, the split side and the greedy set.
+
+    The flow runs on the bipartite double cover: the mask's vertices on
+    the left and the ground on the right, which _ratio_cut keeps apart
+    (ints against one-bit masks) even where they overlap, with s -> v of
+    capacity p and c -> t of capacity q.  The largest value is p*|mask|
+    less the maximum flow (Gale's supply-demand theorem, 1957), so it is at
+    most the supply that any feasible flow strands.  The greedy fill
+    (strands_more) runs first and stops once the question is decided: if
+    it strands at most the threshold, the answer is None.  Only then is the
+    cut run, once, and it too stops once its flow strands at most the
+    threshold; otherwise its maximal min-cut source side is the largest
+    maximizer.
+    """
+    # both greedy fills take the S-vertices fewer arcs first, least on ties:
+    # listed in increasing id, then a stable sort
+    svars = []
+    m = mask
+    while m:
+        low = m & -m
+        svars.append(low.bit_length() - 1)
+        m ^= low
+    svars.sort(key=lambda v: (nbr[v] & ground).bit_count())
+    if not strands_more(svars, nbr, ground, p, q, threshold):
         return None
-    side = set_to_mask(_ratio_cut(svars, nbr, ground, p, q))
-    nbrs = neighborhood_mask(nbr, side) & ground
-    value = p * side.bit_count() - q * nbrs.bit_count()
-    return (value, side) if value > threshold else None
+    cut = _ratio_cut(svars, nbr, ground, p, q, threshold)
+    if cut is None:
+        return None
+    side = set_to_mask(cut)
+    return p * side.bit_count() - q * (neighborhood_mask(nbr, side) & ground).bit_count(), side

@@ -64,7 +64,7 @@ class PermutationModel(NamedTuple("PermutationModel", [("perm", tuple)])):
         for x in p:
             if x in seen or not 0 <= x < len(p):
                 why = "repeats" if x in seen else "is out of range"
-                raise InvalidModel(f"not a permutation of 0..{len(p) - 1}: {x} {why}")
+                raise InvalidModel(f"not a permutation of 0..{len(p) - 1}: {x} {why}", value=x)
             seen.add(x)
         return super().__new__(cls, p)
 

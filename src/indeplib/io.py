@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .config import DEFAULT_POWER_LIMIT
-from .errors import LimitExceeded, ParseError
+from .errors import InvalidModel, LimitExceeded, ParseError
 from .graph import Graph
 
 if TYPE_CHECKING:
@@ -123,13 +123,14 @@ def parse_permutation_model(text: str) -> PermutationModel:
         values.extend(_ints(line.split(), ln))
     if len(values) != n:
         raise ParseError(f"expected {n} permutation values, got {len(values)}")
-    seen = set()
-    for v in values:
-        if v in seen or not 1 <= v <= n:
-            why = "repeats" if v in seen else "is out of range"
-            raise ParseError(f"values must be a permutation of 1..{n}: {v} {why}")
-        seen.add(v)
-    return PermutationModel(tuple(v - 1 for v in values))
+    # the model checks the values once, 0-based; its error is restated
+    # 1-based, as the file gives them
+    try:
+        return PermutationModel(tuple(v - 1 for v in values))
+    except InvalidModel as exc:
+        v = exc.value + 1
+        why = "is out of range" if not 1 <= v <= n else "repeats"
+        raise ParseError(f"values must be a permutation of 1..{n}: {v} {why}") from None
 
 
 def parse_tree_decomposition(text: str):

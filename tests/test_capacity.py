@@ -870,35 +870,53 @@ def test_general_free_candidates_join_at_once(monkeypatch):
 
 
 def test_general_bound_drops_no_improvement(monkeypatch):
-    # the bound drops a node only when no set below it beats the price, and
-    # the price only rises, so a bound that always answers "may beat" makes
-    # the search record the same sets: the same a and witness, which are
-    # the reference walk's.  The whole-mask test never drops a node, so the
-    # bound always answers "may beat" when max_gain does on every bound's
-    # mask.  On these graphs the real bound drops nodes, and the search
-    # improves on the greedy set's a
+    # each bound drops a node only when no set below it beats the price,
+    # and the price only rises, so a search with either bound, or both,
+    # always answering "may beat" records the same sets: the same a and
+    # witness, which are the reference walk's.  The vertex bound is off
+    # when flow.max_gain answers "may beat" on every bound's mask (the
+    # whole-mask test never drops a node), and the clique bound is off when
+    # _clique_bound answers False.  On these graphs the real bounds drop
+    # nodes, the clique bound among them on the denser graphs of 20-30
+    # vertices, and the search improves on the greedy set's a
     rng = random.Random(14)
     graphs = [random_graph(rng.randint(8, 16), rng.uniform(0.15, 0.5), rng) for _ in range(150)]
     graphs += [cycle_graph(5), Graph(6, SLOW_GREEDY), random_graph(30, 0.35, random.Random(14))]
+    dense = [random_graph(rng.randint(20, 30), rng.uniform(0.35, 0.45), rng) for _ in range(8)]
+    real_gain, real_clique = flow.max_gain, capacity._clique_bound
     calls = _record_ratio_calls(monkeypatch)
     bounds = _count_bounds(monkeypatch)
+    dropped = []
+
+    def counted(*args):
+        dropped.append(real_clique(*args))
+        return dropped[-1]
+
+    monkeypatch.setattr(capacity, "_clique_bound", counted)
     bounded, improved = [], 0
     for g in graphs:
         calls.clear()
         bounded.append(a_general_exact(g))
         improved += bounded[-1].a > calls[0][1][0]
     assert False in bounds and improved >= 5, improved
-    real = flow.max_gain
+    del dropped[:]
+    bounded += [a_general_exact(g) for g in dense]
+    assert True in dropped
 
     def may_beat(mask, nbr, *rest):
-        return True if _asks_a_bound(mask, nbr) else real(mask, nbr, *rest)
+        return True if _asks_a_bound(mask, nbr) else real_gain(mask, nbr, *rest)
 
-    monkeypatch.setattr(flow, "max_gain", may_beat)
-    for g, res in zip(graphs, bounded):
-        unbounded = a_general_exact(g)
-        assert (unbounded.a, unbounded.witness) == (res.a, res.witness), g.adj
-        if g.n <= 16:
-            assert (res.a, res.witness) == general_reference(g), g.adj
+    def keeps(*args):
+        return False
+
+    for gain, clique in ((may_beat, real_clique), (real_gain, keeps), (may_beat, keeps)):
+        monkeypatch.setattr(flow, "max_gain", gain)
+        monkeypatch.setattr(capacity, "_clique_bound", clique)
+        for g, res in zip(graphs + dense, bounded):
+            unbounded = a_general_exact(g)
+            assert (unbounded.a, unbounded.witness) == (res.a, res.witness), g.adj
+            if g.n <= 16:
+                assert (res.a, res.witness) == general_reference(g), g.adj
 
 
 def _circulant(n, steps):
@@ -929,10 +947,11 @@ def test_general_hard_40_vertex_graphs_through_the_cli(name, monkeypatch, capsys
     # has four neighbours, so |N(I)| >= 2|I| and a <= 1/3.  C40(1,2)
     # reaches 13/40 (every third vertex; 40 is not a multiple of 3), and
     # the line graph of this cubic graph on 26 vertices (39 edges) 1/3.
-    # The search reaches the bound at 12,554 and 5,928 nodes: the whole
-    # candidate set keeps 6,321 and 2,969 of them, and flow.max_gain drops
-    # the other 6,233 and 2,959.  A bound that did not count what I already
-    # pays (threshold 0) was asked 167,943 and 136,034 times
+    # The search reaches the bound at 9,381 and 5,779 nodes: the whole
+    # candidate set keeps 6,190 and 2,966 of them, of which the clique
+    # cover drops 1,473 and 72, and flow.max_gain drops the other 3,191 and
+    # 2,813.  A bound that did not count what I already pays (threshold 0)
+    # was asked 167,943 and 136,034 times
     if name == "C40(1,2)":
         g, a = _circulant(40, (1, 2)), "13/40"
     else:

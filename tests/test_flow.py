@@ -10,7 +10,7 @@ from indeplib import capacity, flow
 from indeplib.capacity import min_ratio_subset
 from indeplib.errors import VerificationError
 from indeplib.flow import INF, FlowNetwork, max_flow, max_gain
-from indeplib.graph import Graph, set_to_mask
+from indeplib.graph import Graph, neighborhood_mask, set_to_mask
 
 
 def test_max_flow_simple():
@@ -134,15 +134,17 @@ def _count_cuts(monkeypatch):
 
 def test_max_gain_vs_exhaustive(monkeypatch):
     # graphs (so N(S) meets the mask and S need not be independent) and
-    # arbitrary neighbour masks, with a covered mask (N(I) of the general
-    # engine's node) empty in a third of the cases.  Prices are each ratio
-    # |N(S) \\ covered|/|S| that occurs, and one at random; thresholds are
-    # the best gain (a tie: None), one below it, one above, 0 and -1.  The
-    # answer is the best p*|S| - q*|N(S) \\ covered| over all subsets S, the
-    # empty one included, with the union of its maximizers (the largest
-    # one, as maximizers are closed under union), if it is above the
-    # threshold.  Every way to an answer is taken: None from the greedy
-    # fill with no cut, and the cut's None and value
+    # arbitrary neighbour masks.  The ground is N(mask) less a covered mask
+    # (N(I) of the general engine's node), empty in a third of the cases,
+    # and in a fifth of them it also holds vertices no S-vertex sees.
+    # Prices are each ratio |N(S) & ground|/|S| that occurs, and one at
+    # random; thresholds are the best gain (a tie: None), one below it, one
+    # above, 0 and -1.  The answer is the best p*|S| - q*|N(S) & ground|
+    # over all subsets S, the empty one included, with the union of its
+    # maximizers (the largest one, as maximizers are closed under union),
+    # if it is above the threshold.  Every way to an answer is taken: None
+    # from the greedy fill with no cut, None from a cut that stops once
+    # its flow strands at most the threshold, and the cut's value
     cuts = _count_cuts(monkeypatch)
     rng = random.Random(23)
     ways = {"fill": 0, "cut None": 0, "cut value": 0}
@@ -154,6 +156,9 @@ def test_max_gain_vs_exhaustive(monkeypatch):
             nbr = [rng.getrandbits(n) for _ in range(n)]
         mask = rng.getrandbits(n)
         covered = rng.getrandbits(n) if case % 3 else 0
+        ground = neighborhood_mask(nbr, mask) & ~covered
+        if case % 5 == 0:
+            ground |= rng.getrandbits(n)
         verts = [v for v in range(n) if (mask >> v) & 1]
         subsets = []
         for sub in range(1 << len(verts)):
@@ -161,7 +166,7 @@ def test_max_gain_vs_exhaustive(monkeypatch):
             nbrs = 0
             for v in picked:
                 nbrs |= nbr[v]
-            subsets.append((set_to_mask(picked), len(picked), (nbrs & ~covered).bit_count()))
+            subsets.append((set_to_mask(picked), len(picked), (nbrs & ground).bit_count()))
         prices = {Fraction(rng.randint(0, 12), rng.randint(1, 5))}
         prices |= {Fraction(c, k) for _, k, c in subsets if k}
         for price in prices:
@@ -175,8 +180,8 @@ def test_max_gain_vs_exhaustive(monkeypatch):
             for threshold in {top - 1, top, top + 1, 0, -1}:
                 want = (top, largest) if top > threshold else None
                 before = len(cuts)
-                got = max_gain(mask, nbr, covered, p, q, threshold)
-                assert got == want, (nbr, mask, covered, p, q, threshold)
+                got = max_gain(mask, nbr, ground, p, q, threshold)
+                assert got == want, (nbr, mask, ground, p, q, threshold)
                 if len(cuts) == before:
                     assert got is None
                     ways["fill"] += 1
@@ -190,6 +195,11 @@ def test_max_gain_spends_no_cut_when_the_fill_strands_no_more_than_the_threshold
     monkeypatch,
 ):
     cuts = _count_cuts(monkeypatch)
+
+    def max_gain(mask, nbr, covered, p, q, threshold):
+        """flow.max_gain with N(mask) \\ covered as the ground."""
+        return flow.max_gain(mask, nbr, neighborhood_mask(nbr, mask) & ~covered, p, q, threshold)
+
     # K_{3,3} side {0, 1, 2}: at ratio p/q each vertex alone gains p - 3q,
     # the side 3p - 3q.  A tie places all of the flow in the greedy fill
     nbr = [0b111000] * 3 + [0b000111] * 3
@@ -242,7 +252,8 @@ def test_an_improving_leaf_step_runs_one_cut(monkeypatch):
         (1 << 14, 1 << 5, 1, 1, (1, 0b11 | 1 << 14)),
     ):
         del cuts[:]
-        assert capacity._extend(adj, inset, nbrs, 0b1111, gain, pen) == want
+        ground = neighborhood_mask(adj, 0b1111) & ~nbrs
+        assert capacity._extend(adj, inset, nbrs, 0b1111, ground, gain, pen) == want
         assert len(cuts) == 1
 
 
@@ -291,9 +302,14 @@ def test_ratio_cut_vs_exhaustive():
             k = rng.randint(1, 3)
             prices.add((tie.numerator * k, tie.denominator * k))
             prices.add((tie.numerator, tie.denominator))
+        # the cut's side, or None at a threshold its value does not beat
         for p, q in prices:
-            got = flow._ratio_cut(list(svars), nbr, ground, p, q)
-            assert got == _cut_exhaustive(svars, nbr, p, q), (svars, nbr, ground, p, q)
+            side = _cut_exhaustive(svars, nbr, p, q)
+            value = p * len(side) - q * neighborhood_mask(nbr, set_to_mask(side)).bit_count()
+            for threshold in (-1, value - 1, value):
+                got = flow._ratio_cut(list(svars), nbr, ground, p, q, threshold)
+                want = side if value > threshold else None
+                assert got == want, (svars, nbr, ground, p, q, threshold)
 
 
 def test_ratio_cut_checks_catch_a_corrupted_flow():
@@ -319,19 +335,43 @@ def test_ratio_cut_checks_catch_a_corrupted_flow():
     # the cut
     svars, masks, ground = [0, 1], [0b1100, 0b10000, 0, 0, 0], 0b11100
     counted = Masks(masks)
-    assert flow._ratio_cut(svars, counted, ground, 1, 1) == [1]
+    assert flow._ratio_cut(svars, counted, ground, 1, 1, -1) == [1]
     lying = Masks(masks, after=counted.reads - 1, extra=0b1000)
     with pytest.raises(VerificationError, match="unbounded arc crosses"):
-        flow._ratio_cut(svars, lying, ground, 1, 1)
+        flow._ratio_cut(svars, lying, ground, 1, 1, -1)
 
     # S-vertex 0 ties the price 1 through ground vertex 2, so its side is
     # [0]; the greedy start alone (its one read of the arcs) is also shown
     # an arc 0 -> 1, and its flow on that non-arc lets 0 reach t: every
     # other check passes the empty side
-    assert flow._ratio_cut([0], [0b100, 0, 0], 0b110, 1, 1) == [0]
+    assert flow._ratio_cut([0], [0b100, 0, 0], 0b110, 1, 1, -1) == [0]
     lying = Masks([0b100, 0, 0], extra=0b10, until=1)
     with pytest.raises(VerificationError, match="non-arc"):
-        flow._ratio_cut([0], lying, 0b110, 1, 1)
+        flow._ratio_cut([0], lying, 0b110, 1, 1, -1)
+    # at threshold 0 the greedy start strands nothing, so the cut stops at
+    # once and returns None, yet it still checks the flow's arcs first
+    assert flow._ratio_cut([0], [0b100, 0, 0], 0b110, 1, 1, 0) is None
+    lying = Masks([0b100, 0, 0], extra=0b10, until=1)
+    with pytest.raises(VerificationError, match="non-arc"):
+        flow._ratio_cut([0], lying, 0b110, 1, 1, 0)
+
+    # 0 and 1 take ground vertices 3 and 4, and 2, which sees only those,
+    # strands its unit until the path 2 -> 3 -> 0 -> 5 places it; 8 ties
+    # the price 1 through 9, so the side is [8] at value 0.  The flow then
+    # strands nothing, so at threshold 0 the cut stops after that
+    # augmentation, with no residual pass: the arc 8 -> 5 that the full
+    # cut's last read (its crossing check's) is shown, and refuses, is
+    # never read
+    svars, ground = [0, 1, 2, 8], 0b1001111000
+    masks = [0b101000, 0b1010000, 0b11000, 0, 0, 0, 0, 0, 1 << 9, 0]
+    counted = Masks(masks)
+    assert flow._ratio_cut(svars, counted, ground, 1, 1, -1) == [8]
+    lying = Masks(masks, after=counted.reads - 1, extra=0b100000)
+    with pytest.raises(VerificationError, match="unbounded arc crosses"):
+        flow._ratio_cut(svars, lying, ground, 1, 1, -1)
+    lying = Masks(masks, after=counted.reads - 1, extra=0b100000)
+    assert flow._ratio_cut(svars, lying, ground, 1, 1, 0) is None
+    assert lying.reads < counted.reads - 1
 
     # the greedy start is handed S-vertex 0 twice: its second pass's flow
     # overwrites the record of the first, so ground vertex 2 fills up with
@@ -349,9 +389,11 @@ def test_ratio_cut_checks_catch_a_corrupted_flow():
             return iter(self[:1] + self[:] if self.passes == 1 else self[:])
 
     with pytest.raises(VerificationError, match="ratio cut capacity"):
-        flow._ratio_cut(Twice([0]), [0b1100, 0, 0, 0], 0b1100, 1, 1)
+        flow._ratio_cut(Twice([0]), [0b1100, 0, 0, 0], 0b1100, 1, 1, -1)
     # at q = 2 both passes put their unit on ground vertex 1, and the state
     # records one: the cut's capacity matches that value, but the ground
-    # holds 2 units where the S-vertex sent 1
-    with pytest.raises(VerificationError, match="receives 2, not 1"):
-        flow._ratio_cut(Twice([0]), [0b110, 0, 0], 0b110, 1, 2)
+    # holds 2 units where the S-vertex sent 1; a cut that stops at once
+    # (threshold 0) checks this too
+    for threshold in (-1, 0):
+        with pytest.raises(VerificationError, match="receives 2, not 1"):
+            flow._ratio_cut(Twice([0]), [0b110, 0, 0], 0b110, 1, 2, threshold)
