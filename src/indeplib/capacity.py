@@ -27,8 +27,8 @@ from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import _lazy_getattr, flow
-from .config import DEFAULT_ALPHA_LIMIT
-from .errors import LimitExceeded, VerificationError
+from .config import check_oracle_limit
+from .errors import VerificationError
 from .graph import Graph, components, mask_to_set, neighborhood_mask, set_to_mask
 from .kernels import bipartite_matching
 
@@ -47,6 +47,7 @@ __getattr__ = _lazy_getattr(
     {
         "LEAF": "cotree",
         "UNION": "cotree",
+        "children_first": "cotree",
         "realize": "cotree",
         "realize_interval": "intersection",
         "realize_permutation": "intersection",
@@ -255,27 +256,21 @@ def cograph_profile(t: Cotree, gain, pen):
 
     Returns (max of gain*|I| - pen*|N(I)| over independent sets I, a
     witness mask); a maximum of 0 is the empty set's, (0, 0).  Nodes are
-    solved in reverse preorder, so children come first and deep cotrees do
-    not recurse.  A leaf is worth gain; a union adds the values of its
-    children that are positive; a nonempty independent set under a join
-    lies in one child and sees every vertex of the others, so a join keeps
-    its first child of strictly largest value less pen times the other
-    children's vertex count.  A node's value is exact, with its witness,
-    whenever it is positive, which is all the step's maximum needs.  The
-    engine calls this through the module global, under the name the
-    benchmark's tracer wraps.
+    solved children first (cotree.children_first, built once per tree), so
+    deep cotrees do not recurse.  A leaf is worth gain; a union adds the
+    values of its children that are positive; a nonempty independent set
+    under a join lies in one child and sees every vertex of the others, so
+    a join keeps its first child of strictly largest value less pen times
+    the other children's vertex count.  A node's value is exact, with its
+    witness, whenever it is positive, which is all the step's maximum
+    needs.  The engine calls this through the module global, under the
+    name the benchmark's tracer wraps.
     """
     leaf, union = _lazy.LEAF, _lazy.UNION
-    stack, order = [t], []
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
-    # in reverse preorder each child's subtree is solved just before its
-    # parent and leaves one (value, witness mask) pair, so a node's children
-    # are the last entries of solved, in order
+    # each node's subtree leaves one (value, witness mask) pair, so a
+    # node's children are the last entries of solved, in order
     solved = []
-    for node in reversed(order):
+    for node in _lazy.children_first(t):
         if node.kind == leaf:
             solved.append((gain, 1 << node.vertex))
             continue
@@ -470,8 +465,8 @@ def a_general_exact(g: Graph, limit=None) -> CapacityResult:
     connected component, with one price, the best a so far, across them.
 
     a of a disjoint union is the largest a of its parts, so the search runs
-    on each component's mask in turn, in order of least vertex, and limit
-    bounds each component; all are checked before any search.
+    on each component's mask in turn, in order of least vertex.  limit, or
+    IL_ORACLE_LIMIT if None, bounds each; all are checked before any search.
 
     The search looks only for sets that strictly beat the best a so far, in
     any component, and the witness is the last strict improvement.  Both
@@ -481,18 +476,11 @@ def a_general_exact(g: Graph, limit=None) -> CapacityResult:
     maximizer (min_ratio_subset) is the first witness and its a the first
     price.  An isolated vertex attains a = 1, which no set beats, so a graph
     with one runs no search; otherwise _search walks each component."""
-    if limit is None:
-        limit = DEFAULT_ALPHA_LIMIT
     if g.n == 0:
         raise ValueError("capacity of the empty graph is undefined")
     adj = g.adj
     parts = components(adj, (1 << g.n) - 1)
-    for part in parts:
-        size = part.bit_count()
-        if size > limit:
-            raise LimitExceeded(
-                f"a_general_exact limited to {limit} vertices, got {size}", required=size
-            )
+    check_oracle_limit("a_general_exact", *map(int.bit_count, parts), limit=limit)
     # a pick changes no candidate count outside its component, so the set
     # grows one component at a time as it would over the whole graph
     greedy = 0
@@ -671,14 +659,13 @@ def tensor_capacity(
     interval: IntervalModel = None,
     permutation: PermutationModel = None,
     decomposition: NiceTreeDecomposition = None,
-    limit=None,
 ) -> CapacityResult:
     """Theta^T(G) = a*(G) with engine dispatch.
 
     A class certificate selects its engine, and two are refused; a bare
     graph goes to the general engine, which solves each connected
     component and combines by max (a and Theta^T of a disjoint union are
-    the componentwise maxima); limit bounds each component's vertex count.
+    the componentwise maxima); IL_ORACLE_LIMIT bounds each component.
     Each branch is one call of a public engine, with g if given: the
     cotree, interval and permutation engines realize their certificate once
     and refuse a g that differs before any step runs.
@@ -699,4 +686,4 @@ def tensor_capacity(
         return a_treewidth(decomposition.graph if g is None else g, decomposition)
     if g is None:
         raise ValueError("tensor_capacity needs a graph or a certificate")
-    return a_general_exact(g, limit=limit)
+    return a_general_exact(g)

@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import _lazy_getattr
-from .config import DEFAULT_POWER_LIMIT, DOMINATION_KMAX_LIMIT, oracle_limit
+from .config import DEFAULT_POWER_LIMIT, DOMINATION_KMAX_LIMIT, check_oracle_limit, oracle_limit
 from .errors import (
     IndeplibError,
     LimitExceeded,
@@ -176,17 +176,15 @@ def _alpha_by_components(g, h):
     for f in (g, h):
         verts = [sorted(mask_to_set(c)) for c in components(f.adj, (1 << f.n) - 1)]
         parts.append([(vs, f.subgraph(vs)) for vs in verts])
-    limit = oracle_limit()
     size = max(len(vs) for vs, _ in parts[0]) * max(len(vs) for vs, _ in parts[1])
-    if size > limit:
-        raise LimitExceeded(f"alpha_exact limited to {limit} vertices, got {size}", required=size)
+    check_oracle_limit("alpha_exact", size)
     solved = {}
     total = 0
     witness = []
     for gv, gi in parts[0]:
         for hv, hj in parts[1]:
             if (gi, hj) not in solved:
-                solved[gi, hj] = _lazy.alpha_exact(_lazy.categorical_product(gi, hj), limit=limit)
+                solved[gi, hj] = _lazy.alpha_exact(_lazy.categorical_product(gi, hj))
             value, local = solved[gi, hj]
             total += value
             k = len(hv)
@@ -216,7 +214,7 @@ def _capacity_result(args):
         return cap.tensor_capacity(g, decomposition=nice)
     if args.split:
         return cap.tensor_capacity(g, split=_lazy.split_partition(g))
-    return cap.tensor_capacity(g, limit=oracle_limit())
+    return cap.tensor_capacity(g)
 
 
 def cmd_capacity(args):
@@ -252,19 +250,22 @@ def cmd_domination(args):
     )
 
     if args.bipartite:
-        if args.kmax < 1:
-            raise ValueError(f"domination --kmax must be at least 1, got {args.kmax}")
-        if args.kmax > DOMINATION_KMAX_LIMIT:
-            msg = f"domination --kmax limited to {DOMINATION_KMAX_LIMIT}, got {args.kmax}"
-            raise LimitExceeded(msg, required=args.kmax)
+        kmax = 10 if args.kmax is None else args.kmax
+        if kmax < 1:
+            raise ValueError(f"domination --kmax must be at least 1, got {kmax}")
+        if kmax > DOMINATION_KMAX_LIMIT:
+            msg = f"domination --kmax limited to {DOMINATION_KMAX_LIMIT}, got {kmax}"
+            raise LimitExceeded(msg, required=kmax)
         m, n = args.bipartite
         if m + n > DEFAULT_POWER_LIMIT:  # K(m, n) has m + n vertices
             msg = f"domination --bipartite needs {m + n} vertices, limit is {DEFAULT_POWER_LIMIT}"
             raise LimitExceeded(msg, required=m + n)
         label = f"bipartite {m} {n}"
-        rows = [(k, ri_complete_bipartite_power(m, n, k)) for k in range(1, args.kmax + 1)]
+        rows = [(k, ri_complete_bipartite_power(m, n, k)) for k in range(1, kmax + 1)]
         limit = ultimate_independent_domination_multipartite([m, n])
     else:
+        if args.kmax is not None:
+            raise ValueError("domination --kmax needs --bipartite")
         sizes = args.multipartite
         label = "multipartite " + " ".join(str(s) for s in sizes)
         rows = []
@@ -302,11 +303,10 @@ def cmd_check(args):
         if not ok:
             failures += 1
 
-    limit = oracle_limit()
     try:
-        base = cap.tensor_capacity(g, limit=limit)
+        base = cap.tensor_capacity(g)
     except LimitExceeded as exc:
-        print(f"all checks skipped: {exc.required} vertices exceeds limit {limit}")
+        print(f"all checks skipped: {exc.required} vertices exceeds limit {oracle_limit()}")
         return EXIT_OK
     values = {"general": base.a}
     if g.n <= 20:
@@ -329,7 +329,7 @@ def cmd_check(args):
     fpm = cap.has_fractional_perfect_matching(g)
     report("a*=1 iff no fractional perfect matching", (base.a_star == 1) == (not fpm))
     if g.n <= 5:
-        squared = cap.tensor_capacity(graph_power(g, 2), limit=limit)
+        squared = cap.tensor_capacity(graph_power(g, 2))
         report("toth a*(G^2)=a*(G)", squared.a_star == base.a_star)
     else:
         print("toth a*(G^2)=a*(G): skipped (size)")
@@ -379,7 +379,7 @@ def build_parser():
     p = sub.add_parser("domination", help="independent domination ratios of powers")
     p.add_argument("--bipartite", nargs=2, type=int, metavar=("M", "N"))
     p.add_argument("--multipartite", nargs="+", type=int, metavar="SIZE")
-    p.add_argument("--kmax", type=int, default=10)
+    p.add_argument("--kmax", type=int, help="largest power k, with --bipartite (default 10)")
     p.set_defaults(func=cmd_domination)
 
     p = sub.add_parser("check", help="run the invariant suite on one graph")

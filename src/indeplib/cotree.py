@@ -26,12 +26,13 @@ class Cotree:
     walks both trees on an explicit stack, so deep trees need no recursion.
     """
 
-    __slots__ = ("kind", "vertex", "children", "mask", "size", "_hash")
+    __slots__ = ("kind", "vertex", "children", "mask", "size", "_hash", "_below")
 
     def __init__(self, kind, vertex=None, children=()):
         self.kind = kind
         self.vertex = vertex
         self.children = tuple(children)
+        self._below = None  # children_first's order of the nodes under this one
         if kind == LEAF:
             if vertex is None or vertex < 0:
                 raise InvalidModel("leaf needs a non-negative vertex id")
@@ -85,6 +86,23 @@ class Cotree:
 
 def leaf(v):
     return Cotree(LEAF, vertex=v)
+
+
+def children_first(t: Cotree):
+    """The nodes of t in reverse preorder: each subtree's nodes, children
+    in order, just before its root.  Built on an explicit stack once per
+    tree and kept on t without t itself, so the cache is no reference
+    cycle."""
+    below = t._below
+    if below is None:
+        stack, order = list(t.children), []
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(node.children)
+        order.reverse()
+        t._below = below = tuple(order)
+    return below + (t,)
 
 
 def _merge(kind, parts):

@@ -201,11 +201,12 @@ def power_size(n, k, limit):
     return size
 
 
-def graph_power(g: Graph, k: int, limit=DEFAULT_POWER_LIMIT) -> Graph:
+def graph_power(g: Graph, k: int) -> Graph:
     """k-fold categorical product G x ... x G, left-associated.  K1 is its
     own power."""
     if k < 1:
         raise ValueError("power must be >= 1")
+    limit = DEFAULT_POWER_LIMIT
     size = power_size(g.n, k, limit)
     if size > limit:
         raise LimitExceeded(

@@ -12,8 +12,9 @@ from .graph import Graph
 class IntervalModel(NamedTuple("IntervalModel", [("intervals", tuple)])):
     """Closed intervals with integer endpoints; vertex i = intervals[i].
     Sharing an endpoint counts as intersecting.  Construction, _make and
-    _replace all check the intervals.  Ends must be integers
-    (operator.index): int() would truncate 1.9 and parse "2"."""
+    _replace all check the intervals, and a reversed one's error carries
+    its index as value.  Ends must be integers (operator.index): int()
+    would truncate 1.9 and parse "2"."""
 
     __slots__ = ()
 
@@ -24,7 +25,7 @@ class IntervalModel(NamedTuple("IntervalModel", [("intervals", tuple)])):
             raise InvalidModel(f"interval ends must be integers: {exc}") from None
         for i, (l, r) in enumerate(ivs):
             if l > r:
-                raise InvalidModel(f"interval {i} has left {l} > right {r}")
+                raise InvalidModel(f"interval {i} has left {l} > right {r}", value=i)
         return super().__new__(cls, ivs)
 
     @classmethod

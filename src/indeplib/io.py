@@ -94,8 +94,6 @@ def parse_interval_model(text: str) -> IntervalModel:
         vid, left, right = _ints(parts, ln)
         if vid in rows:
             raise ParseError(f"duplicate interval id {vid}", line=ln)
-        if left > right:
-            raise ParseError(f"interval {vid} has left {left} > right {right}", line=ln)
         rows[vid] = (ln, left, right)
     if not rows:
         raise ParseError("empty interval file")
@@ -104,7 +102,12 @@ def parse_interval_model(text: str) -> IntervalModel:
     for vid, (ln, _, _) in rows.items():
         if not 0 <= vid < k:
             raise ParseError(f"interval ids must be 0..{k - 1}, got {vid}", line=ln)
-    return IntervalModel(tuple(rows[i][1:] for i in range(k)))
+    # the model checks the ends once; its error is restated with the
+    # line of the interval it names
+    try:
+        return IntervalModel(tuple(rows[i][1:] for i in range(k)))
+    except InvalidModel as exc:
+        raise ParseError(str(exc), line=rows[exc.value][0]) from None
 
 
 def parse_permutation_model(text: str) -> PermutationModel:

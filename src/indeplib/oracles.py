@@ -7,7 +7,7 @@ Every polynomial engine in the library is validated against these.
 from fractions import Fraction
 
 from . import kernels
-from .config import DEFAULT_ALPHA_LIMIT, DEFAULT_BRUTEFORCE_LIMIT
+from .config import DEFAULT_BRUTEFORCE_LIMIT, check_oracle_limit
 from .errors import LimitExceeded
 from .graph import Graph, components, mask_to_set
 
@@ -20,15 +20,10 @@ def alpha_exact(g: Graph, limit=None):
     witnesses, each the first optimum under the kernel's fixed branching
     order, so it is reproducible.  The search keeps its branches on an
     explicit stack, so its depth is not bounded by the recursion limit.
-    limit bounds each component, and all are checked before any search.
+    limit (IL_ORACLE_LIMIT if None) bounds each component, all checked first.
     """
-    if limit is None:
-        limit = DEFAULT_ALPHA_LIMIT
     parts = components(g.adj, (1 << g.n) - 1)
-    for part in parts:
-        size = part.bit_count()
-        if size > limit:
-            raise LimitExceeded(f"alpha_exact limited to {limit} vertices, got {size}", required=size)
+    check_oracle_limit("alpha_exact", *map(int.bit_count, parts), limit=limit)
     total = witness = 0
     for part in parts:
         size, mask = kernels.max_independent_set(g.adj, part)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .cotree import LEAF, UNION, Cotree
+from .cotree import LEAF, UNION, Cotree, children_first
 from .errors import VerificationError
 from .graph import (
     Graph,
@@ -50,7 +50,7 @@ def alpha_product_cographs(tg: Cotree, th: Cotree):
     the table.  Union blocks are disjoint, so every pair is emitted once;
     pairs become row-major product ids.
     """
-    nodes_g, nodes_h = _internal_nodes(tg), _internal_nodes(th)
+    nodes_g, nodes_h = ([a for a in children_first(t) if a.kind != LEAF] for t in (tg, th))
     row_g = {id(a): i for i, a in enumerate(nodes_g)}
     col_h = {id(b): j for j, b in enumerate(nodes_h)}
     sizes = [b.size for b in nodes_h]
@@ -108,18 +108,6 @@ def alpha_product_cographs(tg: Cotree, th: Cotree):
                     value, block = v, (a, c)
             stack.append(block)
     return (rows[-1][-1] if nodes_g and nodes_h else tg.size * th.size), witness
-
-
-def _internal_nodes(t: Cotree):
-    """The internal nodes of t, every child before its parent."""
-    order, stack = [], [t]
-    while stack:
-        node = stack.pop()
-        if node.kind != LEAF:
-            order.append(node)
-            stack.extend(node.children)
-    order.reverse()
-    return order
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from indeplib.capacity import (
     tensor_capacity,
     treewidth_profile,
 )
+from indeplib.config import oracle_limit
 from indeplib.cotree import cograph_recognize, parse_cotree, realize
 from indeplib.errors import InvalidDecomposition, LimitExceeded, VerificationError
 from indeplib.graph import (
@@ -552,9 +553,10 @@ def test_a_general_limit_is_per_component(monkeypatch):
         raise AssertionError("search started before the limit check")
 
     monkeypatch.setattr(flow, "max_gain", refuse)
+    monkeypatch.setenv("IL_ORACLE_LIMIT", "7")
     g = disjoint_union(disjoint_union(cycle_graph(5), complete_graph(8)), complete_graph(9))
     with pytest.raises(LimitExceeded, match="limited to 7 vertices, got 8$") as exc:
-        tensor_capacity(g, limit=7)
+        tensor_capacity(g)
     assert exc.value.required == 8
 
 
@@ -578,6 +580,50 @@ def test_alpha_exact_limit_is_per_component(monkeypatch):
     with pytest.raises(LimitExceeded, match="limited to 7 vertices, got 8$") as exc:
         alpha_exact(g, limit=7)
     assert exc.value.required == 8
+
+
+def test_library_honours_oracle_limit_env(monkeypatch):
+    # IL_ORACLE_LIMIT bounds both searches in-process, as in the CLI, and an
+    # explicit limit overrides it
+    c5, c45 = cycle_graph(5), cycle_graph(45)
+    monkeypatch.setenv("IL_ORACLE_LIMIT", "4")
+    with pytest.raises(LimitExceeded, match="^a_general_exact limited to 4 vertices, got 5$"):
+        tensor_capacity(c5)
+    with pytest.raises(LimitExceeded, match="^alpha_exact limited to 4 vertices, got 5$"):
+        alpha_exact(c5)
+    assert a_general_exact(c5, limit=5).a == Fraction(2, 5)
+    assert alpha_exact(c5, limit=5)[0] == 2
+    monkeypatch.setenv("IL_ORACLE_LIMIT", "45")
+    assert tensor_capacity(c45).a == Fraction(22, 45)
+    assert alpha_exact(c45)[0] == 22
+    monkeypatch.delenv("IL_ORACLE_LIMIT")
+    with pytest.raises(LimitExceeded, match="limited to 40 vertices, got 45$"):
+        tensor_capacity(c45)
+
+
+def test_bad_oracle_limit_env_is_refused(monkeypatch):
+    for value in ("abc", "0", "-1"):
+        monkeypatch.setenv("IL_ORACLE_LIMIT", value)
+        message = f"^IL_ORACLE_LIMIT must be a positive integer, got '{value}'$"
+        with pytest.raises(ValueError, match=message):
+            oracle_limit()
+        with pytest.raises(ValueError, match="IL_ORACLE_LIMIT"):
+            tensor_capacity(path_graph(3))
+        with pytest.raises(ValueError, match="IL_ORACLE_LIMIT"):
+            alpha_exact(path_graph(3))
+
+
+def test_oracle_limit_has_one_home():
+    # the environment is read, and the oracle limit's default named, only
+    # in config, so a new limit policy is a change to that one module
+    src = os.path.dirname(indeplib.__file__)
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "config.py":
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            text = fh.read()
+        assert "os.environ" not in text and "getenv" not in text, name
+        assert "DEFAULT_ALPHA_LIMIT" not in text, name
 
 
 def test_fractional_perfect_matching_examples():

@@ -414,6 +414,12 @@ def test_model_file_formats():
     assert m.intervals == ((0, 1), (1, 2))
     with pytest.raises(ParseError):
         parse_interval_model("0 0 1\n2 0 1\n")  # ids not dense
+    # the model refuses a reversed interval; the error names the interval's
+    # id and its line, whatever order the lines give the ids in
+    text = "# c\n2 2 3\n\n1 5 3\n0 0 1\n"
+    with pytest.raises(ParseError, match="^line 4: interval 1 has left 5 > right 3$") as exc:
+        parse_interval_model(text)
+    assert exc.value.line == 4
     p = parse_permutation_model("3\n2 1 3\n")
     assert p.perm == (1, 0, 2)
     with pytest.raises(ParseError):

@@ -454,6 +454,20 @@ def test_capacity_oracle_limit_env(capsys, files, monkeypatch):
     assert code == EXIT_LIMIT and "error" in err
 
 
+def test_bad_oracle_limit_env_is_refused(capsys, files, monkeypatch):
+    # only a positive integer is a limit; anything else exits 2 naming the
+    # variable, in every command that reads it, before any search
+    for value in ("abc", "0", "-1"):
+        monkeypatch.setenv("IL_ORACLE_LIMIT", value)
+        for command in ("capacity", "check"):
+            code, out, err = run(capsys, command, files["p3"])
+            assert (code, out) == (EXIT_INPUT, ""), (value, command)
+            assert err == f"error: IL_ORACLE_LIMIT must be a positive integer, got {value!r}\n"
+        code, out, err = run(capsys, "alpha", "--oracle", files["p3"], files["p3"])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "IL_ORACLE_LIMIT" in err
+
+
 def test_capacity_verification_failure_exits_1(capsys, files, monkeypatch):
     # a wrong neighbourhood count makes the witness miss its ratio in _finish
     monkeypatch.setattr(capacity, "_witness_counts", lambda g, mask, what: (mask.bit_count(), g.n))
@@ -674,6 +688,19 @@ def test_domination_kmax_below_one_is_refused(capsys):
         code, out, err = run(capsys, "domination", "--bipartite", "2", "3", "--kmax", kmax)
         assert (code, out) == (EXIT_INPUT, "")
         assert err == f"error: domination --kmax must be at least 1, got {kmax}\n"
+
+
+def test_domination_kmax_needs_bipartite(capsys):
+    # --multipartite prints no rows, so a --kmax with it is refused, not
+    # ignored, whatever its value
+    for kmax in ("0", "10", "99999"):
+        code, out, err = run(capsys, "domination", "--multipartite", "2", "2", "--kmax", kmax)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: domination --kmax needs --bipartite\n"
+    assert run(capsys, "domination", "--multipartite", "2", "2")[:2] == (EXIT_OK, "k,r_i\nI=1/2\n")
+    # without --kmax, --bipartite prints k = 1..10
+    code, out, _ = run(capsys, "domination", "--bipartite", "1", "2")
+    assert code == EXIT_OK and out.splitlines()[-2].startswith("10,")
 
 
 # ---------------------------------------------------------------------------
